@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,18 +197,6 @@ def _csv(comments, header, rows, path):
     _emit(lines, path)
 
 
-def _trace_csv(trace, cfg, subcommand, path):
-    comments = [f"# fdrates {subcommand}"] + cfg.echo_lines()
-    _csv(comments, ent.EntropyTrace.COLUMNS, list(trace.rows()), path)
-
-
-def _max_workers():
-    env = os.environ.get("FDRATES_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -284,18 +271,11 @@ def _cmd_spectrum(args):
 
 def _cmd_hp_verify(args):
     alphas = [float(s) for s in args.alpha.split(",")]
-
-    def one(a):
-        return num.verify_constants(args.d, a, D=args.D, l_max=args.l_max,
-                                    R_max=args.R, N=args.N,
-                                    extrapolate=not args.no_extrapolate)
-    if len(alphas) > 1:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            results = list(pool.map(one, alphas))
-    else:
-        results = [one(alphas[0])]
     rows = []
-    for res in results:
+    for a in alphas:
+        res = num.verify_constants(args.d, a, D=args.D, l_max=args.l_max,
+                                   R_max=args.R, N=args.N,
+                                   extrapolate=not args.no_extrapolate)
         for s in res.sectors:
             rows.append((res.alpha, s.l, "mean-zero" if s.constrained else "none",
                          res.R_max, res.N, s.lambda_numeric, res.closed_form,
@@ -478,8 +458,33 @@ def _cmd_rescale(args):
 # parser
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: exit code 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+# a value that starts like a negative number, e.g. the sweep "-1,-4,-6",
+# which argparse would otherwise read as an option string
+_NEGATIVE_VALUE = re.compile(r"-\.?\d.*")
+
+
+def _bind_negative_values(argv):
+    """Rewrite "--opt -1,-4" as "--opt=-1,-4" so argparse takes it as a value."""
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VALUE.fullmatch(tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="fdrates",
         description="Numerical laboratory for sharp fast-diffusion decay rates.",
     )
@@ -566,8 +571,9 @@ def _build_parser():
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = parser.parse_args(_bind_negative_values(argv))
         return args.func(args)
     except (ConfigError, ValueError, FileNotFoundError) as e:
         print(f"fdrates: error: {e}", file=sys.stderr)

@@ -167,6 +167,27 @@ def _advance(x, V, Vm1, w, g, h, m, dt, depth=0):
     return _advance(half, V, Vm1, w, g, h, m, dt / 2.0, depth + 1)
 
 
+def _schedule(t0, t_end, dt, cadence):
+    """(cadence, n_sub, n_rec): rows every cadence = n_sub*dt, n_rec rows after t0.
+
+    The default cadence gives ~200 rows; t_end - t0 must be an integer
+    multiple of the cadence, so no run stops short of t_end or beyond it.
+    """
+    if dt <= 0 or t_end <= t0:
+        raise ValueError("need dt > 0 and t_end beyond the current time")
+    span = t_end - t0
+    if cadence is None:
+        cadence = max(dt, span / 200.0)
+        cadence = round(cadence / dt) * dt
+    n_sub = int(round(cadence / dt))
+    if n_sub < 1 or abs(n_sub * dt - cadence) > 1e-9 * cadence:
+        raise ValueError(f"cadence {cadence} is not an integer multiple of dt {dt}")
+    n_rec = int(round(span / cadence))
+    if abs(n_rec * cadence - span) > 1e-9 * max(span, 1.0):
+        raise ValueError("t_end - t must be an integer multiple of the cadence")
+    return cadence, n_sub, n_rec
+
+
 def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
                      cadence: Optional[float] = None,
                      observer: Optional[Callable] = None,
@@ -179,18 +200,7 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     track_sandwich=True a SandwichReport is attached per row.  The state is
     advanced in place and also reflected in state.t.
     """
-    if dt <= 0 or t_end <= state.t:
-        raise ValueError("need dt > 0 and t_end beyond the current time")
-    span = t_end - state.t
-    if cadence is None:
-        cadence = max(dt, span / 200.0)
-        cadence = round(cadence / dt) * dt
-    n_sub = int(round(cadence / dt))
-    if n_sub < 1 or abs(n_sub * dt - cadence) > 1e-9 * cadence:
-        raise ValueError(f"cadence {cadence} is not an integer multiple of dt {dt}")
-    n_rec = int(round(span / cadence))
-    if abs(n_rec * cadence - span) > 1e-9 * max(span, 1.0):
-        raise ValueError("t_end - t must be an integer multiple of the cadence")
+    cadence, n_sub, n_rec = _schedule(state.t, t_end, dt, cadence)
 
     grid = state.grid
     p = state.profile
@@ -241,16 +251,7 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     h1/h2 are undefined for the linear flow and recorded as NaN; the
     mass-defect column holds int f dmu_(alpha-1).
     """
-    if dt <= 0 or t_end <= state.t:
-        raise ValueError("need dt > 0 and t_end beyond the current time")
-    span = t_end - state.t
-    if cadence is None:
-        cadence = max(dt, span / 200.0)
-        cadence = round(cadence / dt) * dt
-    n_sub = int(round(cadence / dt))
-    if n_sub < 1 or abs(n_sub * dt - cadence) > 1e-9 * cadence:
-        raise ValueError(f"cadence {cadence} is not an integer multiple of dt {dt}")
-    n_rec = int(round(span / cadence))
+    cadence, n_sub, n_rec = _schedule(state.t, t_end, dt, cadence)
 
     forms = assemble_sector_forms(state.grid, state.alpha, state.D, state.l)
     f = forms.restrict(np.asarray(state.f, dtype=float))

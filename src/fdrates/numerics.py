@@ -12,10 +12,12 @@ quadratic forms
     B(f)   = int_0^inf f^2 (D+r^2)^(alpha-1) r^(d-1) dr.
 
 This module discretizes (A_l, B) with P1 finite elements on a sinh-graded
-radial grid, computes constrained bottom eigenvalues by inverse power
-iteration (with a dense oracle for cross-checking), and extrapolates
-truncated-domain eigenvalues to the infinite-domain limit, which together
-verify the closed-form sharp constants numerically.
+radial grid and computes sector bottom eigenvalues, mean-zero for l = 0, by
+index: a lumped-mass tridiagonal eigensolve gives the shift and start vector,
+and consistent-mass inverse iteration with one factorization finishes them
+(with a dense oracle for cross-checking).  Truncated-domain eigenvalues are
+extrapolated to the infinite-domain limit, which together verify the
+closed-form sharp constants numerically.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
-from .exponents import lambda_continuum, sharp_rate
+from .exponents import sharp_rate
 
 __all__ = [
     "RadialGrid",
@@ -282,115 +285,85 @@ def rayleigh_quotient(f: RadialField, forms: SectorForms) -> float:
     return float(x @ forms.apply_a(x)) / den
 
 
-def _constraint_vectors(forms: SectorForms, constraints):
-    cols = []
-    for c in constraints:
-        vec = c.values if isinstance(c, RadialField) else np.asarray(c, dtype=float)
-        cols.append(forms.restrict(vec) if len(vec) == len(forms.grid.nodes) else vec)
-    return cols
+def _bottom_dense(forms: SectorForms, k: int):
+    _, vecs = sla.eigh(forms.stiffness(), forms.mass(), subset_by_index=[k, k])
+    v = vecs[:, 0]
+    # LAPACK's eigenvalue carries an absolute error of order eps times the
+    # largest eigenvalue; the quotient of its B-normalized vector does not
+    return float(v @ forms.apply_a(v)), v
 
 
-def _bottom_dense(forms: SectorForms, cons):
-    A = forms.stiffness()
-    B = forms.mass()
-    if cons:
-        C = np.array([forms.apply_b(c) for c in cons])
-        Z = sla.null_space(C)
-        lamv, vecs = sla.eigh(Z.T @ A @ Z, Z.T @ B @ Z, subset_by_index=[0, 0])
-        return float(lamv[0]), Z @ vecs[:, 0]
-    lamv, vecs = sla.eigh(A, B, subset_by_index=[0, 0])
-    return float(lamv[0]), vecs[:, 0]
+def _bottom_iterative(forms: SectorForms, k: int, tol, maxit):
+    # shift and start vector: eigenpair k of the lumped-mass pencil, which the
+    # scaling s = lumped^(-1/2) turns into a symmetric tridiagonal problem
+    lumped = forms.b_diag.copy()
+    lumped[:-1] += forms.b_off
+    lumped[1:] += forms.b_off
+    s = 1.0 / np.sqrt(lumped)
+    lam_l, y = sla.eigh_tridiagonal(forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:],
+                                    select="i", select_range=(k, k))
+    sigma = float(lam_l[0])
+    # consistent-mass inverse iteration, A - sigma B factored once
+    off = forms.a_off - sigma * forms.b_off
+    lu = dgttrf(off, forms.a_diag - sigma * forms.b_diag, off)[:5]
+    abs_a = (np.abs(forms.a_diag), np.abs(forms.a_off))
+    abs_b = (np.abs(forms.b_diag), np.abs(forms.b_off))
+    bf = forms.apply_b(s * y[:, 0])
+    lam = sigma
+    for _ in range(maxit):
+        f = dgttrs(*lu, bf)[0]
+        bf = forms.apply_b(f)
+        nrm = math.sqrt(float(f @ bf))
+        f /= nrm
+        bf /= nrm
+        af = forms.apply_a(f)
+        lam = float(f @ af)
+        # rounding alone leaves a residual of order eps * (|A||f| + |lam||B||f|)
+        f_abs = np.abs(f)
+        scale = _tridiag_apply(*abs_a, f_abs) + abs(lam) * _tridiag_apply(*abs_b, f_abs)
+        if np.linalg.norm(af - lam * bf) <= tol * np.linalg.norm(scale):
+            return lam, f
+    raise NonConvergenceError("inverse iteration did not converge", lam)
 
 
-def _bottom_iterative(forms: SectorForms, cons, tol, maxit):
-    from scipy.linalg import solve_banded
+def bottom_eigenvalue(forms: SectorForms, *, tol: float = 1e-13, maxit: int = 100,
+                      method: str = "iterative"):
+    """Bottom eigenvalue of the pencil (A, B), mean-zero in sector l = 0.
 
-    n = forms.n
-    # smooth deterministic seed with a small wiggle so no eigendirection is
-    # accidentally missed; a rough seed would push the adaptive shift sky-high
-    r = forms.grid.nodes[-n:]
-    x = 1.0 / (1.0 + r**2) + 1e-3 * np.cos(7.0 * np.arange(n))
-    bc = [forms.apply_b(c) for c in cons]
-    cbc = [float(c @ b) for c, b in zip(cons, bc)]
-
-    def project(y):
-        for c, b, nrm in zip(cons, bc, cbc):
-            y -= c * (float(b @ y) / nrm)
-        return y
-
-    def sweep(x, sigma, iters, check):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = forms.a_off + sigma * forms.b_off
-        ab[1] = forms.a_diag + sigma * forms.b_diag
-        ab[2, :-1] = forms.a_off + sigma * forms.b_off
-        lam = float(x @ forms.apply_a(x))
-        for _ in range(iters):
-            y = solve_banded((1, 1), ab, forms.apply_b(x))
-            y = project(y)
-            y /= math.sqrt(float(y @ forms.apply_b(y)))
-            lam_new = float(y @ forms.apply_a(y))
-            done = abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-30)
-            x, lam = y, lam_new
-            if check and done:
-                return lam, x, True
-        return lam, x, False
-
-    x = project(x)
-    x /= math.sqrt(float(x @ forms.apply_b(x)))
-    # phase 1: moderate fixed shift to settle near the ground state, then
-    # phase 2: shift a little below the current quotient for a fast ratio
-    lam, x, _ = sweep(x, 1.0, 15, check=False)
-    lam, x, ok = sweep(x, max(1e-8, 2e-2 * abs(lam)), maxit, check=True)
-    if ok:
-        return lam, x
-    raise NonConvergenceError("inverse power iteration did not converge", lam)
-
-
-def bottom_eigenvalue(forms: SectorForms, constraints=(), tol: float = 1e-13,
-                      maxit: int = 5000, method: str = "iterative"):
-    """Smallest generalized eigenvalue of (A, B) B-orthogonal to the constraints.
-
-    constraints are RadialFields (or plain vectors) whose B-orthogonal
-    complement restricts the minimization — e.g. the constant field imposes
-    the mean-zero condition int f dmu_(alpha-1) = 0.  method "iterative" uses
-    shifted inverse power iteration with per-step B-projection; "dense" is the
-    direct oracle (O(n^3), for small problems and cross-checks).
+    The eigenvalue is picked by index: k = 1 for l = 0, where the constant is
+    an exact zero mode of A, so that eigenvector k is B-orthogonal to it (the
+    mean-zero condition int f dmu_(alpha-1) = 0); k = 0 otherwise.  method
+    "iterative" takes eigenpair k of the lumped-mass pencil (LAPACK
+    bisection on a symmetric tridiagonal matrix) as shift sigma and start
+    vector, then runs consistent-mass inverse iteration with A - sigma B
+    factored once, until the eigen-residual |A f - lambda B f| is below tol
+    times its rounding scale |A||f| + |lambda||B||f|; it raises
+    NonConvergenceError after maxit solves.  "dense" is the direct oracle
+    (O(n^3), for small problems and cross-checks).
 
     Returns (lambda, f) with f a RadialField normalized in the B-norm.
     """
-    cons = _constraint_vectors(forms, constraints)
+    k = 1 if forms.l == 0 else 0
     if method == "dense":
-        lam, vec = _bottom_dense(forms, cons)
+        lam, vec = _bottom_dense(forms, k)
     elif method == "iterative":
-        lam, vec = _bottom_iterative(forms, cons, tol, maxit)
+        lam, vec = _bottom_iterative(forms, k, tol, maxit)
     else:
         raise ValueError(f"unknown method {method!r}")
-    values = forms.pad(vec)
-    return lam, RadialField(grid=forms.grid, values=values, l=forms.l)
-
-
-def _sector_bottom_once(d, alpha, D, l, R_max, N, project_constant, method):
-    grid = build_grid(R_max, N, d, grading="sinh", scale=math.sqrt(D))
-    forms = assemble_sector_forms(grid, alpha, D, l)
-    cons = []
-    if project_constant and l == 0:
-        cons.append(np.ones(forms.n))
-    return bottom_eigenvalue(forms, cons, method=method)
+    return lam, RadialField(grid=forms.grid, values=forms.pad(vec), l=forms.l)
 
 
 def sector_bottom(d: int, alpha: float, D: float, l: int, R_max: float, N: int,
-                  project_constant: bool | None = None, method: str = "iterative"):
-    """Constrained bottom eigenvalue of sector l on a truncated domain.
+                  *, method: str = "iterative"):
+    """Bottom eigenvalue of sector l on a truncated domain, mean-zero for l = 0.
 
-    project_constant defaults to True for l = 0: on any truncated domain the
-    constant belongs to L^2(dmu_(alpha-1)) and is an exact zero mode of A, so
-    the unconstrained l = 0 bottom is always the trivial 0 regardless of
-    whether the measure is finite on the whole space.  Projecting it out
-    recovers the quantity the closed-form constants describe.
+    On any truncated domain the constant belongs to L^2(dmu_(alpha-1)) and is
+    an exact zero mode of A, so the plain l = 0 bottom is always the trivial 0
+    regardless of whether the measure is finite on the whole space; the
+    mean-zero bottom is the quantity the closed-form constants describe.
     """
-    if project_constant is None:
-        project_constant = True
-    return _sector_bottom_once(d, alpha, D, l, R_max, N, project_constant, method)
+    grid = build_grid(R_max, N, d, grading="sinh", scale=math.sqrt(D))
+    return bottom_eigenvalue(assemble_sector_forms(grid, alpha, D, l), method=method)
 
 
 def _quantization_fit(Ss, lams, npow):
@@ -420,8 +393,8 @@ def _quantization_fit(Ss, lams, npow):
     return brentq(resid, 1e-12, hi, xtol=1e-13)
 
 
-def _sector_bottom_extrapolated(d, alpha, D, l, R_max, N, project_constant,
-                                n_domains=5, span=3.0, spread_tol=5e-3):
+def _sector_bottom_extrapolated(d, alpha, D, l, R_max, N, n_domains=5, span=3.0,
+                                spread_tol=5e-3):
     scale = math.sqrt(D)
     S_max = math.asinh(R_max / scale)
     if S_max <= span:
@@ -429,8 +402,7 @@ def _sector_bottom_extrapolated(d, alpha, D, l, R_max, N, project_constant,
     Ss = np.linspace(S_max - span, S_max, n_domains)
     lams = []
     for S in Ss:
-        lam, _ = _sector_bottom_once(d, alpha, D, l, float(scale * math.sinh(S)),
-                                     N, project_constant, "iterative")
+        lam, _ = sector_bottom(d, alpha, D, l, float(scale * math.sinh(S)), N)
         lams.append(lam)
     lams_arr = np.array(lams)
     spread = (lams_arr.max() - lams_arr.min()) / max(abs(lams_arr[-1]), 1e-30)
@@ -481,9 +453,9 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
     sectors = []
     for l in range(l_max + 1):
         if extrapolate:
-            lam, doms = _sector_bottom_extrapolated(d, alpha, D, l, R_max, N, True)
+            lam, doms = _sector_bottom_extrapolated(d, alpha, D, l, R_max, N)
         else:
-            lam, _ = _sector_bottom_once(d, alpha, D, l, R_max, N, True, "iterative")
+            lam, _ = sector_bottom(d, alpha, D, l, R_max, N)
             doms = [lam]
         sectors.append(SectorVerification(l=l, lambda_numeric=lam,
                                           lambda_domains=tuple(doms),
@@ -494,7 +466,3 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
                               N=int(N), sectors=tuple(sectors), minimum=minimum,
                               closed_form=closed, rel_err=rel)
 
-
-def continuum_gap_estimate(d: int, alpha: float) -> float:
-    """Closed-form continuum bottom, for reporting next to numeric values."""
-    return float(lambda_continuum(d, alpha))

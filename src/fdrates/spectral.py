@@ -28,8 +28,6 @@ __all__ = [
     "EigenMode",
     "SpectralReport",
     "ImprovedConstant",
-    "sharp_constant",
-    "continuum_bottom",
     "discrete_mode",
     "improved_constant",
     "spectrum_report",
@@ -37,16 +35,6 @@ __all__ = [
     "mode_field",
     "ode_residual",
 ]
-
-
-def sharp_constant(d: int, alpha):
-    """Sharp Hardy-Poincare constant Lambda(alpha, d) (piecewise closed form)."""
-    return sharp_rate(d, alpha)
-
-
-def continuum_bottom(d: int, alpha):
-    """Bottom of the continuous spectrum, (d+2*alpha-2)^2/4."""
-    return lambda_continuum(d, alpha)
 
 
 def multiplicity(d: int, l: int) -> int:
@@ -184,7 +172,7 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
     """
     ae = _rational(alpha)
     a = ae if ae is not None else float(alpha)
-    sharp = sharp_constant(d, a)
+    sharp = sharp_rate(d, a)
     cont = lambda_continuum(d, a)
     modes = tuple(
         discrete_mode(d, a, l, k)

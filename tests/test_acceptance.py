@@ -86,7 +86,7 @@ def test_acceptance_constrained_vs_unconstrained_gap():
     forms1 = N.assemble_sector_forms(grid, -6.0, 1.0, 1)
     lam1, _ = N.bottom_eigenvalue(forms1, method="dense")
     forms0 = N.assemble_sector_forms(grid, -6.0, 1.0, 0)
-    lam0, _ = N.bottom_eigenvalue(forms0, [np.ones(forms0.n)], method="dense")
+    lam0, _ = N.bottom_eigenvalue(forms0, method="dense")
     ok = abs(lam1 - 12.0) / 12.0 <= 0.02 and abs(lam0 - 14.0) / 14.0 <= 0.02
     _verdict(ok, "constraint accounting at (5,-6)",
              f"l=1 bottom {lam1:.6f} vs 12; constrained l=0 bottom {lam0:.6f} vs 14 "

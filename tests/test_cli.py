@@ -99,10 +99,15 @@ def test_hp_verify_quick(capsys):
     assert len(min_row) == 1
     rel_err = float(min_row[0].split(",")[-1])
     assert rel_err < 5e-3
+    # the README sweep, with the negative list as a separate argument
+    assert main(["hp-verify", "--d", "5", "--alpha", "-1,-4,-6", "--R", "100",
+                 "--N", "1600"]) == 0
+    min_rows = [l for l in capsys.readouterr().out.splitlines() if ",min," in l]
+    assert [r.split(",")[0] for r in min_rows] == ["-1", "-4", "-6"]
+    assert all(float(r.split(",")[-1]) < 0.03 for r in min_rows)
 
 
-def test_hp_verify_sweep_uses_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FDRATES_THREADS", "2")
+def test_hp_verify_sweep_uses_thread_cap(capsys):
     assert main(["hp-verify", "--d", "5", "--alpha=-6,-8", "--R", "50",
                  "--N", "200", "--l-max", "1", "--no-extrapolate"]) == 0
     out = capsys.readouterr().out
@@ -222,6 +227,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["evolve", "--config", str(bad)]) == 1
     # 1: missing file
     assert main(["evolve", "--config", str(tmp_path / "absent.cfg")]) == 1
+    # 1: usage error (--d missing)
+    assert main(["hp-verify", "--alpha=-4"]) == 1
     # 2: numerical failure surfaces as exit code 2
     def boom(*a, **k):
         raise flow_mod.FlowError("Newton diverged")

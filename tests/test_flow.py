@@ -96,6 +96,10 @@ def test_evolve_rejects_bad_stepping():
         FL.evolve_nonlinear(st, 0.05, -1e-3)
     with pytest.raises(ValueError):
         FL.evolve_nonlinear(st, 0.05, 2e-3, cadence=0.005)  # 2.5 steps/row
+    lin = FL.LinearState(grid=g, alpha=-10.0, D=1.0, l=1,
+                         f=g.nodes * np.exp(-g.nodes**2))
+    with pytest.raises(ValueError):
+        FL.evolve_linear_sector(lin, 0.013, 1e-3, cadence=0.005)  # 2.6 rows
     with pytest.raises(ValueError):
         FL.evolve_nonlinear(st, 0.0, 1e-3)
 

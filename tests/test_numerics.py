@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdrates.numerics as N
 
@@ -117,10 +119,9 @@ def test_bottom_eigenvalue_dense_vs_iterative():
     for l in (0, 1):
         g = N.build_grid(40.0, 200, d)
         forms = N.assemble_sector_forms(g, alpha, 1.0, l)
-        cons = [np.ones(forms.n)] if l == 0 else ()
-        lam_d, f_d = N.bottom_eigenvalue(forms, cons, method="dense")
-        lam_i, f_i = N.bottom_eigenvalue(forms, cons, method="iterative")
-        assert lam_i == pytest.approx(lam_d, rel=1e-8)
+        lam_d, f_d = N.bottom_eigenvalue(forms, method="dense")
+        lam_i, f_i = N.bottom_eigenvalue(forms, method="iterative")
+        assert lam_i == pytest.approx(lam_d, rel=1e-10)
         # eigenvectors agree up to sign
         v_d, v_i = f_d.values, f_i.values
         sgn = math.copysign(1.0, float(v_d @ v_i))
@@ -128,12 +129,13 @@ def test_bottom_eigenvalue_dense_vs_iterative():
 
 
 def test_bottom_eigenvalue_unconstrained_l0_is_zero():
+    # the l = 0 stiffness maps the constant to zero up to rounding, so the
+    # unconstrained bottom is 0 and the mean-zero bottom is eigenvalue k = 1
     g = N.build_grid(40.0, 200, 5)
     forms = N.assemble_sector_forms(g, -4.0, 1.0, 0)
-    lam, f = N.bottom_eigenvalue(forms, (), method="dense")
-    assert abs(lam) < 1e-10
-    # eigenvector is the constant
-    assert np.ptp(f.values) < 1e-8 * np.max(np.abs(f.values))
+    ones = np.ones(forms.n)
+    rounding = np.finfo(float).eps * (np.abs(forms.stiffness()) @ ones)
+    assert np.all(np.abs(forms.apply_a(ones)) <= 4 * rounding)
 
 
 def test_bottom_eigenvalue_rejects_bad_method():
@@ -182,3 +184,39 @@ def test_verify_constants_continuum_case_needs_extrapolation():
     assert res.rel_err < 2e-2
     raw = N.sector_bottom(3, -2.0, 1.0, 0, R_max=100.0, N=1200)[0]
     assert abs(raw - res.closed_form) > 3 * abs(res.minimum - res.closed_form)
+
+
+@pytest.mark.parametrize("d, alpha, D, within_3pct", [
+    (5, -2.0, 1.0, True),
+    (3, -2.0, 1.3871234407579895, True),
+    (5, -1.2, 1.0, False),
+    (3, -0.25, 2.3, False),
+    (5, -1.9, 2.3, False),
+])
+def test_verify_constants_branch_interior_regressions(d, alpha, D, within_3pct):
+    # branch-interior points where a projected two-phase inverse iteration
+    # stalled
+    res = N.verify_constants(d, alpha, D=D, l_max=3, R_max=100.0 * math.sqrt(D),
+                             N=1600)
+    assert math.isfinite(res.minimum) and res.minimum > 0
+    if within_3pct:
+        assert res.rel_err < 0.03
+
+
+def _branch_ends(d):
+    # alpha_star = -(d-2)/2, alpha_2 = -(d+2)/2, alpha_1 = -d; the unbounded
+    # last branch is cut at -2d
+    return sorted({0.0, -(d - 2) / 2, -(d + 2) / 2, -float(d), -2.0 * d})
+
+
+@given(d=st.integers(2, 6), branch=st.integers(0, 3),
+       frac=st.floats(0.1, 0.9), log_D=st.floats(0.0, math.log(4.0)))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_verify_constants_branch_interiors_never_raise(d, branch, frac, log_D):
+    ends = _branch_ends(d)
+    i = branch % (len(ends) - 1)
+    lo, hi = ends[i], ends[i + 1]
+    D = math.exp(log_D)
+    res = N.verify_constants(d, lo + frac * (hi - lo), D=D, l_max=3,
+                             R_max=100.0 * math.sqrt(D), N=1600)
+    assert math.isfinite(res.minimum) and res.minimum > 0
