@@ -7,6 +7,10 @@ or JSON via --format json where noted.  Numbers are printed with 17
 significant digits so outputs round-trip exactly and runs with identical
 configuration and seed produce identical bytes.
 
+--m and --alpha are read as exact rationals (decimals such as 0.9, or
+fractions such as -7/2), so the closed forms evaluate them exactly; the
+comma-separated alpha sweep of hp-verify is read as floats.
+
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
 """
 
@@ -18,6 +22,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,9 +44,19 @@ class ConfigError(ValueError):
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".17g")
+    if isinstance(x, (float, Fraction)):
+        return format(float(x), ".17g")
     return str(x)
+
+
+def _exact(text: str) -> Fraction:
+    """--m and --alpha: a decimal such as 0.9 or 1e-3, or a fraction such as
+    -7/2, read exactly so the closed forms stay in rational arithmetic."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite decimal or fraction, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +221,17 @@ def _cmd_constants(args):
         raise ConfigError("give exactly one of --m and --alpha")
     m = args.m if args.m is not None else exp_mod.alpha_to_m(args.d, args.alpha)
     e = exp_mod.derive_exponents(args.d, m)
-    alpha = float(e.alpha)
     out = {
-        "d": e.d, "m": float(e.m), "alpha": alpha,
+        "d": e.d, "m": float(e.m), "alpha": float(e.alpha),
         "m_c": float(e.m_c), "m_star": float(e.m_star), "m_1": float(e.m_1),
         "m_2": float(e.m_2), "alpha_star": float(e.alpha_star),
         "alpha_1": float(e.alpha_1), "alpha_2": float(e.alpha_2),
         "regime": e.regime.value, "log_limit": e.log_limit,
-        "Lambda": float(exp_mod.sharp_rate(e.d, alpha)),
-        "lambda_cont": float(exp_mod.lambda_continuum(e.d, alpha)),
+        "Lambda": float(exp_mod.sharp_rate(e.d, e.alpha)),
+        "lambda_cont": float(exp_mod.lambda_continuum(e.d, e.alpha)),
     }
     try:
-        imp = spec.improved_constant(e.d, alpha)
+        imp = spec.improved_constant(e.d, e.alpha)
         out["Lambda_improved"] = float(imp)
         out["improved_flag"] = imp.discrepancy_flag
     except ValueError:
@@ -254,13 +268,13 @@ def _cmd_spectrum(args):
         comments = [
             "# fdrates spectrum",
             f"# d={args.d}",
-            f"# alpha={_fmt(float(args.alpha))}",
-            f"# sharp_constant={_fmt(float(report.sharp_constant))}",
-            f"# continuum_bottom={_fmt(float(report.continuum_bottom))}",
+            f"# alpha={_fmt(args.alpha)}",
+            f"# sharp_constant={_fmt(report.sharp_constant)}",
+            f"# continuum_bottom={_fmt(report.continuum_bottom)}",
             f"# gap_source={':'.join(str(s) for s in report.gap_source)}",
         ]
         rows = [
-            (mo.l, mo.k, float(mo.lam), mo.admissible, mo.below_continuum,
+            (mo.l, mo.k, mo.lam, mo.admissible, mo.below_continuum,
              mo.multiplicity)
             for mo in report.modes
         ]
@@ -291,28 +305,29 @@ def _cmd_hp_verify(args):
 
 
 def _cmd_eigenfunction(args):
-    from fractions import Fraction
-
-    alpha = Fraction(args.alpha).limit_denominator(10**9)
-    mode = spec.discrete_mode(args.d, alpha, args.l, args.k)
-    resid = spec.ode_residual(args.d, alpha, args.l, args.k, dps=args.dps)
+    mode = spec.discrete_mode(args.d, args.alpha, args.l, args.k)
+    resid = spec.ode_residual(args.d, args.alpha, args.l, args.k, dps=args.dps)
     comments = ["# fdrates eigenfunction", f"# d={args.d}",
-                f"# alpha={_fmt(float(alpha))}", f"# l={args.l}", f"# k={args.k}",
-                f"# lambda={_fmt(float(mode.lam))}",
+                f"# alpha={_fmt(args.alpha)}", f"# l={args.l}", f"# k={args.k}",
+                f"# lambda={_fmt(mode.lam)}",
                 f"# admissible={_fmt(mode.admissible)}",
                 f"# below_continuum={_fmt(mode.below_continuum)}",
                 f"# multiplicity={mode.multiplicity}",
                 f"# max_ode_residual={_fmt(resid)}"]
-    rows = [(j, float(c)) for j, c in enumerate(mode.radial_poly)]
+    rows = list(enumerate(mode.radial_poly))
     _csv(comments, ["power_of_r2", "coefficient"], rows, args.output)
     return 0
 
 
-def _build_state(cfg: RunConfig):
-    e = cfg.exponent_set()
-    grid = num.build_grid(cfg["grid.R_max"], cfg["grid.N"], e.d,
+def _config_grid(cfg: RunConfig, d: int):
+    return num.build_grid(cfg["grid.R_max"], cfg["grid.N"], d,
                           grading=cfg["grid.grading"],
                           scale=math.sqrt(cfg["D"]))
+
+
+def _build_state(cfg: RunConfig):
+    e = cfg.exponent_set()
+    grid = _config_grid(cfg, e.d)
     return flow_mod.make_initial_data(
         grid, e, cfg["data.kind"], D=cfg["D"], D0=cfg.get("D0"),
         D1=cfg.get("D1"), epsilon=cfg["data.epsilon"],
@@ -321,22 +336,26 @@ def _build_state(cfg: RunConfig):
         clip=cfg["data.clip"], match_D=cfg["data.match_D"])
 
 
+def _write_trace(args, cfg: RunConfig, trace, comments):
+    """Fit the configured window, if any, and write the trace CSV."""
+    w0, w1 = cfg.get("fit.window_start"), cfg.get("fit.window_end")
+    if w0 is not None:
+        trace.fitted = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
+        comments = comments + [f"# fitted_rate={_fmt(trace.fitted.rate)}",
+                               f"# fit_r2={_fmt(trace.fitted.r2)}"]
+    _csv(comments, ent.EntropyTrace.COLUMNS, list(trace.rows()),
+         args.output or cfg.get("output.path"))
+    return 0
+
+
 def _cmd_evolve(args):
     cfg = _load_config(args.config)
     state = _build_state(cfg)
     trace = flow_mod.evolve_nonlinear(state, cfg["time.t_end"], cfg["time.dt"],
                                       cadence=cfg.get("output.cadence"))
-    w0, w1 = cfg.get("fit.window_start"), cfg.get("fit.window_end")
-    if w0 is not None:
-        trace.fitted = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
-    path = args.output or cfg.get("output.path")
-    comments = ["# fdrates evolve"] + cfg.echo_lines()
-    comments.append(f"# matched_D={_fmt(state.profile.D)}")
-    if trace.fitted is not None:
-        comments.append(f"# fitted_rate={_fmt(trace.fitted.rate)}")
-        comments.append(f"# fit_r2={_fmt(trace.fitted.r2)}")
-    _csv(comments, ent.EntropyTrace.COLUMNS, list(trace.rows()), path)
-    return 0
+    comments = (["# fdrates evolve"] + cfg.echo_lines()
+                + [f"# matched_D={_fmt(state.profile.D)}"])
+    return _write_trace(args, cfg, trace, comments)
 
 
 def _cmd_evolve_linear(args):
@@ -344,9 +363,7 @@ def _cmd_evolve_linear(args):
     e = cfg.exponent_set()
     if e.d < 2:
         raise ConfigError("linear sector evolution needs d >= 2")
-    grid = num.build_grid(cfg["grid.R_max"], cfg["grid.N"], e.d,
-                          grading=cfg["grid.grading"],
-                          scale=math.sqrt(cfg["D"]))
+    grid = _config_grid(cfg, e.d)
     l = cfg["sector.l"]
     alpha = float(e.alpha)
     if cfg["data.kind"] == "mode":
@@ -359,16 +376,8 @@ def _cmd_evolve_linear(args):
     state = flow_mod.LinearState(grid=grid, alpha=alpha, D=cfg["D"], l=l, f=f0)
     trace = flow_mod.evolve_linear_sector(state, cfg["time.t_end"], cfg["time.dt"],
                                           cadence=cfg.get("output.cadence"))
-    w0, w1 = cfg.get("fit.window_start"), cfg.get("fit.window_end")
-    if w0 is not None:
-        trace.fitted = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
-    path = args.output or cfg.get("output.path")
-    comments = ["# fdrates evolve-linear"] + cfg.echo_lines()
-    if trace.fitted is not None:
-        comments.append(f"# fitted_rate={_fmt(trace.fitted.rate)}")
-        comments.append(f"# fit_r2={_fmt(trace.fitted.r2)}")
-    _csv(comments, ent.EntropyTrace.COLUMNS, list(trace.rows()), path)
-    return 0
+    return _write_trace(args, cfg, trace,
+                        ["# fdrates evolve-linear"] + cfg.echo_lines())
 
 
 def _cmd_entropy_report(args):
@@ -393,7 +402,7 @@ def _cmd_gronwall(args):
     e = exp_mod.derive_exponents(args.d, args.m)
     Lambda = args.Lambda
     if Lambda is None:
-        Lambda = float(exp_mod.sharp_rate(e.d, float(e.alpha)))
+        Lambda = exp_mod.sharp_rate(e.d, e.alpha)
     params = ent.GronwallParams(exponents=e, Lambda=Lambda, C_unif=args.C)
     h0 = 1.0 + args.C * args.F0 ** params.e_unif
     t, G = ent.gronwall_bound(args.F0, h0, params, args.t_end, args.dt)
@@ -425,7 +434,7 @@ def _cmd_quotient(args):
     alpha = float(e.alpha)
     grid = num.build_grid(args.R, args.N, args.d, scale=math.sqrt(args.D))
     p = prof.Profile(exponents=e, D=args.D)
-    f = _quotient_test_function(args.f, grid, alpha)
+    f = _quotient_test_function(args.f, grid, e.alpha)
     forms = num.assemble_sector_forms(grid, alpha, args.D, f.l)
     # Rayleigh quotient of the mean-zero projection of f
     w2 = args.D + grid.nodes**2
@@ -498,13 +507,13 @@ def _build_parser():
 
     sp = add("constants", _cmd_constants, "exponents, thresholds, sharp constants")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
+    sp.add_argument("--m", type=_exact, default=None)
+    sp.add_argument("--alpha", type=_exact, default=None)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = add("spectrum", _cmd_spectrum, "discrete spectrum table for (d, alpha)")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_exact, required=True)
     sp.add_argument("--l-max", type=int, default=3)
     sp.add_argument("--k-max", type=int, default=3)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -523,7 +532,7 @@ def _build_parser():
     sp = add("eigenfunction", _cmd_eigenfunction,
              "polynomial eigenfunction and its ODE residual")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--alpha", type=str, required=True)
+    sp.add_argument("--alpha", type=_exact, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--dps", type=int, default=50)
@@ -541,7 +550,7 @@ def _build_parser():
 
     sp = add("gronwall", _cmd_gronwall, "integrate the Gronwall comparison ODE")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=float, required=True)
+    sp.add_argument("--m", type=_exact, required=True)
     sp.add_argument("--F0", type=float, required=True)
     sp.add_argument("--C", type=float, default=0.0)
     sp.add_argument("--Lambda", type=float, default=None)
@@ -550,7 +559,7 @@ def _build_parser():
 
     sp = add("quotient", _cmd_quotient, "variational sharpness quotient sweep")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=float, required=True)
+    sp.add_argument("--m", type=_exact, required=True)
     sp.add_argument("--D", type=float, default=1.0)
     sp.add_argument("--f", type=str, default="gauss")
     sp.add_argument("--n", type=str, default="50,100,200,400")
@@ -560,7 +569,7 @@ def _build_parser():
     sp = add("rescale", _cmd_rescale,
              "map original variables (tau, y, u) to rescaled (t, x, v)")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=float, required=True)
+    sp.add_argument("--m", type=_exact, required=True)
     sp.add_argument("--T", type=float, default=1.0)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--y", type=float, default=1.0)

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exponents import ExponentSet
-from .numerics import RadialField, RadialGrid, cell_volumes, face_geometry, sphere_area
+from .numerics import (RadialField, RadialGrid, _schedule, cell_volumes,
+                       face_geometry, sphere_area)
 from .profiles import Profile
 
 __all__ = [
@@ -205,19 +205,12 @@ def xy_functions(h: float, exponents: ExponentSet):
 
 
 def h_star(exponents: ExponentSet, Lambda: float) -> float:
-    """Unique h > 1 with Y(h) = Lambda (Y is strictly increasing, Y(1) = 0)."""
+    """Unique h > 1 with Y(h) = Lambda (Y is strictly increasing, Y(1) = 0):
+    h_star = (1 + Lambda/(d(1-m)))^(1/(4(2-m)))."""
     if not Lambda > 0:
         raise ValueError(f"Lambda must be positive, got {Lambda}")
-
-    def g(h):
-        return xy_functions(h, exponents)[1] - Lambda
-
-    hi = 2.0
-    while g(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket h_star")
-    return brentq(g, 1.0, hi, xtol=1e-13)
+    m = float(exponents.m)
+    return (1.0 + Lambda / (exponents.d * (1.0 - m))) ** (1.0 / (4.0 * (2.0 - m)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +331,18 @@ def gronwall_bound(F0: float, h0: float, params: GronwallParams,
     """Integrate the comparison ODE by classical RK4 from G(0) = F0.
 
     Requires h0 < h_star (the regime where Lambda - Y(h) > 0); with C = 0 the
-    solution is exactly F0 e^(-2 Lambda t).  Returns (t, G) arrays.
+    solution is exactly F0 e^(-2 Lambda t).  t_end must be an integer multiple
+    of dt.  Returns (t, G) arrays.
     """
     if F0 < 0:
         raise ValueError("F0 must be nonnegative")
     hs = params.h_star
     if not h0 < hs:
         raise ValueError(f"h0 = {h0} must be below h_star = {hs}")
+    _, _, n = _schedule(0.0, t_end, dt, dt)
     m = float(params.exponents.m)
     e = params.e_unif
-    Lam, C = params.Lambda, params.C_unif
+    Lam, C = float(params.Lambda), params.C_unif
 
     def rhs(G):
         if G <= 0.0:
@@ -356,7 +351,6 @@ def gronwall_bound(F0: float, h0: float, params: GronwallParams,
         X, Y = xy_functions(h, params.exponents)
         return -2.0 * (Lam - Y) / ((1.0 + X) * h ** (2.0 - m)) * G
 
-    n = int(round(t_end / dt))
     t = np.linspace(0.0, n * dt, n + 1)
     G = np.empty(n + 1)
     G[0] = F0

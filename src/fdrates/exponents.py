@@ -22,7 +22,6 @@ __all__ = [
     "alpha_to_m",
     "lambda_continuum",
     "sharp_rate",
-    "sharp_rate_unconstrained",
 ]
 
 
@@ -40,11 +39,14 @@ class Regime(enum.Enum):
     CRITICAL = "critical"
 
 
-def _exact(x):
-    """Return a Fraction if x is exactly representable as one, else None."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return None
+def _number(x):
+    """x as a Fraction when it is rational (an int or a Fraction), else as a float.
+
+    Every closed form below is written once over this number: Fraction
+    arithmetic with ints stays exact and float arithmetic stays float, so the
+    result has the type of the input without a branch on it.
+    """
+    return Fraction(x) if isinstance(x, Rational) else float(x)
 
 
 @dataclass(frozen=True)
@@ -94,74 +96,55 @@ def derive_exponents(d: int, m, tol: float = 1e-12) -> ExponentSet:
     d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d}")
-    me = _exact(m)
-    mv = me if me is not None else float(m)
-    if not mv < 1:
+    m = _number(m)
+    if not m < 1:
         raise ValueError(f"fast diffusion requires m < 1, got m = {m}")
+    num = type(m)  # thresholds are reported in the arithmetic of the input
 
-    one = Fraction(1)
-    alpha = one / (mv - 1) if me is not None else 1.0 / (mv - 1.0)
     m_c = Fraction(d - 2, d)
     if d > 2:
         m_star = Fraction(d - 4, d - 2)
-        alpha_star = Fraction(-(d - 2), 2)
+        slack = tol * max(1, abs(m_star)) if num is float else 0
+        is_critical = abs(m - m_star) <= slack
     else:
         m_star = -math.inf
-        alpha_star = Fraction(0)
-    m_1 = Fraction(d - 1, d)
-    m_2 = Fraction(d, d + 2)
-    alpha_1 = Fraction(-d)
-    alpha_2 = Fraction(-(d + 2), 2)
-
-    if me is not None:
-        is_critical = d > 2 and mv == m_star
-    else:
-        is_critical = d > 2 and abs(mv - float(m_star)) <= tol * max(1.0, abs(float(m_star)))
+        is_critical = False
     if is_critical:
         regime = Regime.CRITICAL
-    elif mv < m_c:
+    elif m < m_c:
         regime = Regime.VERY_FAST
     else:
         regime = Regime.GOOD
-    log_limit = mv == 0
-
-    def out(x):
-        return x if me is not None else float(x)
 
     return ExponentSet(
         d=d,
-        m=mv if me is not None else float(mv),
-        alpha=out(alpha) if me is not None else float(alpha),
-        m_c=out(m_c),
-        m_star=m_star if isinstance(m_star, float) else out(m_star),
-        m_1=out(m_1),
-        m_2=out(m_2),
-        alpha_star=out(alpha_star),
-        alpha_1=out(alpha_1),
-        alpha_2=out(alpha_2),
+        m=m,
+        alpha=1 / (m - 1),
+        m_c=num(m_c),
+        m_star=num(m_star) if d > 2 else m_star,
+        m_1=num(Fraction(d - 1, d)),
+        m_2=num(Fraction(d, d + 2)),
+        alpha_star=num(Fraction(-(d - 2), 2) if d > 2 else 0),
+        alpha_1=num(-d),
+        alpha_2=num(Fraction(-(d + 2), 2)),
         regime=regime,
-        log_limit=log_limit,
+        log_limit=m == 0,
     )
 
 
 def alpha_to_m(d: int, alpha):
     """Invert alpha = 1/(m-1): return m = 1 + 1/alpha.  Requires alpha < 0."""
-    ae = _exact(alpha)
-    av = ae if ae is not None else float(alpha)
-    if not av < 0:
+    a = _number(alpha)
+    if not a < 0:
         raise ValueError(f"alpha must be negative (m < 1), got alpha = {alpha}")
-    if ae is not None:
-        return 1 + Fraction(1) / ae
-    return 1.0 + 1.0 / av
+    return 1 + 1 / a
 
 
 def lambda_continuum(d: int, alpha):
     """Bottom (d + 2 alpha - 2)^2 / 4 of the continuous spectrum of the
     linearized operator on L^2(d mu_alpha)."""
-    ae = _exact(alpha)
-    if ae is not None:
-        return (d + 2 * ae - 2) ** 2 / Fraction(4)
-    return (d + 2.0 * float(alpha) - 2.0) ** 2 / 4.0
+    a = _number(alpha)
+    return (d + 2 * a - 2) ** 2 / 4
 
 
 def sharp_rate(d: int, alpha):
@@ -174,54 +157,20 @@ def sharp_rate(d: int, alpha):
     and no gap survives).
     """
     d = int(d)
-    ae = _exact(alpha)
-    av = ae if ae is not None else float(alpha)
-    if not av < 0:
+    a = _number(alpha)
+    if not a < 0:
         raise ValueError(f"alpha must be negative, got {alpha}")
-
-    def q(x):  # arithmetic in the input's exactness
-        return x if ae is not None else float(x)
-
-    if d >= 3:
-        a_star = Fraction(-(d - 2), 2)
-        if av == a_star:
-            raise ValueError(
-                f"alpha = -(d-2)/2 = {a_star} is excluded: the spectral gap closes"
-            )
-        if av > -Fraction(d + 2, 2):
-            if ae is not None:
-                return (d - 2 + 2 * ae) ** 2 / Fraction(4)
-            return (d - 2.0 + 2.0 * av) ** 2 / 4.0
-        if av >= -d:
-            return q(-4 * (ae if ae is not None else av) - 2 * d)
-        return q(-2 * (ae if ae is not None else av))
+    if d == 1:
+        return (a - Fraction(1, 2)) ** 2 if a >= Fraction(-1, 2) else -2 * a
     if d == 2:
-        if av >= -2:
-            return (ae**2 if ae is not None else av * av)
-        return q(-2 * (ae if ae is not None else av))
-    # d == 1
-    if av >= Fraction(-1, 2):
-        if ae is not None:
-            return (ae - Fraction(1, 2)) ** 2
-        return (av - 0.5) ** 2
-    return q(-2 * (ae if ae is not None else av))
-
-
-def sharp_rate_unconstrained(d: int, alpha):
-    """Sharp constant Lambda~ without the mean-zero constraint, for alpha < -d/2.
-
-    Equals -4 alpha - 2 d for alpha < -d (where a discrete eigenvalue sits
-    below the continuum) and the continuum bottom (d + 2 alpha - 2)^2 / 4 on
-    [-d, -d/2).
-    """
-    d = int(d)
-    ae = _exact(alpha)
-    av = ae if ae is not None else float(alpha)
-    if not av < -Fraction(d, 2):
+        return a * a if a >= -2 else -2 * a
+    a_star = Fraction(-(d - 2), 2)
+    if a == a_star:
         raise ValueError(
-            f"unconstrained rate requires alpha < -d/2, got alpha = {alpha}"
+            f"alpha = -(d-2)/2 = {a_star} is excluded: the spectral gap closes"
         )
-    if av < -d:
-        r = -4 * (ae if ae is not None else av) - 2 * d
-        return r if ae is not None else float(r)
-    return lambda_continuum(d, alpha)
+    if a > -Fraction(d + 2, 2):
+        return (d - 2 + 2 * a) ** 2 / 4
+    if a >= -d:
+        return -4 * a - 2 * d
+    return -2 * a

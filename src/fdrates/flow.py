@@ -28,8 +28,9 @@ from . import _kernels
 from .entropy import (EntropyTrace, entropy_from_x, fisher_from_x,
                       mass_defect_from_x, sandwich_from_x)
 from .exponents import ExponentSet
-from .numerics import (RadialField, RadialGrid, assemble_sector_forms,
-                       cell_volumes, face_geometry, sphere_area)
+from .numerics import (RadialField, RadialGrid, _schedule,
+                       assemble_sector_forms, cell_volumes, face_geometry,
+                       sphere_area)
 from .profiles import Profile, solve_D
 
 __all__ = [
@@ -165,27 +166,6 @@ def _advance(x, V, Vm1, w, g, h, m, dt, depth=0):
         )
     half = _advance(x, V, Vm1, w, g, h, m, dt / 2.0, depth + 1)
     return _advance(half, V, Vm1, w, g, h, m, dt / 2.0, depth + 1)
-
-
-def _schedule(t0, t_end, dt, cadence):
-    """(cadence, n_sub, n_rec): rows every cadence = n_sub*dt, n_rec rows after t0.
-
-    The default cadence gives ~200 rows; t_end - t0 must be an integer
-    multiple of the cadence, so no run stops short of t_end or beyond it.
-    """
-    if dt <= 0 or t_end <= t0:
-        raise ValueError("need dt > 0 and t_end beyond the current time")
-    span = t_end - t0
-    if cadence is None:
-        cadence = max(dt, span / 200.0)
-        cadence = round(cadence / dt) * dt
-    n_sub = int(round(cadence / dt))
-    if n_sub < 1 or abs(n_sub * dt - cadence) > 1e-9 * cadence:
-        raise ValueError(f"cadence {cadence} is not an integer multiple of dt {dt}")
-    n_rec = int(round(span / cadence))
-    if abs(n_rec * cadence - span) > 1e-9 * max(span, 1.0):
-        raise ValueError("t_end - t must be an integer multiple of the cadence")
-    return cadence, n_sub, n_rec
 
 
 def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,

@@ -17,7 +17,8 @@ index: a lumped-mass tridiagonal eigensolve gives the shift and start vector,
 and consistent-mass inverse iteration with one factorization finishes them
 (with a dense oracle for cross-checking).  Truncated-domain eigenvalues are
 extrapolated to the infinite-domain limit, which together verify the
-closed-form sharp constants numerically.
+closed-form sharp constants numerically.  The time-schedule check shared by
+the flows and the Gronwall integrator lives here too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.optimize import brentq
 
 from .exponents import sharp_rate
 
@@ -156,6 +156,28 @@ def weighted_integral(f: RadialField, weight_power: float, D: float) -> float:
     w = cell_volumes(grid)
     phi = f.values * (D + grid.nodes**2) ** weight_power
     return sphere_area(grid.d) * float(np.sum(w * phi))
+
+
+def _schedule(t0, t_end, dt, cadence):
+    """(cadence, n_sub, n_rec): rows every cadence = n_sub*dt, n_rec rows after t0.
+
+    The default cadence gives ~200 rows; t_end - t0 must be an integer
+    multiple of the cadence, so no run stops short of t_end or beyond it.
+    """
+    if dt <= 0 or t_end <= t0:
+        raise ValueError("need dt > 0 and t_end beyond the current time")
+    span = t_end - t0
+    if cadence is None:
+        cadence = max(dt, span / 200.0)
+        cadence = round(cadence / dt) * dt
+    n_sub = int(round(cadence / dt))
+    if n_sub < 1 or abs(n_sub * dt - cadence) > 1e-9 * cadence:
+        raise ValueError(f"cadence {cadence} is not an integer multiple of dt {dt}")
+    n_rec = int(round(span / cadence))
+    if abs(n_rec * cadence - span) > 1e-9 * max(span, 1.0):
+        raise ValueError(f"t_end - t = {span} is not an integer multiple of the "
+                         f"cadence {cadence}")
+    return cadence, n_sub, n_rec
 
 
 @dataclass(frozen=True)
@@ -375,6 +397,8 @@ def _quantization_fit(Ss, lams, npow):
     the relation is solved for lambda_inf by nesting a linear least-squares
     fit of (kappa, s0, ..) inside a scalar root-find on the last residual.
     """
+    from scipy.optimize import brentq  # loaded only when a sweep extrapolates
+
     Ss = np.asarray(Ss, dtype=float)
     lams = np.asarray(lams, dtype=float)
 

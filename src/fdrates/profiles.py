@@ -67,7 +67,8 @@ def eval_profile(p: Profile, r):
 @dataclass(frozen=True)
 class WeightedMeasure:
     """Measure (D+|x|^2)^power dx on R^d; power = alpha-1 and alpha are the
-    two weights of the Hardy-Poincare inequality."""
+    two weights of the Hardy-Poincare inequality.  Integrals against it are
+    numerics.weighted_integral(f, power, D)."""
 
     exponents: ExponentSet
     power: float
@@ -83,11 +84,6 @@ class WeightedMeasure:
         """Total mass finite iff 2*power + d < 0; for power = alpha-1 this is
         exactly alpha < alpha_star, the condition for the mean-zero constraint."""
         return 2.0 * float(self.power) + self.exponents.d < 0
-
-    def integral(self, f: RadialField) -> float:
-        w = cell_volumes(f.grid)
-        phi = f.values * self.weight(f.grid.nodes)
-        return sphere_area(f.grid.d) * float(np.sum(w * phi))
 
 
 @dataclass(frozen=True)

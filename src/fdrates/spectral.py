@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
-from .exponents import lambda_continuum, sharp_rate
+from .exponents import _number, lambda_continuum, sharp_rate
 from .numerics import RadialField, RadialGrid
 
 __all__ = [
@@ -54,10 +53,6 @@ def multiplicity(d: int, l: int) -> int:
     )
 
 
-def _rational(x):
-    return Fraction(x) if isinstance(x, Rational) else None
-
-
 @dataclass(frozen=True)
 class EigenMode:
     """One discrete mode (l, k) with its eigenvalue and radial polynomial.
@@ -88,28 +83,25 @@ def discrete_mode(d: int, alpha, l: int, k: int) -> EigenMode:
     """
     if l < 0 or k < 0:
         raise ValueError("l and k must be nonnegative")
-    ae = _rational(alpha)
-    a = ae if ae is not None else float(alpha)
+    a = _number(alpha)
     if not a < 0:
         raise ValueError(f"alpha must be negative, got {alpha}")
-    half_d = Fraction(d, 2) if ae is not None else d / 2.0
+    half_d = Fraction(d, 2)
     n = l + 2 * k
     lam = -2 * a * n - 4 * k * (k + l + half_d - 1)
 
     if d >= 2:
         admissible = (l, k) != (0, 0) and (n - 1) < -(d + 2 * a) / 2
     else:
-        admissible = l <= 1 and n >= 1 and n <= Fraction(1, 2) - a if ae is not None \
-            else (l <= 1 and n >= 1 and n <= 0.5 - a)
+        admissible = l <= 1 and 1 <= n <= Fraction(1, 2) - a
     below = lam < lambda_continuum(d, a)
 
     # hypergeometric termination recurrence, then s = -r^2 sign flip
-    ha = -k if ae is not None else float(-k)
     hb = l + a + half_d - 1 + k
     hc = l + half_d
-    coeffs = [Fraction(1) if ae is not None else 1.0]
+    coeffs = [type(a)(1)]
     for j in range(k):
-        coeffs.append(coeffs[-1] * (j + ha) * (j + hb) / ((j + 1) * (j + hc)))
+        coeffs.append(coeffs[-1] * (j - k) * (j + hb) / ((j + 1) * (j + hc)))
     radial = tuple(c * (-1) ** j for j, c in enumerate(coeffs))
 
     return EigenMode(d=d, alpha=a, l=l, k=k, lam=lam, admissible=bool(admissible),
@@ -131,18 +123,18 @@ class ImprovedConstant:
 
 
 def improved_constant(d: int, alpha) -> ImprovedConstant:
-    """Unconstrained sharp constant: -4*alpha-2d for alpha < -d, else the
-    continuum bottom; requires d >= 2 and alpha < -d/2."""
+    """Sharp constant without the mean-zero constraint, for d >= 2 and alpha < -d/2.
+
+    Equals -4 alpha - 2 d for alpha < -d (where a discrete eigenvalue sits
+    below the continuum) and the continuum bottom (d + 2 alpha - 2)^2 / 4 on
+    [-d, -d/2).
+    """
     if d < 2:
         raise ValueError("improved constant defined for d >= 2")
-    ae = _rational(alpha)
-    a = ae if ae is not None else float(alpha)
+    a = _number(alpha)
     if not a < -Fraction(d, 2):
         raise ValueError(f"requires alpha < -d/2, got alpha = {alpha}")
-    if a < -d:
-        value = -4 * a - 2 * d
-    else:
-        value = lambda_continuum(d, a)
+    value = -4 * a - 2 * d if a < -d else lambda_continuum(d, a)
     flag = -d < a < -Fraction(d + 2, 2)
     return ImprovedConstant(value=value, discrepancy_flag=bool(flag))
 
@@ -170,8 +162,7 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
     sharp constant (the gap source is always the continuum, the translation
     mode (1,0), or the dilation mode (0,1)).
     """
-    ae = _rational(alpha)
-    a = ae if ae is not None else float(alpha)
+    a = _number(alpha)
     sharp = sharp_rate(d, a)
     cont = lambda_continuum(d, a)
     modes = tuple(
@@ -221,8 +212,8 @@ def ode_residual(d: int, alpha, l: int, k: int, radii=None, dps: int = 50) -> fl
     import mpmath as mp
 
     mode = discrete_mode(d, alpha, l, k)
-    ae = _rational(alpha)
-    if ae is None:
+    ae = mode.alpha
+    if not isinstance(ae, Fraction):
         raise ValueError("ode_residual requires rational alpha for exact coefficients")
 
     # exact coefficients of v, v', v'' as polynomials sum c_j r^(l+2j-shift)

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fdrates
 import fdrates.cli as cli
 import fdrates.flow as flow_mod
 from fdrates.cli import ConfigError, main, parse_config
@@ -62,11 +67,22 @@ def test_parse_config_rejections():
 def test_constants_json(capsys):
     assert main(["constants", "--d", "5", "--m", "0.9", "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["alpha"] == pytest.approx(-10.0, rel=1e-15)
-    assert out["Lambda"] == pytest.approx(20.0, rel=1e-14)
-    assert out["lambda_cont"] == pytest.approx(289.0 / 4.0, rel=1e-14)
-    assert out["Lambda_improved"] == pytest.approx(30.0, rel=1e-14)
+    # --m 0.9 is read as 9/10, so the closed forms come out exact
+    assert out["alpha"] == -10.0
+    assert out["Lambda"] == 20.0
+    assert out["lambda_cont"] == 289.0 / 4.0
+    assert out["Lambda_improved"] == 30.0
     assert out["regime"] == "good"
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(fdrates.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fdrates.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_constants_csv_and_arg_validation(capsys):
@@ -76,6 +92,13 @@ def test_constants_csv_and_arg_validation(capsys):
     assert "key,value" in out and "Lambda,6" in out
     assert main(["constants", "--d", "5"]) == 1  # neither m nor alpha
     assert main(["constants", "--d", "5", "--m", "0.9", "--alpha", "-4"]) == 1
+    # fractions parse exactly: alpha = -7/2 = -(d+2)/2, where two branches meet
+    assert main(["constants", "--d", "5", "--alpha", "-7/2"]) == 0
+    out = capsys.readouterr().out
+    assert "Lambda,4" in out and "m,0.7142857142857143" in out
+    for bad in ("1/0", "nan", "abc", "inf"):
+        assert main(["constants", "--d", "5", "--m", bad]) == 1
+        assert "expected a finite decimal or fraction" in capsys.readouterr().err
 
 
 def test_spectrum_csv(capsys):
@@ -229,6 +252,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["evolve", "--config", str(tmp_path / "absent.cfg")]) == 1
     # 1: usage error (--d missing)
     assert main(["hp-verify", "--alpha=-4"]) == 1
+    # 1: a Gronwall t_end that is not a multiple of dt
+    assert main(["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0",
+                 "--t-end", "0.1234", "--dt", "0.01"]) == 1
     # 2: numerical failure surfaces as exit code 2
     def boom(*a, **k):
         raise flow_mod.FlowError("Newton diverged")

@@ -167,6 +167,8 @@ def test_gronwall_rejections():
         gronwall_bound(1.0, 3.0, params, 0.1, 1e-3)  # h0 above h_star ~ 2.078
     with pytest.raises(ValueError):
         gronwall_bound(-1.0, 1.0, params, 0.1, 1e-3)
+    with pytest.raises(ValueError, match="integer multiple"):
+        gronwall_bound(1.0, 1.0, params, 0.1234, 0.01)  # would stop at 0.12
     with pytest.raises(ValueError):
         GronwallParams(exponents=E59, Lambda=12.0, C_unif=-1.0)
 

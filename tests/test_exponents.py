@@ -1,6 +1,7 @@
 """Tests for exponent/threshold derivation and the closed-form constants."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdrates.exponents import (Regime, alpha_to_m, derive_exponents,
-                               lambda_continuum, sharp_rate,
-                               sharp_rate_unconstrained)
+                               lambda_continuum, sharp_rate)
+from fdrates.spectral import discrete_mode, improved_constant, spectrum_report
 
 
 def test_d5_m09_table():
@@ -108,11 +109,65 @@ def test_sharp_rate_rejects_gap_closure():
         sharp_rate(5, 1.0)
 
 
-def test_continuum_and_unconstrained():
+def test_lambda_continuum():
     assert lambda_continuum(5, -4) == Fraction(25, 4)
     assert lambda_continuum(5, Fraction(-3, 2)) == 0
     assert lambda_continuum(2, -3) == 9
-    assert sharp_rate_unconstrained(5, -6) == 14
-    assert sharp_rate_unconstrained(5, -4) == Fraction(25, 4)
-    with pytest.raises(ValueError):
-        sharp_rate_unconstrained(5, -2)
+
+
+def _branch_intervals(d):
+    """Open intervals of alpha on which each closed form has one analytic
+    expression: the sharp-rate branches (the last one cut at -4d), split at
+    alpha_star, -d/2 and -(d+2)/2 where the exponents and the improved
+    constant change form."""
+    cuts = {Fraction(0), Fraction(-d, 2), Fraction(-(d + 2), 2), Fraction(-d),
+            Fraction(-4 * d), Fraction(-1, 2)}
+    if d >= 3:
+        cuts.add(Fraction(-(d - 2), 2))
+    pts = sorted(cuts)
+    return list(zip(pts[:-1], pts[1:]))
+
+
+def _agree(exact, approx):
+    assert isinstance(exact, Fraction), exact
+    assert isinstance(approx, float), approx
+    assert abs(float(exact) - approx) <= 1e-12 * max(1.0, abs(float(exact)))
+
+
+def test_closed_forms_exact_and_float_agree():
+    # every branch interior for d = 1..12 (the cuts alpha_star and -d/2,
+    # where the gap closes and m = m_c, are never sampled): Fraction in gives
+    # Fraction out, float in gives float out, and the two agree
+    rng = random.Random(20261017)
+    for d in range(1, 13):
+        for lo, hi in _branch_intervals(d):
+            for _ in range(4):
+                q = rng.randint(2, 200)
+                a = lo + (hi - lo) * Fraction(rng.randint(1, q - 1), q)
+                af = float(a)
+                _agree(sharp_rate(d, a), sharp_rate(d, af))
+                _agree(lambda_continuum(d, a), lambda_continuum(d, af))
+                m = alpha_to_m(d, a)
+                _agree(m, alpha_to_m(d, af))
+                ex, fl = derive_exponents(d, m), derive_exponents(d, float(m))
+                for name in ("m", "alpha", "m_c", "m_1", "m_2", "alpha_star",
+                             "alpha_1", "alpha_2") + (("m_star",) if d > 2 else ()):
+                    _agree(getattr(ex, name), getattr(fl, name))
+                assert ex.regime is fl.regime
+                for l in range(3):
+                    for k in range(3):
+                        me, mf = discrete_mode(d, a, l, k), discrete_mode(d, af, l, k)
+                        _agree(me.lam, mf.lam)
+                        for ce, cf in zip(me.radial_poly, mf.radial_poly):
+                            _agree(ce, cf)
+                        assert me.admissible == mf.admissible
+                        if abs(float(me.lam - lambda_continuum(d, a))) > 1e-9:
+                            assert me.below_continuum == mf.below_continuum
+                if d >= 2 and a < Fraction(-d, 2):
+                    ie, i_f = improved_constant(d, a), improved_constant(d, af)
+                    _agree(ie.value, i_f.value)
+                    assert ie.discrepancy_flag == i_f.discrepancy_flag
+                re_, rf = spectrum_report(d, a, 1, 1), spectrum_report(d, af, 1, 1)
+                _agree(re_.sharp_constant, rf.sharp_constant)
+                _agree(re_.continuum_bottom, rf.continuum_bottom)
+                assert re_.gap_source == rf.gap_source

@@ -48,15 +48,6 @@ def test_weighted_measure_finiteness():
     assert WeightedMeasure(exponents=e2, power=-2.0).is_finite is False
 
 
-def test_weighted_measure_integral_oracle():
-    # int_{R^3} (1+r^2)^{-3} dx = pi^2 / 4  (independent closed form)
-    e = derive_exponents(3, 0.5)
-    grid = N.build_grid(400.0, 4000, 3)
-    f = N.RadialField(grid=grid, values=np.ones(grid.N + 1))
-    mu = WeightedMeasure(exponents=e, power=-3.0, D=1.0)
-    assert mu.integral(f) == pytest.approx(math.pi**2 / 4.0, rel=1e-5)
-
-
 def test_rescaling_regimes():
     # good range m > m_c: algebraic growth
     good = RescalingMap(exponents=derive_exponents(5, 0.9), T=1.0)

@@ -103,6 +103,12 @@ def test_improved_constant():
     ic = improved_constant(5, Fraction(-4))
     assert ic.value == Fraction(25, 4) and ic.discrepancy_flag
     assert float(ic) == 6.25
+    # int input is exact: -4 alpha - 2d below -d, the continuum bottom above
+    assert improved_constant(5, -6).value == 14
+    assert improved_constant(5, -4).value == Fraction(25, 4)
+    assert improved_constant(5, -6.0).value == 14.0
+    with pytest.raises(ValueError):
+        improved_constant(5, -2)
     with pytest.raises(ValueError):
         improved_constant(5, Fraction(-2))
     with pytest.raises(ValueError):
