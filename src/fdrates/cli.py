@@ -7,9 +7,10 @@ or JSON via --format json where noted.  Numbers are printed with 17
 significant digits so outputs round-trip exactly and runs with identical
 configuration and seed produce identical bytes.
 
---m and --alpha are read as exact rationals (decimals such as 0.9, or
-fractions such as -7/2), so the closed forms evaluate them exactly; the
-comma-separated alpha sweep of hp-verify is read as floats.
+--m and --alpha, and m and alpha in config files, are read as exact
+rationals (decimals such as 0.9, or fractions such as -7/2), so the closed
+forms evaluate them exactly; the comma-separated alpha sweep of hp-verify is
+read as floats.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
 """
@@ -50,8 +51,9 @@ def _fmt(x) -> str:
 
 
 def _exact(text: str) -> Fraction:
-    """--m and --alpha: a decimal such as 0.9 or 1e-3, or a fraction such as
-    -7/2, read exactly so the closed forms stay in rational arithmetic."""
+    """m and alpha, on the command line and in config files: a decimal such
+    as 0.9 or 1e-3, or a fraction such as -7/2, read exactly so the closed
+    forms stay in rational arithmetic."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -68,8 +70,8 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 # key -> (parser, default); None default means "unset"
 _CONFIG_KEYS = {
     "d": (int, None),
-    "m": (float, None),
-    "alpha": (float, None),
+    "m": (_exact, None),
+    "alpha": (_exact, None),
     "D": (float, 1.0),
     "D0": (float, None),
     "D1": (float, None),
@@ -148,7 +150,7 @@ def parse_config(text: str) -> RunConfig:
         parser = _CONFIG_KEYS[key][0]
         try:
             values[key] = parser(val)
-        except (ValueError, KeyError) as e:
+        except (ValueError, KeyError, argparse.ArgumentTypeError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from e
     cfg = RunConfig(values=values)
     _validate_config(cfg)

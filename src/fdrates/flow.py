@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import _kernels
 from .entropy import (EntropyTrace, entropy_from_x, fisher_from_x,
@@ -231,6 +230,8 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     h1/h2 are undefined for the linear flow and recorded as NaN; the
     mass-defect column holds int f dmu_(alpha-1).
     """
+    from scipy.linalg import solve_banded  # loaded only when a linear flow runs
+
     cadence, n_sub, n_rec = _schedule(state.t, t_end, dt, cadence)
 
     forms = assemble_sector_forms(state.grid, state.alpha, state.D, state.l)

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .exponents import sharp_rate
 
@@ -308,7 +306,9 @@ def rayleigh_quotient(f: RadialField, forms: SectorForms) -> float:
 
 
 def _bottom_dense(forms: SectorForms, k: int):
-    _, vecs = sla.eigh(forms.stiffness(), forms.mass(), subset_by_index=[k, k])
+    from scipy.linalg import eigh
+
+    _, vecs = eigh(forms.stiffness(), forms.mass(), subset_by_index=[k, k])
     v = vecs[:, 0]
     # LAPACK's eigenvalue carries an absolute error of order eps times the
     # largest eigenvalue; the quotient of its B-normalized vector does not
@@ -316,14 +316,19 @@ def _bottom_dense(forms: SectorForms, k: int):
 
 
 def _bottom_iterative(forms: SectorForms, k: int, tol, maxit):
+    # scipy.linalg is loaded at the first eigensolve, so that the closed-form
+    # commands start without it
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     # shift and start vector: eigenpair k of the lumped-mass pencil, which the
     # scaling s = lumped^(-1/2) turns into a symmetric tridiagonal problem
     lumped = forms.b_diag.copy()
     lumped[:-1] += forms.b_off
     lumped[1:] += forms.b_off
     s = 1.0 / np.sqrt(lumped)
-    lam_l, y = sla.eigh_tridiagonal(forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:],
-                                    select="i", select_range=(k, k))
+    lam_l, y = eigh_tridiagonal(forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:],
+                                select="i", select_range=(k, k))
     sigma = float(lam_l[0])
     # consistent-mass inverse iteration, A - sigma B factored once
     off = forms.a_off - sigma * forms.b_off

@@ -23,6 +23,7 @@ __all__ = [
     "WeightedMeasure",
     "RescalingMap",
     "ExtinctionError",
+    "BisectionError",
     "MassDefect",
     "eval_profile",
     "eval_barenblatt",
@@ -40,6 +41,10 @@ class ExtinctionError(ValueError):
         super().__init__(f"tau = {tau} is not before the extinction time T = {T}")
         self.tau = tau
         self.T = T
+
+
+class BisectionError(RuntimeError):
+    """solve_D took maxit bisection steps without the mass defect reaching tol."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,8 @@ def solve_D(v0: RadialField, exponents: ExponentSet, D0: float, D1: float,
     The defect is strictly increasing in D (V_D is pointwise decreasing in D),
     so bisection on the bracket is unconditionally safe; raises ValueError if
     the defect has the same sign at both endpoints (the data violates the
-    sandwich hypothesis).
+    sandwich hypothesis) and BisectionError if |defect| <= tol is not reached
+    in maxit steps.
     """
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
@@ -239,4 +245,7 @@ def solve_D(v0: RadialField, exponents: ExponentSet, D0: float, D1: float,
             hi = mid
         else:
             lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+    raise BisectionError(
+        f"mass defect not within {tol:g} of zero after {maxit} bisection steps "
+        f"(bracket [{lo!r}, {hi!r}])"
+    )

@@ -26,6 +26,7 @@ from .numerics import RadialField, RadialGrid
 __all__ = [
     "EigenMode",
     "SpectralReport",
+    "SpectralMismatchError",
     "ImprovedConstant",
     "discrete_mode",
     "improved_constant",
@@ -139,6 +140,11 @@ def improved_constant(d: int, alpha) -> ImprovedConstant:
     return ImprovedConstant(value=value, discrepancy_flag=bool(flag))
 
 
+class SpectralMismatchError(RuntimeError):
+    """The spectral minimum of a report disagrees with the closed-form sharp
+    constant: a numerical failure, not a usage error."""
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     """Spectral summary for one (d, alpha): sharp constant, continuum bottom,
@@ -160,7 +166,8 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
     When l_max, k_max >= 1 the minimum of the continuum bottom and the
     admissible below-continuum eigenvalues is checked against the closed-form
     sharp constant (the gap source is always the continuum, the translation
-    mode (1,0), or the dilation mode (0,1)).
+    mode (1,0), or the dilation mode (0,1)); a disagreement raises
+    SpectralMismatchError.
     """
     a = _number(alpha)
     sharp = sharp_rate(d, a)
@@ -180,7 +187,7 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
     constraint_needed = a < a_star
     if l_max >= 1 and k_max >= 1 and d >= 2:
         if abs(float(best_lam) - float(sharp)) > 1e-9 * max(1.0, abs(float(sharp))):
-            raise AssertionError(
+            raise SpectralMismatchError(
                 f"spectral minimum {best_lam} disagrees with the closed form {sharp}"
             )
     try:

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import fdrates
 import fdrates.cli as cli
 import fdrates.flow as flow_mod
+import fdrates.spectral as spec_mod
 from fdrates.cli import ConfigError, main, parse_config
 
 
@@ -30,13 +33,17 @@ def test_parse_config_roundtrip():
         data.kind = eigen
         data.match_D = false
     """)
-    assert cfg["d"] == 5 and cfg["m"] == 0.9
+    # m and alpha are read exactly, as --m and --alpha are
+    assert cfg["d"] == 5 and cfg["m"] == Fraction(9, 10)
     assert cfg["data.match_D"] is False
     assert cfg["grid.grading"] == "sinh"  # default preserved
     e = cfg.exponent_set()
-    assert float(e.alpha) == pytest.approx(-10.0)
+    assert e.alpha == -10
     echo = "\n".join(cfg.echo_lines())
     assert "# d=5" in echo and "# m=0.90000000000000002" in echo
+    e = parse_config("d = 5\nalpha = -10").exponent_set()
+    assert e.alpha == -10 and e.m == Fraction(9, 10)
+    assert parse_config("d = 5\nalpha = -7/2").exponent_set().alpha == Fraction(-7, 2)
 
 
 def test_parse_config_rejections():
@@ -48,6 +55,9 @@ def test_parse_config_rejections():
         parse_config("d 5")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("grid.N = tiny")
+    for bad in ("1/0", "nan", "inf", "abc"):
+        with pytest.raises(ConfigError, match="bad value for alpha"):
+            parse_config(f"alpha = {bad}")
     with pytest.raises(ConfigError, match="m must be < 1"):
         parse_config("m = 1.5")
     with pytest.raises(ConfigError, match="D0 > D1"):
@@ -75,14 +85,39 @@ def test_constants_json(capsys):
     assert out["regime"] == "good"
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_import_and_closed_form_commands_do_not_load_scipy(tmp_path):
+    # scipy is imported where linear algebra runs; neither the import nor a
+    # closed-form command may pay for it (or for scipy.optimize)
+    cfg = _evolve_config(tmp_path)
+    commands = [
+        ["constants", "--d", "5", "--m", "0.9"],
+        ["spectrum", "--d", "5", "--alpha", "-10"],
+        ["eigenfunction", "--d", "5", "--alpha", "-10", "--l", "0", "--k", "1"],
+        ["entropy-report", "--config", cfg],
+        ["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0", "--t-end", "0.01"],
+        ["quotient", "--d", "5", "--m", "0.9", "--n", "100", "--R", "30", "--N", "400"],
+        ["rescale", "--d", "5", "--m", "0.8", "--tau", "2"],
+    ]
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import fdrates, fdrates.cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        print(json.dumps(["import", 0, scipy_modules()]))
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = fdrates.cli.main(argv)
+            print(json.dumps([argv[0], rc, scipy_modules()]))
+    """)
     src = str(Path(fdrates.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, fdrates.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    got = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert got == [["import", 0, []]] + [[c[0], 0, []] for c in commands]
 
 
 def test_constants_csv_and_arg_validation(capsys):
@@ -263,3 +298,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["evolve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err
+    # 2: a spectral minimum that disagrees with the closed form
+    monkeypatch.setattr(spec_mod, "sharp_rate", lambda d, a: 19)
+    assert main(["spectrum", "--d", "5", "--alpha", "-10"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "disagrees with the closed form" in err

@@ -78,3 +78,11 @@ def test_huge_step_reports_failure_not_garbage():
     step = K.get_kernel(K.BACKEND)
     x_new, _ = step(5.0 * x, V, Vm1, w, gs, h, m, 1e6)
     assert x_new is None or np.all(1.0 + x_new > 0)
+
+
+def test_non_finite_input_raises():
+    # the pure kernel skips scipy's own finiteness check and makes its own
+    x, V, Vm1, w, gs, h, m = _problem()
+    x[7] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        K.get_kernel("pure")(x, V, Vm1, w, gs, h, m, 1e-3)

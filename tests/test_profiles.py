@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import fdrates.numerics as N
 from fdrates.exponents import derive_exponents
-from fdrates.profiles import (ExtinctionError, Profile, RescalingMap,
-                              WeightedMeasure, eval_barenblatt, eval_profile,
+from fdrates.profiles import (BisectionError, ExtinctionError, Profile,
+                              RescalingMap, WeightedMeasure, eval_barenblatt, eval_profile,
                               from_selfsimilar, mass_defect, solve_D,
                               to_selfsimilar)
 
@@ -170,3 +170,7 @@ def test_solve_D_rejections():
         solve_D(v, e, D0=2.0, D1=0.5)  # defect positive at both ends
     with pytest.raises(ValueError):
         solve_D(v, e, D0=0.5, D1=2.0)  # inverted bracket
+    # a bisection cut short raises rather than returning its midpoint 0.96875
+    v = N.RadialField(grid=grid, values=Profile(exponents=e, D=1.37)(grid.nodes))
+    with pytest.raises(BisectionError, match="after 3 bisection steps"):
+        solve_D(v, e, D0=2.0, D1=0.5, maxit=3)

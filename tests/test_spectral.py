@@ -89,7 +89,7 @@ def test_gap_source_switches():
 
 def test_report_cross_check_runs_near_branch_points():
     # dense sweep across both branch boundaries; the internal consistency
-    # assertion between the mode table and the closed form must never fire
+    # check between the mode table and the closed form must never raise
     for num in range(20, 130, 3):
         alpha = Fraction(-num, 10)
         if alpha == Fraction(-3, 2):
