@@ -3,10 +3,12 @@
 Closed-form exponents and spectra of the linearized fast-diffusion operator,
 discretized Hardy-Poincare verification, a radial solver for the rescaled
 nonlinear Fokker-Planck flow, and entropy-method instrumentation.
+
+Submodules, and KERNEL_BACKEND, are loaded on first access, so that a
+closed-form computation does not pay for numpy and the flow solvers.
 """
 
-from . import entropy, exponents, flow, numerics, profiles, spectral
-from ._kernels import BACKEND as KERNEL_BACKEND
+import importlib
 
 __version__ = "0.1.0"
 
@@ -20,3 +22,13 @@ __all__ = [
     "KERNEL_BACKEND",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "KERNEL_BACKEND":
+        from ._kernels import BACKEND
+
+        return BACKEND
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,10 @@ forms evaluate them exactly; the comma-separated alpha sweep of hp-verify is
 read as floats.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
+
+Only the closed forms (exponents, spectral) are imported with this module;
+each command that runs numerics imports numpy and the numerical modules
+itself, so constants, spectrum and eigenfunction start without them.
 """
 
 from __future__ import annotations
@@ -25,15 +29,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import entropy as ent
 from . import exponents as exp_mod
-from . import flow as flow_mod
-from . import numerics as num
-from . import profiles as prof
 from . import spectral as spec
-from .numerics import NonConvergenceError
 
 __all__ = ["main", "parse_config", "RunConfig", "ConfigError"]
 
@@ -286,6 +283,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_hp_verify(args):
+    from . import numerics as num
+
     alphas = [float(s) for s in args.alpha.split(",")]
     rows = []
     for a in alphas:
@@ -322,12 +321,16 @@ def _cmd_eigenfunction(args):
 
 
 def _config_grid(cfg: RunConfig, d: int):
+    from . import numerics as num
+
     return num.build_grid(cfg["grid.R_max"], cfg["grid.N"], d,
                           grading=cfg["grid.grading"],
                           scale=math.sqrt(cfg["D"]))
 
 
 def _build_state(cfg: RunConfig):
+    from . import flow as flow_mod
+
     e = cfg.exponent_set()
     grid = _config_grid(cfg, e.d)
     return flow_mod.make_initial_data(
@@ -340,6 +343,8 @@ def _build_state(cfg: RunConfig):
 
 def _write_trace(args, cfg: RunConfig, trace, comments):
     """Fit the configured window, if any, and write the trace CSV."""
+    from . import entropy as ent
+
     w0, w1 = cfg.get("fit.window_start"), cfg.get("fit.window_end")
     if w0 is not None:
         trace.fitted = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
@@ -351,6 +356,8 @@ def _write_trace(args, cfg: RunConfig, trace, comments):
 
 
 def _cmd_evolve(args):
+    from . import flow as flow_mod
+
     cfg = _load_config(args.config)
     state = _build_state(cfg)
     trace = flow_mod.evolve_nonlinear(state, cfg["time.t_end"], cfg["time.dt"],
@@ -361,21 +368,24 @@ def _cmd_evolve(args):
 
 
 def _cmd_evolve_linear(args):
+    import numpy as np
+
+    from . import flow as flow_mod
+
     cfg = _load_config(args.config)
     e = cfg.exponent_set()
     if e.d < 2:
         raise ConfigError("linear sector evolution needs d >= 2")
     grid = _config_grid(cfg, e.d)
     l = cfg["sector.l"]
-    alpha = float(e.alpha)
     if cfg["data.kind"] == "mode":
-        mode = spec.discrete_mode(e.d, alpha, cfg["data.mode_l"], cfg["data.mode_k"])
+        mode = spec.discrete_mode(e.d, e.alpha, cfg["data.mode_l"], cfg["data.mode_k"])
         f0 = spec.mode_field(mode, grid).values
         l = cfg["data.mode_l"]
     else:
         r = grid.nodes
         f0 = r**l * np.exp(-(r**2))
-    state = flow_mod.LinearState(grid=grid, alpha=alpha, D=cfg["D"], l=l, f=f0)
+    state = flow_mod.LinearState(grid=grid, alpha=e.alpha, D=cfg["D"], l=l, f=f0)
     trace = flow_mod.evolve_linear_sector(state, cfg["time.t_end"], cfg["time.dt"],
                                           cadence=cfg.get("output.cadence"))
     return _write_trace(args, cfg, trace,
@@ -383,6 +393,8 @@ def _cmd_evolve_linear(args):
 
 
 def _cmd_entropy_report(args):
+    from . import entropy as ent
+
     cfg = _load_config(args.config)
     state = _build_state(cfg)
     rep = ent.sandwich_from_x(state.x, state.grid, state.profile)
@@ -401,6 +413,8 @@ def _cmd_entropy_report(args):
 
 
 def _cmd_gronwall(args):
+    from . import entropy as ent
+
     e = exp_mod.derive_exponents(args.d, args.m)
     Lambda = args.Lambda
     if Lambda is None:
@@ -418,6 +432,10 @@ def _cmd_gronwall(args):
 
 
 def _quotient_test_function(name, grid, alpha):
+    import numpy as np
+
+    from . import numerics as num
+
     if name == "gauss":
         return num.RadialField(grid=grid, values=np.exp(-grid.nodes**2))
     if name == "ring":
@@ -432,6 +450,12 @@ def _quotient_test_function(name, grid, alpha):
 
 
 def _cmd_quotient(args):
+    import numpy as np
+
+    from . import entropy as ent
+    from . import numerics as num
+    from . import profiles as prof
+
     e = exp_mod.derive_exponents(args.d, args.m)
     alpha = float(e.alpha)
     grid = num.build_grid(args.R, args.N, args.d, scale=math.sqrt(args.D))
@@ -455,6 +479,8 @@ def _cmd_quotient(args):
 
 
 def _cmd_rescale(args):
+    from . import profiles as prof
+
     e = exp_mod.derive_exponents(args.d, args.m)
     rmap = prof.RescalingMap(exponents=e, T=args.T)
     t, x, v = prof.to_selfsimilar(rmap, args.tau, args.y, args.u)
@@ -589,8 +615,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, FileNotFoundError) as e:
         print(f"fdrates: error: {e}", file=sys.stderr)
         return 1
-    except (NonConvergenceError, flow_mod.FlowError, ArithmeticError,
-            RuntimeError) as e:
+    except (ArithmeticError, RuntimeError) as e:
         print(f"fdrates: numerical failure: {e}", file=sys.stderr)
         return 2
 

@@ -64,6 +64,8 @@ class ExponentSet:
         m -> 1/(m-1), i.e. -(d-2)/2, -d, -(d+2)/2.
     regime : classification of m against m_c / m_star.
     log_limit : True when m == 0 (logarithmic diffusion).
+    at_m_c : True when m == m_c (up to the tolerance for float m), where the
+        self-similar rescaling is exponential; regime is then GOOD.
     """
 
     d: int
@@ -78,6 +80,7 @@ class ExponentSet:
     alpha_2: float
     regime: Regime
     log_limit: bool
+    at_m_c: bool
 
     def __post_init__(self):
         if self.d < 1:
@@ -90,8 +93,9 @@ def derive_exponents(d: int, m, tol: float = 1e-12) -> ExponentSet:
     """Compute the full exponent/threshold set for dimension d and exponent m < 1.
 
     m may be a float, int, or Fraction; exact inputs give exact thresholds
-    (as Fractions) and exact regime classification.  For float m the critical
-    case m == m_star is detected up to the relative tolerance ``tol``.
+    (as Fractions) and exact regime classification.  For float m the
+    thresholds m == m_star and m == m_c are detected up to the relative
+    tolerance ``tol``, so that float(m_c) itself counts as m_c.
     """
     d = int(d)
     if d < 1:
@@ -101,17 +105,21 @@ def derive_exponents(d: int, m, tol: float = 1e-12) -> ExponentSet:
         raise ValueError(f"fast diffusion requires m < 1, got m = {m}")
     num = type(m)  # thresholds are reported in the arithmetic of the input
 
+    def at(threshold):
+        slack = tol * max(1, abs(threshold)) if num is float else 0
+        return abs(m - threshold) <= slack
+
     m_c = Fraction(d - 2, d)
+    at_m_c = at(m_c)
     if d > 2:
         m_star = Fraction(d - 4, d - 2)
-        slack = tol * max(1, abs(m_star)) if num is float else 0
-        is_critical = abs(m - m_star) <= slack
+        is_critical = at(m_star)
     else:
         m_star = -math.inf
         is_critical = False
     if is_critical:
         regime = Regime.CRITICAL
-    elif m < m_c:
+    elif m < m_c and not at_m_c:
         regime = Regime.VERY_FAST
     else:
         regime = Regime.GOOD
@@ -129,6 +137,7 @@ def derive_exponents(d: int, m, tol: float = 1e-12) -> ExponentSet:
         alpha_2=num(Fraction(-(d + 2), 2)),
         regime=regime,
         log_limit=m == 0,
+        at_m_c=at_m_c,
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .entropy import (EntropyTrace, entropy_from_x, fisher_from_x,
                       mass_defect_from_x, sandwich_from_x)
-from .exponents import ExponentSet
+from .exponents import ExponentSet, alpha_to_m, derive_exponents
 from .numerics import (RadialField, RadialGrid, _schedule,
                        assemble_sector_forms, cell_volumes, face_geometry,
                        sphere_area)
@@ -68,7 +68,8 @@ class NonlinearState:
 
 @dataclass
 class LinearState:
-    """State of a linear sector run: nodal values of f in sector l."""
+    """State of a linear sector run: nodal values of f in sector l.  alpha may
+    be exact (a Fraction); the trace's exponents are then exact too."""
 
     grid: RadialGrid
     alpha: float
@@ -228,7 +229,9 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     The trace records the linearized entropy F = (1/2) int f^2 dmu_(alpha-1)
     and Fisher term I = A(f, f) (so dF/dt = -I holds in the continuum limit);
     h1/h2 are undefined for the linear flow and recorded as NaN; the
-    mass-defect column holds int f dmu_(alpha-1).
+    mass-defect column holds int f dmu_(alpha-1).  Band and initial data are
+    checked for finiteness once: backward Euler with the symmetric positive
+    definite pencil (A, B) contracts the B-norm, so no step creates an inf.
     """
     from scipy.linalg import solve_banded  # loaded only when a linear flow runs
 
@@ -241,6 +244,8 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     ab[0, 1:] = forms.b_off + dt * forms.a_off
     ab[1] = forms.b_diag + dt * forms.a_diag
     ab[2, :-1] = forms.b_off + dt * forms.a_off
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(f))):
+        raise ValueError("array must not contain infs or NaNs")
     sd = sphere_area(state.grid.d)
 
     rows = []
@@ -254,14 +259,13 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     t0 = state.t
     for j in range(1, n_rec + 1):
         for _ in range(n_sub):
-            f = solve_banded((1, 1), ab, forms.apply_b(f))
+            f = solve_banded((1, 1), ab, forms.apply_b(f), overwrite_b=True,
+                             check_finite=False)
         record(t0 + j * cadence, f)
     state.f = forms.pad(f)
     state.t = t0 + n_rec * cadence
 
     arr = np.array(rows)
-    from .exponents import alpha_to_m, derive_exponents
-
     exps = derive_exponents(state.grid.d, alpha_to_m(state.grid.d, state.alpha))
     return EntropyTrace(t=arr[:, 0], entropy=arr[:, 1], fisher=arr[:, 2],
                         h1=arr[:, 3], h2=arr[:, 4], mass_defect=arr[:, 5],

@@ -251,7 +251,9 @@ def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float, l: int,
     Element integrals use ngauss-point Gauss-Legendre quadrature of the exact
     weights (D+r^2)^alpha r^(d-1) and (D+r^2)^(alpha-1) r^(d-1); the boundary
     at R_max is natural (no-flux) and for l >= 1 the origin is Dirichlet.
+    alpha may be exact (a Fraction); the weights are evaluated in floats.
     """
+    alpha = float(alpha)
     r = grid.nodes
     d = grid.d
     h = np.diff(r)
@@ -291,7 +293,7 @@ def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float, l: int,
     if dirichlet:
         a_diag, a_off = a_diag[1:], a_off[1:]
         b_diag, b_off = b_diag[1:], b_off[1:]
-    return SectorForms(grid=grid, alpha=float(alpha), D=float(D), l=int(l),
+    return SectorForms(grid=grid, alpha=alpha, D=float(D), l=int(l),
                        a_diag=a_diag, a_off=a_off, b_diag=b_diag, b_off=b_off,
                        dirichlet_origin=dirichlet)
 
@@ -400,10 +402,9 @@ def _quantization_fit(Ss, lams, npow):
     sits at lambda(S) = lambda_inf + k(S)^2 where the wavenumber k satisfies a
     quantization relation S = kappa/k + s0 + s1 k + ... ; given 5 domain sizes
     the relation is solved for lambda_inf by nesting a linear least-squares
-    fit of (kappa, s0, ..) inside a scalar root-find on the last residual.
+    fit of (kappa, s0, ..) inside a bisection on the last residual, over
+    (0, min lambda); None when that residual does not change sign there.
     """
-    from scipy.optimize import brentq  # loaded only when a sweep extrapolates
-
     Ss = np.asarray(Ss, dtype=float)
     lams = np.asarray(lams, dtype=float)
 
@@ -414,12 +415,23 @@ def _quantization_fit(Ss, lams, npow):
         coef, *_ = np.linalg.lstsq(M[:-1], Ss[:-1], rcond=None)
         return Ss[-1] - float(M[-1] @ coef)
 
-    hi = float(np.min(lams)) - 1e-10
-    if hi <= 1e-12 or not (math.isfinite(resid(1e-12)) and math.isfinite(resid(hi))):
+    lo, hi = 1e-12, float(np.min(lams)) - 1e-10
+    if hi <= lo:
         return None
-    if resid(1e-12) * resid(hi) > 0:
+    r_lo, r_hi = resid(lo), resid(hi)
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi)) or r_lo * r_hi > 0:
         return None
-    return brentq(resid, 1e-12, hi, xtol=1e-13)
+    # bisect down to adjacent doubles: about 53 halvings, and the root then
+    # carries no tolerance of its own into the extrapolated eigenvalue
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        r_mid = resid(mid)
+        if r_mid * r_lo > 0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _sector_bottom_extrapolated(d, alpha, D, l, R_max, N, n_domains=5, span=3.0,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentSet
+from .exponents import ExponentSet, Regime
 from .numerics import RadialField, cell_volumes, sphere_area
 
 __all__ = [
@@ -104,17 +104,23 @@ class RescalingMap:
             raise ValueError(f"time origin T must be nonnegative, got {self.T}")
 
     def _regime_data(self):
+        """(side, m, m_c, d): side is the sign of m - m_c as derive_exponents
+        decided it, 0 at m = m_c."""
         e = self.exponents
-        return float(e.m), float(e.m_c), e.d
+        if e.at_m_c:
+            side = 0
+        else:
+            side = 1 if e.regime is Regime.GOOD else -1
+        return side, float(e.m), float(e.m_c), e.d
 
     def R(self, tau: float) -> float:
         """Regime-resolved rescaling radius R(tau)."""
-        m, m_c, d = self._regime_data()
-        if m > m_c:
+        side, m, m_c, d = self._regime_data()
+        if side > 0:
             if self.T + tau <= 0:
                 raise ValueError(f"T + tau must be positive, got {self.T + tau}")
             return (self.T + tau) ** (1.0 / (d * (m - m_c)))
-        if m < m_c:
+        if side < 0:
             if tau >= self.T:
                 raise ExtinctionError(tau, self.T)
             return (self.T - tau) ** (-1.0 / (d * (m_c - m)))
@@ -122,8 +128,8 @@ class RescalingMap:
 
     def space_factor(self) -> float:
         """sqrt((1-m)/(2d|m-m_c|)), the x = c*y/R coefficient; 1/sqrt(d) at m=m_c."""
-        m, m_c, d = self._regime_data()
-        if m == m_c:
+        side, m, m_c, d = self._regime_data()
+        if side == 0:
             return 1.0 / math.sqrt(d)
         return math.sqrt((1.0 - m) / (2.0 * d * abs(m - m_c)))
 
@@ -159,12 +165,12 @@ def to_selfsimilar(map: RescalingMap, tau: float, y, u_value: float):
 
 def from_selfsimilar(map: RescalingMap, t: float, x, v_value: float):
     """Inverse of to_selfsimilar; round-trips to 1e-12 relative error."""
-    m, m_c, d = float(map.exponents.m), float(map.exponents.m_c), map.exponents.d
+    side, m, m_c, d = map._regime_data()
     R0 = map.R(0.0)
     R = R0 * math.exp(2.0 * t / (1.0 - m))
-    if m > m_c:
+    if side > 0:
         tau = R ** (d * (m - m_c)) - map.T
-    elif m < m_c:
+    elif side < 0:
         tau = map.T - R ** (-(d * (m_c - m)))
     else:
         tau = d * t

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exponents import _number, lambda_continuum, sharp_rate
-from .numerics import RadialField, RadialGrid
+
+if TYPE_CHECKING:
+    from .numerics import RadialField, RadialGrid
 
 __all__ = [
     "EigenMode",
@@ -201,6 +202,12 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
 
 def mode_field(mode: EigenMode, grid: RadialGrid) -> RadialField:
     """Sample the radial eigenfunction r^l * poly(r^2) on a grid."""
+    # numpy is loaded here, its only user, so the closed-form spectrum and
+    # eigenfunction computations start without it
+    import numpy as np
+
+    from .numerics import RadialField
+
     r = grid.nodes
     poly = np.zeros_like(r)
     for j, c in enumerate(reversed(mode.radial_poly)):

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import fdrates
-import fdrates.cli as cli
 import fdrates.flow as flow_mod
 import fdrates.spectral as spec_mod
 from fdrates.cli import ConfigError, main, parse_config
@@ -86,38 +85,48 @@ def test_constants_json(capsys):
 
 
 def test_import_and_closed_form_commands_do_not_load_scipy(tmp_path):
-    # scipy is imported where linear algebra runs; neither the import nor a
-    # closed-form command may pay for it (or for scipy.optimize)
+    # numpy and scipy are imported where numerics and linear algebra run: the
+    # import and the exact closed-form commands load neither, the other
+    # closed-form commands no scipy, and nothing loads scipy.optimize
     cfg = _evolve_config(tmp_path)
-    commands = [
+    exact = [
         ["constants", "--d", "5", "--m", "0.9"],
         ["spectrum", "--d", "5", "--alpha", "-10"],
         ["eigenfunction", "--d", "5", "--alpha", "-10", "--l", "0", "--k", "1"],
+    ]
+    numeric = [
         ["entropy-report", "--config", cfg],
         ["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0", "--t-end", "0.01"],
         ["quotient", "--d", "5", "--m", "0.9", "--n", "100", "--R", "30", "--N", "400"],
         ["rescale", "--d", "5", "--m", "0.8", "--tau", "2"],
     ]
+    # extrapolates its l = 0 sector, so the quantization fit runs
+    verify = ["hp-verify", "--d", "5", "--alpha=-1", "--R", "100", "--N", "200",
+              "--l-max", "0"]
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import fdrates, fdrates.cli
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        def loaded():
+            return [m for m in ("numpy", "scipy", "scipy.linalg", "scipy.optimize")
+                    if m in sys.modules]
 
-        print(json.dumps(["import", 0, scipy_modules()]))
+        print(json.dumps(["import", 0, loaded()]))
         for argv in json.loads(sys.argv[1]):
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = fdrates.cli.main(argv)
-            print(json.dumps([argv[0], rc, scipy_modules()]))
+            print(json.dumps([argv[0], rc, loaded()]))
     """)
     src = str(Path(fdrates.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code,
+                           json.dumps(exact + numeric + [verify])],
+                          env=env, capture_output=True, text=True, check=True)
     got = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert got == [["import", 0, []]] + [[c[0], 0, []] for c in commands]
+    assert got == ([["import", 0, []]] + [[c[0], 0, []] for c in exact]
+                   + [[c[0], 0, ["numpy"]] for c in numeric]
+                   + [["hp-verify", 0, ["numpy", "scipy", "scipy.linalg"]]])
 
 
 def test_constants_csv_and_arg_validation(capsys):
@@ -293,7 +302,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # 2: numerical failure surfaces as exit code 2
     def boom(*a, **k):
         raise flow_mod.FlowError("Newton diverged")
-    monkeypatch.setattr(cli.flow_mod, "evolve_nonlinear", boom)
+    monkeypatch.setattr(flow_mod, "evolve_nonlinear", boom)
     cfg = _evolve_config(tmp_path)
     assert main(["evolve", "--config", cfg]) == 2
     err = capsys.readouterr().err

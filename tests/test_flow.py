@@ -1,5 +1,7 @@
 """Tests for the nonlinear and linear flow integrators."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,9 @@ def test_evolve_rejects_bad_stepping():
                          f=g.nodes * np.exp(-g.nodes**2))
     with pytest.raises(ValueError):
         FL.evolve_linear_sector(lin, 0.013, 1e-3, cadence=0.005)  # 2.6 rows
+    lin.f[3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        FL.evolve_linear_sector(lin, 0.01, 1e-3)
     with pytest.raises(ValueError):
         FL.evolve_nonlinear(st, 0.0, 1e-3)
 
@@ -127,6 +132,18 @@ def test_linear_sector_eigenmode_rate():
     assert np.all(np.isnan(tr.h1)) and np.all(np.isnan(tr.h2))
     assert st.t == pytest.approx(0.5)
     assert st.f[0] == 0.0  # Dirichlet padding restored
+
+
+def test_linear_sector_exact_alpha():
+    # a Fraction alpha runs the same float flow and reports exact exponents
+    g = _grid()
+    f0 = g.nodes * np.exp(-g.nodes**2)
+    exact, flt = (FL.evolve_linear_sector(FL.LinearState(grid=g, alpha=a, D=1.0, l=1,
+                                                         f=f0.copy()), 0.01, 1e-3)
+                  for a in (Fraction(-10), -10.0))
+    assert exact.exponents.alpha == -10 and exact.exponents.m == Fraction(9, 10)
+    assert np.array_equal(exact.entropy, flt.entropy)
+    assert np.array_equal(exact.fisher, flt.fisher)
 
 
 def test_newton_failure_raises_flow_error(monkeypatch):

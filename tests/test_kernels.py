@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fdrates
 import fdrates._kernels as K
 import fdrates.numerics as N
 from fdrates.exponents import derive_exponents
@@ -26,6 +27,12 @@ def test_backend_registry():
     assert callable(K.get_kernel("pure"))
     with pytest.raises(ValueError):
         K.get_kernel("gpu")
+    # the package loads the backend and its submodules on first access
+    assert fdrates.KERNEL_BACKEND == K.BACKEND
+    from fdrates import flow
+    assert fdrates.flow is flow
+    with pytest.raises(AttributeError):
+        fdrates.no_such_module
 
 
 def test_pure_step_converges_and_conserves():

@@ -1,6 +1,7 @@
 """Tests for grids, quadrature, form assembly, and the eigensolvers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ def test_forms_constant_in_kernel():
     forms = N.assemble_sector_forms(g, -4.0, 1.0, 0)
     c = np.ones(forms.n)
     assert abs(c @ forms.apply_a(c)) < 1e-12 * abs(c @ forms.apply_b(c))
+
+
+def test_forms_and_verification_take_exact_alpha():
+    # a Fraction alpha is evaluated in floats: the same forms, the same answer
+    g = N.build_grid(30.0, 200, 5)
+    exact = N.assemble_sector_forms(g, Fraction(-10), 1.0, 1)
+    flt = N.assemble_sector_forms(g, -10.0, 1.0, 1)
+    for name in ("a_diag", "a_off", "b_diag", "b_off"):
+        assert np.array_equal(getattr(exact, name), getattr(flt, name))
+    res = N.verify_constants(5, Fraction(-4), R_max=60.0, N=400, l_max=1)
+    assert res.closed_form == 6.0
+    assert res.minimum == N.verify_constants(5, -4.0, R_max=60.0, N=400,
+                                             l_max=1).minimum
 
 
 def test_forms_mass_positive_definite():
@@ -184,6 +198,15 @@ def test_verify_constants_continuum_case_needs_extrapolation():
     assert res.rel_err < 2e-2
     raw = N.sector_bottom(3, -2.0, 1.0, 0, R_max=100.0, N=1200)[0]
     assert abs(raw - res.closed_form) > 3 * abs(res.minimum - res.closed_form)
+
+
+def test_quantization_fit_recovers_exact_law():
+    # lambda(S) = lambda_inf + k^2 with S = kappa/k + s0 + s1 k + s2 k^2 exactly
+    lam_inf = 2.25
+    k = np.array([1.0, 0.8, 0.6, 0.5, 0.4])
+    Ss = math.pi / k + 0.5 + 0.1 * k + 0.02 * k**2
+    assert N._quantization_fit(Ss, lam_inf + k**2, 2) == pytest.approx(lam_inf,
+                                                                       rel=1e-12)
 
 
 @pytest.mark.parametrize("d, alpha, D, within_3pct", [

@@ -1,6 +1,7 @@
 """Tests for profiles, rescaling maps, and mass-defect matching."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdrates.numerics as N
-from fdrates.exponents import derive_exponents
+from fdrates.exponents import Regime, derive_exponents
 from fdrates.profiles import (BisectionError, ExtinctionError, Profile,
                               RescalingMap, WeightedMeasure, eval_barenblatt, eval_profile,
                               from_selfsimilar, mass_defect, solve_D,
@@ -58,10 +59,18 @@ def test_rescaling_regimes():
     assert fast.R(0.999) > fast.R(0.9) > fast.R(0.0)
     with pytest.raises(ExtinctionError):
         fast.R(1.0)
-    # critical m = m_c: exponential
+    # critical m = m_c: exponential; float 0.6 is m_c = 3/5 for the regime too
     crit = RescalingMap(exponents=derive_exponents(5, 0.6), T=1.0)
+    assert crit.exponents.regime is Regime.GOOD and crit.exponents.at_m_c
     assert crit.R(2.0) == pytest.approx(math.exp(2.0), rel=1e-14)
     assert crit.space_factor() == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
+    exact = RescalingMap(exponents=derive_exponents(5, Fraction(3, 5)), T=1.0)
+    assert exact.exponents.regime is Regime.GOOD and exact.R(0.5) == crit.R(0.5)
+    # beyond the tolerance a float m is on one side of m_c, in both places
+    below = RescalingMap(exponents=derive_exponents(5, 0.6 - 1e-9), T=1.0)
+    assert below.exponents.regime is Regime.VERY_FAST
+    with pytest.raises(ExtinctionError):
+        below.R(1.0)
 
 
 @given(m=st.sampled_from([0.9, 0.75, 0.5, 0.3, 0.6]),
