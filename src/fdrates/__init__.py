@@ -4,8 +4,8 @@ Closed-form exponents and spectra of the linearized fast-diffusion operator,
 discretized Hardy-Poincare verification, a radial solver for the rescaled
 nonlinear Fokker-Planck flow, and entropy-method instrumentation.
 
-Submodules, and KERNEL_BACKEND, are loaded on first access, so that a
-closed-form computation does not pay for numpy and the flow solvers.
+Submodules are loaded on first access, so that a closed-form computation
+does not pay for numpy and the flow solvers.
 """
 
 import importlib
@@ -19,16 +19,11 @@ __all__ = [
     "numerics",
     "profiles",
     "spectral",
-    "KERNEL_BACKEND",
     "__version__",
 ]
 
 
 def __getattr__(name):
-    if name == "KERNEL_BACKEND":
-        from ._kernels import BACKEND
-
-        return BACKEND
     if name in __all__:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,55 +1,5 @@
-"""Backend selection for the implicit flow step.
+"""The implicit flow step: one pure-numpy Newton kernel (see _pure)."""
 
-The compiled Cython kernel is used when available; the pure-numpy twin is the
-fallback.  Set FDRATES_KERNEL=pure or FDRATES_KERNEL=compiled to force one
-(forcing "compiled" raises if the extension is missing).
-"""
-
-import os
-
-from . import _pure
-
-_forced = os.environ.get("FDRATES_KERNEL", "").strip().lower()
-
-if _forced == "pure":
-    newton_step = _pure.newton_step
-    BACKEND = "pure"
-elif _forced == "compiled":
-    from . import _speedups
-
-    newton_step = _speedups.newton_step
-    BACKEND = "compiled"
-else:
-    try:
-        from . import _speedups
-
-        newton_step = _speedups.newton_step
-        BACKEND = "compiled"
-    except ImportError:
-        newton_step = _pure.newton_step
-        BACKEND = "pure"
+from ._pure import BACKEND, newton_step
 
 __all__ = ["newton_step", "BACKEND"]
-
-
-def available_backends():
-    """Names of the kernel implementations importable in this installation."""
-    names = ["pure"]
-    try:
-        from . import _speedups  # noqa: F401
-
-        names.append("compiled")
-    except ImportError:
-        pass
-    return names
-
-
-def get_kernel(name):
-    """Return the newton_step implementation of a named backend."""
-    if name == "pure":
-        return _pure.newton_step
-    if name == "compiled":
-        from . import _speedups
-
-        return _speedups.newton_step
-    raise ValueError(f"unknown kernel backend {name!r}")

@@ -1,7 +1,5 @@
-"""Pure-numpy implementation of the implicit flow step.
-
-Semantics are mirrored exactly by the compiled twin (_speedups.pyx): one
-backward-Euler step of the radial flux-form equation
+"""Pure-numpy implicit flow step: one backward-Euler step of the radial
+flux-form equation
 
     w_i V_i dx_i/dt = net flux of  G_(i+1/2) = g v_bar (p_(i+1)-p_i)/h
 
@@ -9,6 +7,11 @@ in the relative variable x = v/V_D - 1, solved by damped Newton iteration
 with the analytic tridiagonal Jacobian.  The pressure is
 p = V^(m-1) expm1((m-1) log1p(x))/(m-1), which is exact for every m < 1
 including m = 0 and stays accurate when x underflows far in the tail.
+
+Every Newton iteration writes into work buffers allocated once per step.
+Each operation rounds exactly as in the form that allocates one array per
+operation (kept as the reference in tests/test_kernels.py): no product or
+sum is reassociated, so the buffering changes no bit of the result.
 """
 
 import numpy as np
@@ -19,10 +22,11 @@ BACKEND = "pure"
 def newton_step(x_old, V, Vm1, w, g, h, m, dt, tol=1e-11, maxit=30):
     """Advance x by one implicit step; returns (x_new, iterations).
 
-    Returns (None, maxit) if Newton fails to converge (caller decides how to
-    subdivide the step).  When w[0] == 0 (d >= 2) the origin row is replaced
-    by the algebraic regularity closure p_1 = p_0.  Raises ValueError if the
-    Jacobian or the residual is not finite.
+    Returns (None, iterations) if Newton fails to converge or the damping
+    cannot keep 1 + x positive (caller decides how to subdivide the step).
+    When w[0] == 0 (d >= 2) the origin row is replaced by the algebraic
+    regularity closure p_1 = p_0.  Raises ValueError if the Jacobian or the
+    residual is not finite.
     """
     from scipy.linalg import solve_banded  # loaded at the first flow step
 
@@ -35,42 +39,82 @@ def newton_step(x_old, V, Vm1, w, g, h, m, dt, tol=1e-11, maxit=30):
     hV_r = 0.5 * V[1:]
     m1 = m - 1.0
     m2 = m - 2.0
-    # rows: upper, diagonal, lower; the unused corners stay zero
-    ab = np.zeros((3, n))
+    # work buffers: nodal (length n) and face (length n - 1)
+    lx, p, dp, xp1, v, scaled, trial = np.empty((7, n))
+    vbar, Dp, flux, face = np.empty((4, n - 1))
+    # the band (rows: upper, diagonal, lower; the unused corners stay zero)
+    # and the residual, negated in place into the right-hand side, share one
+    # buffer so that one finiteness test covers both
+    system = np.zeros((4, n))
+    ab, resid = system[:3], system[3]
+    upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
+    finite = np.empty((4, n), dtype=bool)
     for it in range(maxit):
-        lx = np.log1p(x)
-        p = Vm1 * np.expm1(m1 * lx) / m1
-        dp = Vm1 * np.exp(m2 * lx)
-        vl = V[:-1] * (1.0 + x[:-1])
-        vr = V[1:] * (1.0 + x[1:])
-        vbar = 0.5 * (vl + vr)
-        Dp = p[1:] - p[:-1]
-        dt_flux = dt * (g * vbar * Dp / h)
-        resid = wV * (x - x_old)
-        resid[:-1] -= dt_flux
-        resid[1:] += dt_flux
-        dt_dG_l = dt * (gh * (-vbar * dp[:-1] + hV_l * Dp))
-        dt_dG_r = dt * (gh * (vbar * dp[1:] + hV_r * Dp))
-        ab[1] = wV
-        ab[1, :-1] -= dt_dG_l
-        ab[1, 1:] += dt_dG_r
-        ab[0, 1:] = -dt_dG_r
-        ab[2, :-1] = dt_dG_l
+        # pressure p and its derivative dp = dp/dx
+        np.log1p(x, out=lx)
+        np.multiply(m1, lx, out=p)
+        np.expm1(p, out=p)
+        np.multiply(Vm1, p, out=p)
+        np.divide(p, m1, out=p)
+        np.multiply(m2, lx, out=dp)
+        np.exp(dp, out=dp)
+        np.multiply(Vm1, dp, out=dp)
+        # face mobility vbar = (v_i + v_(i+1))/2 with v = V (1 + x)
+        np.add(1.0, x, out=xp1)
+        np.multiply(V, xp1, out=v)
+        np.add(v[:-1], v[1:], out=vbar)
+        np.multiply(0.5, vbar, out=vbar)
+        np.subtract(p[1:], p[:-1], out=Dp)
+        # dt times the face flux g vbar Dp / h
+        np.multiply(g, vbar, out=flux)
+        np.multiply(flux, Dp, out=flux)
+        np.divide(flux, h, out=flux)
+        np.multiply(dt, flux, out=flux)
+        np.subtract(x, x_old, out=resid)
+        np.multiply(wV, resid, out=resid)
+        resid[:-1] -= flux
+        resid[1:] += flux
+        # dt times the flux derivatives: by x_i into the lower band
+        # (hV_l Dp - vbar dp_i equals -vbar dp_i + hV_l Dp exactly), by
+        # x_(i+1) into the upper band, negated once the diagonal has it
+        np.multiply(hV_l, Dp, out=lower)
+        np.multiply(vbar, dp[:-1], out=face)
+        np.subtract(lower, face, out=lower)
+        np.multiply(gh, lower, out=lower)
+        np.multiply(dt, lower, out=lower)
+        np.multiply(vbar, dp[1:], out=upper)
+        np.multiply(hV_r, Dp, out=face)
+        np.add(upper, face, out=upper)
+        np.multiply(gh, upper, out=upper)
+        np.multiply(dt, upper, out=upper)
+        np.subtract(wV[:-1], lower, out=diag[:-1])
+        diag[-1] = wV[-1]
+        diag[1:] += upper
+        np.negative(upper, out=upper)
         if closure:
             resid[0] = p[1] - p[0]
             ab[1, 0] = -dp[0]
             ab[0, 1] = dp[1]
-        rhs = -resid
-        if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        rhs = np.negative(resid, out=resid)
+        if not np.isfinite(system, out=finite).all():
             raise ValueError("array must not contain infs or NaNs")
         dx = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
                           check_finite=False)
+        # damping: halve lam until 1 + x + lam dx > 0 wherever it is not NaN
+        # (fmin skips NaN, as a test "any <= 0" does)
         lam = 1.0
-        while np.any(1.0 + x + lam * dx <= 0.0):
+        step = dx
+        while np.fmin.reduce(np.add(xp1, step, out=trial)) <= 0.0:
             lam *= 0.5
             if lam < 1e-18:
                 return None, it + 1
-        x = x + lam * dx
-        if np.max(np.abs(dx) / (1.0 + np.abs(x))) < tol:
+            step = np.multiply(lam, dx, out=scaled)
+        x += step
+        # convergence: max |dx| / (1 + |x|)
+        np.abs(x, out=trial)
+        np.add(1.0, trial, out=trial)
+        np.abs(dx, out=scaled)
+        np.divide(scaled, trial, out=scaled)
+        if scaled.max() < tol:
             return x, it + 1
     return None, maxit

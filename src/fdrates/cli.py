@@ -7,10 +7,10 @@ or JSON via --format json where noted.  Numbers are printed with 17
 significant digits so outputs round-trip exactly and runs with identical
 configuration and seed produce identical bytes.
 
---m and --alpha, and m and alpha in config files, are read as exact
-rationals (decimals such as 0.9, or fractions such as -7/2), so the closed
-forms evaluate them exactly; the comma-separated alpha sweep of hp-verify is
-read as floats.
+--m and --alpha (each item of the comma-separated alpha sweep of hp-verify
+too), and m and alpha in config files, are read as exact rationals (decimals
+such as 0.9, or fractions such as -7/2), so the closed forms evaluate them
+exactly.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
 
@@ -56,6 +56,11 @@ def _exact(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a finite decimal or fraction, got {text!r}") from None
+
+
+def _exact_list(text: str) -> list[Fraction]:
+    """A comma-separated sweep such as -1,-4,-6, each item read by _exact."""
+    return [_exact(item) for item in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +290,8 @@ def _cmd_spectrum(args):
 def _cmd_hp_verify(args):
     from . import numerics as num
 
-    alphas = [float(s) for s in args.alpha.split(",")]
     rows = []
-    for a in alphas:
+    for a in args.alpha:
         res = num.verify_constants(args.d, a, D=args.D, l_max=args.l_max,
                                    R_max=args.R, N=args.N,
                                    extrapolate=not args.no_extrapolate)
@@ -549,7 +553,7 @@ def _build_parser():
     sp = add("hp-verify", _cmd_hp_verify,
              "verify sharp constants by constrained eigensolve")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--alpha", type=str, required=True,
+    sp.add_argument("--alpha", type=_exact_list, required=True,
                     help="alpha value or comma-separated sweep")
     sp.add_argument("--D", type=float, default=1.0)
     sp.add_argument("--R", type=float, default=100.0)

@@ -172,6 +172,11 @@ def test_hp_verify_quick(capsys):
     min_rows = [l for l in capsys.readouterr().out.splitlines() if ",min," in l]
     assert [r.split(",")[0] for r in min_rows] == ["-1", "-4", "-6"]
     assert all(float(r.split(",")[-1]) < 0.03 for r in min_rows)
+    # each sweep item is exact: at alpha = -3/10 the closed form is 1/25
+    assert main(["hp-verify", "--d", "3", "--alpha=-1,-3/10", "--N", "64",
+                 "--l-max", "0", "--no-extrapolate"]) == 0
+    min_rows = [l for l in capsys.readouterr().out.splitlines() if ",min," in l]
+    assert [r.split(",")[6] for r in min_rows] == ["0.25", "0.040000000000000001"]
 
 
 def test_hp_verify_sweep_uses_thread_cap(capsys):
@@ -296,6 +301,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["evolve", "--config", str(tmp_path / "absent.cfg")]) == 1
     # 1: usage error (--d missing)
     assert main(["hp-verify", "--alpha=-4"]) == 1
+    # 1: a sweep item that is not a finite decimal or fraction
+    assert main(["hp-verify", "--d", "5", "--alpha=-1,nan"]) == 1
+    assert main(["hp-verify", "--d", "5", "--alpha=-1,abc"]) == 1
     # 1: a Gronwall t_end that is not a multiple of dt
     assert main(["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0",
                  "--t-end", "0.1234", "--dt", "0.01"]) == 1
