@@ -30,12 +30,8 @@ __all__ = [
     "FitResult",
     "GronwallParams",
     "SandwichReport",
-    "relative_entropy",
-    "fisher_information",
-    "h_statistics",
     "xy_functions",
     "h_star",
-    "check_sandwich_bounds",
     "fit_rate",
     "gronwall_bound",
     "calibrate_uniform_constant",
@@ -156,40 +152,6 @@ def sandwich_from_x(x: np.ndarray, grid: RadialGrid, p: Profile) -> SandwichRepo
         slack_entropy_upper=h ** (2.0 - m) * J - 2.0 * F,
         slack_fisher=(1.0 + X) * I + Y * J - grad,
     )
-
-
-# ---------------------------------------------------------------------------
-# public functionals on absolute fields
-
-
-def _to_x(v: RadialField, p: Profile):
-    V = (p.D + v.grid.nodes**2) ** float(p.exponents.alpha)
-    if np.any(v.values <= 0):
-        raise ValueError("field must be strictly positive")
-    return v.values / V - 1.0
-
-
-def relative_entropy(v: RadialField, p: Profile) -> float:
-    """Relative entropy F[v] >= 0, zero iff v = V_D on the grid."""
-    return entropy_from_x(_to_x(v, p), v.grid, p)
-
-
-def fisher_information(v: RadialField, p: Profile) -> float:
-    """Relative Fisher information I[v] >= 0, zero iff v = V_D on the grid."""
-    return fisher_from_x(_to_x(v, p), v.grid, p)
-
-
-def h_statistics(v: RadialField, p: Profile):
-    """(h1, h2, h) = (inf w, sup w, max(h2, 1/h1)) with w = v/V_D."""
-    x = _to_x(v, p)
-    h1 = float(1.0 + np.min(x))
-    h2 = float(1.0 + np.max(x))
-    return h1, h2, max(h2, 1.0 / h1)
-
-
-def check_sandwich_bounds(v: RadialField, p: Profile) -> SandwichReport:
-    """Evaluate the entropy and Fisher sandwich bounds at a state."""
-    return sandwich_from_x(_to_x(v, p), v.grid, p)
 
 
 def xy_functions(h: float, exponents: ExponentSet):

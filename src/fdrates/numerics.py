@@ -17,12 +17,15 @@ index: a lumped-mass tridiagonal eigensolve gives the shift and start vector,
 and consistent-mass inverse iteration with one factorization finishes them
 (with a dense oracle for cross-checking).  Truncated-domain eigenvalues are
 extrapolated to the infinite-domain limit, which together verify the
-closed-form sharp constants numerically.  The time-schedule check shared by
+closed-form sharp constants numerically; each truncated domain is gridded
+and assembled once, and every sector is formed from that one assembly by
+adding its centrifugal term.  The time-schedule check shared by
 the flows and the Gronwall integrator lives here too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -253,19 +256,39 @@ def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float, l: int,
     at R_max is natural (no-flux) and for l >= 1 the origin is Dirichlet.
     alpha may be exact (a Fraction); the weights are evaluated in floats.
     """
+    return _assemble_sectors(grid, alpha, D, (l,), ngauss)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(ngauss):
+    xg, wg = np.polynomial.legendre.leggauss(ngauss)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
+def _assemble_sectors(grid, alpha, D, ls, ngauss=4):
+    """SectorForms of every sector l in ls, in order, on one grid.
+
+    Everything but the centrifugal term l(l+d-2) f^2/r^2 is independent of
+    l: the quadrature points and weights, the P1 shape functions, the
+    gradient part of A and all of B are evaluated once and shared, and each
+    sector adds only its own term.  The sectors share the arrays of B.
+    """
     alpha = float(alpha)
     r = grid.nodes
     d = grid.d
     h = np.diff(r)
     if np.any(h <= 0):
         raise ValueError("grid has coincident nodes")
-    xg, wg = np.polynomial.legendre.leggauss(ngauss)
+    xg, wg = _gauss_legendre(ngauss)
     mid = (r[:-1] + r[1:]) / 2.0
     # shape (n_elem, ngauss): quadrature points and weights per element
     x = mid[:, None] + np.outer(h / 2.0, xg)
     w = np.outer(h / 2.0, wg)
-    wa = (D + x**2) ** alpha * x ** (d - 1)
-    wb = (D + x**2) ** (alpha - 1) * x ** (d - 1)
+    x2 = x**2
+    xd = x ** (d - 1)
+    wa = (D + x2) ** alpha * xd
+    wb = (D + x2) ** (alpha - 1) * xd
     p0 = (r[1:, None] - x) / h[:, None]
     p1 = (x - r[:-1, None]) / h[:, None]
 
@@ -279,23 +302,28 @@ def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float, l: int,
     a_diag[:-1] += k
     a_diag[1:] += k
     a_off -= k
-    if l > 0:
-        c = l * (l + d - 2)
-        q = c * wa / x**2
-        a_diag[:-1] += np.sum(q * p0 * p0 * w, axis=1)
-        a_diag[1:] += np.sum(q * p1 * p1 * w, axis=1)
-        a_off += np.sum(q * p0 * p1 * w, axis=1)
     b_diag[:-1] += np.sum(wb * p0 * p0 * w, axis=1)
     b_diag[1:] += np.sum(wb * p1 * p1 * w, axis=1)
     b_off += np.sum(wb * p0 * p1 * w, axis=1)
 
-    dirichlet = l >= 1
-    if dirichlet:
-        a_diag, a_off = a_diag[1:], a_off[1:]
-        b_diag, b_off = b_diag[1:], b_off[1:]
-    return SectorForms(grid=grid, alpha=alpha, D=float(D), l=int(l),
-                       a_diag=a_diag, a_off=a_off, b_diag=b_diag, b_off=b_off,
-                       dirichlet_origin=dirichlet)
+    out = []
+    for l in ls:
+        ad, ao = a_diag, a_off
+        if l > 0:
+            ad, ao = a_diag.copy(), a_off.copy()
+            c = l * (l + d - 2)
+            q = c * wa / x2
+            ad[:-1] += np.sum(q * p0 * p0 * w, axis=1)
+            ad[1:] += np.sum(q * p1 * p1 * w, axis=1)
+            ao += np.sum(q * p0 * p1 * w, axis=1)
+        bd, bo = b_diag, b_off
+        dirichlet = l >= 1
+        if dirichlet:
+            ad, ao, bd, bo = ad[1:], ao[1:], bd[1:], bo[1:]
+        out.append(SectorForms(grid=grid, alpha=alpha, D=float(D), l=int(l),
+                               a_diag=ad, a_off=ao, b_diag=bd, b_off=bo,
+                               dirichlet_origin=dirichlet))
+    return out
 
 
 def rayleigh_quotient(f: RadialField, forms: SectorForms) -> float:
@@ -434,27 +462,18 @@ def _quantization_fit(Ss, lams, npow):
     return mid
 
 
-def _sector_bottom_extrapolated(d, alpha, D, l, R_max, N, n_domains=5, span=3.0,
-                                spread_tol=5e-3):
-    scale = math.sqrt(D)
-    S_max = math.asinh(R_max / scale)
-    if S_max <= span:
-        span = 0.5 * S_max
-    Ss = np.linspace(S_max - span, S_max, n_domains)
-    lams = []
-    for S in Ss:
-        lam, _ = sector_bottom(d, alpha, D, l, float(scale * math.sinh(S)), N)
-        lams.append(lam)
+def _extrapolate(Ss, lams, spread_tol=5e-3):
+    """Infinite-domain limit of one sector's eigenvalues on domains of size Ss."""
     lams_arr = np.array(lams)
     spread = (lams_arr.max() - lams_arr.min()) / max(abs(lams_arr[-1]), 1e-30)
     if spread < spread_tol:
         # converged discrete eigenvalue; no extrapolation needed
-        return float(lams_arr[-1]), list(lams)
+        return float(lams_arr[-1])
     for npow in (2, 1, 0):
         est = _quantization_fit(Ss, lams_arr, npow)
         if est is not None:
-            return float(est), list(lams)
-    return float(lams_arr[-1]), list(lams)
+            return float(est)
+    return float(lams_arr[-1])
 
 
 @dataclass(frozen=True)
@@ -488,22 +507,34 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
     Computes the constrained bottom eigenvalue of every sector l <= l_max
     (with the mean-zero constraint in l = 0), extrapolates each sector to the
     infinite-domain limit, and compares the minimum over sectors with the
-    closed-form piecewise constant.
+    closed-form piecewise constant.  Each truncated domain (five of them when
+    extrapolating, R_max alone otherwise) is gridded and assembled once, and
+    all sectors are formed from that one assembly.
     """
     closed = float(sharp_rate(d, alpha))
+    scale = math.sqrt(D)
+    if extrapolate:
+        # five domains evenly spaced in the stretched size S = asinh(R/scale)
+        S_max = math.asinh(R_max / scale)
+        span = 3.0 if S_max > 3.0 else 0.5 * S_max
+        Ss = np.linspace(S_max - span, S_max, 5)
+        radii = [float(scale * math.sinh(S)) for S in Ss]
+    else:
+        radii = [R_max]
+    ls = range(l_max + 1)
+    lams = [[] for _ in ls]
+    for R in radii:
+        grid = build_grid(R, N, d, grading="sinh", scale=scale)
+        for forms in _assemble_sectors(grid, alpha, D, ls):
+            lams[forms.l].append(bottom_eigenvalue(forms)[0])
     sectors = []
-    for l in range(l_max + 1):
-        if extrapolate:
-            lam, doms = _sector_bottom_extrapolated(d, alpha, D, l, R_max, N)
-        else:
-            lam, _ = sector_bottom(d, alpha, D, l, R_max, N)
-            doms = [lam]
+    for l in ls:
+        lam = _extrapolate(Ss, lams[l]) if extrapolate else lams[l][0]
         sectors.append(SectorVerification(l=l, lambda_numeric=lam,
-                                          lambda_domains=tuple(doms),
+                                          lambda_domains=tuple(lams[l]),
                                           constrained=(l == 0)))
     minimum = min(s.lambda_numeric for s in sectors)
     rel = abs(minimum - closed) / abs(closed)
     return VerificationResult(d=d, alpha=float(alpha), D=float(D), R_max=float(R_max),
                               N=int(N), sectors=tuple(sectors), minimum=minimum,
                               closed_form=closed, rel_err=rel)
-

@@ -179,7 +179,7 @@ def test_hp_verify_quick(capsys):
     assert [r.split(",")[6] for r in min_rows] == ["0.25", "0.040000000000000001"]
 
 
-def test_hp_verify_sweep_uses_thread_cap(capsys):
+def test_hp_verify_sweep_prints_one_min_row_per_alpha(capsys):
     assert main(["hp-verify", "--d", "5", "--alpha=-6,-8", "--R", "50",
                  "--N", "200", "--l-max", "1", "--no-extrapolate"]) == 0
     out = capsys.readouterr().out

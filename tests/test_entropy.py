@@ -7,11 +7,9 @@ import pytest
 
 import fdrates.numerics as N
 from fdrates.entropy import (GronwallParams, calibrate_uniform_constant,
-                             check_sandwich_bounds, entropy_from_x,
-                             fisher_from_x, fisher_information, fit_rate,
-                             gronwall_bound, h_star, h_statistics,
-                             relative_entropy, variational_quotient,
-                             xy_functions, EntropyTrace)
+                             entropy_from_x, fisher_from_x, fit_rate,
+                             gronwall_bound, h_star, sandwich_from_x,
+                             variational_quotient, xy_functions, EntropyTrace)
 from fdrates.exponents import derive_exponents
 from fdrates.profiles import Profile
 
@@ -26,10 +24,11 @@ def _grid():
 
 def test_entropy_zero_at_profile():
     g = _grid()
-    v = N.RadialField(grid=g, values=P1(g.nodes))
-    assert relative_entropy(v, P1) == 0.0
-    assert fisher_information(v, P1) == 0.0
-    assert h_statistics(v, P1) == (1.0, 1.0, 1.0)
+    x = P1(g.nodes) / (P1.D + g.nodes**2) ** float(E59.alpha) - 1.0
+    assert entropy_from_x(x, g, P1) == 0.0
+    assert fisher_from_x(x, g, P1) == 0.0
+    rep = sandwich_from_x(x, g, P1)
+    assert (rep.h1, rep.h2, rep.h) == (1.0, 1.0, 1.0)
 
 
 def test_entropy_positive_and_quadratic():
@@ -73,13 +72,6 @@ def test_entropy_m0_limit():
     assert mid == pytest.approx(lo, rel=1e-3) and mid == pytest.approx(hi, rel=1e-3)
 
 
-def test_positivity_required():
-    g = _grid()
-    v = N.RadialField(grid=g, values=P1(g.nodes) - 2 * P1(g.nodes[-1]))
-    with pytest.raises(ValueError):
-        relative_entropy(v, P1)
-
-
 def test_xy_functions_and_h_star():
     assert xy_functions(1.0, E59) == (0.0, 0.0)
     X, Y = xy_functions(1.5, E59)
@@ -99,8 +91,7 @@ def test_sandwich_bounds_hold_and_tighten():
     slacks = []
     for eps in (0.2, 0.02):
         x = eps * np.exp(-g.nodes**2)
-        v = N.RadialField(grid=g, values=P1(g.nodes) * (1.0 + x))
-        rep = check_sandwich_bounds(v, P1)
+        rep = sandwich_from_x(x, g, P1)
         assert rep.all_nonnegative
         assert rep.h2 == pytest.approx(1.0 + eps, rel=1e-12)
         assert rep.h == rep.h2

@@ -99,6 +99,81 @@ def test_forms_and_verification_take_exact_alpha():
                                              l_max=1).minimum
 
 
+def _reference_forms(grid, alpha, D, l, ngauss=4):
+    """The single-sector assembly, with every quadrature array evaluated anew
+    for each sector; returns (a_diag, a_off, b_diag, b_off)."""
+    alpha = float(alpha)
+    r = grid.nodes
+    d = grid.d
+    h = np.diff(r)
+    xg, wg = np.polynomial.legendre.leggauss(ngauss)
+    mid = (r[:-1] + r[1:]) / 2.0
+    x = mid[:, None] + np.outer(h / 2.0, xg)
+    w = np.outer(h / 2.0, wg)
+    wa = (D + x**2) ** alpha * x ** (d - 1)
+    wb = (D + x**2) ** (alpha - 1) * x ** (d - 1)
+    p0 = (r[1:, None] - x) / h[:, None]
+    p1 = (x - r[:-1, None]) / h[:, None]
+
+    n = len(r)
+    a_diag = np.zeros(n)
+    a_off = np.zeros(n - 1)
+    b_diag = np.zeros(n)
+    b_off = np.zeros(n - 1)
+
+    k = np.sum(wa * w, axis=1) / h**2
+    a_diag[:-1] += k
+    a_diag[1:] += k
+    a_off -= k
+    if l > 0:
+        c = l * (l + d - 2)
+        q = c * wa / x**2
+        a_diag[:-1] += np.sum(q * p0 * p0 * w, axis=1)
+        a_diag[1:] += np.sum(q * p1 * p1 * w, axis=1)
+        a_off += np.sum(q * p0 * p1 * w, axis=1)
+    b_diag[:-1] += np.sum(wb * p0 * p0 * w, axis=1)
+    b_diag[1:] += np.sum(wb * p1 * p1 * w, axis=1)
+    b_off += np.sum(wb * p0 * p1 * w, axis=1)
+
+    if l >= 1:
+        return a_diag[1:], a_off[1:], b_diag[1:], b_off[1:]
+    return a_diag, a_off, b_diag, b_off
+
+
+def test_forms_match_reference():
+    # the shared multi-sector assembly is bit-identical to assembling each
+    # sector on its own
+    for d in (2, 3, 5):
+        for alpha in (-4.0, Fraction(-3, 10)):
+            for D in (1.0, 2.3):
+                g = N.build_grid(40.0, 120, d, scale=math.sqrt(D))
+                for l in range(4):
+                    forms = N.assemble_sector_forms(g, alpha, D, l)
+                    want = _reference_forms(g, alpha, D, l)
+                    got = (forms.a_diag, forms.a_off, forms.b_diag, forms.b_off)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b)
+                    assert forms.dirichlet_origin == (l >= 1)
+
+
+def test_verify_constants_domains_match_sector_bottom():
+    # every sector of the domain-first sweep equals the single-sector solve
+    # at the same radius, exactly
+    d, alpha, D, R_max, N_ = 3, -2.0, 2.3, 80.0, 200
+    res = N.verify_constants(d, alpha, D=D, R_max=R_max, N=N_)
+    scale = math.sqrt(D)
+    S_max = math.asinh(R_max / scale)
+    radii = [float(scale * math.sinh(S))
+             for S in np.linspace(S_max - 3.0, S_max, 5)]
+    for s in res.sectors:
+        assert s.lambda_domains == tuple(N.sector_bottom(d, alpha, D, s.l, R, N_)[0]
+                                         for R in radii)
+    raw = N.verify_constants(d, alpha, D=D, R_max=R_max, N=N_, extrapolate=False)
+    for s in raw.sectors:
+        lam = N.sector_bottom(d, alpha, D, s.l, R_max, N_)[0]
+        assert s.lambda_domains == (lam,) and s.lambda_numeric == lam
+
+
 def test_forms_mass_positive_definite():
     g = N.build_grid(30.0, 150, 5)
     for l in (0, 1, 2):
