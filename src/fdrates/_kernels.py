@@ -1,5 +1,5 @@
-"""Pure-numpy implicit flow step: one backward-Euler step of the radial
-flux-form equation
+"""The implicit flow step, one pure-numpy Newton kernel: one backward-Euler
+step of the radial flux-form equation
 
     w_i V_i dx_i/dt = net flux of  G_(i+1/2) = g v_bar (p_(i+1)-p_i)/h
 
@@ -15,6 +15,8 @@ sum is reassociated, so the buffering changes no bit of the result.
 """
 
 import numpy as np
+
+__all__ = ["newton_step", "BACKEND"]
 
 BACKEND = "pure"
 

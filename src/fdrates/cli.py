@@ -383,9 +383,11 @@ def _cmd_evolve_linear(args):
     grid = _config_grid(cfg, e.d)
     l = cfg["sector.l"]
     if cfg["data.kind"] == "mode":
-        mode = spec.discrete_mode(e.d, e.alpha, cfg["data.mode_l"], cfg["data.mode_k"])
+        if cfg["data.mode_l"] != l:
+            raise ConfigError(f"data.mode_l = {cfg['data.mode_l']} differs from "
+                              f"sector.l = {l}; the mode must lie in the sector run")
+        mode = spec.discrete_mode(e.d, e.alpha, l, cfg["data.mode_k"])
         f0 = spec.mode_field(mode, grid).values
-        l = cfg["data.mode_l"]
     else:
         r = grid.nodes
         f0 = r**l * np.exp(-(r**2))
@@ -429,7 +431,7 @@ def _cmd_gronwall(args):
     comments = ["# fdrates gronwall", f"# d={args.d}", f"# m={_fmt(args.m)}",
                 f"# Lambda={_fmt(Lambda)}", f"# C={_fmt(args.C)}",
                 f"# F0={_fmt(args.F0)}", f"# h0={_fmt(h0)}",
-                f"# h_star={_fmt(params.h_star)}",
+                f"# h_star={_fmt(ent.h_star(e, Lambda))}",
                 f"# e_unif={_fmt(params.e_unif)}", f"# dt={_fmt(args.dt)}"]
     _csv(comments, ["t", "G"], zip(t, G), args.output)
     return 0
@@ -454,22 +456,17 @@ def _quotient_test_function(name, grid, alpha):
 
 
 def _cmd_quotient(args):
-    import numpy as np
-
     from . import entropy as ent
     from . import numerics as num
     from . import profiles as prof
 
     e = exp_mod.derive_exponents(args.d, args.m)
-    alpha = float(e.alpha)
     grid = num.build_grid(args.R, args.N, args.d, scale=math.sqrt(args.D))
     p = prof.Profile(exponents=e, D=args.D)
     f = _quotient_test_function(args.f, grid, e.alpha)
-    forms = num.assemble_sector_forms(grid, alpha, args.D, f.l)
+    forms = num.assemble_sector_forms(grid, e.alpha, args.D, f.l)
     # Rayleigh quotient of the mean-zero projection of f
-    w2 = args.D + grid.nodes**2
-    mu = num.cell_volumes(grid) * w2 ** (alpha - 1.0)
-    proj = f.values - np.sum(mu * f.values) / np.sum(mu)
+    proj = ent._mean_zero(f, p)
     rq = num.rayleigh_quotient(num.RadialField(grid=grid, values=proj, l=f.l), forms)
     rows = []
     for n in (int(s) for s in args.n.split(",")):

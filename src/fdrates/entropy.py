@@ -1,9 +1,9 @@
 """Entropy-method functionals and estimates.
 
-Relative entropy F, relative Fisher information I, the relative bounds
-h1/h2/h, the X/Y comparison functions with their root h_star, the
-linear-nonlinear sandwich bounds, exponential/algebraic rate fitting, the
-Gronwall comparison ODE, and the variational sharpness quotient.
+Relative entropy F, relative Fisher information I, the truncated mass
+defect, the relative bounds h1/h2/h, the X/Y comparison functions with their
+root h_star, the linear-nonlinear sandwich bounds, exponential/algebraic rate
+fitting, the Gronwall comparison ODE, and the variational sharpness quotient.
 
 All functionals are evaluated in the relative variable x = v/V_D - 1; the
 identity V_D^(m-1) = D + r^2 (exact, since alpha(m-1) = 1) makes every weight
@@ -271,10 +271,6 @@ class GronwallParams:
         m, d = float(self.exponents.m), self.exponents.d
         return (1.0 - m) / (d + 2.0 - (d + 1.0) * m)
 
-    @property
-    def h_star(self) -> float:
-        return h_star(self.exponents, self.Lambda)
-
 
 def calibrate_uniform_constant(trace: EntropyTrace,
                                exponents: ExponentSet) -> float:
@@ -298,7 +294,7 @@ def gronwall_bound(F0: float, h0: float, params: GronwallParams,
     """
     if F0 < 0:
         raise ValueError("F0 must be nonnegative")
-    hs = params.h_star
+    hs = h_star(params.exponents, params.Lambda)
     if not h0 < hs:
         raise ValueError(f"h0 = {h0} must be below h_star = {hs}")
     _, _, n = _schedule(0.0, t_end, dt, dt)
@@ -331,6 +327,13 @@ def gronwall_bound(F0: float, h0: float, params: GronwallParams,
 # variational sharpness quotient
 
 
+def _mean_zero(f: RadialField, p: Profile) -> np.ndarray:
+    """Values of f minus its mean in dmu_(alpha-1) = (D+|x|^2)^(alpha-1) dx."""
+    w2 = p.D + f.grid.nodes**2
+    mu = cell_volumes(f.grid) * w2 ** (float(p.exponents.alpha) - 1.0)
+    return f.values - np.sum(mu * f.values) / np.sum(mu)
+
+
 def variational_quotient(f: RadialField, n: int, p: Profile) -> float:
     """Fisher/entropy ratio of the perturbed profile v_n = V_D (1 + f V^(1-m)/n).
 
@@ -341,14 +344,9 @@ def variational_quotient(f: RadialField, n: int, p: Profile) -> float:
     if n < 1:
         raise ValueError("n must be a positive integer")
     grid = f.grid
-    exps = p.exponents
-    alpha = float(exps.alpha)
-    w2 = p.D + grid.nodes**2
-    w = cell_volumes(grid)
-    mu = w * w2 ** (alpha - 1.0)
-    vals = f.values - np.sum(mu * f.values) / np.sum(mu)
+    vals = _mean_zero(f, p)
     # V^(1-m) = (D+r^2)^(alpha(1-m)) = 1/(D+r^2)
-    x = vals / (n * w2)
+    x = vals / (n * (p.D + grid.nodes**2))
     if np.any(1.0 + x <= 0):
         raise ValueError(f"perturbation not positive at n = {n}; increase n")
     F = entropy_from_x(x, grid, p)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class NonlinearState:
 
 @dataclass
 class LinearState:
-    """State of a linear sector run: nodal values of f in sector l.  alpha may
-    be exact (a Fraction); the trace's exponents are then exact too."""
+    """State of a linear sector run: nodal values of f in sector l.  alpha and
+    D may be exact (Fractions); the trace's exponents are then exact too."""
 
     grid: RadialGrid
     alpha: float
@@ -170,13 +170,11 @@ def _advance(x, V, Vm1, w, g, h, m, dt, depth=0):
 
 def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
                      cadence: Optional[float] = None,
-                     observer: Optional[Callable] = None,
                      track_sandwich: bool = False) -> EntropyTrace:
     """Advance the state to t_end, recording the entropy trace.
 
     Rows (t, F, I, h1, h2, mass defect) are recorded every `cadence` time
-    units (default: ~200 rows), cadence being an integer multiple of dt.  The
-    observer, when given, receives (t, state) at each recorded row.  With
+    units (default: ~200 rows), cadence being an integer multiple of dt.  With
     track_sandwich=True a SandwichReport is attached per row.  The state is
     advanced in place and also reflected in state.t.
     """
@@ -204,8 +202,6 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
         rows.append((state.t, F, I, h1, h2, md))
         if track_sandwich:
             sandwiches.append(sandwich_from_x(state.x, grid, p))
-        if observer is not None:
-            observer(state.t, state)
 
     record()
     t0 = state.t

@@ -1,4 +1,4 @@
-"""Radial grids, weighted quadrature, and discretized quadratic forms.
+"""Radial grids, quadrature weights, and discretized quadratic forms.
 
 The weighted Hardy-Poincare inequality
 
@@ -42,7 +42,6 @@ __all__ = [
     "sphere_area",
     "cell_volumes",
     "face_geometry",
-    "weighted_integral",
     "assemble_sector_forms",
     "bottom_eigenvalue",
     "rayleigh_quotient",
@@ -61,17 +60,11 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Nodes 0 = r_0 < ... < r_N = R_max with a grading descriptor.
-
-    The default grading is uniform in the stretched coordinate s with
-    r = scale*sinh(s): nodes cluster near the origin and stretch toward
-    R_max, and doubling N nests the grid.
-    """
+    """Nodes 0 = r_0 < ... < r_N = R_max of a radial grid in R^d (see
+    build_grid)."""
 
     nodes: np.ndarray
     d: int
-    grading: str = "sinh"
-    scale: float = 1.0
 
     def __post_init__(self):
         r = self.nodes
@@ -104,8 +97,10 @@ def build_grid(R_max: float, N: int, d: int, grading: str = "sinh",
                scale: float = 1.0) -> RadialGrid:
     """Build a radial grid on [0, R_max] with N cells.
 
-    grading "sinh" places nodes at r = scale*sinh(s) with s uniform (default);
-    "uniform" places them at r = i*R_max/N.
+    grading "sinh" (the default) places nodes at r = scale*sinh(s) with s
+    uniform in the stretched coordinate: nodes cluster near the origin and
+    stretch toward R_max, and doubling N nests the grid.  "uniform" places
+    them at r = i*R_max/N.
     """
     if not R_max > 0:
         raise ValueError(f"R_max must be positive, got {R_max}")
@@ -121,7 +116,7 @@ def build_grid(R_max: float, N: int, d: int, grading: str = "sinh",
         r[-1] = R_max
     else:
         raise ValueError(f"unknown grading {grading!r}")
-    return RadialGrid(nodes=r, d=int(d), grading=grading, scale=scale)
+    return RadialGrid(nodes=r, d=int(d))
 
 
 def sphere_area(d: int) -> float:
@@ -149,14 +144,6 @@ def face_geometry(grid: RadialGrid):
     r = grid.nodes
     mid = (r[:-1] + r[1:]) / 2.0
     return mid ** (grid.d - 1), np.diff(r)
-
-
-def weighted_integral(f: RadialField, weight_power: float, D: float) -> float:
-    """Trapezoidal approximation of |S^(d-1)| int f(r) (D+r^2)^power r^(d-1) dr."""
-    grid = f.grid
-    w = cell_volumes(grid)
-    phi = f.values * (D + grid.nodes**2) ** weight_power
-    return sphere_area(grid.d) * float(np.sum(w * phi))
 
 
 def _schedule(t0, t_end, dt, cadence):
@@ -247,26 +234,26 @@ def _tridiag_apply(diag, off, x):
     return y
 
 
-def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float, l: int,
-                          ngauss: int = 4) -> SectorForms:
+def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float,
+                          l: int) -> SectorForms:
     """Assemble the P1 stiffness/mass pair for sector l on the given grid.
 
-    Element integrals use ngauss-point Gauss-Legendre quadrature of the exact
+    Element integrals use 4-point Gauss-Legendre quadrature of the exact
     weights (D+r^2)^alpha r^(d-1) and (D+r^2)^(alpha-1) r^(d-1); the boundary
     at R_max is natural (no-flux) and for l >= 1 the origin is Dirichlet.
-    alpha may be exact (a Fraction); the weights are evaluated in floats.
+    alpha and D may be exact (Fractions); the weights are evaluated in floats.
     """
-    return _assemble_sectors(grid, alpha, D, (l,), ngauss)[0]
+    return _assemble_sectors(grid, alpha, D, (l,))[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(ngauss):
-    xg, wg = np.polynomial.legendre.leggauss(ngauss)
+@functools.cache
+def _gauss_legendre():
+    xg, wg = np.polynomial.legendre.leggauss(4)
     xg.flags.writeable = wg.flags.writeable = False
     return xg, wg
 
 
-def _assemble_sectors(grid, alpha, D, ls, ngauss=4):
+def _assemble_sectors(grid, alpha, D, ls):
     """SectorForms of every sector l in ls, in order, on one grid.
 
     Everything but the centrifugal term l(l+d-2) f^2/r^2 is independent of
@@ -275,14 +262,15 @@ def _assemble_sectors(grid, alpha, D, ls, ngauss=4):
     sector adds only its own term.  The sectors share the arrays of B.
     """
     alpha = float(alpha)
+    D = float(D)
     r = grid.nodes
     d = grid.d
     h = np.diff(r)
     if np.any(h <= 0):
         raise ValueError("grid has coincident nodes")
-    xg, wg = _gauss_legendre(ngauss)
+    xg, wg = _gauss_legendre()
     mid = (r[:-1] + r[1:]) / 2.0
-    # shape (n_elem, ngauss): quadrature points and weights per element
+    # shape (n_elem, 4): quadrature points and weights per element
     x = mid[:, None] + np.outer(h / 2.0, xg)
     w = np.outer(h / 2.0, wg)
     x2 = x**2
@@ -320,7 +308,7 @@ def _assemble_sectors(grid, alpha, D, ls, ngauss=4):
         dirichlet = l >= 1
         if dirichlet:
             ad, ao, bd, bo = ad[1:], ao[1:], bd[1:], bo[1:]
-        out.append(SectorForms(grid=grid, alpha=alpha, D=float(D), l=int(l),
+        out.append(SectorForms(grid=grid, alpha=alpha, D=D, l=int(l),
                                a_diag=ad, a_off=ao, b_diag=bd, b_off=bo,
                                dirichlet_origin=dirichlet))
     return out
@@ -462,11 +450,11 @@ def _quantization_fit(Ss, lams, npow):
     return mid
 
 
-def _extrapolate(Ss, lams, spread_tol=5e-3):
+def _extrapolate(Ss, lams):
     """Infinite-domain limit of one sector's eigenvalues on domains of size Ss."""
     lams_arr = np.array(lams)
     spread = (lams_arr.max() - lams_arr.min()) / max(abs(lams_arr[-1]), 1e-30)
-    if spread < spread_tol:
+    if spread < 5e-3:
         # converged discrete eigenvalue; no extrapolation needed
         return float(lams_arr[-1])
     for npow in (2, 1, 0):
@@ -509,7 +497,8 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
     infinite-domain limit, and compares the minimum over sectors with the
     closed-form piecewise constant.  Each truncated domain (five of them when
     extrapolating, R_max alone otherwise) is gridded and assembled once, and
-    all sectors are formed from that one assembly.
+    all sectors are formed from that one assembly.  alpha and D may be exact
+    (Fractions); the closed form takes alpha exactly, the forms in floats.
     """
     closed = float(sharp_rate(d, alpha))
     scale = math.sqrt(D)

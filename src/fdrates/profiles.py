@@ -4,8 +4,9 @@ The stationary profiles of the rescaled flow are V_D(x) = (D+|x|^2)^(1/(m-1)),
 D > 0.  In original variables the Barenblatt solutions are obtained from V_D
 by the time-dependent rescaling r(tau) = R(tau) whose form depends on the
 regime (global growth for m > m_c, finite-time extinction for m < m_c,
-exponential for m = m_c).  This module also provides the truncated mass
-defect int (v - V_D) dx and the bisection that matches D to initial data.
+exponential for m = m_c).  solve_D matches D to initial data by bisection
+on the truncated mass defect int (v - V_D) dx, evaluated inline; the public
+mass defect of a state is entropy.mass_defect_from_x.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from .numerics import RadialField, cell_volumes, sphere_area
 
 __all__ = [
     "Profile",
-    "WeightedMeasure",
     "RescalingMap",
     "ExtinctionError",
     "BisectionError",
-    "MassDefect",
     "eval_profile",
     "eval_barenblatt",
     "to_selfsimilar",
     "from_selfsimilar",
-    "mass_defect",
     "solve_D",
 ]
 
@@ -67,28 +65,6 @@ def eval_profile(p: Profile, r):
     r = np.asarray(r, dtype=float)
     out = (p.D + r**2) ** float(p.exponents.alpha)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class WeightedMeasure:
-    """Measure (D+|x|^2)^power dx on R^d; power = alpha-1 and alpha are the
-    two weights of the Hardy-Poincare inequality.  Integrals against it are
-    numerics.weighted_integral(f, power, D)."""
-
-    exponents: ExponentSet
-    power: float
-    D: float = 1.0
-
-    def weight(self, r):
-        r = np.asarray(r, dtype=float)
-        out = (self.D + r**2) ** float(self.power)
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def is_finite(self) -> bool:
-        """Total mass finite iff 2*power + d < 0; for power = alpha-1 this is
-        exactly alpha < alpha_star, the condition for the mean-zero constraint."""
-        return 2.0 * float(self.power) + self.exponents.d < 0
 
 
 @dataclass(frozen=True)
@@ -179,42 +155,6 @@ def from_selfsimilar(map: RescalingMap, t: float, x, v_value: float):
     return tau, y, u
 
 
-@dataclass(frozen=True)
-class MassDefect:
-    """Truncated mass defect with an estimated truncation-tail bound."""
-
-    value: float
-    tail_bound: float
-
-    def __float__(self):
-        return self.value
-
-
-def mass_defect(v: RadialField, p: Profile) -> MassDefect:
-    """int over the ball of radius R_max of (v - V_D) dx, by trapezoidal
-    quadrature, with a tail bound estimated from the last-cell decay rate.
-
-    The difference v - V_D is integrated directly (never each term alone),
-    which stays meaningful for m < m_c where V_D itself is not integrable.
-    """
-    grid = v.grid
-    r = grid.nodes
-    diff = v.values - eval_profile(p, r)
-    w = cell_volumes(grid)
-    sd = sphere_area(grid.d)
-    value = sd * float(np.sum(w * diff))
-
-    phi = np.abs(diff) * r ** (grid.d - 1)
-    tail = math.inf
-    if phi[-1] == 0.0:
-        tail = 0.0
-    elif phi[-2] > phi[-1] > 0.0 and r[-2] > 0.0:
-        q = math.log(phi[-2] / phi[-1]) / math.log(r[-1] / r[-2])
-        if q > 1.0:
-            tail = sd * phi[-1] * r[-1] / (q - 1.0)
-    return MassDefect(value=value, tail_bound=tail)
-
-
 def solve_D(v0: RadialField, exponents: ExponentSet, D0: float, D1: float,
             tol: float = 1e-10, maxit: int = 200) -> float:
     """Unique D in [D1, D0] with zero truncated mass defect, by bisection.
@@ -227,9 +167,15 @@ def solve_D(v0: RadialField, exponents: ExponentSet, D0: float, D1: float,
     """
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
+    alpha = float(exponents.alpha)
+    w = cell_volumes(v0.grid)
+    sd = sphere_area(v0.grid.d)
+    r2 = v0.grid.nodes**2
 
     def g(D):
-        return mass_defect(v0, Profile(exponents=exponents, D=D)).value
+        # the difference v - V_D is integrated, never each term alone, which
+        # stays meaningful for m < m_c where V_D itself is not integrable
+        return sd * float(np.sum(w * (v0.values - (D + r2) ** alpha)))
 
     lo, hi = D1, D0
     glo, ghi = g(lo), g(hi)

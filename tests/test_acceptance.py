@@ -213,10 +213,11 @@ def test_acceptance_gronwall_bound(eigen_run):
     idx = np.rint(tr.t / 1e-3).astype(int)
     assert np.allclose(tg[idx], tr.t, atol=1e-12)
     dominates = bool(np.all(Gg[idx] >= tr.entropy * (1.0 - 1e-9)))
-    ok = err <= 1e-8 and h0 < params.h_star and dominates
+    hs = ENT.h_star(E59, params.Lambda)
+    ok = err <= 1e-8 and h0 < hs and dominates
     _verdict(ok, "Gronwall comparison bound",
              f"C=0 RK4 vs closed form: {err:.2e} <= 1e-8; calibrated C = {C:.4f}, "
-             f"h0 = {h0:.4f} < h_star = {params.h_star:.4f}; "
+             f"h0 = {h0:.4f} < h_star = {hs:.4f}; "
              f"bound dominates the measured entropy: {dominates}")
 
 

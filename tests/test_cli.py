@@ -320,3 +320,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["spectrum", "--d", "5", "--alpha", "-10"]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "disagrees with the closed form" in err
+    # 1: evolve-linear mode data outside the configured sector
+    lin = tmp_path / "lin.cfg"
+    lin.write_text("d = 5\nalpha = -10\nsector.l = 2\ndata.kind = mode\n"
+                   "data.mode_l = 0\ngrid.N = 200\ntime.t_end = 0.01\n")
+    assert main(["evolve-linear", "--config", str(lin)]) == 1
+    assert "data.mode_l = 0 differs from sector.l = 2" in capsys.readouterr().err

@@ -80,14 +80,11 @@ def test_sandwich_preserved_along_flow():
     assert tr.h2[-1] - tr.h1[-1] < tr.h2[0] - tr.h1[0]
 
 
-def test_trace_shape_and_observer():
+def test_trace_shape():
     g = _grid()
     st = FL.make_initial_data(g, E59, "eigen", D=1.0, D0=2.0, D1=0.5)
-    seen = []
-    tr = FL.evolve_nonlinear(st, 0.05, 1e-3, cadence=0.01,
-                             observer=lambda t, s: seen.append(t))
+    tr = FL.evolve_nonlinear(st, 0.05, 1e-3, cadence=0.01)
     assert len(tr.t) == 6  # includes t = 0
-    assert seen == pytest.approx(list(tr.t))
     assert tr.D == st.profile.D and tr.exponents is E59
 
 
@@ -135,7 +132,8 @@ def test_linear_sector_eigenmode_rate():
 
 
 def test_linear_sector_exact_alpha():
-    # a Fraction alpha runs the same float flow and reports exact exponents
+    # a Fraction alpha or D runs the same float flow; alpha's exponents stay
+    # exact
     g = _grid()
     f0 = g.nodes * np.exp(-g.nodes**2)
     exact, flt = (FL.evolve_linear_sector(FL.LinearState(grid=g, alpha=a, D=1.0, l=1,
@@ -144,6 +142,12 @@ def test_linear_sector_exact_alpha():
     assert exact.exponents.alpha == -10 and exact.exponents.m == Fraction(9, 10)
     assert np.array_equal(exact.entropy, flt.entropy)
     assert np.array_equal(exact.fisher, flt.fisher)
+    exact_D, flt_D = (FL.evolve_linear_sector(FL.LinearState(grid=g, alpha=-10.0, D=D,
+                                                             l=1, f=f0.copy()),
+                                              0.01, 1e-3)
+                      for D in (Fraction(2), 2.0))
+    assert np.array_equal(exact_D.entropy, flt_D.entropy)
+    assert np.array_equal(exact_D.fisher, flt_D.fisher)
 
 
 def test_newton_failure_raises_flow_error(monkeypatch):

@@ -11,10 +11,6 @@ from hypothesis import strategies as st
 import fdrates.numerics as N
 
 
-def _ones_field(grid):
-    return N.RadialField(grid=grid, values=np.ones(grid.N + 1))
-
-
 def test_build_grid_basics():
     g = N.build_grid(10.0, 64, 3, grading="uniform")
     assert g.N == 64
@@ -57,13 +53,15 @@ def test_cell_volumes_total():
             assert N.cell_volumes(g)[0] == 0.0
 
 
-def test_weighted_integral_oracle_and_order():
+def test_weighted_quadrature_oracle_and_order():
     # |S^2| int_0^inf (1+r^2)^-3 r^2 dr = pi^2/4
     exact = math.pi**2 / 4.0
     errs = []
     for n in (250, 500, 1000):
         g = N.build_grid(200.0, n, 3)
-        errs.append(abs(N.weighted_integral(_ones_field(g), -3.0, 1.0) - exact))
+        approx = N.sphere_area(3) * float(np.sum(N.cell_volumes(g)
+                                                 * (1.0 + g.nodes**2) ** -3.0))
+        errs.append(abs(approx - exact))
     assert errs[-1] < 1e-4 * exact
     # trapezoid rule: error drops ~4x per refinement
     assert 3.0 < errs[0] / errs[1] < 5.0
@@ -87,26 +85,31 @@ def test_forms_constant_in_kernel():
 
 
 def test_forms_and_verification_take_exact_alpha():
-    # a Fraction alpha is evaluated in floats: the same forms, the same answer
+    # a Fraction alpha or D is evaluated in floats: the same forms, the same
+    # answer
     g = N.build_grid(30.0, 200, 5)
-    exact = N.assemble_sector_forms(g, Fraction(-10), 1.0, 1)
-    flt = N.assemble_sector_forms(g, -10.0, 1.0, 1)
-    for name in ("a_diag", "a_off", "b_diag", "b_off"):
-        assert np.array_equal(getattr(exact, name), getattr(flt, name))
-    res = N.verify_constants(5, Fraction(-4), R_max=60.0, N=400, l_max=1)
-    assert res.closed_form == 6.0
-    assert res.minimum == N.verify_constants(5, -4.0, R_max=60.0, N=400,
-                                             l_max=1).minimum
+    for alpha, D in ((Fraction(-10), 1.0), (-10.0, Fraction(23, 10)),
+                     (Fraction(-10), Fraction(23, 10))):
+        exact = N.assemble_sector_forms(g, alpha, D, 1)
+        flt = N.assemble_sector_forms(g, float(alpha), float(D), 1)
+        for name in ("a_diag", "a_off", "b_diag", "b_off"):
+            assert np.array_equal(getattr(exact, name), getattr(flt, name))
+        assert exact.D == float(D)
+    for D in (1.0, Fraction(23, 10)):
+        res = N.verify_constants(5, Fraction(-4), D=D, R_max=60.0, N=400, l_max=1)
+        assert res.closed_form == 6.0
+        assert res.minimum == N.verify_constants(5, -4.0, D=float(D), R_max=60.0,
+                                                 N=400, l_max=1).minimum
 
 
-def _reference_forms(grid, alpha, D, l, ngauss=4):
+def _reference_forms(grid, alpha, D, l):
     """The single-sector assembly, with every quadrature array evaluated anew
     for each sector; returns (a_diag, a_off, b_diag, b_off)."""
     alpha = float(alpha)
     r = grid.nodes
     d = grid.d
     h = np.diff(r)
-    xg, wg = np.polynomial.legendre.leggauss(ngauss)
+    xg, wg = np.polynomial.legendre.leggauss(4)
     mid = (r[:-1] + r[1:]) / 2.0
     x = mid[:, None] + np.outer(h / 2.0, xg)
     w = np.outer(h / 2.0, wg)

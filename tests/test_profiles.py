@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdrates.flow as FL
 import fdrates.numerics as N
+from fdrates.entropy import mass_defect_from_x
 from fdrates.exponents import Regime, derive_exponents
 from fdrates.profiles import (BisectionError, ExtinctionError, Profile,
-                              RescalingMap, WeightedMeasure, eval_barenblatt, eval_profile,
-                              from_selfsimilar, mass_defect, solve_D,
-                              to_selfsimilar)
+                              RescalingMap, eval_barenblatt, eval_profile,
+                              from_selfsimilar, solve_D, to_selfsimilar)
 
 
 def test_profile_values():
@@ -36,17 +37,6 @@ def test_profile_ordering_in_D():
     lo = Profile(exponents=e, D=2.0)(r)
     hi = Profile(exponents=e, D=0.5)(r)
     assert np.all(lo < hi)  # alpha < 0: larger D, smaller profile
-
-
-def test_weighted_measure_finiteness():
-    e = derive_exponents(5, 0.9)  # alpha = -10, alpha_star = -3/2
-    mu = WeightedMeasure(exponents=e, power=float(e.alpha) - 1.0)
-    assert mu.is_finite  # 2(-11) + 5 < 0
-    nu = WeightedMeasure(exponents=e, power=-2.0)
-    assert nu.is_finite is False  # 2(-2) + 5 > 0
-    # borderline alpha - 1 = -d/2 is infinite (logarithmic divergence)
-    e2 = derive_exponents(4, float(1 + 1 / (-1.0)))  # alpha = -1, power = -2, d=4
-    assert WeightedMeasure(exponents=e2, power=-2.0).is_finite is False
 
 
 def test_rescaling_regimes():
@@ -136,15 +126,93 @@ def test_mass_defect_sign_and_zero():
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 800, 5)
     p = Profile(exponents=e, D=1.0)
-    v = N.RadialField(grid=grid, values=p(grid.nodes))
-    md = mass_defect(v, p)
-    assert float(md) == 0.0
-    assert md.tail_bound == 0.0
+    assert mass_defect_from_x(np.zeros(grid.N + 1), grid, p) == 0.0
     # v = V_{D'} with D' < D has positive defect, D' > D negative
-    hi = N.RadialField(grid=grid, values=Profile(exponents=e, D=0.8)(grid.nodes))
-    lo = N.RadialField(grid=grid, values=Profile(exponents=e, D=1.2)(grid.nodes))
-    assert mass_defect(hi, p).value > 0 > mass_defect(lo, p).value
-    assert mass_defect(hi, p).tail_bound < 1e-12
+    V = p(grid.nodes)
+    hi = Profile(exponents=e, D=0.8)(grid.nodes) / V - 1.0
+    lo = Profile(exponents=e, D=1.2)(grid.nodes) / V - 1.0
+    assert mass_defect_from_x(hi, grid, p) > 0 > mass_defect_from_x(lo, grid, p)
+
+
+def _reference_solve_D(v0, exponents, D0, D1, tol=1e-10, maxit=200):
+    """The bisection on a separate truncated mass defect, each step building
+    a Profile and evaluating V_D anew, as solve_D was first written."""
+    if not D0 > D1 > 0:
+        raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
+
+    def g(D):
+        grid = v0.grid
+        diff = v0.values - eval_profile(Profile(exponents=exponents, D=D), grid.nodes)
+        return N.sphere_area(grid.d) * float(np.sum(N.cell_volumes(grid) * diff))
+
+    lo, hi = D1, D0
+    glo, ghi = g(lo), g(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    if glo * ghi > 0:
+        raise ValueError(
+            f"mass defect has the same sign at D1 = {D1} ({glo:.3e}) and "
+            f"D0 = {D0} ({ghi:.3e}); no root in the bracket"
+        )
+    for _ in range(maxit):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if abs(gm) <= tol:
+            return mid
+        if gm * glo < 0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    raise BisectionError(
+        f"mass defect not within {tol:g} of zero after {maxit} bisection steps "
+        f"(bracket [{lo!r}, {hi!r}])"
+    )
+
+
+def _outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except (ValueError, BisectionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_solve_D_matches_reference(monkeypatch):
+    # every outcome equals the reference bisection's exactly: the matched D,
+    # or the error type and message.  With tol = 0 the run ends in a
+    # BisectionError whose bracket holds the two doubles at which the computed
+    # defect changes sign, so every rounding of the defect counts
+    for d, m, n in ((2, 0.2, 64), (3, 0.5, 800), (5, 0.9, 800), (5, 0.3, 64)):
+        e = derive_exponents(d, m)
+        grid = N.build_grid(20.0, n, d)
+
+        def V(D):
+            return Profile(exponents=e, D=D)(grid.nodes)
+
+        blend = 0.5 * (V(1.7) + V(0.6))
+        for values, D0, D1 in ((blend, 1.7, 0.6), (blend, 1.3, 0.5), (V(2.3), 2.5, 0.5)):
+            v = N.RadialField(grid=grid, values=values)
+            for kw in ({}, {"tol": 1e-13}, {"tol": 0.0}):
+                want = _outcome(_reference_solve_D, v, e, D0, D1, **kw)
+                assert _outcome(solve_D, v, e, D0, D1, **kw) == want
+            assert isinstance(_outcome(solve_D, v, e, D0, D1), float)
+            want = _outcome(_reference_solve_D, v, e, D0, D1, maxit=3)
+            assert want[0] is BisectionError
+            assert _outcome(solve_D, v, e, D0, D1, maxit=3) == want
+        # the same-sign bracket is refused with the same message
+        v = N.RadialField(grid=grid, values=V(0.1))
+        want = _outcome(_reference_solve_D, v, e, 2.0, 0.5)
+        assert want[0] is ValueError and _outcome(solve_D, v, e, 2.0, 0.5) == want
+        # initial data matched through either bisection is the same state
+        for kind in ("profile-blend", "bump"):
+            states = []
+            for solve in (solve_D, _reference_solve_D):
+                monkeypatch.setattr(FL, "solve_D", solve)
+                states.append(FL.make_initial_data(grid, e, kind, D0=1.7, D1=0.6,
+                                                   seed=3))
+            assert states[0].profile.D == states[1].profile.D
+            assert np.array_equal(states[0].x, states[1].x)
 
 
 def test_solve_D_recovers_exact_profile():

@@ -85,6 +85,9 @@ def test_gap_source_switches():
     assert rep.gap_source == ("mode", 1, 0)
     assert rep.sharp_constant == 20
     assert rep.constraint_needed
+    # the mean-zero constraint is needed iff dmu_(alpha-1) has finite mass,
+    # 2(alpha-1) + d < 0, i.e. iff alpha < alpha_star = -3/2
+    assert not spectrum_report(5, Fraction(-1), l_max=3, k_max=3).constraint_needed
 
 
 def test_report_cross_check_runs_near_branch_points():
