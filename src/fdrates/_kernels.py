@@ -21,10 +21,11 @@ __all__ = ["newton_step", "BACKEND"]
 BACKEND = "pure"
 
 
-def newton_step(x_old, V, Vm1, w, g, h, m, dt, tol=1e-11, maxit=30):
+def newton_step(x_old, V, Vm1, w, g, h, m, dt):
     """Advance x by one implicit step; returns (x_new, iterations).
 
-    Returns (None, iterations) if Newton fails to converge or the damping
+    Newton stops when max |dx| / (1 + |x|) < 1e-11.  Returns
+    (None, iterations) if it fails to do so within 30 iterations or the damping
     cannot keep 1 + x positive (caller decides how to subdivide the step).
     When w[0] == 0 (d >= 2) the origin row is replaced by the algebraic
     regularity closure p_1 = p_0.  Raises ValueError if the Jacobian or the
@@ -51,7 +52,7 @@ def newton_step(x_old, V, Vm1, w, g, h, m, dt, tol=1e-11, maxit=30):
     ab, resid = system[:3], system[3]
     upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
     finite = np.empty((4, n), dtype=bool)
-    for it in range(maxit):
+    for it in range(30):
         # pressure p and its derivative dp = dp/dx
         np.log1p(x, out=lx)
         np.multiply(m1, lx, out=p)
@@ -117,6 +118,6 @@ def newton_step(x_old, V, Vm1, w, g, h, m, dt, tol=1e-11, maxit=30):
         np.add(1.0, trial, out=trial)
         np.abs(dx, out=scaled)
         np.divide(scaled, trial, out=scaled)
-        if scaled.max() < tol:
+        if scaled.max() < 1e-11:
             return x, it + 1
-    return None, maxit
+    return None, 30

@@ -3,9 +3,9 @@
 Subcommands: constants, spectrum, hp-verify, eigenfunction, evolve,
 evolve-linear, entropy-report, gronwall, quotient, rescale.  Outputs are CSV
 (default; header row plus '#' comment lines echoing the full configuration)
-or JSON via --format json where noted.  Numbers are printed with 17
-significant digits so outputs round-trip exactly and runs with identical
-configuration and seed produce identical bytes.
+or JSON via --format json where noted, on stdout or in the --output file.
+Numbers are printed with 17 significant digits so outputs round-trip exactly
+and runs with identical configuration and seed produce identical bytes.
 
 --m and --alpha (each item of the comma-separated alpha sweep of hp-verify
 too), and m and alpha in config files, are read as exact rationals (decimals
@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
 
 Only the closed forms (exponents, spectral) are imported with this module;
 each command that runs numerics imports numpy and the numerical modules
-itself, so constants, spectrum and eigenfunction start without them.
+itself, so constants, spectrum and eigenfunction, whose ODE residual is
+exact rational arithmetic, start without them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exponents as exp_mod
@@ -69,6 +69,10 @@ def _exact_list(text: str) -> list[Fraction]:
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
+# initial-data kinds: evolve reads profile-blend, eigen and bump; evolve-linear
+# reads mode and starts every other kind from the generic f = r^l exp(-r^2)
+_DATA_KINDS = {k: k for k in ("profile-blend", "eigen", "bump", "mode", "generic")}
+
 # key -> (parser, default); None default means "unset"
 _CONFIG_KEYS = {
     "d": (int, None),
@@ -77,7 +81,7 @@ _CONFIG_KEYS = {
     "D": (float, 1.0),
     "D0": (float, None),
     "D1": (float, None),
-    "data.kind": (str, "profile-blend"),
+    "data.kind": (lambda s: _DATA_KINDS[s], "profile-blend"),
     "data.seed": (int, None),
     "data.epsilon": (float, 0.05),
     "data.amplitude": (float, 0.1),
@@ -92,35 +96,25 @@ _CONFIG_KEYS = {
     "time.dt": (float, 1e-3),
     "time.t_end": (float, 1.0),
     "output.cadence": (float, None),
-    "output.path": (str, None),
     "fit.window_start": (float, None),
     "fit.window_end": (float, None),
     "fit.kind": (str, "exp"),
 }
 
 
-@dataclass
-class RunConfig:
-    """Validated key=value run configuration."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+class RunConfig(dict):
+    """Validated key=value run configuration: every known key, None if unset."""
 
     def echo_lines(self):
-        return [f"# {k}={_fmt(v)}" for k, v in sorted(self.values.items())
+        return [f"# {k}={_fmt(v)}" for k, v in sorted(self.items())
                 if v is not None]
 
     def exponent_set(self):
-        d = self.values.get("d")
+        d = self.get("d")
         if d is None:
             raise ConfigError("config must set d")
-        m = self.values.get("m")
-        alpha = self.values.get("alpha")
+        m = self.get("m")
+        alpha = self.get("alpha")
         if m is None and alpha is None:
             raise ConfigError("config must set m or alpha")
         if m is not None and alpha is not None:
@@ -154,13 +148,12 @@ def parse_config(text: str) -> RunConfig:
             values[key] = parser(val)
         except (ValueError, KeyError, argparse.ArgumentTypeError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from e
-    cfg = RunConfig(values=values)
+    cfg = RunConfig(values)
     _validate_config(cfg)
     return cfg
 
 
-def _validate_config(cfg: RunConfig):
-    v = cfg.values
+def _validate_config(v: RunConfig):
     if v.get("m") is not None and not v["m"] < 1:
         raise ConfigError(f"m must be < 1, got {v['m']}")
     if v.get("alpha") is not None and not v["alpha"] < 0:
@@ -311,7 +304,7 @@ def _cmd_hp_verify(args):
 
 def _cmd_eigenfunction(args):
     mode = spec.discrete_mode(args.d, args.alpha, args.l, args.k)
-    resid = spec.ode_residual(args.d, args.alpha, args.l, args.k, dps=args.dps)
+    resid = spec.ode_residual(args.d, args.alpha, args.l, args.k)
     comments = ["# fdrates eigenfunction", f"# d={args.d}",
                 f"# alpha={_fmt(args.alpha)}", f"# l={args.l}", f"# k={args.k}",
                 f"# lambda={_fmt(mode.lam)}",
@@ -354,8 +347,7 @@ def _write_trace(args, cfg: RunConfig, trace, comments):
         trace.fitted = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
         comments = comments + [f"# fitted_rate={_fmt(trace.fitted.rate)}",
                                f"# fit_r2={_fmt(trace.fitted.r2)}"]
-    _csv(comments, ent.EntropyTrace.COLUMNS, list(trace.rows()),
-         args.output or cfg.get("output.path"))
+    _csv(comments, ent.EntropyTrace.COLUMNS, list(trace.rows()), args.output)
     return 0
 
 
@@ -564,7 +556,6 @@ def _build_parser():
     sp.add_argument("--alpha", type=_exact, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--dps", type=int, default=50)
 
     sp = add("evolve", _cmd_evolve, "nonlinear radial flow run from a config file")
     sp.add_argument("--config", required=True)

@@ -210,15 +210,13 @@ class EntropyTrace:
                    self.mass_defect)
 
 
-def fit_rate(trace: EntropyTrace, window, kind: str = "exp",
-             floor: float = 0.0) -> FitResult:
+def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
     """Fit the entropy decay over a time window.
 
     kind "exp" fits log F = a - rate*t and returns the decay rate (positive
     for decaying F); kind "loglog" fits log F = a + slope*log t and returns
     the algebraic slope (negative for decaying F).  Windows with fewer than
-    10 positive samples, or samples within 10x of the quadrature floor, are
-    refused.
+    10 positive samples are refused.
     """
     t0, t1 = window
     mask = (trace.t >= t0) & (trace.t <= t1) & (trace.entropy > 0)
@@ -226,8 +224,6 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp",
     F = trace.entropy[mask]
     if len(t) < 10:
         raise ValueError(f"window {window} has {len(t)} usable samples; need >= 10")
-    if floor > 0 and np.any(F < 10.0 * floor):
-        raise ValueError("window reaches within 10x of the quadrature floor")
     y = np.log(F)
     if kind == "exp":
         xcol = t

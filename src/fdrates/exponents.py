@@ -89,13 +89,13 @@ class ExponentSet:
             raise ValueError(f"fast diffusion requires m < 1, got m = {self.m}")
 
 
-def derive_exponents(d: int, m, tol: float = 1e-12) -> ExponentSet:
+def derive_exponents(d: int, m) -> ExponentSet:
     """Compute the full exponent/threshold set for dimension d and exponent m < 1.
 
     m may be a float, int, or Fraction; exact inputs give exact thresholds
     (as Fractions) and exact regime classification.  For float m the
-    thresholds m == m_star and m == m_c are detected up to the relative
-    tolerance ``tol``, so that float(m_c) itself counts as m_c.
+    thresholds m == m_star and m == m_c are detected up to a fixed relative
+    tolerance of 1e-12, so that float(m_c) itself counts as m_c.
     """
     d = int(d)
     if d < 1:
@@ -106,7 +106,7 @@ def derive_exponents(d: int, m, tol: float = 1e-12) -> ExponentSet:
     num = type(m)  # thresholds are reported in the arithmetic of the input
 
     def at(threshold):
-        slack = tol * max(1, abs(threshold)) if num is float else 0
+        slack = 1e-12 * max(1, abs(threshold)) if num is float else 0
         return abs(m - threshold) <= slack
 
     m_c = Fraction(d - 2, d)

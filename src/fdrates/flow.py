@@ -168,6 +168,21 @@ def _advance(x, V, Vm1, w, g, h, m, dt, depth=0):
     return _advance(half, V, Vm1, w, g, h, m, dt / 2.0, depth + 1)
 
 
+def _march(state, schedule, step, row) -> dict:
+    """The time loop of both flows: row() at state.t and every cadence after,
+    n_sub step() calls between rows, for schedule = (cadence, n_sub, n_rec)
+    of numerics._schedule; state.t follows the rows.  Returns the columns."""
+    cadence, n_sub, n_rec = schedule
+    t0 = state.t
+    rows = [row()]
+    for j in range(1, n_rec + 1):
+        for _ in range(n_sub):
+            step()
+        state.t = t0 + j * cadence
+        rows.append(row())
+    return dict(zip(EntropyTrace.COLUMNS, np.array(rows).T))
+
+
 def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
                      cadence: Optional[float] = None,
                      track_sandwich: bool = False) -> EntropyTrace:
@@ -178,43 +193,34 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     track_sandwich=True a SandwichReport is attached per row.  The state is
     advanced in place and also reflected in state.t.
     """
-    cadence, n_sub, n_rec = _schedule(state.t, t_end, dt, cadence)
+    schedule = _schedule(state.t, t_end, dt, cadence)
 
     grid = state.grid
     p = state.profile
     m = float(state.exponents.m)
     alpha = float(state.exponents.alpha)
-    r = grid.nodes
-    Vm1 = p.D + r**2
+    Vm1 = p.D + grid.nodes**2
     V = Vm1**alpha
     w = cell_volumes(grid)
     g, h = face_geometry(grid)
 
-    rows = []
     sandwiches = []
 
-    def record():
+    def step():
+        state.x = _advance(state.x, V, Vm1, w, g, h, m, dt)
+
+    def row():
         F = entropy_from_x(state.x, grid, p)
         I = fisher_from_x(state.x, grid, p)
         md = mass_defect_from_x(state.x, grid, p)
         h1 = float(1.0 + np.min(state.x))
         h2 = float(1.0 + np.max(state.x))
-        rows.append((state.t, F, I, h1, h2, md))
         if track_sandwich:
             sandwiches.append(sandwich_from_x(state.x, grid, p))
+        return state.t, F, I, h1, h2, md
 
-    record()
-    t0 = state.t
-    for j in range(1, n_rec + 1):
-        for _ in range(n_sub):
-            state.x = _advance(state.x, V, Vm1, w, g, h, m, dt)
-        state.t = t0 + j * cadence
-        record()
-
-    arr = np.array(rows)
-    return EntropyTrace(t=arr[:, 0], entropy=arr[:, 1], fisher=arr[:, 2],
-                        h1=arr[:, 3], h2=arr[:, 4], mass_defect=arr[:, 5],
-                        exponents=state.exponents, D=p.D,
+    columns = _march(state, schedule, step, row)
+    return EntropyTrace(**columns, exponents=state.exponents, D=p.D,
                         sandwich=tuple(sandwiches))
 
 
@@ -231,12 +237,11 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     """
     from scipy.linalg import solve_banded  # loaded only when a linear flow runs
 
-    cadence, n_sub, n_rec = _schedule(state.t, t_end, dt, cadence)
+    schedule = _schedule(state.t, t_end, dt, cadence)
 
     forms = assemble_sector_forms(state.grid, state.alpha, state.D, state.l)
     f = forms.restrict(np.asarray(state.f, dtype=float))
-    n = forms.n
-    ab = np.zeros((3, n))
+    ab = np.zeros((3, forms.n))
     ab[0, 1:] = forms.b_off + dt * forms.a_off
     ab[1] = forms.b_diag + dt * forms.a_diag
     ab[2, :-1] = forms.b_off + dt * forms.a_off
@@ -244,25 +249,17 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
         raise ValueError("array must not contain infs or NaNs")
     sd = sphere_area(state.grid.d)
 
-    rows = []
+    def step():
+        nonlocal f
+        f = solve_banded((1, 1), ab, forms.apply_b(f), overwrite_b=True,
+                         check_finite=False)
 
-    def record(t, fvec):
-        bf = forms.apply_b(fvec)
-        rows.append((t, 0.5 * sd * float(fvec @ bf), sd * float(fvec @ forms.apply_a(fvec)),
-                     math.nan, math.nan, sd * float(np.sum(bf))))
+    def row():
+        bf = forms.apply_b(f)
+        return (state.t, 0.5 * sd * float(f @ bf), sd * float(f @ forms.apply_a(f)),
+                math.nan, math.nan, sd * float(np.sum(bf)))
 
-    record(state.t, f)
-    t0 = state.t
-    for j in range(1, n_rec + 1):
-        for _ in range(n_sub):
-            f = solve_banded((1, 1), ab, forms.apply_b(f), overwrite_b=True,
-                             check_finite=False)
-        record(t0 + j * cadence, f)
+    columns = _march(state, schedule, step, row)
     state.f = forms.pad(f)
-    state.t = t0 + n_rec * cadence
-
-    arr = np.array(rows)
     exps = derive_exponents(state.grid.d, alpha_to_m(state.grid.d, state.alpha))
-    return EntropyTrace(t=arr[:, 0], entropy=arr[:, 1], fisher=arr[:, 2],
-                        h1=arr[:, 3], h2=arr[:, 4], mass_defect=arr[:, 5],
-                        exponents=exps, D=state.D)
+    return EntropyTrace(**columns, exponents=exps, D=state.D)

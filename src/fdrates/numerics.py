@@ -398,8 +398,7 @@ def bottom_eigenvalue(forms: SectorForms, *, tol: float = 1e-13, maxit: int = 10
     return lam, RadialField(grid=forms.grid, values=forms.pad(vec), l=forms.l)
 
 
-def sector_bottom(d: int, alpha: float, D: float, l: int, R_max: float, N: int,
-                  *, method: str = "iterative"):
+def sector_bottom(d: int, alpha: float, D: float, l: int, R_max: float, N: int):
     """Bottom eigenvalue of sector l on a truncated domain, mean-zero for l = 0.
 
     On any truncated domain the constant belongs to L^2(dmu_(alpha-1)) and is
@@ -408,7 +407,7 @@ def sector_bottom(d: int, alpha: float, D: float, l: int, R_max: float, N: int,
     mean-zero bottom is the quantity the closed-form constants describe.
     """
     grid = build_grid(R_max, N, d, grading="sinh", scale=math.sqrt(D))
-    return bottom_eigenvalue(assemble_sector_forms(grid, alpha, D, l), method=method)
+    return bottom_eigenvalue(assemble_sector_forms(grid, alpha, D, l))
 
 
 def _quantization_fit(Ss, lams, npow):

@@ -216,50 +216,26 @@ def mode_field(mode: EigenMode, grid: RadialGrid) -> RadialField:
     return RadialField(grid=grid, values=values, l=mode.l)
 
 
-def ode_residual(d: int, alpha, l: int, k: int, radii=None, dps: int = 50) -> float:
-    """Max absolute residual of the radial eigen-ODE at sample radii (D = 1):
+def ode_residual(d: int, alpha, l: int, k: int) -> float:
+    """Max absolute residual of the radial eigen-ODE at r = 1/10, ..., 5 (D = 1):
 
         v'' + ((d-1)/r + 2 alpha r/(1+r^2)) v' + (lam/(1+r^2) - l(l+d-2)/r^2) v = 0
 
-    evaluated in mpmath arithmetic with exact polynomial coefficients.
+    evaluated in exact rational arithmetic, so an eigenpair gives exactly 0.
+    alpha must be rational (an int or a Fraction); a float is rejected.
     """
-    import mpmath as mp
-
     mode = discrete_mode(d, alpha, l, k)
-    ae = mode.alpha
-    if not isinstance(ae, Fraction):
+    a = mode.alpha
+    if not isinstance(a, Fraction):
         raise ValueError("ode_residual requires rational alpha for exact coefficients")
-
-    # exact coefficients of v, v', v'' as polynomials sum c_j r^(l+2j-shift)
-    pv = {l + 2 * j: Fraction(c) for j, c in enumerate(mode.radial_poly)}
-
-    def deriv(p):
-        return {e - 1: e * c for e, c in p.items() if e != 0}
-
-    pv1 = deriv(pv)
-    pv2 = deriv(pv1)
-
-    if radii is None:
-        radii = [Fraction(i, 10) for i in range(1, 51)]
-
-    with mp.workdps(dps):
-        lam = mp.mpf(mode.lam.numerator) / mp.mpf(mode.lam.denominator)
-        al = mp.mpf(ae.numerator) / mp.mpf(ae.denominator)
-
-        def pev(p, r):
-            return mp.fsum(
-                (mp.mpf(c.numerator) / mp.mpf(c.denominator)) * r**e
-                for e, c in p.items()
-            )
-
-        worst = mp.mpf(0)
-        for rq in radii:
-            r = mp.mpf(Fraction(rq).numerator) / mp.mpf(Fraction(rq).denominator)
-            v, v1, v2 = pev(pv, r), pev(pv1, r), pev(pv2, r)
-            res = (
-                v2
-                + ((d - 1) / r + 2 * al * r / (1 + r**2)) * v1
-                + (lam / (1 + r**2) - l * (l + d - 2) / r**2) * v
-            )
-            worst = max(worst, abs(res))
-        return float(worst)
+    terms = [(l + 2 * j, c) for j, c in enumerate(mode.radial_poly)]  # c r^e
+    worst = Fraction(0)
+    for i in range(1, 51):
+        r = Fraction(i, 10)
+        v = sum(c * r**e for e, c in terms)
+        v1 = sum(e * c * r ** (e - 1) for e, c in terms)
+        v2 = sum(e * (e - 1) * c * r ** (e - 2) for e, c in terms)
+        res = (v2 + ((d - 1) / r + 2 * a * r / (1 + r**2)) * v1
+               + (mode.lam / (1 + r**2) - l * (l + d - 2) / r**2) * v)
+        worst = max(worst, abs(res))
+    return float(worst)

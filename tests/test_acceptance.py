@@ -95,7 +95,7 @@ def test_acceptance_constrained_vs_unconstrained_gap():
 
 def test_acceptance_spectrum_closed_form():
     """Every admissible mode with l, k <= 4 at (d, alpha) = (5, -20) satisfies
-    the eigen-ODE to 1e-10 in high-precision arithmetic and matches its FEM
+    the eigen-ODE to 1e-10 in exact rational arithmetic and matches its FEM
     Rayleigh quotient to 0.5%."""
     from fractions import Fraction
 

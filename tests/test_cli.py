@@ -63,6 +63,8 @@ def test_parse_config_rejections():
         parse_config("D0 = 0.5\nD1 = 2.0")
     with pytest.raises(ConfigError, match="window"):
         parse_config("fit.window_start = 0.5")
+    with pytest.raises(ConfigError, match="line 2: bad value for data.kind: 'mdoe'"):
+        parse_config("d = 5\ndata.kind = mdoe")
     with pytest.raises(ConfigError):
         parse_config("m = 0.9\nalpha = -10").exponent_set()  # both given
     with pytest.raises(ConfigError):
@@ -86,8 +88,8 @@ def test_constants_json(capsys):
 
 def test_import_and_closed_form_commands_do_not_load_scipy(tmp_path):
     # numpy and scipy are imported where numerics and linear algebra run: the
-    # import and the exact closed-form commands load neither, the other
-    # closed-form commands no scipy, and nothing loads scipy.optimize
+    # import and the exact closed-form commands load neither (nor mpmath), the
+    # other closed-form commands no scipy, and nothing loads scipy.optimize
     cfg = _evolve_config(tmp_path)
     exact = [
         ["constants", "--d", "5", "--m", "0.9"],
@@ -108,7 +110,8 @@ def test_import_and_closed_form_commands_do_not_load_scipy(tmp_path):
         import fdrates, fdrates.cli
 
         def loaded():
-            return [m for m in ("numpy", "scipy", "scipy.linalg", "scipy.optimize")
+            return [m for m in ("numpy", "scipy", "scipy.linalg", "scipy.optimize",
+                                "mpmath")
                     if m in sys.modules]
 
         print(json.dumps(["import", 0, loaded()]))
@@ -193,8 +196,7 @@ def test_eigenfunction(capsys):
     assert "# lambda=30" in out
     assert "# multiplicity=1" in out
     assert "0,1" in out and "1,-3" in out
-    resid_line = [l for l in out.splitlines() if "max_ode_residual" in l][0]
-    assert float(resid_line.split("=")[1]) < 1e-30
+    assert "# max_ode_residual=0\n" in out  # exact rational arithmetic
 
 
 def _evolve_config(tmp_path, extra=""):
@@ -326,3 +328,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                    "data.mode_l = 0\ngrid.N = 200\ntime.t_end = 0.01\n")
     assert main(["evolve-linear", "--config", str(lin)]) == 1
     assert "data.mode_l = 0 differs from sector.l = 2" in capsys.readouterr().err
+    # 1: a data.kind typo, refused when the config is read
+    lin.write_text("d = 5\nalpha = -10\nsector.l = 1\ndata.kind = mdoe\n"
+                   "grid.N = 200\ntime.t_end = 0.01\n")
+    assert main(["evolve-linear", "--config", str(lin)]) == 1
+    assert "line 4: bad value for data.kind: 'mdoe'" in capsys.readouterr().err
+    typo = Path(_evolve_config(tmp_path))
+    typo.write_text(typo.read_text().replace("data.kind = eigen", "data.kind = mdoe"))
+    assert main(["evolve", "--config", str(typo)]) == 1
+    assert "line 5: bad value for data.kind: 'mdoe'" in capsys.readouterr().err

@@ -131,8 +131,6 @@ def test_fit_rate_rejections():
     with pytest.raises(ValueError):
         fit_rate(tr, (0.0, 1.0), kind="cubic")
     with pytest.raises(ValueError):
-        fit_rate(tr, (0.0, 1.0), floor=1.0)  # reaches the quadrature floor
-    with pytest.raises(ValueError):
         fit_rate(tr, (0.0, 1.0), kind="loglog")  # t = 0 in a loglog window
 
 

@@ -1,5 +1,6 @@
 """Tests for the closed-form discrete spectrum and eigenfunctions."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import fdrates.numerics as N
+import fdrates.spectral as spec
 from fdrates.spectral import (discrete_mode, improved_constant, mode_field,
                               multiplicity, ode_residual, spectrum_report)
 
@@ -128,19 +130,32 @@ def test_mode_field_matches_polynomial():
 
 
 def test_ode_residual_exact_modes():
-    # residuals at 50 radii in high-precision arithmetic: essentially zero
+    # residuals at 50 radii in exact rational arithmetic: exactly zero
     for (d, a, l, k) in ((5, Fraction(-10), 0, 1), (5, Fraction(-10), 2, 2),
-                         (3, Fraction(-7, 2), 1, 1), (2, Fraction(-5), 0, 2)):
-        assert ode_residual(d, a, l, k) < 1e-30
+                         (3, Fraction(-7, 2), 1, 1), (2, Fraction(-5), 0, 2),
+                         (1, Fraction(-3), 1, 1)):
+        assert ode_residual(d, a, l, k) == 0.0
+    # every admissible mode with l, k <= 4 at (5, -20)
+    modes = [(l, k) for l in range(5) for k in range(5)
+             if discrete_mode(5, -20, l, k).admissible]
+    assert len(modes) >= 20
+    assert all(ode_residual(5, -20, l, k) == 0.0 for l, k in modes)
 
 
-def test_ode_residual_detects_wrong_eigenvalue():
-    # perturbing the polynomial (by using the wrong mode's coefficients)
-    # cannot satisfy the ODE: sanity check that the residual is not trivially 0
-    good = ode_residual(5, Fraction(-10), 0, 1)
-    assert good < 1e-30
+def test_ode_residual_detects_wrong_eigenvalue(monkeypatch):
+    # the residual is not trivially 0: the right polynomial with an
+    # eigenvalue off by 1e-6 leaves a residual
+    assert ode_residual(5, Fraction(-10), 0, 1) == 0.0
     with pytest.raises(ValueError):
         ode_residual(5, -10.0 + 1e-13, 0, 1)  # irrational alpha rejected
+    true_mode = spec.discrete_mode
+
+    def shifted(*args):
+        mode = true_mode(*args)
+        return dataclasses.replace(mode, lam=mode.lam + Fraction(1, 10**6))
+
+    monkeypatch.setattr(spec, "discrete_mode", shifted)
+    assert ode_residual(5, Fraction(-10), 0, 1) > 0.0
 
 
 def test_rayleigh_consistency_with_fem():
