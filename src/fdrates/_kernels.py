@@ -8,50 +8,71 @@ with the analytic tridiagonal Jacobian.  The pressure is
 p = V^(m-1) expm1((m-1) log1p(x))/(m-1), which is exact for every m < 1
 including m = 0 and stays accurate when x underflows far in the tail.
 
-Every Newton iteration writes into work buffers allocated once per step.
-Each operation rounds exactly as in the form that allocates one array per
-operation (kept as the reference in tests/test_kernels.py): no product or
-sum is reassociated, so the buffering changes no bit of the result.
+A Workspace, built once per flow run, holds what every step shares: the
+invariants of the grid and profile and the work buffers, which each Newton
+iteration overwrites before it reads them.  Each operation rounds exactly
+as in the form that allocates one array per operation (kept as the
+reference in tests/test_kernels.py): no product or sum is reassociated, so
+the buffering changes no bit of the result.
 """
 
 import numpy as np
 
-__all__ = ["newton_step", "BACKEND"]
+__all__ = ["Workspace", "newton_step", "BACKEND"]
 
 BACKEND = "pure"
 
 
-def newton_step(x_old, V, Vm1, w, g, h, m, dt):
-    """Advance x by one implicit step; returns (x_new, iterations).
+class Workspace:
+    """The per-run part of newton_step: from the profile V, Vm1 = V^(m-1),
+    the cell volumes w, the face geometry (g, h) and m, the invariants
+    w V, g/h and V/2 on each side of a face, and the work buffers."""
+
+    def __init__(self, V, Vm1, w, g, h, m):
+        n = len(V)
+        self.V, self.Vm1, self.g, self.h = V, Vm1, g, h
+        self.wV = w * V
+        self.closure = w[0] == 0.0
+        self.gh = g / h
+        self.hV_l = 0.5 * V[:-1]
+        self.hV_r = 0.5 * V[1:]
+        self.m1 = m - 1.0
+        self.m2 = m - 2.0
+        # nodal (length n) and face (length n - 1) buffers
+        self.nodal = tuple(np.empty((7, n)))
+        self.faces = tuple(np.empty((4, n - 1)))
+        # the band (rows: upper, diagonal, lower) and the residual, negated in
+        # place into the right-hand side, share one buffer so that one
+        # finiteness test covers both; gtsv writes only the three diagonals,
+        # so the unused corners ab[0, 0] and ab[2, -1] stay zero
+        self.system = np.zeros((4, n))
+        self.ab, self.resid = self.system[:3], self.system[3]
+        self.bands = self.ab[0, 1:], self.ab[1], self.ab[2, :-1]
+        self.finite = np.empty((4, n), dtype=bool)
+
+
+def newton_step(x_old, work, dt):
+    """Advance x by one implicit step of length dt, with the invariants and
+    buffers of work (a Workspace); returns (x_new, iterations).  x_new is a
+    new array, never one of work's buffers.
 
     Newton stops when max |dx| / (1 + |x|) < 1e-11.  Returns
-    (None, iterations) if it fails to do so within 30 iterations or the damping
-    cannot keep 1 + x positive (caller decides how to subdivide the step).
-    When w[0] == 0 (d >= 2) the origin row is replaced by the algebraic
-    regularity closure p_1 = p_0.  Raises ValueError if the Jacobian or the
-    residual is not finite.
+    (None, iterations) if it fails to do so within 30 iterations, if the
+    damping cannot keep 1 + x positive, or if the Jacobian is singular
+    (caller decides how to subdivide the step).  When w[0] == 0 (d >= 2) the
+    origin row is replaced by the algebraic regularity closure p_1 = p_0.
+    Raises ValueError if the Jacobian or the residual is not finite.
     """
-    from scipy.linalg import solve_banded  # loaded at the first flow step
+    from scipy.linalg import LinAlgError, solve_banded  # loaded at the first flow step
 
+    V, Vm1, g, h = work.V, work.Vm1, work.g, work.h
+    wV, gh, hV_l, hV_r = work.wV, work.gh, work.hV_l, work.hV_r
+    m1, m2 = work.m1, work.m2
+    lx, p, dp, xp1, v, scaled, trial = work.nodal
+    vbar, Dp, flux, face = work.faces
+    system, ab, resid, finite = work.system, work.ab, work.resid, work.finite
+    upper, diag, lower = work.bands
     x = x_old.copy()
-    n = len(x)
-    wV = w * V
-    closure = w[0] == 0.0
-    gh = g / h
-    hV_l = 0.5 * V[:-1]
-    hV_r = 0.5 * V[1:]
-    m1 = m - 1.0
-    m2 = m - 2.0
-    # work buffers: nodal (length n) and face (length n - 1)
-    lx, p, dp, xp1, v, scaled, trial = np.empty((7, n))
-    vbar, Dp, flux, face = np.empty((4, n - 1))
-    # the band (rows: upper, diagonal, lower; the unused corners stay zero)
-    # and the residual, negated in place into the right-hand side, share one
-    # buffer so that one finiteness test covers both
-    system = np.zeros((4, n))
-    ab, resid = system[:3], system[3]
-    upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
-    finite = np.empty((4, n), dtype=bool)
     for it in range(30):
         # pressure p and its derivative dp = dp/dx
         np.log1p(x, out=lx)
@@ -94,15 +115,18 @@ def newton_step(x_old, V, Vm1, w, g, h, m, dt):
         diag[-1] = wV[-1]
         diag[1:] += upper
         np.negative(upper, out=upper)
-        if closure:
+        if work.closure:
             resid[0] = p[1] - p[0]
             ab[1, 0] = -dp[0]
             ab[0, 1] = dp[1]
         rhs = np.negative(resid, out=resid)
         if not np.isfinite(system, out=finite).all():
             raise ValueError("array must not contain infs or NaNs")
-        dx = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                          check_finite=False)
+        try:
+            dx = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+                              overwrite_b=True, check_finite=False)
+        except LinAlgError:  # a singular Jacobian: the step failed
+            return None, it + 1
         # damping: halve lam until 1 + x + lam dx > 0 wherever it is not NaN
         # (fmin skips NaN, as a test "any <= 0" does)
         lam = 1.0

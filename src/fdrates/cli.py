@@ -69,9 +69,21 @@ def _exact_list(text: str) -> list[Fraction]:
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
+
+def _one_of(*names):
+    """A parser that accepts one of the names and raises KeyError otherwise."""
+    table = {k: k for k in names}
+    return lambda s: table[s]
+
+
 # initial-data kinds: evolve reads profile-blend, eigen and bump; evolve-linear
 # reads mode and starts every other kind from the generic f = r^l exp(-r^2)
-_DATA_KINDS = {k: k for k in ("profile-blend", "eigen", "bump", "mode", "generic")}
+_DATA_KIND = _one_of("profile-blend", "eigen", "bump", "mode", "generic")
+
+# the initial-data keys; evolve-linear echoes in their place the start it read
+_DATA_KEYS = ("D0", "D1", "data.kind", "data.seed", "data.epsilon",
+              "data.amplitude", "data.mode_l", "data.mode_k", "data.match_D",
+              "data.clip")
 
 # key -> (parser, default); None default means "unset"
 _CONFIG_KEYS = {
@@ -81,7 +93,7 @@ _CONFIG_KEYS = {
     "D": (float, 1.0),
     "D0": (float, None),
     "D1": (float, None),
-    "data.kind": (lambda s: _DATA_KINDS[s], "profile-blend"),
+    "data.kind": (_DATA_KIND, "profile-blend"),
     "data.seed": (int, None),
     "data.epsilon": (float, 0.05),
     "data.amplitude": (float, 0.1),
@@ -91,14 +103,14 @@ _CONFIG_KEYS = {
     "data.clip": (lambda s: _BOOL[s.lower()], True),
     "grid.R_max": (float, 100.0),
     "grid.N": (int, 800),
-    "grid.grading": (str, "sinh"),
+    "grid.grading": (_one_of("sinh", "uniform"), "sinh"),
     "sector.l": (int, 0),
     "time.dt": (float, 1e-3),
     "time.t_end": (float, 1.0),
     "output.cadence": (float, None),
     "fit.window_start": (float, None),
     "fit.window_end": (float, None),
-    "fit.kind": (str, "exp"),
+    "fit.kind": (_one_of("exp", "loglog"), "exp"),
 }
 
 
@@ -374,20 +386,24 @@ def _cmd_evolve_linear(args):
         raise ConfigError("linear sector evolution needs d >= 2")
     grid = _config_grid(cfg, e.d)
     l = cfg["sector.l"]
+    echo = RunConfig({k: v for k, v in cfg.items() if k not in _DATA_KEYS})
     if cfg["data.kind"] == "mode":
+        echo.update({"data.kind": "mode", "data.mode_l": cfg["data.mode_l"],
+                     "data.mode_k": cfg["data.mode_k"]})
         if cfg["data.mode_l"] != l:
             raise ConfigError(f"data.mode_l = {cfg['data.mode_l']} differs from "
                               f"sector.l = {l}; the mode must lie in the sector run")
         mode = spec.discrete_mode(e.d, e.alpha, l, cfg["data.mode_k"])
         f0 = spec.mode_field(mode, grid).values
     else:
+        echo["data.kind"] = "generic"
         r = grid.nodes
         f0 = r**l * np.exp(-(r**2))
     state = flow_mod.LinearState(grid=grid, alpha=e.alpha, D=cfg["D"], l=l, f=f0)
     trace = flow_mod.evolve_linear_sector(state, cfg["time.t_end"], cfg["time.dt"],
                                           cadence=cfg.get("output.cadence"))
     return _write_trace(args, cfg, trace,
-                        ["# fdrates evolve-linear"] + cfg.echo_lines())
+                        ["# fdrates evolve-linear"] + echo.echo_lines())
 
 
 def _cmd_entropy_report(args):

@@ -155,17 +155,18 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     return state
 
 
-def _advance(x, V, Vm1, w, g, h, m, dt, depth=0):
-    """One backward-Euler step, bisecting dt on Newton failure (depth <= 12)."""
-    x_new, _ = _kernels.newton_step(x, V, Vm1, w, g, h, m, dt)
+def _advance(x, work, dt, depth=0):
+    """One backward-Euler step with the kernel Workspace work, bisecting dt
+    on Newton failure (depth <= 12)."""
+    x_new, _ = _kernels.newton_step(x, work, dt)
     if x_new is not None:
         return x_new
     if depth >= 12:
         raise FlowError(
             f"Newton iteration diverged at dt = {dt}; use a smaller time step"
         )
-    half = _advance(x, V, Vm1, w, g, h, m, dt / 2.0, depth + 1)
-    return _advance(half, V, Vm1, w, g, h, m, dt / 2.0, depth + 1)
+    half = _advance(x, work, dt / 2.0, depth + 1)
+    return _advance(half, work, dt / 2.0, depth + 1)
 
 
 def _march(state, schedule, step, row) -> dict:
@@ -190,8 +191,11 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
 
     Rows (t, F, I, h1, h2, mass defect) are recorded every `cadence` time
     units (default: ~200 rows), cadence being an integer multiple of dt.  With
-    track_sandwich=True a SandwichReport is attached per row.  The state is
-    advanced in place and also reflected in state.t.
+    track_sandwich=True a SandwichReport is attached per row, and the row takes
+    F, I, h1 and h2 from it.  The state is advanced in place and also
+    reflected in state.t.  The Newton kernel's invariants and work buffers
+    (a _kernels.Workspace) are set up once per call and shared by every step
+    and every dt halving.
     """
     schedule = _schedule(state.t, t_end, dt, cadence)
 
@@ -201,22 +205,25 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     alpha = float(state.exponents.alpha)
     Vm1 = p.D + grid.nodes**2
     V = Vm1**alpha
-    w = cell_volumes(grid)
     g, h = face_geometry(grid)
+    work = _kernels.Workspace(V, Vm1, cell_volumes(grid), g, h, m)
 
     sandwiches = []
 
     def step():
-        state.x = _advance(state.x, V, Vm1, w, g, h, m, dt)
+        state.x = _advance(state.x, work, dt)
 
     def row():
-        F = entropy_from_x(state.x, grid, p)
-        I = fisher_from_x(state.x, grid, p)
-        md = mass_defect_from_x(state.x, grid, p)
-        h1 = float(1.0 + np.min(state.x))
-        h2 = float(1.0 + np.max(state.x))
         if track_sandwich:
-            sandwiches.append(sandwich_from_x(state.x, grid, p))
+            rep = sandwich_from_x(state.x, grid, p)
+            sandwiches.append(rep)
+            F, I, h1, h2 = rep.entropy, rep.fisher, rep.h1, rep.h2
+        else:
+            F = entropy_from_x(state.x, grid, p)
+            I = fisher_from_x(state.x, grid, p)
+            h1 = float(1.0 + np.min(state.x))
+            h2 = float(1.0 + np.max(state.x))
+        md = mass_defect_from_x(state.x, grid, p)
         return state.t, F, I, h1, h2, md
 
     columns = _march(state, schedule, step, row)

@@ -65,6 +65,10 @@ def test_parse_config_rejections():
         parse_config("fit.window_start = 0.5")
     with pytest.raises(ConfigError, match="line 2: bad value for data.kind: 'mdoe'"):
         parse_config("d = 5\ndata.kind = mdoe")
+    with pytest.raises(ConfigError, match="line 2: bad value for fit.kind: 'lolog'"):
+        parse_config("d = 5\nfit.kind = lolog")
+    with pytest.raises(ConfigError, match="line 1: bad value for grid.grading: 'cosh'"):
+        parse_config("grid.grading = cosh")
     with pytest.raises(ConfigError):
         parse_config("m = 0.9\nalpha = -10").exponent_set()  # both given
     with pytest.raises(ConfigError):
@@ -247,6 +251,14 @@ def test_evolve_linear(tmp_path, capsys):
     rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 11
     assert rows[0].split(",")[3] == "nan"  # h1 undefined for the linear flow
+    # the echo names the start the run read, and no nonlinear data key
+    assert "# sector.l=1" in out.splitlines()
+    echo = [l for l in out.splitlines() if l.startswith(("# data.", "# D0", "# D1"))]
+    assert echo == ["# data.kind=generic"]
+    cfg.write_text(cfg.read_text().replace("generic", "mode") + "data.mode_l = 1\n")
+    assert main(["evolve-linear", "--config", str(cfg)]) == 0
+    echo = [l for l in capsys.readouterr().out.splitlines() if l.startswith("# data.")]
+    assert echo == ["# data.kind=mode", "# data.mode_k=1", "# data.mode_l=1"]
 
 
 def test_entropy_report(tmp_path, capsys):
@@ -309,6 +321,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # 1: a Gronwall t_end that is not a multiple of dt
     assert main(["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0",
                  "--t-end", "0.1234", "--dt", "0.01"]) == 1
+    # 2: a singular Newton system fails the step, and dt halving gives up
+    import scipy.linalg
+
+    def singular(*a, **k):
+        raise scipy.linalg.LinAlgError("singular matrix")
+    with monkeypatch.context() as mp:
+        mp.setattr(scipy.linalg, "solve_banded", singular)
+        assert main(["evolve", "--config", _evolve_config(tmp_path)]) == 2
+    assert "Newton iteration diverged" in capsys.readouterr().err
     # 2: numerical failure surfaces as exit code 2
     def boom(*a, **k):
         raise flow_mod.FlowError("Newton diverged")
@@ -337,3 +358,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     typo.write_text(typo.read_text().replace("data.kind = eigen", "data.kind = mdoe"))
     assert main(["evolve", "--config", str(typo)]) == 1
     assert "line 5: bad value for data.kind: 'mdoe'" in capsys.readouterr().err
+    # 1: a fit.kind or grid.grading typo, refused before any flow runs
+    for key, val in (("fit.kind", "lolog"), ("grid.grading", "cosh")):
+        typo = Path(_evolve_config(tmp_path, f"{key} = {val}\n"))
+        assert main(["evolve", "--config", str(typo)]) == 1
+        assert f"line 12: bad value for {key}: '{val}'" in capsys.readouterr().err
+    lin.write_text("d = 5\nalpha = -10\nsector.l = 1\nfit.kind = lolog\n")
+    assert main(["evolve-linear", "--config", str(lin)]) == 1
+    assert "line 4: bad value for fit.kind: 'lolog'" in capsys.readouterr().err

@@ -85,6 +85,9 @@ def test_step_matches_reference():
     for m in (0.0, 0.3, 0.9):
         for d in (1, 3, 5):
             _, V, Vm1, w, gs, h, _ = _problem(d=d, m=m)
+            # one workspace runs all five cases in order, as a flow run does,
+            # including the cases after a failed step
+            work = K.Workspace(V, Vm1, w, gs, h, m)
             r = N.build_grid(15.0, 300, d).nodes
             smooth = 0.08 * np.exp(-r**2) + 0.02 * np.cos(r)
             hole = -0.99 * np.exp(-r**2) + 0.495 * np.exp(-(r - 1.5)**2)
@@ -92,7 +95,7 @@ def test_step_matches_reference():
             for x, dt in ((smooth, 1e-3), (smooth, 1.0), (hole, 1e-2),
                           (hole, 1e6), (dip, 1e6)):
                 want, want_it, halvings = _reference_step(x, V, Vm1, w, gs, h, m, dt)
-                got, got_it = K.newton_step(x, V, Vm1, w, gs, h, m, dt)
+                got, got_it = K.newton_step(x, work, dt)
                 assert got_it == want_it
                 if want is None:
                     assert got is None
@@ -118,14 +121,15 @@ def test_nan_update_matches_reference(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solve_banded", solve_with_nan)
     x, V, Vm1, w, gs, h, m = _problem()
-    for step in (_reference_step, K.newton_step):
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            step(x, V, Vm1, w, gs, h, m, 1e-3)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _reference_step(x, V, Vm1, w, gs, h, m, 1e-3)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m), 1e-3)
 
 
 def test_pure_step_converges_and_conserves():
     x, V, Vm1, w, gs, h, m = _problem()
-    x_new, iters = K.newton_step(x, V, Vm1, w, gs, h, m, 1e-3)
+    x_new, iters = K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m), 1e-3)
     assert x_new is not None and 1 <= iters <= 30
     assert np.all(1.0 + x_new > 0)
     # backward Euler conserves sum w V x (the truncated mass defect)
@@ -135,8 +139,9 @@ def test_pure_step_converges_and_conserves():
 
 def test_step_determinism():
     x, V, Vm1, w, gs, h, m = _problem()
-    a, _ = K.newton_step(x, V, Vm1, w, gs, h, m, 1e-3)
-    b, _ = K.newton_step(x, V, Vm1, w, gs, h, m, 1e-3)
+    work = K.Workspace(V, Vm1, w, gs, h, m)
+    a, _ = K.newton_step(x, work, 1e-3)
+    b, _ = K.newton_step(x, work, 1e-3)
     assert np.array_equal(a, b)
 
 
@@ -144,7 +149,7 @@ def test_huge_step_reports_failure_not_garbage():
     # an absurd time step must either converge or return None, never a
     # positivity-violating state
     x, V, Vm1, w, gs, h, m = _problem(m=0.3)
-    x_new, _ = K.newton_step(5.0 * x, V, Vm1, w, gs, h, m, 1e6)
+    x_new, _ = K.newton_step(5.0 * x, K.Workspace(V, Vm1, w, gs, h, m), 1e6)
     assert x_new is None or np.all(1.0 + x_new > 0)
 
 
@@ -153,4 +158,33 @@ def test_non_finite_input_raises():
     x, V, Vm1, w, gs, h, m = _problem()
     x[7] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.newton_step(x, V, Vm1, w, gs, h, m, 1e-3)
+        K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m), 1e-3)
+
+
+def test_workspace_clean_after_raise():
+    # a workspace whose buffers a NaN step left dirty steps a clean state
+    # exactly as the reference does
+    for d in (1, 5):
+        x, V, Vm1, w, gs, h, m = _problem(d=d)
+        work = K.Workspace(V, Vm1, w, gs, h, m)
+        bad = x.copy()
+        bad[7] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            K.newton_step(bad, work, 1e-3)
+        want, want_it, _ = _reference_step(x, V, Vm1, w, gs, h, m, 1e-3)
+        got, got_it = K.newton_step(x, work, 1e-3)
+        assert got_it == want_it
+        assert np.array_equal(got, want)
+
+
+def test_singular_system_is_a_failed_step(monkeypatch):
+    # a singular Jacobian fails the step, for the caller to subdivide, instead
+    # of escaping as scipy's LinAlgError (a ValueError)
+    import scipy.linalg
+
+    def singular(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+    x, V, Vm1, w, gs, h, m = _problem()
+    assert K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m), 1e-3) == (None, 1)
