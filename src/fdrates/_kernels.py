@@ -14,6 +14,16 @@ iteration overwrites before it reads them.  Each operation rounds exactly
 as in the form that allocates one array per operation (kept as the
 reference in tests/test_kernels.py): no product or sum is reassociated, so
 the buffering changes no bit of the result.
+
+Newton stops by one of two rules.  The full rule stops once the step's
+convergence measure e = max |dx| / (1 + |x|) falls below 1e-11, as the
+reference does.  The estimate rule accepts a step after its first iteration
+when Newton's quadratic convergence, e_1 ~ L e_0^2, predicts the next
+correction below 1e-12.  The Workspace keeps L = e_1 / e_0^2 from the last
+step that stopped by the full rule after exactly two iterations, the first of
+them undamped.  L is measured and used only at the run's dt, so no dt
+halving, no damped first iteration and no step before the first such
+measurement accepts on the estimate; a step that fails or raises clears L.
 """
 
 import numpy as np
@@ -26,11 +36,16 @@ BACKEND = "pure"
 class Workspace:
     """The per-run part of newton_step: from the profile V, Vm1 = V^(m-1),
     the cell volumes w, the face geometry (g, h) and m, the invariants
-    w V, g/h and V/2 on each side of a face, and the work buffers."""
+    w V, g/h and V/2 on each side of a face, and the work buffers.
 
-    def __init__(self, V, Vm1, w, g, h, m):
+    dt is the run's time step, the one step length at which the estimate
+    rule measures and uses L.  L is None until a step measures it."""
+
+    def __init__(self, V, Vm1, w, g, h, m, dt):
         n = len(V)
         self.V, self.Vm1, self.g, self.h = V, Vm1, g, h
+        self.dt = dt
+        self.L = None
         self.wV = w * V
         self.closure = w[0] == 0.0
         self.gh = g / h
@@ -56,9 +71,11 @@ def newton_step(x_old, work, dt):
     buffers of work (a Workspace); returns (x_new, iterations).  x_new is a
     new array, never one of work's buffers.
 
-    Newton stops when max |dx| / (1 + |x|) < 1e-11.  Returns
-    (None, iterations) if it fails to do so within 30 iterations, if the
-    damping cannot keep 1 + x positive, or if the Jacobian is singular
+    Newton stops when e = max |dx| / (1 + |x|) < 1e-11 (the full rule), or,
+    at dt == work.dt, after an undamped first iteration whose e_0 gives
+    work.L e_0^2 < 1e-12 (the estimate rule; see the module docstring).
+    Returns (None, iterations) if it fails to do so within 30 iterations, if
+    the damping cannot keep 1 + x positive, or if the Jacobian is singular
     (caller decides how to subdivide the step).  When w[0] == 0 (d >= 2) the
     origin row is replaced by the algebraic regularity closure p_1 = p_0.
     Raises ValueError if the Jacobian or the residual is not finite.
@@ -72,6 +89,10 @@ def newton_step(x_old, work, dt):
     vbar, Dp, flux, face = work.faces
     system, ab, resid, finite = work.system, work.ab, work.resid, work.finite
     upper, diag, lower = work.bands
+    # only a step that succeeds gives L back: one that fails or raises clears it
+    L, work.L = work.L, None
+    at_run_dt = dt == work.dt
+    e0 = None
     x = x_old.copy()
     for it in range(30):
         # pressure p and its derivative dp = dp/dx
@@ -142,6 +163,17 @@ def newton_step(x_old, work, dt):
         np.add(1.0, trial, out=trial)
         np.abs(dx, out=scaled)
         np.divide(scaled, trial, out=scaled)
-        if scaled.max() < 1e-11:
+        e = float(scaled.max())
+        if e < 1e-11:
+            # e0 is set only for an undamped first iteration at the run's dt;
+            # an exact e = 0 would make L = 0 and accept every later step
+            if it == 1 and e0 is not None and e > 0.0:
+                L = e / (e0 * e0)
+            work.L = L
             return x, it + 1
+        if it == 0 and at_run_dt and lam == 1.0:
+            if L is not None and L * e * e < 1e-12:
+                work.L = L
+                return x, 1
+            e0 = e
     return None, 30

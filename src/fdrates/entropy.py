@@ -60,7 +60,9 @@ def _phi(x, m):
         gen = xs - np.log1p(xs)
     else:
         gen = (xs - np.expm1(m * np.log1p(xs)) / m) / (1.0 - m)
-    ser = 0.5 * x * x * (1.0 + (m - 2.0) * x / 3.0)
+    # the series only where it is used, so that no large |x| overflows in it
+    xt = np.where(small, x, 0.0)
+    ser = 0.5 * xt * xt * (1.0 + (m - 2.0) * xt / 3.0)
     return np.where(small, ser, gen)
 
 

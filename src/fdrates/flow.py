@@ -195,7 +195,8 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     F, I, h1 and h2 from it.  The state is advanced in place and also
     reflected in state.t.  The Newton kernel's invariants and work buffers
     (a _kernels.Workspace) are set up once per call and shared by every step
-    and every dt halving.
+    and every dt halving; its quadratic-convergence estimate, which lets a
+    step stop after one Newton iteration, is measured and used at dt only.
     """
     schedule = _schedule(state.t, t_end, dt, cadence)
 
@@ -206,7 +207,7 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     Vm1 = p.D + grid.nodes**2
     V = Vm1**alpha
     g, h = face_geometry(grid)
-    work = _kernels.Workspace(V, Vm1, cell_volumes(grid), g, h, m)
+    work = _kernels.Workspace(V, Vm1, cell_volumes(grid), g, h, m, dt)
 
     sandwiches = []
 

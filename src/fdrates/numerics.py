@@ -492,13 +492,16 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
     """Verify the closed-form sharp constant by sector-wise minimization.
 
     Computes the constrained bottom eigenvalue of every sector l <= l_max
-    (with the mean-zero constraint in l = 0), extrapolates each sector to the
-    infinite-domain limit, and compares the minimum over sectors with the
-    closed-form piecewise constant.  Each truncated domain (five of them when
+    that exists in dimension d, i.e. has a nonzero multiplicity (l <= 1 when
+    d = 1), with the mean-zero constraint in l = 0; extrapolates each sector
+    to the infinite-domain limit, and compares the minimum over sectors with
+    the closed-form piecewise constant.  Each truncated domain (five of them when
     extrapolating, R_max alone otherwise) is gridded and assembled once, and
     all sectors are formed from that one assembly.  alpha and D may be exact
     (Fractions); the closed form takes alpha exactly, the forms in floats.
     """
+    from .spectral import multiplicity  # loaded only where verification runs
+
     closed = float(sharp_rate(d, alpha))
     scale = math.sqrt(D)
     if extrapolate:
@@ -509,8 +512,8 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
         radii = [float(scale * math.sinh(S)) for S in Ss]
     else:
         radii = [R_max]
-    ls = range(l_max + 1)
-    lams = [[] for _ in ls]
+    ls = [l for l in range(l_max + 1) if multiplicity(d, l) > 0]
+    lams = {l: [] for l in ls}
     for R in radii:
         grid = build_grid(R, N, d, grading="sinh", scale=scale)
         for forms in _assemble_sectors(grid, alpha, D, ls):

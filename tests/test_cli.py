@@ -193,6 +193,13 @@ def test_hp_verify_sweep_prints_one_min_row_per_alpha(capsys):
     assert out.count(",min,") == 2
 
 
+def test_hp_verify_d1_prints_only_existing_sectors(capsys):
+    assert main(["hp-verify", "--d", "1", "--alpha=-0.1", "--N", "200"]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")][1:]
+    assert [r.split(",")[1] for r in rows] == ["0", "1", "min"]
+
+
 def test_eigenfunction(capsys):
     assert main(["eigenfunction", "--d", "5", "--alpha", "-10",
                  "--l", "0", "--k", "1"]) == 0

@@ -1,6 +1,7 @@
 """Tests for the entropy-method functionals and estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,26 @@ def test_entropy_small_x_series_consistency():
         w = N.cell_volumes(g)
         ref = N.sphere_area(5) * float(np.sum(w * (1 + g.nodes**2) ** (-9.0) * phi))
         assert F == pytest.approx(ref, rel=1e-6)
+
+
+def test_phi_large_x_does_not_overflow():
+    # the Taylor branch is evaluated only where |x| < 1e-4, so a huge x
+    # raises no overflow warning, and every value keeps its bytes
+    from fdrates.entropy import _phi
+
+    x = np.array([1e200, -1e-5, 3e-5, 0.0, 0.5, 1e-4])
+    for m in (0.0, 0.9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _phi(x, m)
+        assert np.all(np.isfinite(got)) and got[0] > 1e199
+        small = x[1:4]
+        assert np.array_equal(got[1:4],
+                              0.5 * small * small * (1.0 + (m - 2.0) * small / 3.0))
+        big = x[4:]
+        gen = (big - np.log1p(big) if m == 0.0
+               else (big - np.expm1(m * np.log1p(big)) / m) / (1.0 - m))
+        assert np.array_equal(got[4:], gen)
 
 
 def test_entropy_m0_limit():

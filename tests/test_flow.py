@@ -117,6 +117,41 @@ def test_nonlinear_decay_rate_matches_spectrum():
     assert fit.r2 > 0.9999
 
 
+def test_estimate_accepted_steps_match_full_iteration(monkeypatch):
+    # a small critical run (d = 5, m = 1/3) in which many steps stop after
+    # one Newton iteration on the quadratic-convergence estimate; each must
+    # lie within 1e-12 of full iteration to 1e-11, and every other step is
+    # bit-identical to it
+    import fdrates._kernels as K
+
+    e = derive_exponents(5, Fraction(1, 3))
+    g = N.build_grid(float(np.sinh(90.0)), 200, 5)
+    st = FL.make_initial_data(g, e, "bump", D=1.0, amplitude=0.1,
+                              match_D=False, clip=False)
+    Vm1 = st.profile.D + g.nodes**2
+    V = Vm1 ** float(e.alpha)
+    gs, h = N.face_geometry(g)
+    # full iteration: a workspace whose run dt no step of the run uses
+    full = K.Workspace(V, Vm1, N.cell_volumes(g), gs, h, float(e.m), 0.5)
+    step = K.newton_step
+    gaps = []
+
+    def checked(x_old, work, dt):
+        x, iters = step(x_old, work, dt)
+        want, want_it = step(x_old, full, dt)
+        if iters == want_it:
+            assert np.array_equal(x, want)
+        else:
+            assert iters == 1
+            gaps.append(float(np.max(np.abs(x - want) / (1.0 + np.abs(want)))))
+        return x, iters
+
+    monkeypatch.setattr(K, "newton_step", checked)
+    FL.evolve_nonlinear(st, 200.0, 0.2, cadence=20.0)
+    assert len(gaps) > 100
+    assert max(gaps) <= 1e-12
+
+
 def test_linear_sector_eigenmode_rate():
     # f = r e^{-r^2} in the l = 1 sector, alpha = -10: the sector bottom is
     # the translation mode at -2*alpha = 20, so F decays at rate 40

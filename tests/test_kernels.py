@@ -79,6 +79,14 @@ def _reference_step(x_old, V, Vm1, w, g, h, m, dt, tol=1e-11, maxit=30):
     return None, maxit, halvings
 
 
+def _cases(d):
+    r = N.build_grid(15.0, 300, d).nodes
+    smooth = 0.08 * np.exp(-r**2) + 0.02 * np.cos(r)
+    hole = -0.99 * np.exp(-r**2) + 0.495 * np.exp(-(r - 1.5)**2)
+    dip = 0.4 * np.exp(-r**2) - 0.3 * np.exp(-(r - 2.0)**2)
+    return smooth, hole, dip
+
+
 def test_step_matches_reference():
     # bit-identical to the allocating form: same x_new, same iteration count
     halved = failed = 0
@@ -86,12 +94,10 @@ def test_step_matches_reference():
         for d in (1, 3, 5):
             _, V, Vm1, w, gs, h, _ = _problem(d=d, m=m)
             # one workspace runs all five cases in order, as a flow run does,
-            # including the cases after a failed step
-            work = K.Workspace(V, Vm1, w, gs, h, m)
-            r = N.build_grid(15.0, 300, d).nodes
-            smooth = 0.08 * np.exp(-r**2) + 0.02 * np.cos(r)
-            hole = -0.99 * np.exp(-r**2) + 0.495 * np.exp(-(r - 1.5)**2)
-            dip = 0.4 * np.exp(-r**2) - 0.3 * np.exp(-(r - 2.0)**2)
+            # including the cases after a failed step; its run dt is one no
+            # case uses, so every step stops by the full rule
+            work = K.Workspace(V, Vm1, w, gs, h, m, 0.5)
+            smooth, hole, dip = _cases(d)
             for x, dt in ((smooth, 1e-3), (smooth, 1.0), (hole, 1e-2),
                           (hole, 1e6), (dip, 1e6)):
                 want, want_it, halvings = _reference_step(x, V, Vm1, w, gs, h, m, dt)
@@ -124,12 +130,12 @@ def test_nan_update_matches_reference(monkeypatch):
     with pytest.raises(ValueError, match="infs or NaNs"):
         _reference_step(x, V, Vm1, w, gs, h, m, 1e-3)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m), 1e-3)
+        K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m, 1e-3), 1e-3)
 
 
 def test_pure_step_converges_and_conserves():
     x, V, Vm1, w, gs, h, m = _problem()
-    x_new, iters = K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m), 1e-3)
+    x_new, iters = K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m, 1e-3), 1e-3)
     assert x_new is not None and 1 <= iters <= 30
     assert np.all(1.0 + x_new > 0)
     # backward Euler conserves sum w V x (the truncated mass defect)
@@ -139,7 +145,8 @@ def test_pure_step_converges_and_conserves():
 
 def test_step_determinism():
     x, V, Vm1, w, gs, h, m = _problem()
-    work = K.Workspace(V, Vm1, w, gs, h, m)
+    # a run dt the steps do not use: both stop by the full rule
+    work = K.Workspace(V, Vm1, w, gs, h, m, 0.5)
     a, _ = K.newton_step(x, work, 1e-3)
     b, _ = K.newton_step(x, work, 1e-3)
     assert np.array_equal(a, b)
@@ -149,7 +156,7 @@ def test_huge_step_reports_failure_not_garbage():
     # an absurd time step must either converge or return None, never a
     # positivity-violating state
     x, V, Vm1, w, gs, h, m = _problem(m=0.3)
-    x_new, _ = K.newton_step(5.0 * x, K.Workspace(V, Vm1, w, gs, h, m), 1e6)
+    x_new, _ = K.newton_step(5.0 * x, K.Workspace(V, Vm1, w, gs, h, m, 1e6), 1e6)
     assert x_new is None or np.all(1.0 + x_new > 0)
 
 
@@ -158,7 +165,7 @@ def test_non_finite_input_raises():
     x, V, Vm1, w, gs, h, m = _problem()
     x[7] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m), 1e-3)
+        K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m, 1e-3), 1e-3)
 
 
 def test_workspace_clean_after_raise():
@@ -166,7 +173,7 @@ def test_workspace_clean_after_raise():
     # exactly as the reference does
     for d in (1, 5):
         x, V, Vm1, w, gs, h, m = _problem(d=d)
-        work = K.Workspace(V, Vm1, w, gs, h, m)
+        work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
         bad = x.copy()
         bad[7] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -187,4 +194,109 @@ def test_singular_system_is_a_failed_step(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
     x, V, Vm1, w, gs, h, m = _problem()
-    assert K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m), 1e-3) == (None, 1)
+    assert K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m, 1e-3), 1e-3) == (None, 1)
+
+
+# an estimate of the quadratic-convergence constant so small that the
+# estimate rule, where it applies, accepts any first iteration
+ANY = 1e-300
+
+
+def test_estimate_accepts_after_one_undamped_iteration_at_run_dt():
+    # the control for the tests below: at the run's dt, with an estimate,
+    # an undamped first iteration is accepted
+    x, V, Vm1, w, gs, h, m = _problem()
+    work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+    work.L = ANY
+    # one iteration of the reference, accepted whatever its correction
+    want, _, _ = _reference_step(x, V, Vm1, w, gs, h, m, 1e-3, tol=np.inf,
+                                 maxit=1)
+    got, got_it = K.newton_step(x, work, 1e-3)
+    assert (got_it, work.L) == (1, ANY)
+    assert np.array_equal(got, want)
+
+
+def test_estimate_never_used_on_a_damped_first_iteration():
+    for m in (0.0, 0.3):
+        _, V, Vm1, w, gs, h, _ = _problem(d=3, m=m)
+        _, hole, _ = _cases(3)
+        want, want_it, _ = _reference_step(hole, V, Vm1, w, gs, h, m, 1e6)
+        # the first iteration damps (lam < 1)
+        _, _, halvings = _reference_step(hole, V, Vm1, w, gs, h, m, 1e6, maxit=1)
+        assert halvings > 0 and want_it > 1
+        work = K.Workspace(V, Vm1, w, gs, h, m, 1e6)
+        work.L = ANY
+        got, got_it = K.newton_step(hole, work, 1e6)
+        assert got_it == want_it
+        assert np.array_equal(got, want)
+
+
+def test_estimate_never_used_at_a_halved_dt():
+    x, V, Vm1, w, gs, h, m = _problem()
+    work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+    work.L = ANY
+    want, want_it, _ = _reference_step(x, V, Vm1, w, gs, h, m, 5e-4)
+    got, got_it = K.newton_step(x, work, 5e-4)
+    assert want_it > 1 and got_it == want_it
+    assert np.array_equal(got, want)
+    # a dt halving neither measures nor clears the run's estimate
+    assert work.L == ANY
+
+
+def test_fresh_workspace_uses_full_rule_then_measures_L():
+    # a fresh workspace has no estimate, so its first step stops by the full
+    # rule; one that stops after exactly two undamped iterations measures L
+    measured = 0
+    for d in (1, 3, 5):
+        x, V, Vm1, w, gs, h, m = _problem(d=d)
+        for x0 in (x, 1e-3 * x):
+            work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+            want, want_it, _ = _reference_step(x0, V, Vm1, w, gs, h, m, 1e-3)
+            got, got_it = K.newton_step(x0, work, 1e-3)
+            assert got_it == want_it > 1
+            assert np.array_equal(got, want)
+            if got_it == 2:
+                assert 0.0 < work.L < 1e11
+                measured += 1
+            else:
+                assert work.L is None
+    assert measured > 0
+
+
+def test_failed_step_clears_estimate():
+    _, V, Vm1, w, gs, h, m = _problem(d=3, m=0.3)
+    _, _, dip = _cases(3)
+    work = K.Workspace(V, Vm1, w, gs, h, m, 1e6)
+    work.L = 1.0
+    assert K.newton_step(dip, work, 1e6)[0] is None
+    assert work.L is None
+    # so does a step that raises
+    x, V, Vm1, w, gs, h, m = _problem()
+    x[7] = np.nan
+    work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+    work.L = 1.0
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        K.newton_step(x, work, 1e-3)
+    assert work.L is None
+
+
+def test_exact_zero_correction_stores_no_zero_estimate(monkeypatch):
+    # a second correction of exactly 0 stops the step after two iterations,
+    # but L = 0 would accept every later step
+    import scipy.linalg
+
+    solve = scipy.linalg.solve_banded
+    calls = []
+
+    def zero_second(*args, **kwargs):
+        dx = solve(*args, **kwargs)
+        calls.append(None)
+        return dx if len(calls) % 2 else np.zeros_like(dx)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", zero_second)
+    x, V, Vm1, w, gs, h, m = _problem()
+    for before in (None, 0.5):
+        work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+        work.L = before
+        assert K.newton_step(x, work, 1e-3)[1] == 2
+        assert work.L == before

@@ -269,6 +269,16 @@ def test_verify_constants_discrete_case():
     assert res.minimum == min(s.lambda_numeric for s in res.sectors)
 
 
+def test_verify_constants_only_sectors_that_exist():
+    # in d = 1 only the parities l = 0, 1 exist (multiplicity(1, l) = 0 for
+    # l >= 2), so no other sector is evaluated or enters the minimum
+    res = N.verify_constants(1, -0.1, R_max=100.0, N=200)
+    assert [s.l for s in res.sectors] == [0, 1]
+    assert res.minimum == min(s.lambda_numeric for s in res.sectors)
+    res = N.verify_constants(2, -3.0, R_max=60.0, N=200, extrapolate=False)
+    assert [s.l for s in res.sectors] == [0, 1, 2, 3]
+
+
 def test_verify_constants_continuum_case_needs_extrapolation():
     # (3, -2): closed form 9/4 sits at the continuum bottom; truncated values
     # overshoot and the quantization-law fit removes the 1/log^2 R bias
