@@ -9,11 +9,12 @@ p = V^(m-1) expm1((m-1) log1p(x))/(m-1), which is exact for every m < 1
 including m = 0 and stays accurate when x underflows far in the tail.
 
 A Workspace, built once per flow run, holds what every step shares: the
-invariants of the grid and profile and the work buffers, which each Newton
-iteration overwrites before it reads them.  Each operation rounds exactly
-as in the form that allocates one array per operation (kept as the
-reference in tests/test_kernels.py): no product or sum is reassociated, so
-the buffering changes no bit of the result.
+invariants of the grid and profile, read from the run's entropy.Weights,
+and the work buffers, which each Newton iteration overwrites before it
+reads them.  Each operation rounds exactly as in the form that allocates
+one array per operation (kept as the reference in tests/test_kernels.py):
+no product or sum is reassociated, so the buffering changes no bit of the
+result.
 
 Newton stops by one of two rules.  The full rule stops once the step's
 convergence measure e = max |dx| / (1 + |x|) falls below 1e-11, as the
@@ -34,25 +35,26 @@ BACKEND = "pure"
 
 
 class Workspace:
-    """The per-run part of newton_step: from the profile V, Vm1 = V^(m-1),
-    the cell volumes w, the face geometry (g, h) and m, the invariants
-    w V, g/h and V/2 on each side of a face, and the work buffers.
+    """The per-run part of newton_step.  From wts, the run's entropy.Weights,
+    it reads the profile V, Vm1 = V^(m-1), w V, the face geometry (g, h) and
+    m, and adds the invariants g/h and V/2 on each side of a face, and the
+    work buffers.
 
     dt is the run's time step, the one step length at which the estimate
     rule measures and uses L.  L is None until a step measures it."""
 
-    def __init__(self, V, Vm1, w, g, h, m, dt):
+    def __init__(self, wts, dt):
+        V = wts.V
         n = len(V)
-        self.V, self.Vm1, self.g, self.h = V, Vm1, g, h
+        self.V, self.Vm1, self.g, self.h, self.wV = V, wts.Vm1, wts.g, wts.h, wts.wV
         self.dt = dt
         self.L = None
-        self.wV = w * V
-        self.closure = w[0] == 0.0
-        self.gh = g / h
+        self.closure = wts.w[0] == 0.0
+        self.gh = wts.g / wts.h
         self.hV_l = 0.5 * V[:-1]
         self.hV_r = 0.5 * V[1:]
-        self.m1 = m - 1.0
-        self.m2 = m - 2.0
+        self.m1 = wts.m - 1.0
+        self.m2 = wts.m - 2.0
         # nodal (length n) and face (length n - 1) buffers
         self.nodal = tuple(np.empty((7, n)))
         self.faces = tuple(np.empty((4, n - 1)))

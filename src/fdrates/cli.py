@@ -63,6 +63,15 @@ def _exact_list(text: str) -> list[Fraction]:
     return [_exact(item) for item in text.split(",")]
 
 
+def _matching(pattern: str, expected: str):
+    """An option type that takes the text whole if it matches pattern."""
+    def parse(text: str) -> str:
+        if re.fullmatch(pattern, text):
+            return text
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # run configuration files (key=value)
 
@@ -411,8 +420,9 @@ def _cmd_entropy_report(args):
 
     cfg = _load_config(args.config)
     state = _build_state(cfg)
-    rep = ent.sandwich_from_x(state.x, state.grid, state.profile)
-    md = ent.mass_defect_from_x(state.x, state.grid, state.profile)
+    wts = ent.Weights.of(state.grid, state.profile)
+    rep = ent.sandwich_from_x(state.x, wts)
+    md = ent.mass_defect_from_x(state.x, wts)
     out = {
         "entropy": rep.entropy, "fisher": rep.fisher, "f_norm": rep.f_norm,
         "grad_norm": rep.grad_norm, "h1": rep.h1, "h2": rep.h2, "h": rep.h,
@@ -455,12 +465,9 @@ def _quotient_test_function(name, grid, alpha):
     if name == "ring":
         return num.RadialField(grid=grid,
                                values=np.exp(-((grid.nodes - 1.0) ** 2)))
-    if name.startswith("mode:"):
-        l_str, k_str = name[5:].split(",")
-        mode = spec.discrete_mode(grid.d, alpha, int(l_str), int(k_str))
-        return spec.mode_field(mode, grid)
-    raise ConfigError(f"unknown test function {name!r}; "
-                      "use gauss, ring, or mode:l,k")
+    l_str, k_str = name[5:].split(",")  # mode:l,k, as the --f type checked
+    mode = spec.discrete_mode(grid.d, alpha, int(l_str), int(k_str))
+    return spec.mode_field(mode, grid)
 
 
 def _cmd_quotient(args):
@@ -469,15 +476,15 @@ def _cmd_quotient(args):
     from . import profiles as prof
 
     e = exp_mod.derive_exponents(args.d, args.m)
+    p = prof.Profile(exponents=e, D=args.D)  # refuses D <= 0 before its sqrt
     grid = num.build_grid(args.R, args.N, args.d, scale=math.sqrt(args.D))
-    p = prof.Profile(exponents=e, D=args.D)
     f = _quotient_test_function(args.f, grid, e.alpha)
     forms = num.assemble_sector_forms(grid, e.alpha, args.D, f.l)
     # Rayleigh quotient of the mean-zero projection of f
-    proj = ent._mean_zero(f, p)
+    proj = ent._mean_zero(f, ent.Weights.of(grid, p))
     rq = num.rayleigh_quotient(num.RadialField(grid=grid, values=proj, l=f.l), forms)
     rows = []
-    for n in (int(s) for s in args.n.split(",")):
+    for n in map(int, args.n.split(",")):
         q = ent.variational_quotient(f, n, p)
         rows.append((n, q, rq, q / rq))
     comments = ["# fdrates quotient", f"# d={args.d}", f"# m={_fmt(args.m)}",
@@ -597,8 +604,10 @@ def _build_parser():
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=_exact, required=True)
     sp.add_argument("--D", type=float, default=1.0)
-    sp.add_argument("--f", type=str, default="gauss")
-    sp.add_argument("--n", type=str, default="50,100,200,400")
+    sp.add_argument("--f", default="gauss", type=_matching(
+        r"gauss|ring|mode:\d+,\d+", "gauss, ring or mode:l,k with integers l, k >= 0"))
+    sp.add_argument("--n", default="50,100,200,400", type=_matching(
+        r"0*[1-9]\d*(,0*[1-9]\d*)*", "comma-separated positive integers"))
     sp.add_argument("--R", type=float, default=50.0)
     sp.add_argument("--N", type=int, default=1200)
 

@@ -9,12 +9,13 @@ All functionals are evaluated in the relative variable x = v/V_D - 1; the
 identity V_D^(m-1) = D + r^2 (exact, since alpha(m-1) = 1) makes every weight
 a plain power of D + r^2.  Working in x instead of v keeps the integrands
 accurate when v - V_D underflows relative to V_D far in the tail, which is
-essential on the very large domains of critical-case runs.
+essential on the very large domains of critical-case runs.  The weights of
+one (grid, profile) pair are computed once, into a Weights record that the
+functionals, and the flow's Newton kernel, read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .numerics import (RadialField, RadialGrid, _schedule, cell_volumes,
 from .profiles import Profile
 
 __all__ = [
+    "Weights",
     "EntropyTrace",
     "FitResult",
     "GronwallParams",
@@ -66,39 +68,64 @@ def _phi(x, m):
     return np.where(small, ser, gen)
 
 
-def _pressure(x, w2, m):
-    """p = V^(m-1) ((1+x)^(m-1) - 1)/(m-1) with V^(m-1) = w2 = D + r^2."""
-    return w2 * np.expm1((m - 1.0) * np.log1p(x)) / (m - 1.0)
+def _pressure(x, Vm1, m):
+    """p = V^(m-1) ((1+x)^(m-1) - 1)/(m-1) with V^(m-1) = Vm1 = D + r^2."""
+    return Vm1 * np.expm1((m - 1.0) * np.log1p(x)) / (m - 1.0)
 
 
-def entropy_from_x(x: np.ndarray, grid: RadialGrid, p: Profile) -> float:
-    """Relative entropy F[v] with v = V_D (1 + x)."""
-    m = float(p.exponents.m)
-    alpha = float(p.exponents.alpha)
-    w = cell_volumes(grid)
-    w2 = p.D + grid.nodes**2
-    return sphere_area(grid.d) * float(np.sum(w * w2 ** (alpha * m) * _phi(x, m)))
+@dataclass(frozen=True, repr=False)
+class Weights:
+    """The quadrature of one (grid, profile) pair, built once (Weights.of)
+    and shared by the functionals below and the flow's Newton kernel: the
+    cell volumes w, the face geometry (g, h), sd = |S^(d-1)|,
+    Vm1 = D + r^2 = V^(m-1), V = (D + r^2)^alpha, wV = w V,
+    wVm = w (D + r^2)^(alpha m), V_am1 = (D + r^2)^(alpha-1), and V_face,
+    the profile (D + r^2)^alpha at the face midpoints."""
+
+    profile: Profile
+    m: float
+    sd: float
+    w: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    Vm1: np.ndarray
+    V: np.ndarray
+    wV: np.ndarray
+    wVm: np.ndarray
+    V_am1: np.ndarray
+    V_face: np.ndarray
+
+    @classmethod
+    def of(cls, grid: RadialGrid, p: Profile) -> Weights:
+        m, alpha = float(p.exponents.m), float(p.exponents.alpha)
+        r = grid.nodes
+        w = cell_volumes(grid)
+        g, h = face_geometry(grid)
+        Vm1 = p.D + r**2
+        V = Vm1**alpha
+        mid = 0.5 * (r[:-1] + r[1:])
+        return cls(profile=p, m=m, sd=sphere_area(grid.d), w=w, g=g, h=h,
+                   Vm1=Vm1, V=V, wV=w * V, wVm=w * Vm1 ** (alpha * m),
+                   V_am1=Vm1 ** (alpha - 1.0), V_face=(p.D + mid**2) ** alpha)
 
 
-def fisher_from_x(x: np.ndarray, grid: RadialGrid, p: Profile) -> float:
-    """Relative Fisher information I[v] = int |grad p|^2 v dx, face quadrature."""
-    m = float(p.exponents.m)
-    alpha = float(p.exponents.alpha)
-    r = grid.nodes
-    g, h = face_geometry(grid)
-    w2 = p.D + r**2
-    V = w2**alpha
-    pr = _pressure(x, w2, m)
+def entropy_from_x(x: np.ndarray, wts: Weights) -> float:
+    """Relative entropy F[v] with v = V_D (1 + x), on the shared Weights wts."""
+    return wts.sd * float(np.sum(wts.wVm * _phi(x, wts.m)))
+
+
+def fisher_from_x(x: np.ndarray, wts: Weights) -> float:
+    """Relative Fisher information I[v] = int |grad p|^2 v dx, by the face
+    quadrature of the shared Weights wts."""
+    V = wts.V
+    pr = _pressure(x, wts.Vm1, wts.m)
     vbar = 0.5 * (V[:-1] * (1.0 + x[:-1]) + V[1:] * (1.0 + x[1:]))
-    return sphere_area(grid.d) * float(np.sum(g * vbar * np.diff(pr) ** 2 / h))
+    return wts.sd * float(np.sum(wts.g * vbar * np.diff(pr) ** 2 / wts.h))
 
 
-def mass_defect_from_x(x: np.ndarray, grid: RadialGrid, p: Profile) -> float:
-    """Truncated mass defect int (v - V_D) dx = int V_D x dx."""
-    alpha = float(p.exponents.alpha)
-    w = cell_volumes(grid)
-    V = (p.D + grid.nodes**2) ** alpha
-    return sphere_area(grid.d) * float(np.sum(w * V * x))
+def mass_defect_from_x(x: np.ndarray, wts: Weights) -> float:
+    """Truncated mass defect int (v - V_D) dx = int V_D x dx, on the shared wts."""
+    return wts.sd * float(np.sum(wts.wV * x))
 
 
 @dataclass(frozen=True)
@@ -125,29 +152,19 @@ class SandwichReport:
                 and self.slack_fisher >= 0)
 
 
-def sandwich_from_x(x: np.ndarray, grid: RadialGrid, p: Profile) -> SandwichReport:
-    """Evaluate both sandwich bounds at the state v = V_D (1 + x)."""
-    exps = p.exponents
-    m = float(exps.m)
-    alpha = float(exps.alpha)
-    r = grid.nodes
-    w = cell_volumes(grid)
-    g, hf = face_geometry(grid)
-    w2 = p.D + r**2
-
-    f = x * w2  # (w-1) V^(m-1)
-    J = sphere_area(grid.d) * float(np.sum(w * f**2 * w2 ** (alpha - 1.0)))
-    mid = 0.5 * (r[:-1] + r[1:])
-    grad = sphere_area(grid.d) * float(
-        np.sum(g * np.diff(f) ** 2 / hf * (p.D + mid**2) ** alpha)
-    )
-    F = entropy_from_x(x, grid, p)
-    I = fisher_from_x(x, grid, p)
+def sandwich_from_x(x: np.ndarray, wts: Weights) -> SandwichReport:
+    """Both sandwich bounds at the state v = V_D (1 + x), on the shared wts."""
+    m = wts.m
+    f = x * wts.Vm1  # (w-1) V^(m-1)
+    J = wts.sd * float(np.sum(wts.w * f**2 * wts.V_am1))
+    grad = wts.sd * float(np.sum(wts.g * np.diff(f) ** 2 / wts.h * wts.V_face))
+    F = entropy_from_x(x, wts)
+    I = fisher_from_x(x, wts)
 
     h1 = float(1.0 + np.min(x))
     h2 = float(1.0 + np.max(x))
     h = max(h2, 1.0 / h1)
-    X, Y = xy_functions(h, exps)
+    X, Y = xy_functions(h, wts.profile.exponents)
     return SandwichReport(
         entropy=F, fisher=I, f_norm=J, grad_norm=grad, h1=h1, h2=h2, h=h,
         slack_entropy_lower=2.0 * F - h ** (m - 2.0) * J,
@@ -325,10 +342,9 @@ def gronwall_bound(F0: float, h0: float, params: GronwallParams,
 # variational sharpness quotient
 
 
-def _mean_zero(f: RadialField, p: Profile) -> np.ndarray:
+def _mean_zero(f: RadialField, wts: Weights) -> np.ndarray:
     """Values of f minus its mean in dmu_(alpha-1) = (D+|x|^2)^(alpha-1) dx."""
-    w2 = p.D + f.grid.nodes**2
-    mu = cell_volumes(f.grid) * w2 ** (float(p.exponents.alpha) - 1.0)
+    mu = wts.w * wts.V_am1
     return f.values - np.sum(mu * f.values) / np.sum(mu)
 
 
@@ -337,18 +353,18 @@ def variational_quotient(f: RadialField, n: int, p: Profile) -> float:
 
     f is first projected to mean zero in dmu_(alpha-1); as n grows the
     quotient converges (at rate O(1/n)) to a multiple of the Rayleigh quotient
-    of f, the multiple being the same for every f.
+    of f, the multiple being the same for every f.  The Weights of (f.grid, p)
+    are built once and shared by the projection and both functionals.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    grid = f.grid
-    vals = _mean_zero(f, p)
+    wts = Weights.of(f.grid, p)
     # V^(1-m) = (D+r^2)^(alpha(1-m)) = 1/(D+r^2)
-    x = vals / (n * (p.D + grid.nodes**2))
+    x = _mean_zero(f, wts) / (n * wts.Vm1)
     if np.any(1.0 + x <= 0):
         raise ValueError(f"perturbation not positive at n = {n}; increase n")
-    F = entropy_from_x(x, grid, p)
-    I = fisher_from_x(x, grid, p)
+    F = entropy_from_x(x, wts)
+    I = fisher_from_x(x, wts)
     if F == 0.0:
         raise ZeroDivisionError("zero entropy for nonzero perturbation")
     return I / F

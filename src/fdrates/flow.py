@@ -24,12 +24,11 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .entropy import (EntropyTrace, entropy_from_x, fisher_from_x,
+from .entropy import (EntropyTrace, Weights, entropy_from_x, fisher_from_x,
                       mass_defect_from_x, sandwich_from_x)
 from .exponents import ExponentSet, alpha_to_m, derive_exponents
 from .numerics import (RadialField, RadialGrid, _schedule,
-                       assemble_sector_forms, cell_volumes, face_geometry,
-                       sphere_area)
+                       assemble_sector_forms, sphere_area)
 from .profiles import Profile, solve_D
 
 __all__ = [
@@ -193,22 +192,17 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     units (default: ~200 rows), cadence being an integer multiple of dt.  With
     track_sandwich=True a SandwichReport is attached per row, and the row takes
     F, I, h1 and h2 from it.  The state is advanced in place and also
-    reflected in state.t.  The Newton kernel's invariants and work buffers
-    (a _kernels.Workspace) are set up once per call and shared by every step
-    and every dt halving; its quadratic-convergence estimate, which lets a
-    step stop after one Newton iteration, is measured and used at dt only.
+    reflected in state.t.  The quadrature weights of the grid and profile
+    (an entropy.Weights) are computed once per call and shared by the row
+    functionals and the Newton kernel, whose invariants and work buffers (a
+    _kernels.Workspace) are also set up once and shared by every step and
+    every dt halving; its quadratic-convergence estimate, which lets a step
+    stop after one Newton iteration, is measured and used at dt only.
     """
     schedule = _schedule(state.t, t_end, dt, cadence)
 
-    grid = state.grid
-    p = state.profile
-    m = float(state.exponents.m)
-    alpha = float(state.exponents.alpha)
-    Vm1 = p.D + grid.nodes**2
-    V = Vm1**alpha
-    g, h = face_geometry(grid)
-    work = _kernels.Workspace(V, Vm1, cell_volumes(grid), g, h, m, dt)
-
+    wts = Weights.of(state.grid, state.profile)
+    work = _kernels.Workspace(wts, dt)
     sandwiches = []
 
     def step():
@@ -216,19 +210,19 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
 
     def row():
         if track_sandwich:
-            rep = sandwich_from_x(state.x, grid, p)
+            rep = sandwich_from_x(state.x, wts)
             sandwiches.append(rep)
             F, I, h1, h2 = rep.entropy, rep.fisher, rep.h1, rep.h2
         else:
-            F = entropy_from_x(state.x, grid, p)
-            I = fisher_from_x(state.x, grid, p)
+            F = entropy_from_x(state.x, wts)
+            I = fisher_from_x(state.x, wts)
             h1 = float(1.0 + np.min(state.x))
             h2 = float(1.0 + np.max(state.x))
-        md = mass_defect_from_x(state.x, grid, p)
+        md = mass_defect_from_x(state.x, wts)
         return state.t, F, I, h1, h2, md
 
     columns = _march(state, schedule, step, row)
-    return EntropyTrace(**columns, exponents=state.exponents, D=p.D,
+    return EntropyTrace(**columns, exponents=state.exponents, D=state.profile.D,
                         sandwich=tuple(sandwiches))
 
 

@@ -13,14 +13,14 @@ quadratic forms
 
 This module discretizes (A_l, B) with P1 finite elements on a sinh-graded
 radial grid and computes sector bottom eigenvalues, mean-zero for l = 0, by
-index: a lumped-mass tridiagonal eigensolve gives the shift and start vector,
-and consistent-mass inverse iteration with one factorization finishes them
-(with a dense oracle for cross-checking).  Truncated-domain eigenvalues are
-extrapolated to the infinite-domain limit, which together verify the
-closed-form sharp constants numerically; each truncated domain is gridded
-and assembled once, and every sector is formed from that one assembly by
-adding its centrifugal term.  The time-schedule check shared by
-the flows and the Gronwall integrator lives here too.
+index, along one path: a lumped-mass tridiagonal eigensolve gives the shift
+and start vector, and consistent-mass inverse iteration with one
+factorization finishes them.  Truncated-domain eigenvalues are extrapolated
+to the infinite-domain limit, which together verify the closed-form sharp
+constants numerically; each truncated domain is gridded and assembled once,
+and every sector is formed from that one assembly by adding its centrifugal
+term.  The time-schedule check shared by the flows and the Gronwall
+integrator lives here too.
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def build_grid(R_max: float, N: int, d: int, grading: str = "sinh",
         raise ValueError(f"R_max must be positive, got {R_max}")
     if N < 16:
         raise ValueError(f"need at least 16 cells, got N = {N}")
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
     if grading == "uniform":
         r = np.linspace(0.0, R_max, N + 1)
     elif grading == "sinh":
@@ -192,14 +194,6 @@ class SectorForms:
     def n(self) -> int:
         return len(self.a_diag)
 
-    def stiffness(self) -> np.ndarray:
-        """Dense stiffness matrix A (for oracles and small problems)."""
-        return _tridiag_dense(self.a_diag, self.a_off)
-
-    def mass(self) -> np.ndarray:
-        """Dense mass matrix B."""
-        return _tridiag_dense(self.b_diag, self.b_off)
-
     def apply_a(self, x: np.ndarray) -> np.ndarray:
         return _tridiag_apply(self.a_diag, self.a_off, x)
 
@@ -215,16 +209,6 @@ class SectorForms:
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """Drop the origin node of a full nodal vector when Dirichlet applies."""
         return values[1:] if self.dirichlet_origin else values
-
-
-def _tridiag_dense(diag, off):
-    n = len(diag)
-    M = np.zeros((n, n))
-    idx = np.arange(n)
-    M[idx, idx] = diag
-    M[idx[:-1], idx[:-1] + 1] = off
-    M[idx[:-1] + 1, idx[:-1]] = off
-    return M
 
 
 def _tridiag_apply(diag, off, x):
@@ -323,22 +307,32 @@ def rayleigh_quotient(f: RadialField, forms: SectorForms) -> float:
     return float(x @ forms.apply_a(x)) / den
 
 
-def _bottom_dense(forms: SectorForms, k: int):
-    from scipy.linalg import eigh
-
-    _, vecs = eigh(forms.stiffness(), forms.mass(), subset_by_index=[k, k])
-    v = vecs[:, 0]
-    # LAPACK's eigenvalue carries an absolute error of order eps times the
-    # largest eigenvalue; the quotient of its B-normalized vector does not
-    return float(v @ forms.apply_a(v)), v
+# inverse iteration stops once the eigen-residual is below _EIGEN_TOL times
+# its rounding scale, and raises NonConvergenceError after _EIGEN_MAXIT solves
+_EIGEN_TOL = 1e-13
+_EIGEN_MAXIT = 100
 
 
-def _bottom_iterative(forms: SectorForms, k: int, tol, maxit):
+def bottom_eigenvalue(forms: SectorForms):
+    """Bottom eigenvalue of the pencil (A, B), mean-zero in sector l = 0.
+
+    The eigenvalue is picked by index: k = 1 for l = 0, where the constant is
+    an exact zero mode of A, so that eigenvector k is B-orthogonal to it (the
+    mean-zero condition int f dmu_(alpha-1) = 0); k = 0 otherwise.  Eigenpair
+    k of the lumped-mass pencil (LAPACK bisection on a symmetric tridiagonal
+    matrix) gives the shift sigma and the start vector; consistent-mass
+    inverse iteration, with A - sigma B factored once, runs until the
+    eigen-residual |A f - lambda B f| is below 1e-13 times its rounding scale
+    |A||f| + |lambda||B||f|, and raises NonConvergenceError after 100 solves.
+
+    Returns (lambda, f) with f a RadialField normalized in the B-norm.
+    """
     # scipy.linalg is loaded at the first eigensolve, so that the closed-form
     # commands start without it
     from scipy.linalg import eigh_tridiagonal
     from scipy.linalg.lapack import dgttrf, dgttrs
 
+    k = 1 if forms.l == 0 else 0
     # shift and start vector: eigenpair k of the lumped-mass pencil, which the
     # scaling s = lumped^(-1/2) turns into a symmetric tridiagonal problem
     lumped = forms.b_diag.copy()
@@ -355,7 +349,7 @@ def _bottom_iterative(forms: SectorForms, k: int, tol, maxit):
     abs_b = (np.abs(forms.b_diag), np.abs(forms.b_off))
     bf = forms.apply_b(s * y[:, 0])
     lam = sigma
-    for _ in range(maxit):
+    for _ in range(_EIGEN_MAXIT):
         f = dgttrs(*lu, bf)[0]
         bf = forms.apply_b(f)
         nrm = math.sqrt(float(f @ bf))
@@ -366,36 +360,9 @@ def _bottom_iterative(forms: SectorForms, k: int, tol, maxit):
         # rounding alone leaves a residual of order eps * (|A||f| + |lam||B||f|)
         f_abs = np.abs(f)
         scale = _tridiag_apply(*abs_a, f_abs) + abs(lam) * _tridiag_apply(*abs_b, f_abs)
-        if np.linalg.norm(af - lam * bf) <= tol * np.linalg.norm(scale):
-            return lam, f
+        if np.linalg.norm(af - lam * bf) <= _EIGEN_TOL * np.linalg.norm(scale):
+            return lam, RadialField(grid=forms.grid, values=forms.pad(f), l=forms.l)
     raise NonConvergenceError("inverse iteration did not converge", lam)
-
-
-def bottom_eigenvalue(forms: SectorForms, *, tol: float = 1e-13, maxit: int = 100,
-                      method: str = "iterative"):
-    """Bottom eigenvalue of the pencil (A, B), mean-zero in sector l = 0.
-
-    The eigenvalue is picked by index: k = 1 for l = 0, where the constant is
-    an exact zero mode of A, so that eigenvector k is B-orthogonal to it (the
-    mean-zero condition int f dmu_(alpha-1) = 0); k = 0 otherwise.  method
-    "iterative" takes eigenpair k of the lumped-mass pencil (LAPACK
-    bisection on a symmetric tridiagonal matrix) as shift sigma and start
-    vector, then runs consistent-mass inverse iteration with A - sigma B
-    factored once, until the eigen-residual |A f - lambda B f| is below tol
-    times its rounding scale |A||f| + |lambda||B||f|; it raises
-    NonConvergenceError after maxit solves.  "dense" is the direct oracle
-    (O(n^3), for small problems and cross-checks).
-
-    Returns (lambda, f) with f a RadialField normalized in the B-norm.
-    """
-    k = 1 if forms.l == 0 else 0
-    if method == "dense":
-        lam, vec = _bottom_dense(forms, k)
-    elif method == "iterative":
-        lam, vec = _bottom_iterative(forms, k, tol, maxit)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return lam, RadialField(grid=forms.grid, values=forms.pad(vec), l=forms.l)
 
 
 def sector_bottom(d: int, alpha: float, D: float, l: int, R_max: float, N: int):
@@ -499,9 +466,19 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
     extrapolating, R_max alone otherwise) is gridded and assembled once, and
     all sectors are formed from that one assembly.  alpha and D may be exact
     (Fractions); the closed form takes alpha exactly, the forms in floats.
+    Raises ValueError, naming the parameter, unless d >= 1, l_max >= 0,
+    D > 0 and R_max > 0.
     """
     from .spectral import multiplicity  # loaded only where verification runs
 
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    if not D > 0:
+        raise ValueError(f"D must be positive, got {D}")
+    if not R_max > 0:
+        raise ValueError(f"R_max must be positive, got {R_max}")
     closed = float(sharp_rate(d, alpha))
     scale = math.sqrt(D)
     if extrapolate:

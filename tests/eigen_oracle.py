@@ -1,0 +1,38 @@
+"""The dense eigen oracle: the matrices of a SectorForms written out in full,
+and the bottom eigenpair of their pencil from a direct O(n^3) eigensolve,
+for cross-checking numerics.bottom_eigenvalue on small problems."""
+
+import numpy as np
+
+
+def tridiag_dense(diag, off):
+    n = len(diag)
+    M = np.zeros((n, n))
+    idx = np.arange(n)
+    M[idx, idx] = diag
+    M[idx[:-1], idx[:-1] + 1] = off
+    M[idx[:-1] + 1, idx[:-1]] = off
+    return M
+
+
+def stiffness(forms):
+    """Dense stiffness matrix A."""
+    return tridiag_dense(forms.a_diag, forms.a_off)
+
+
+def mass(forms):
+    """Dense mass matrix B."""
+    return tridiag_dense(forms.b_diag, forms.b_off)
+
+
+def dense_bottom(forms):
+    """(lambda, nodal values) of eigenpair k of (A, B), picked by index as
+    bottom_eigenvalue picks it: k = 1 for l = 0, k = 0 otherwise."""
+    from scipy.linalg import eigh
+
+    k = 1 if forms.l == 0 else 0
+    _, vecs = eigh(stiffness(forms), mass(forms), subset_by_index=[k, k])
+    v = vecs[:, 0]
+    # LAPACK's eigenvalue carries an absolute error of order eps times the
+    # largest eigenvalue; the quotient of its B-normalized vector does not
+    return float(v @ forms.apply_a(v)), forms.pad(v)

@@ -15,6 +15,7 @@ import fdrates.numerics as N
 from fdrates.exponents import derive_exponents, lambda_continuum, sharp_rate
 from fdrates.spectral import discrete_mode, mode_field, ode_residual
 from fdrates.profiles import Profile
+from eigen_oracle import dense_bottom
 
 E59 = derive_exponents(5, 0.9)
 
@@ -84,9 +85,9 @@ def test_acceptance_constrained_vs_unconstrained_gap():
     the overall constrained gap at -2 alpha = 12; both levels verified to 2%."""
     grid = N.build_grid(30.0, 400, 5)
     forms1 = N.assemble_sector_forms(grid, -6.0, 1.0, 1)
-    lam1, _ = N.bottom_eigenvalue(forms1, method="dense")
+    lam1, _ = dense_bottom(forms1)
     forms0 = N.assemble_sector_forms(grid, -6.0, 1.0, 0)
-    lam0, _ = N.bottom_eigenvalue(forms0, method="dense")
+    lam0, _ = dense_bottom(forms0)
     ok = abs(lam1 - 12.0) / 12.0 <= 0.02 and abs(lam0 - 14.0) / 14.0 <= 0.02
     _verdict(ok, "constraint accounting at (5,-6)",
              f"l=1 bottom {lam1:.6f} vs 12; constrained l=0 bottom {lam0:.6f} vs 14 "

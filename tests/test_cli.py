@@ -299,6 +299,12 @@ def test_quotient_cli(capsys):
     n, q, rq, ratio = rows[0].split(",")
     assert float(q) >= 2.0
     assert float(ratio) == pytest.approx(2.0, rel=0.05)
+    # a discrete mode as the test function
+    assert main(["quotient", "--d", "5", "--m", "0.9", "--f", "mode:0,1",
+                 "--n", "100", "--R", "20", "--N", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "# f=mode:0,1" in out
+    assert len([l for l in out.splitlines() if not l.startswith("#")]) == 2
 
 
 def test_rescale_cli(capsys):
@@ -328,6 +334,26 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # 1: a Gronwall t_end that is not a multiple of dt
     assert main(["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0",
                  "--t-end", "0.1234", "--dt", "0.01"]) == 1
+    capsys.readouterr()
+    # 1: hp-verify inputs out of range, refused with the parameter named
+    verify = ["hp-verify", "--d", "5", "--alpha=-1", "--N", "64"]
+    for extra, msg in ((["--l-max", "-1"], "l_max must be >= 0, got -1"),
+                       (["--d", "0"], "d must be >= 1, got 0"),
+                       (["--R", "-3"], "R_max must be positive, got -3.0"),
+                       (["--D", "0"], "D must be positive, got 0.0")):
+        assert main(verify + extra) == 1
+        assert msg in capsys.readouterr().err
+    # 1: quotient options out of range or malformed, refused with the option
+    # or parameter named
+    quotient = ["quotient", "--d", "5", "--m", "0.9"]
+    for extra, msg in ((["--D", "0"], "D must be positive, got 0.0"),
+                       (["--f", "mode:1"], "argument --f: expected gauss, ring "
+                                           "or mode:l,k"),
+                       (["--n", "10,x"], "argument --n: expected comma-separated "
+                                         "positive integers, got '10,x'"),
+                       (["--n", "0"], "argument --n")):
+        assert main(quotient + extra) == 1
+        assert msg in capsys.readouterr().err
     # 2: a singular Newton system fails the step, and dt halving gives up
     import scipy.linalg
 
@@ -373,3 +399,31 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     lin.write_text("d = 5\nalpha = -10\nsector.l = 1\nfit.kind = lolog\n")
     assert main(["evolve-linear", "--config", str(lin)]) == 1
     assert "line 4: bad value for fit.kind: 'lolog'" in capsys.readouterr().err
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every fdrates line of the README's sh blocks runs and exits 0, from a
+    # directory holding the README's run.cfg and lin.cfg, each ini block
+    # written to the file the text before it names
+    import re
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    configs, lines = {}, []
+    for block in re.finditer(r"```(\w+)\n(.*?)```", readme, re.S):
+        kind, body = block.groups()
+        if kind == "ini":
+            name = re.findall(r"`(\w+\.cfg)`", readme[:block.start()])[-1]
+            configs[name] = body
+        elif kind == "sh":
+            lines += [l for l in body.splitlines() if l.startswith("fdrates ")]
+    assert sorted(configs) == ["lin.cfg", "run.cfg"]
+    assert len(lines) == 10
+    monkeypatch.chdir(tmp_path)
+    for name, body in configs.items():
+        (tmp_path / name).write_text(body, encoding="utf-8")
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().err == "", line
+    assert (tmp_path / "trace.csv").read_text().startswith("# fdrates evolve")

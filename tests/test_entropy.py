@@ -1,5 +1,6 @@
 """Tests for the entropy-method functionals and estimates."""
 
+import dataclasses
 import math
 import warnings
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 import fdrates.numerics as N
-from fdrates.entropy import (GronwallParams, calibrate_uniform_constant,
-                             entropy_from_x, fisher_from_x, fit_rate,
-                             gronwall_bound, h_star, sandwich_from_x,
+from fdrates.entropy import (GronwallParams, SandwichReport, Weights, _phi,
+                             calibrate_uniform_constant, entropy_from_x,
+                             fisher_from_x, fit_rate, gronwall_bound, h_star,
+                             mass_defect_from_x, sandwich_from_x,
                              variational_quotient, xy_functions, EntropyTrace)
 from fdrates.exponents import derive_exponents
 from fdrates.profiles import Profile
@@ -26,19 +28,21 @@ def _grid():
 def test_entropy_zero_at_profile():
     g = _grid()
     x = P1(g.nodes) / (P1.D + g.nodes**2) ** float(E59.alpha) - 1.0
-    assert entropy_from_x(x, g, P1) == 0.0
-    assert fisher_from_x(x, g, P1) == 0.0
-    rep = sandwich_from_x(x, g, P1)
+    wts = Weights.of(g, P1)
+    assert entropy_from_x(x, wts) == 0.0
+    assert fisher_from_x(x, wts) == 0.0
+    rep = sandwich_from_x(x, wts)
     assert (rep.h1, rep.h2, rep.h) == (1.0, 1.0, 1.0)
 
 
 def test_entropy_positive_and_quadratic():
     g = _grid()
     x0 = 0.02 * np.exp(-g.nodes**2)
-    F1 = entropy_from_x(x0, g, P1)
-    F2 = entropy_from_x(0.5 * x0, g, P1)
-    I1 = fisher_from_x(x0, g, P1)
-    I2 = fisher_from_x(0.5 * x0, g, P1)
+    wts = Weights.of(g, P1)
+    F1 = entropy_from_x(x0, wts)
+    F2 = entropy_from_x(0.5 * x0, wts)
+    I1 = fisher_from_x(x0, wts)
+    I2 = fisher_from_x(0.5 * x0, wts)
     assert F1 > 0 and I1 > 0
     # quadratic functionals near the profile: eps -> eps/2 divides by ~4
     assert F1 / F2 == pytest.approx(4.0, rel=0.05)
@@ -51,7 +55,7 @@ def test_entropy_small_x_series_consistency():
     g = _grid()
     for s in (2.001e-4, 0.9999e-4):
         x = s * np.exp(-g.nodes**2)
-        F = entropy_from_x(x, g, P1)
+        F = entropy_from_x(x, Weights.of(g, P1))
         # reference: direct evaluation in extended precision via numpy longdouble
         m = 0.9
         xl = x.astype(np.longdouble)
@@ -64,8 +68,6 @@ def test_entropy_small_x_series_consistency():
 def test_phi_large_x_does_not_overflow():
     # the Taylor branch is evaluated only where |x| < 1e-4, so a huge x
     # raises no overflow warning, and every value keeps its bytes
-    from fdrates.entropy import _phi
-
     x = np.array([1e200, -1e-5, 3e-5, 0.0, 0.5, 1e-4])
     for m in (0.0, 0.9):
         with warnings.catch_warnings():
@@ -86,9 +88,8 @@ def test_entropy_m0_limit():
     e0 = derive_exponents(3, 0.0)
     g = N.build_grid(30.0, 400, 3)
     x = 0.2 * np.exp(-g.nodes**2)
-    mid = entropy_from_x(x, g, Profile(exponents=e0, D=1.0))
-    lo = entropy_from_x(x, g, Profile(exponents=derive_exponents(3, -1e-4), D=1.0))
-    hi = entropy_from_x(x, g, Profile(exponents=derive_exponents(3, 1e-4), D=1.0))
+    mid, lo, hi = (entropy_from_x(x, Weights.of(g, Profile(exponents=e, D=1.0)))
+                   for e in (e0, derive_exponents(3, -1e-4), derive_exponents(3, 1e-4)))
     assert min(lo, hi) <= mid <= max(lo, hi)
     assert mid == pytest.approx(lo, rel=1e-3) and mid == pytest.approx(hi, rel=1e-3)
 
@@ -112,7 +113,7 @@ def test_sandwich_bounds_hold_and_tighten():
     slacks = []
     for eps in (0.2, 0.02):
         x = eps * np.exp(-g.nodes**2)
-        rep = sandwich_from_x(x, g, P1)
+        rep = sandwich_from_x(x, Weights.of(g, P1))
         assert rep.all_nonnegative
         assert rep.h2 == pytest.approx(1.0 + eps, rel=1e-12)
         assert rep.h == rep.h2
@@ -208,3 +209,94 @@ def test_variational_quotient_converges_and_bounded_below():
     assert gaps[1] < 0.8 * gaps[0] and gaps[2] < 0.8 * gaps[1]
     with pytest.raises(ValueError):
         variational_quotient(f, 0, P1)
+
+
+# ---------------------------------------------------------------------------
+# the shared Weights against the functionals written out inline, one
+# quadrature computed per call, as the oracle: every value must be equal
+
+
+def _ref_entropy(x, grid, p):
+    m = float(p.exponents.m)
+    alpha = float(p.exponents.alpha)
+    w = N.cell_volumes(grid)
+    w2 = p.D + grid.nodes**2
+    return N.sphere_area(grid.d) * float(np.sum(w * w2 ** (alpha * m) * _phi(x, m)))
+
+
+def _ref_fisher(x, grid, p):
+    m = float(p.exponents.m)
+    alpha = float(p.exponents.alpha)
+    r = grid.nodes
+    g, h = N.face_geometry(grid)
+    w2 = p.D + r**2
+    V = w2**alpha
+    pr = w2 * np.expm1((m - 1.0) * np.log1p(x)) / (m - 1.0)
+    vbar = 0.5 * (V[:-1] * (1.0 + x[:-1]) + V[1:] * (1.0 + x[1:]))
+    return N.sphere_area(grid.d) * float(np.sum(g * vbar * np.diff(pr) ** 2 / h))
+
+
+def _ref_mass_defect(x, grid, p):
+    alpha = float(p.exponents.alpha)
+    w = N.cell_volumes(grid)
+    V = (p.D + grid.nodes**2) ** alpha
+    return N.sphere_area(grid.d) * float(np.sum(w * V * x))
+
+
+def _ref_sandwich(x, grid, p):
+    exps = p.exponents
+    m = float(exps.m)
+    alpha = float(exps.alpha)
+    r = grid.nodes
+    w = N.cell_volumes(grid)
+    g, hf = N.face_geometry(grid)
+    w2 = p.D + r**2
+    f = x * w2
+    J = N.sphere_area(grid.d) * float(np.sum(w * f**2 * w2 ** (alpha - 1.0)))
+    mid = 0.5 * (r[:-1] + r[1:])
+    grad = N.sphere_area(grid.d) * float(
+        np.sum(g * np.diff(f) ** 2 / hf * (p.D + mid**2) ** alpha))
+    F = _ref_entropy(x, grid, p)
+    I = _ref_fisher(x, grid, p)
+    h1 = float(1.0 + np.min(x))
+    h2 = float(1.0 + np.max(x))
+    h = max(h2, 1.0 / h1)
+    X, Y = xy_functions(h, exps)
+    return SandwichReport(
+        entropy=F, fisher=I, f_norm=J, grad_norm=grad, h1=h1, h2=h2, h=h,
+        slack_entropy_lower=2.0 * F - h ** (m - 2.0) * J,
+        slack_entropy_upper=h ** (2.0 - m) * J - 2.0 * F,
+        slack_fisher=(1.0 + X) * I + Y * J - grad,
+    )
+
+
+def _ref_variational_quotient(f, n, p):
+    grid = f.grid
+    w2 = p.D + grid.nodes**2
+    mu = N.cell_volumes(grid) * w2 ** (float(p.exponents.alpha) - 1.0)
+    vals = f.values - np.sum(mu * f.values) / np.sum(mu)
+    x = vals / (n * (p.D + grid.nodes**2))
+    return _ref_fisher(x, grid, p) / _ref_entropy(x, grid, p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("D", [1.0, 2.3])
+def test_shared_weights_functionals_equal_inline_formulas(d, D):
+    g = N.build_grid(30.0, 300, d, scale=math.sqrt(D))
+    r = g.nodes
+    states = (0.2 * np.exp(-r**2),
+              -0.3 * np.exp(-(r - 1.0) ** 2) + 0.05 * np.cos(r),
+              3e-5 * np.exp(-r),  # the Taylor branch of the entropy
+              np.zeros_like(r))
+    f = N.RadialField(grid=g, values=np.exp(-r**2))
+    for m in (0.0, 0.5, 0.9):
+        p = Profile(exponents=derive_exponents(d, m), D=D)
+        wts = Weights.of(g, p)
+        for x in states:
+            assert entropy_from_x(x, wts) == _ref_entropy(x, g, p)
+            assert fisher_from_x(x, wts) == _ref_fisher(x, g, p)
+            assert mass_defect_from_x(x, wts) == _ref_mass_defect(x, g, p)
+            assert (dataclasses.astuple(sandwich_from_x(x, wts))
+                    == dataclasses.astuple(_ref_sandwich(x, g, p)))
+        for n in (50, 400):
+            assert variational_quotient(f, n, p) == _ref_variational_quotient(f, n, p)

@@ -7,7 +7,7 @@ import pytest
 
 import fdrates.flow as FL
 import fdrates.numerics as N
-from fdrates.entropy import fit_rate
+from fdrates.entropy import Weights, fit_rate
 from fdrates.exponents import derive_exponents
 from fdrates.profiles import Profile
 
@@ -128,11 +128,8 @@ def test_estimate_accepted_steps_match_full_iteration(monkeypatch):
     g = N.build_grid(float(np.sinh(90.0)), 200, 5)
     st = FL.make_initial_data(g, e, "bump", D=1.0, amplitude=0.1,
                               match_D=False, clip=False)
-    Vm1 = st.profile.D + g.nodes**2
-    V = Vm1 ** float(e.alpha)
-    gs, h = N.face_geometry(g)
     # full iteration: a workspace whose run dt no step of the run uses
-    full = K.Workspace(V, Vm1, N.cell_volumes(g), gs, h, float(e.m), 0.5)
+    full = K.Workspace(Weights.of(g, st.profile), 0.5)
     step = K.newton_step
     gaps = []
 

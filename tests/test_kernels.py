@@ -6,17 +6,17 @@ import pytest
 import fdrates
 import fdrates._kernels as K
 import fdrates.numerics as N
+from fdrates.entropy import Weights
+from fdrates.exponents import derive_exponents
+from fdrates.profiles import Profile
 
 
 def _problem(d=5, n=300, R=15.0, m=0.9, D=1.0):
     g = N.build_grid(R, n, d)
     r = g.nodes
-    Vm1 = D + r**2
-    V = Vm1 ** (1.0 / (m - 1.0))
-    w = N.cell_volumes(g)
-    gs, h = N.face_geometry(g)
+    wts = Weights.of(g, Profile(exponents=derive_exponents(d, m), D=D))
     x = 0.08 * np.exp(-r**2) + 0.02 * np.cos(r)
-    return x, V, Vm1, w, gs, h, m
+    return x, wts
 
 
 def test_backend_registry():
@@ -29,12 +29,13 @@ def test_backend_registry():
         fdrates.no_such_module
 
 
-def _reference_step(x_old, V, Vm1, w, g, h, m, dt, tol=1e-11, maxit=30):
+def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30):
     """The Newton step written with one new array per operation, as the
-    kernel's docstring states it; also returns the number of damping
-    halvings."""
+    kernel's docstring states it, from the profile and geometry of the
+    Weights wts; also returns the number of damping halvings."""
     from scipy.linalg import solve_banded
 
+    V, Vm1, w, g, h, m = wts.V, wts.Vm1, wts.w, wts.g, wts.h, wts.m
     x = x_old.copy()
     n = len(x)
     wV = w * V
@@ -92,15 +93,15 @@ def test_step_matches_reference():
     halved = failed = 0
     for m in (0.0, 0.3, 0.9):
         for d in (1, 3, 5):
-            _, V, Vm1, w, gs, h, _ = _problem(d=d, m=m)
+            _, wts = _problem(d=d, m=m)
             # one workspace runs all five cases in order, as a flow run does,
             # including the cases after a failed step; its run dt is one no
             # case uses, so every step stops by the full rule
-            work = K.Workspace(V, Vm1, w, gs, h, m, 0.5)
+            work = K.Workspace(wts, 0.5)
             smooth, hole, dip = _cases(d)
             for x, dt in ((smooth, 1e-3), (smooth, 1.0), (hole, 1e-2),
                           (hole, 1e6), (dip, 1e6)):
-                want, want_it, halvings = _reference_step(x, V, Vm1, w, gs, h, m, dt)
+                want, want_it, halvings = _reference_step(x, wts, dt)
                 got, got_it = K.newton_step(x, work, dt)
                 assert got_it == want_it
                 if want is None:
@@ -126,27 +127,28 @@ def test_nan_update_matches_reference(monkeypatch):
         return dx
 
     monkeypatch.setattr(scipy.linalg, "solve_banded", solve_with_nan)
-    x, V, Vm1, w, gs, h, m = _problem()
+    x, wts = _problem()
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _reference_step(x, V, Vm1, w, gs, h, m, 1e-3)
+        _reference_step(x, wts, 1e-3)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m, 1e-3), 1e-3)
+        K.newton_step(x, K.Workspace(wts, 1e-3), 1e-3)
 
 
 def test_pure_step_converges_and_conserves():
-    x, V, Vm1, w, gs, h, m = _problem()
-    x_new, iters = K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m, 1e-3), 1e-3)
+    x, wts = _problem()
+    x_new, iters = K.newton_step(x, K.Workspace(wts, 1e-3), 1e-3)
     assert x_new is not None and 1 <= iters <= 30
     assert np.all(1.0 + x_new > 0)
     # backward Euler conserves sum w V x (the truncated mass defect)
-    assert float(np.sum(w * V * x_new)) == pytest.approx(
-        float(np.sum(w * V * x)), abs=1e-15 + 1e-12 * abs(float(np.sum(w * V * x))))
+    wV = wts.w * wts.V
+    assert float(np.sum(wV * x_new)) == pytest.approx(
+        float(np.sum(wV * x)), abs=1e-15 + 1e-12 * abs(float(np.sum(wV * x))))
 
 
 def test_step_determinism():
-    x, V, Vm1, w, gs, h, m = _problem()
+    x, wts = _problem()
     # a run dt the steps do not use: both stop by the full rule
-    work = K.Workspace(V, Vm1, w, gs, h, m, 0.5)
+    work = K.Workspace(wts, 0.5)
     a, _ = K.newton_step(x, work, 1e-3)
     b, _ = K.newton_step(x, work, 1e-3)
     assert np.array_equal(a, b)
@@ -155,30 +157,30 @@ def test_step_determinism():
 def test_huge_step_reports_failure_not_garbage():
     # an absurd time step must either converge or return None, never a
     # positivity-violating state
-    x, V, Vm1, w, gs, h, m = _problem(m=0.3)
-    x_new, _ = K.newton_step(5.0 * x, K.Workspace(V, Vm1, w, gs, h, m, 1e6), 1e6)
+    x, wts = _problem(m=0.3)
+    x_new, _ = K.newton_step(5.0 * x, K.Workspace(wts, 1e6), 1e6)
     assert x_new is None or np.all(1.0 + x_new > 0)
 
 
 def test_non_finite_input_raises():
     # the pure kernel skips scipy's own finiteness check and makes its own
-    x, V, Vm1, w, gs, h, m = _problem()
+    x, wts = _problem()
     x[7] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m, 1e-3), 1e-3)
+        K.newton_step(x, K.Workspace(wts, 1e-3), 1e-3)
 
 
 def test_workspace_clean_after_raise():
     # a workspace whose buffers a NaN step left dirty steps a clean state
     # exactly as the reference does
     for d in (1, 5):
-        x, V, Vm1, w, gs, h, m = _problem(d=d)
-        work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+        x, wts = _problem(d=d)
+        work = K.Workspace(wts, 1e-3)
         bad = x.copy()
         bad[7] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             K.newton_step(bad, work, 1e-3)
-        want, want_it, _ = _reference_step(x, V, Vm1, w, gs, h, m, 1e-3)
+        want, want_it, _ = _reference_step(x, wts, 1e-3)
         got, got_it = K.newton_step(x, work, 1e-3)
         assert got_it == want_it
         assert np.array_equal(got, want)
@@ -193,8 +195,8 @@ def test_singular_system_is_a_failed_step(monkeypatch):
         raise scipy.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
-    x, V, Vm1, w, gs, h, m = _problem()
-    assert K.newton_step(x, K.Workspace(V, Vm1, w, gs, h, m, 1e-3), 1e-3) == (None, 1)
+    x, wts = _problem()
+    assert K.newton_step(x, K.Workspace(wts, 1e-3), 1e-3) == (None, 1)
 
 
 # an estimate of the quadratic-convergence constant so small that the
@@ -205,12 +207,11 @@ ANY = 1e-300
 def test_estimate_accepts_after_one_undamped_iteration_at_run_dt():
     # the control for the tests below: at the run's dt, with an estimate,
     # an undamped first iteration is accepted
-    x, V, Vm1, w, gs, h, m = _problem()
-    work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+    x, wts = _problem()
+    work = K.Workspace(wts, 1e-3)
     work.L = ANY
     # one iteration of the reference, accepted whatever its correction
-    want, _, _ = _reference_step(x, V, Vm1, w, gs, h, m, 1e-3, tol=np.inf,
-                                 maxit=1)
+    want, _, _ = _reference_step(x, wts, 1e-3, tol=np.inf, maxit=1)
     got, got_it = K.newton_step(x, work, 1e-3)
     assert (got_it, work.L) == (1, ANY)
     assert np.array_equal(got, want)
@@ -218,13 +219,13 @@ def test_estimate_accepts_after_one_undamped_iteration_at_run_dt():
 
 def test_estimate_never_used_on_a_damped_first_iteration():
     for m in (0.0, 0.3):
-        _, V, Vm1, w, gs, h, _ = _problem(d=3, m=m)
+        _, wts = _problem(d=3, m=m)
         _, hole, _ = _cases(3)
-        want, want_it, _ = _reference_step(hole, V, Vm1, w, gs, h, m, 1e6)
+        want, want_it, _ = _reference_step(hole, wts, 1e6)
         # the first iteration damps (lam < 1)
-        _, _, halvings = _reference_step(hole, V, Vm1, w, gs, h, m, 1e6, maxit=1)
+        _, _, halvings = _reference_step(hole, wts, 1e6, maxit=1)
         assert halvings > 0 and want_it > 1
-        work = K.Workspace(V, Vm1, w, gs, h, m, 1e6)
+        work = K.Workspace(wts, 1e6)
         work.L = ANY
         got, got_it = K.newton_step(hole, work, 1e6)
         assert got_it == want_it
@@ -232,10 +233,10 @@ def test_estimate_never_used_on_a_damped_first_iteration():
 
 
 def test_estimate_never_used_at_a_halved_dt():
-    x, V, Vm1, w, gs, h, m = _problem()
-    work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+    x, wts = _problem()
+    work = K.Workspace(wts, 1e-3)
     work.L = ANY
-    want, want_it, _ = _reference_step(x, V, Vm1, w, gs, h, m, 5e-4)
+    want, want_it, _ = _reference_step(x, wts, 5e-4)
     got, got_it = K.newton_step(x, work, 5e-4)
     assert want_it > 1 and got_it == want_it
     assert np.array_equal(got, want)
@@ -248,10 +249,10 @@ def test_fresh_workspace_uses_full_rule_then_measures_L():
     # rule; one that stops after exactly two undamped iterations measures L
     measured = 0
     for d in (1, 3, 5):
-        x, V, Vm1, w, gs, h, m = _problem(d=d)
+        x, wts = _problem(d=d)
         for x0 in (x, 1e-3 * x):
-            work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
-            want, want_it, _ = _reference_step(x0, V, Vm1, w, gs, h, m, 1e-3)
+            work = K.Workspace(wts, 1e-3)
+            want, want_it, _ = _reference_step(x0, wts, 1e-3)
             got, got_it = K.newton_step(x0, work, 1e-3)
             assert got_it == want_it > 1
             assert np.array_equal(got, want)
@@ -264,16 +265,16 @@ def test_fresh_workspace_uses_full_rule_then_measures_L():
 
 
 def test_failed_step_clears_estimate():
-    _, V, Vm1, w, gs, h, m = _problem(d=3, m=0.3)
+    _, wts = _problem(d=3, m=0.3)
     _, _, dip = _cases(3)
-    work = K.Workspace(V, Vm1, w, gs, h, m, 1e6)
+    work = K.Workspace(wts, 1e6)
     work.L = 1.0
     assert K.newton_step(dip, work, 1e6)[0] is None
     assert work.L is None
     # so does a step that raises
-    x, V, Vm1, w, gs, h, m = _problem()
+    x, wts = _problem()
     x[7] = np.nan
-    work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+    work = K.Workspace(wts, 1e-3)
     work.L = 1.0
     with pytest.raises(ValueError, match="infs or NaNs"):
         K.newton_step(x, work, 1e-3)
@@ -294,9 +295,9 @@ def test_exact_zero_correction_stores_no_zero_estimate(monkeypatch):
         return dx if len(calls) % 2 else np.zeros_like(dx)
 
     monkeypatch.setattr(scipy.linalg, "solve_banded", zero_second)
-    x, V, Vm1, w, gs, h, m = _problem()
+    x, wts = _problem()
     for before in (None, 0.5):
-        work = K.Workspace(V, Vm1, w, gs, h, m, 1e-3)
+        work = K.Workspace(wts, 1e-3)
         work.L = before
         assert K.newton_step(x, work, 1e-3)[1] == 2
         assert work.L == before

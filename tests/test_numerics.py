@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdrates.numerics as N
+from eigen_oracle import dense_bottom, mass, stiffness
 
 
 def test_build_grid_basics():
@@ -27,6 +28,9 @@ def test_build_grid_basics():
         N.build_grid(-1.0, 64, 3)
     with pytest.raises(ValueError):
         N.build_grid(10.0, 64, 3, grading="log")
+    for scale in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            N.build_grid(10.0, 64, 3, scale=scale)
 
 
 def test_sinh_grid_nesting():
@@ -181,8 +185,8 @@ def test_forms_mass_positive_definite():
     g = N.build_grid(30.0, 150, 5)
     for l in (0, 1, 2):
         forms = N.assemble_sector_forms(g, -4.0, 1.0, l)
-        np.linalg.cholesky(forms.mass())  # raises if not SPD
-        A = forms.stiffness()
+        np.linalg.cholesky(mass(forms))  # raises if not SPD
+        A = stiffness(forms)
         assert np.allclose(A, A.T)
         if l >= 1:
             assert forms.dirichlet_origin
@@ -211,11 +215,11 @@ def test_bottom_eigenvalue_dense_vs_iterative():
     for l in (0, 1):
         g = N.build_grid(40.0, 200, d)
         forms = N.assemble_sector_forms(g, alpha, 1.0, l)
-        lam_d, f_d = N.bottom_eigenvalue(forms, method="dense")
-        lam_i, f_i = N.bottom_eigenvalue(forms, method="iterative")
+        lam_d, v_d = dense_bottom(forms)
+        lam_i, f_i = N.bottom_eigenvalue(forms)
         assert lam_i == pytest.approx(lam_d, rel=1e-10)
         # eigenvectors agree up to sign
-        v_d, v_i = f_d.values, f_i.values
+        v_i = f_i.values
         sgn = math.copysign(1.0, float(v_d @ v_i))
         assert np.allclose(v_i, sgn * v_d, atol=1e-6 * np.max(np.abs(v_d)))
 
@@ -226,23 +230,24 @@ def test_bottom_eigenvalue_unconstrained_l0_is_zero():
     g = N.build_grid(40.0, 200, 5)
     forms = N.assemble_sector_forms(g, -4.0, 1.0, 0)
     ones = np.ones(forms.n)
-    rounding = np.finfo(float).eps * (np.abs(forms.stiffness()) @ ones)
+    rounding = np.finfo(float).eps * (np.abs(stiffness(forms)) @ ones)
     assert np.all(np.abs(forms.apply_a(ones)) <= 4 * rounding)
 
 
-def test_bottom_eigenvalue_rejects_bad_method():
-    g = N.build_grid(40.0, 100, 5)
-    forms = N.assemble_sector_forms(g, -4.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        N.bottom_eigenvalue(forms, method="qr")
+def test_nonconvergence_carries_quotient(monkeypatch):
+    import scipy.linalg.lapack as lapack
 
-
-def test_nonconvergence_carries_quotient():
     g = N.build_grid(40.0, 200, 5)
     forms = N.assemble_sector_forms(g, -4.0, 1.0, 1)
+    monkeypatch.setattr(N, "_EIGEN_TOL", 0.0)
+    monkeypatch.setattr(N, "_EIGEN_MAXIT", 3)
+    # the solve count shows that the iteration stops at the cap
+    solves, dgttrs = [], lapack.dgttrs
+    monkeypatch.setattr(lapack, "dgttrs", lambda *a: solves.append(a) or dgttrs(*a))
     with pytest.raises(N.NonConvergenceError) as exc:
-        N.bottom_eigenvalue(forms, tol=0.0, maxit=3)
+        N.bottom_eigenvalue(forms)
     assert math.isfinite(exc.value.last_quotient)
+    assert len(solves) == 3
 
 
 def test_sector_bottom_discrete_mode():
@@ -277,6 +282,19 @@ def test_verify_constants_only_sectors_that_exist():
     assert res.minimum == min(s.lambda_numeric for s in res.sectors)
     res = N.verify_constants(2, -3.0, R_max=60.0, N=200, extrapolate=False)
     assert [s.l for s in res.sectors] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("kwargs, msg", [
+    (dict(l_max=-1), "l_max must be >= 0, got -1"),
+    (dict(d=0), "d must be >= 1, got 0"),
+    (dict(R_max=-3.0), "R_max must be positive, got -3.0"),
+    (dict(D=0.0), "D must be positive, got 0.0"),
+    (dict(D=Fraction(-1, 2)), "D must be positive, got -1/2"),
+])
+def test_verify_constants_rejects_bad_input(kwargs, msg):
+    args = dict(d=5, alpha=-1.0, N=64, extrapolate=False) | kwargs
+    with pytest.raises(ValueError, match=msg):
+        N.verify_constants(**args)
 
 
 def test_verify_constants_continuum_case_needs_extrapolation():

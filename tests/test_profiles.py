@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fdrates.flow as FL
 import fdrates.numerics as N
-from fdrates.entropy import mass_defect_from_x
+from fdrates.entropy import Weights, mass_defect_from_x
 from fdrates.exponents import Regime, derive_exponents
 from fdrates.profiles import (BisectionError, ExtinctionError, Profile,
                               RescalingMap, eval_barenblatt, eval_profile,
@@ -126,12 +126,13 @@ def test_mass_defect_sign_and_zero():
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 800, 5)
     p = Profile(exponents=e, D=1.0)
-    assert mass_defect_from_x(np.zeros(grid.N + 1), grid, p) == 0.0
+    wts = Weights.of(grid, p)
+    assert mass_defect_from_x(np.zeros(grid.N + 1), wts) == 0.0
     # v = V_{D'} with D' < D has positive defect, D' > D negative
     V = p(grid.nodes)
     hi = Profile(exponents=e, D=0.8)(grid.nodes) / V - 1.0
     lo = Profile(exponents=e, D=1.2)(grid.nodes) / V - 1.0
-    assert mass_defect_from_x(hi, grid, p) > 0 > mass_defect_from_x(lo, grid, p)
+    assert mass_defect_from_x(hi, wts) > 0 > mass_defect_from_x(lo, wts)
 
 
 def _reference_solve_D(v0, exponents, D0, D1, tol=1e-10, maxit=200):
