@@ -25,6 +25,19 @@ step that stopped by the full rule after exactly two iterations, the first of
 them undamped.  L is measured and used only at the run's dt, so no dt
 halving, no damped first iteration and no step before the first such
 measurement accepts on the estimate; a step that fails or raises clears L.
+
+Newton starts from the linear extrapolation x_0 = 2 x_old - x_prev, where
+x_prev is the state before x_old in the same run, so that in a smooth run
+the first correction is of second order in dt and most steps stop on the
+estimate after one iteration.  The Workspace keeps the pair (x_old, x_new)
+of the last step accepted at the run's dt, by either rule, and uses it only
+when the next x_old is that x_new itself (the flow hands the returned array
+straight back).  Without such a pair (the first step, the step after a dt
+halving, or a caller that passes another array), at a halved dt, or when
+some 1 + x_0 is not finite and positive, Newton starts from x_old.  The
+start moves only where the iteration begins: the residual still measures
+x against x_old, and both stopping rules are unchanged.  Like L, the pair
+is taken on entry, so a step that fails or raises clears it.
 """
 
 import numpy as np
@@ -41,7 +54,9 @@ class Workspace:
     work buffers.
 
     dt is the run's time step, the one step length at which the estimate
-    rule measures and uses L.  L is None until a step measures it."""
+    rule measures and uses L and the start extrapolates.  L is None until a
+    step measures it; last is the (x_old, x_new) pair of the last step
+    accepted at dt, or None."""
 
     def __init__(self, wts, dt):
         V = wts.V
@@ -49,6 +64,7 @@ class Workspace:
         self.V, self.Vm1, self.g, self.h, self.wV = V, wts.Vm1, wts.g, wts.h, wts.wV
         self.dt = dt
         self.L = None
+        self.last = None
         self.closure = wts.w[0] == 0.0
         self.gh = wts.g / wts.h
         self.hV_l = 0.5 * V[:-1]
@@ -73,6 +89,10 @@ def newton_step(x_old, work, dt):
     buffers of work (a Workspace); returns (x_new, iterations).  x_new is a
     new array, never one of work's buffers.
 
+    At dt == work.dt, when x_old is the x_new that work.last holds, Newton
+    starts from 2 x_old - x_prev, x_prev being that pair's x_old, if every
+    1 + x of that start is finite and positive; otherwise from x_old.
+
     Newton stops when e = max |dx| / (1 + |x|) < 1e-11 (the full rule), or,
     at dt == work.dt, after an undamped first iteration whose e_0 gives
     work.L e_0^2 < 1e-12 (the estimate rule; see the module docstring).
@@ -91,11 +111,18 @@ def newton_step(x_old, work, dt):
     vbar, Dp, flux, face = work.faces
     system, ab, resid, finite = work.system, work.ab, work.resid, work.finite
     upper, diag, lower = work.bands
-    # only a step that succeeds gives L back: one that fails or raises clears it
+    # only a step that succeeds gives L and the last step back: one that
+    # fails or raises clears them
     L, work.L = work.L, None
+    last, work.last = work.last, None
     at_run_dt = dt == work.dt
     e0 = None
     x = x_old.copy()
+    if at_run_dt and last is not None and last[1] is x_old:
+        x0 = 2.0 * x_old - last[0]
+        np.add(1.0, x0, out=xp1)
+        if np.isfinite(xp1).all() and xp1.min() > 0.0:
+            x = x0
     for it in range(30):
         # pressure p and its derivative dp = dp/dx
         np.log1p(x, out=lx)
@@ -172,10 +199,13 @@ def newton_step(x_old, work, dt):
             if it == 1 and e0 is not None and e > 0.0:
                 L = e / (e0 * e0)
             work.L = L
+            if at_run_dt:
+                work.last = x_old, x
             return x, it + 1
         if it == 0 and at_run_dt and lam == 1.0:
             if L is not None and L * e * e < 1e-12:
                 work.L = L
+                work.last = x_old, x
                 return x, 1
             e0 = e
     return None, 30

@@ -49,6 +49,14 @@ def _number(x):
     return Fraction(x) if isinstance(x, Rational) else float(x)
 
 
+def _dimension(d) -> int:
+    """d as an int; raises ValueError unless it is a positive integer."""
+    d = int(d)
+    if d < 1:
+        raise ValueError(f"dimension must be a positive integer, got {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class ExponentSet:
     """All thresholds attached to a pair (d, m), m < 1.
@@ -97,9 +105,7 @@ def derive_exponents(d: int, m) -> ExponentSet:
     thresholds m == m_star and m == m_c are detected up to a fixed relative
     tolerance of 1e-12, so that float(m_c) itself counts as m_c.
     """
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    d = _dimension(d)
     m = _number(m)
     if not m < 1:
         raise ValueError(f"fast diffusion requires m < 1, got m = {m}")
@@ -165,7 +171,7 @@ def sharp_rate(d: int, alpha):
     at the excluded point alpha = alpha_star for d >= 3 (the constant vanishes
     and no gap survives).
     """
-    d = int(d)
+    d = _dimension(d)
     a = _number(alpha)
     if not a < 0:
         raise ValueError(f"alpha must be negative, got {alpha}")

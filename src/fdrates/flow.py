@@ -196,8 +196,11 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     (an entropy.Weights) are computed once per call and shared by the row
     functionals and the Newton kernel, whose invariants and work buffers (a
     _kernels.Workspace) are also set up once and shared by every step and
-    every dt halving; its quadratic-convergence estimate, which lets a step
-    stop after one Newton iteration, is measured and used at dt only.
+    every dt halving.  At dt only, the Workspace keeps the last accepted step,
+    from which Newton's start is extrapolated, and its quadratic-convergence
+    estimate, which lets a step stop after one Newton iteration; so that the
+    kernel recognises its own last result, step() hands the array newton_step
+    returned straight back to it.
     """
     schedule = _schedule(state.t, t_end, dt, cadence)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exponents import _number, lambda_continuum, sharp_rate
+from .exponents import _dimension, _number, lambda_continuum, sharp_rate
 
 if TYPE_CHECKING:
     from .numerics import RadialField, RadialGrid
@@ -83,6 +83,7 @@ def discrete_mode(d: int, alpha, l: int, k: int) -> EigenMode:
     variable s = -r^2: coefficients obey
     c_(j+1) = c_j (j+a)(j+b) / ((j+1)(j+c)).
     """
+    d = _dimension(d)
     if l < 0 or k < 0:
         raise ValueError("l and k must be nonnegative")
     a = _number(alpha)
@@ -168,8 +169,13 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
     admissible below-continuum eigenvalues is checked against the closed-form
     sharp constant (the gap source is always the continuum, the translation
     mode (1,0), or the dilation mode (0,1)); a disagreement raises
-    SpectralMismatchError.
+    SpectralMismatchError.  Raises ValueError, naming the parameter, unless
+    d >= 1 and l_max, k_max >= 0.
     """
+    d = _dimension(d)
+    for name, value in (("l_max", l_max), ("k_max", k_max)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     a = _number(alpha)
     sharp = sharp_rate(d, a)
     cont = lambda_continuum(d, a)

@@ -343,6 +343,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                        (["--D", "0"], "D must be positive, got 0.0")):
         assert main(verify + extra) == 1
         assert msg in capsys.readouterr().err
+    # 1: spectrum and eigenfunction inputs out of range, refused with the
+    # parameter named
+    for argv, msg in (
+            (["spectrum", "--d", "0", "--alpha=-1"],
+             "dimension must be a positive integer, got 0"),
+            (["eigenfunction", "--d", "0", "--alpha=-1", "--l", "0", "--k", "1"],
+             "dimension must be a positive integer, got 0"),
+            (["spectrum", "--d", "5", "--alpha=-10", "--l-max", "-1"],
+             "l_max must be >= 0, got -1"),
+            (["spectrum", "--d", "5", "--alpha=-10", "--k-max", "-1"],
+             "k_max must be >= 0, got -1")):
+        assert main(argv) == 1
+        assert msg in capsys.readouterr().err
     # 1: quotient options out of range or malformed, refused with the option
     # or parameter named
     quotient = ["quotient", "--d", "5", "--m", "0.9"]

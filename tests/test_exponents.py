@@ -107,6 +107,9 @@ def test_sharp_rate_rejects_gap_closure():
         sharp_rate(5, Fraction(-3, 2))
     with pytest.raises(ValueError):
         sharp_rate(5, 1.0)
+    # no dimension below one, where a value would be returned for nothing
+    with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
+        sharp_rate(0, -1)
 
 
 def test_lambda_continuum():

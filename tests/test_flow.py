@@ -117,36 +117,76 @@ def test_nonlinear_decay_rate_matches_spectrum():
     assert fit.r2 > 0.9999
 
 
-def test_estimate_accepted_steps_match_full_iteration(monkeypatch):
-    # a small critical run (d = 5, m = 1/3) in which many steps stop after
-    # one Newton iteration on the quadratic-convergence estimate; each must
-    # lie within 1e-12 of full iteration to 1e-11, and every other step is
-    # bit-identical to it
-    import fdrates._kernels as K
-
+def _critical_run():
+    # a small critical run (d = 5, m = 1/3): 1000 steps at dt = 0.2
     e = derive_exponents(5, Fraction(1, 3))
     g = N.build_grid(float(np.sinh(90.0)), 200, 5)
     st = FL.make_initial_data(g, e, "bump", D=1.0, amplitude=0.1,
                               match_D=False, clip=False)
-    # full iteration: a workspace whose run dt no step of the run uses
-    full = K.Workspace(Weights.of(g, st.profile), 0.5)
+    return st, 200.0, 0.2, 20.0
+
+
+def _eigen_run():
+    # the dilation-mode run of the rate test above, on a coarser grid: 1250
+    # steps at dt = 2e-4
+    g = _grid()
+    st = FL.make_initial_data(g, E59, "eigen", D=1.0, D0=2.0, D1=0.5,
+                              epsilon=0.05, mode=(0, 1))
+    return st, 0.25, 2e-4, 0.005
+
+
+def test_estimate_accepted_steps_match_full_iteration(monkeypatch):
+    # in the critical run most steps start from the extrapolated state and
+    # stop after one Newton iteration on the quadratic-convergence estimate;
+    # every step must lie within 1e-12 of full iteration to 1e-11 from
+    # x_old, and a step that started from x_old and took as many iterations
+    # is bit-identical to it
+    import fdrates._kernels as K
+
+    st, t_end, dt, cadence = _critical_run()
+    # full iteration from x_old: a workspace whose run dt no step of the run
+    # uses
+    full = K.Workspace(Weights.of(st.grid, st.profile), 0.5)
     step = K.newton_step
     gaps = []
+    identical = []
 
     def checked(x_old, work, dt):
+        last = work.last
+        from_x_old = (dt != work.dt or last is None or last[1] is not x_old)
         x, iters = step(x_old, work, dt)
         want, want_it = step(x_old, full, dt)
-        if iters == want_it:
+        if from_x_old and iters == want_it:
             assert np.array_equal(x, want)
-        else:
-            assert iters == 1
-            gaps.append(float(np.max(np.abs(x - want) / (1.0 + np.abs(want)))))
+            identical.append(iters)
+        gaps.append(float(np.max(np.abs(x - want) / (1.0 + np.abs(want)))))
         return x, iters
 
     monkeypatch.setattr(K, "newton_step", checked)
-    FL.evolve_nonlinear(st, 200.0, 0.2, cadence=20.0)
-    assert len(gaps) > 100
+    FL.evolve_nonlinear(st, t_end, dt, cadence=cadence)
+    assert len(gaps) == 1000 and identical
     assert max(gaps) <= 1e-12
+
+
+@pytest.mark.parametrize("run", [_critical_run, _eigen_run])
+def test_newton_work_budget(monkeypatch, run):
+    # the extrapolated start and the estimate rule together bring a smooth
+    # run to about one Newton iteration, one Jacobian and one solve, per step
+    import fdrates._kernels as K
+
+    step = K.newton_step
+    steps = []
+
+    def counted(x_old, work, dt):
+        x, iters = step(x_old, work, dt)
+        steps.append(iters)
+        return x, iters
+
+    monkeypatch.setattr(K, "newton_step", counted)
+    st, t_end, dt, cadence = run()
+    FL.evolve_nonlinear(st, t_end, dt, cadence=cadence)
+    assert len(steps) == round(t_end / dt)
+    assert sum(steps) <= 1.1 * len(steps)
 
 
 def test_linear_sector_eigenmode_rate():

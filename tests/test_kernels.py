@@ -29,14 +29,15 @@ def test_backend_registry():
         fdrates.no_such_module
 
 
-def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30):
+def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
     """The Newton step written with one new array per operation, as the
     kernel's docstring states it, from the profile and geometry of the
-    Weights wts; also returns the number of damping halvings."""
+    Weights wts, starting from start (default x_old); also returns the
+    number of damping halvings."""
     from scipy.linalg import solve_banded
 
     V, Vm1, w, g, h, m = wts.V, wts.Vm1, wts.w, wts.g, wts.h, wts.m
-    x = x_old.copy()
+    x = (x_old if start is None else start).copy()
     n = len(x)
     wV = w * V
     gh = g / h
@@ -265,20 +266,24 @@ def test_fresh_workspace_uses_full_rule_then_measures_L():
 
 
 def test_failed_step_clears_estimate():
+    # a failed step clears the estimate and the last step; the pair
+    # (dip, dip) extrapolates to dip itself
     _, wts = _problem(d=3, m=0.3)
     _, _, dip = _cases(3)
     work = K.Workspace(wts, 1e6)
     work.L = 1.0
+    work.last = dip, dip
     assert K.newton_step(dip, work, 1e6)[0] is None
-    assert work.L is None
+    assert work.L is None and work.last is None
     # so does a step that raises
     x, wts = _problem()
     x[7] = np.nan
     work = K.Workspace(wts, 1e-3)
     work.L = 1.0
+    work.last = x, x
     with pytest.raises(ValueError, match="infs or NaNs"):
         K.newton_step(x, work, 1e-3)
-    assert work.L is None
+    assert work.L is None and work.last is None
 
 
 def test_exact_zero_correction_stores_no_zero_estimate(monkeypatch):
@@ -301,3 +306,59 @@ def test_exact_zero_correction_stores_no_zero_estimate(monkeypatch):
         work.L = before
         assert K.newton_step(x, work, 1e-3)[1] == 2
         assert work.L == before
+
+
+def _one_iteration(x_old, wts, dt, start=None):
+    # one reference iteration, accepted whatever its correction
+    return _reference_step(x_old, wts, dt, tol=np.inf, maxit=1, start=start)[0]
+
+
+def test_start_extrapolates_the_last_step_at_run_dt():
+    x, wts = _problem()
+    work = K.Workspace(wts, 1e-3)
+    # a fresh workspace starts from x_old and keeps the step it accepted
+    x1, _ = K.newton_step(x, work, 1e-3)
+    assert work.last[0] is x and work.last[1] is x1
+    work.L = ANY
+    predicted = _one_iteration(x1, wts, 1e-3, start=2.0 * x1 - x)
+    plain = _one_iteration(x1, wts, 1e-3)
+    assert not np.array_equal(predicted, plain)
+    # a copy of the last returned array is not that array: x_old start
+    got, got_it = K.newton_step(x1.copy(), work, 1e-3)
+    assert got_it == 1 and np.array_equal(got, plain)
+    # the returned array itself, at the run's dt, with the pair that the
+    # copy's step replaced put back: the extrapolated start
+    work.last = x, x1
+    x2, got_it = K.newton_step(x1, work, 1e-3)
+    assert got_it == 1 and np.array_equal(x2, predicted)
+    assert work.last[0] is x1 and work.last[1] is x2
+
+
+def test_start_from_x_old_at_a_halved_dt_which_clears_the_last_step():
+    x, wts = _problem()
+    work = K.Workspace(wts, 1e-3)
+    x1, _ = K.newton_step(x, work, 1e-3)
+    work.L = ANY
+    want, want_it, _ = _reference_step(x1, wts, 5e-4)
+    got, got_it = K.newton_step(x1, work, 5e-4)
+    assert want_it > 1 and got_it == want_it
+    assert np.array_equal(got, want)
+    assert work.last is None
+    # so the next step at the run's dt starts from x_old
+    got, got_it = K.newton_step(got, work, 1e-3)
+    assert got_it == 1 and np.array_equal(got, _one_iteration(want, wts, 1e-3))
+
+
+@pytest.mark.parametrize("shift", [2.0, -np.inf, np.nan])
+def test_start_from_x_old_when_the_extrapolation_leaves_the_domain(shift):
+    # x_0 = 2 x - x_prev with x_0[10] = x[10] - shift: some 1 + x_0 <= 0 or
+    # not finite, so Newton starts from x_old, and the step keeps its pair
+    x, wts = _problem()
+    x_prev = x.copy()
+    x_prev[10] += shift
+    work = K.Workspace(wts, 1e-3)
+    work.L = ANY
+    work.last = x_prev, x
+    got, got_it = K.newton_step(x, work, 1e-3)
+    assert got_it == 1 and np.array_equal(got, _one_iteration(x, wts, 1e-3))
+    assert work.last[0] is x and work.last[1] is got

@@ -92,6 +92,21 @@ def test_gap_source_switches():
     assert not spectrum_report(5, Fraction(-1), l_max=3, k_max=3).constraint_needed
 
 
+def test_report_and_mode_rejections():
+    # refused with the parameter named, not a ZeroDivisionError or an empty
+    # table with a wrong gap source
+    with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
+        spectrum_report(0, Fraction(-1))
+    with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
+        discrete_mode(0, Fraction(-1), 0, 1)
+    with pytest.raises(ValueError, match="l_max must be >= 0, got -1"):
+        spectrum_report(5, Fraction(-10), l_max=-1)
+    with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
+        spectrum_report(5, Fraction(-10), k_max=-1)
+    # the smallest table, one mode, is still a report
+    assert len(spectrum_report(5, Fraction(-10), l_max=0, k_max=0).modes) == 1
+
+
 def test_report_cross_check_runs_near_branch_points():
     # dense sweep across both branch boundaries; the internal consistency
     # check between the mode table and the closed form must never raise
