@@ -10,11 +10,17 @@ including m = 0 and stays accurate when x underflows far in the tail.
 
 A Workspace, built once per flow run, holds what every step shares: the
 invariants of the grid and profile, read from the run's entropy.Weights,
-and the work buffers, which each Newton iteration overwrites before it
-reads them.  Each operation rounds exactly as in the form that allocates
-one array per operation (kept as the reference in tests/test_kernels.py):
-no product or sum is reassociated, so the buffering changes no bit of the
-result.
+the constants of the run's dt, and the work buffers, which each Newton
+iteration overwrites before it reads them.  The constants are folded into
+the arithmetic: p = (V^(m-1)/(m-1)) expm1((m-1) log1p x); the face mobility
+is summed from (V/2)(1 + x); and c = dt g/h scales it once, so that dt times
+the face flux is c vbar Dp and the flux derivatives are c (V/2) Dp and
+c vbar dp.  The right-hand side w V (x_old - x) - (net flux) and the upper
+band are built with their signs, so nothing is negated afterwards.  Each
+buffer holds the same bits as the form that allocates one array per
+operation in this association (kept as the reference in
+tests/test_kernels.py); the folds move the result from the unfolded form
+p = V^(m-1) expm1(...)/(m-1), dt (g vbar Dp/h) only by rounding.
 
 Newton stops by one of two rules.  The full rule stops once the step's
 convergence measure e = max |dx| / (1 + |x|) falls below 1e-11, as the
@@ -47,11 +53,22 @@ __all__ = ["Workspace", "newton_step", "BACKEND"]
 BACKEND = "pure"
 
 
+def _dt_constants(dt, g, h, hV):
+    """The per-dt constants of newton_step: c = dt g/h on each face, and the
+    flux derivatives' profile terms c V_i/2 and -c V_(i+1)/2.  One
+    expression serves the run's dt (kept by the Workspace) and a halving
+    (computed on entry), so that both give the same bits."""
+    c = dt * g / h
+    return c, c * hV[:-1], -c * hV[1:]
+
+
 class Workspace:
     """The per-run part of newton_step.  From wts, the run's entropy.Weights,
     it reads the profile V, Vm1 = V^(m-1), w V, the face geometry (g, h) and
-    m, and adds the invariants g/h and V/2 on each side of a face, and the
-    work buffers.
+    m, and folds them into p_scale = Vm1/(m-1), hV = V/2 and, for the run's
+    dt, the constants of _dt_constants; it also holds the work buffers and
+    scipy's solve_banded and LinAlgError, looked up once.  With these a
+    Newton iteration takes 35 elementwise array passes.
 
     dt is the run's time step, the one step length at which the estimate
     rule measures and uses L and the start extrapolates.  L is None until a
@@ -59,27 +76,30 @@ class Workspace:
     accepted at dt, or None."""
 
     def __init__(self, wts, dt):
-        V = wts.V
-        n = len(V)
-        self.V, self.Vm1, self.g, self.h, self.wV = V, wts.Vm1, wts.g, wts.h, wts.wV
+        # scipy is loaded by the first flow run, not by import fdrates
+        from scipy.linalg import LinAlgError, solve_banded
+
+        n = len(wts.V)
+        self.solve_banded, self.LinAlgError = solve_banded, LinAlgError
+        self.Vm1, self.wV, self.g, self.h = wts.Vm1, wts.wV, wts.g, wts.h
+        self.m1 = wts.m - 1.0
+        self.m2 = wts.m - 2.0
+        self.p_scale = wts.Vm1 / self.m1
+        self.hV = 0.5 * wts.V
         self.dt = dt
+        self.dt_constants = _dt_constants(dt, wts.g, wts.h, self.hV)
         self.L = None
         self.last = None
         self.closure = wts.w[0] == 0.0
-        self.gh = wts.g / wts.h
-        self.hV_l = 0.5 * V[:-1]
-        self.hV_r = 0.5 * V[1:]
-        self.m1 = wts.m - 1.0
-        self.m2 = wts.m - 2.0
         # nodal (length n) and face (length n - 1) buffers
         self.nodal = tuple(np.empty((7, n)))
-        self.faces = tuple(np.empty((4, n - 1)))
-        # the band (rows: upper, diagonal, lower) and the residual, negated in
-        # place into the right-hand side, share one buffer so that one
-        # finiteness test covers both; gtsv writes only the three diagonals,
-        # so the unused corners ab[0, 0] and ab[2, -1] stay zero
+        self.faces = tuple(np.empty((3, n - 1)))
+        # the band (rows: upper, diagonal, lower) and the right-hand side
+        # share one buffer so that one finiteness test covers both; gtsv
+        # writes only the three diagonals, so the unused corners ab[0, 0] and
+        # ab[2, -1] stay zero
         self.system = np.zeros((4, n))
-        self.ab, self.resid = self.system[:3], self.system[3]
+        self.ab, self.rhs = self.system[:3], self.system[3]
         self.bands = self.ab[0, 1:], self.ab[1], self.ab[2, :-1]
         self.finite = np.empty((4, n), dtype=bool)
 
@@ -102,80 +122,74 @@ def newton_step(x_old, work, dt):
     origin row is replaced by the algebraic regularity closure p_1 = p_0.
     Raises ValueError if the Jacobian or the residual is not finite.
     """
-    from scipy.linalg import LinAlgError, solve_banded  # loaded at the first flow step
-
-    V, Vm1, g, h = work.V, work.Vm1, work.g, work.h
-    wV, gh, hV_l, hV_r = work.wV, work.gh, work.hV_l, work.hV_r
+    Vm1, wV, p_scale, hV = work.Vm1, work.wV, work.p_scale, work.hV
     m1, m2 = work.m1, work.m2
     lx, p, dp, xp1, v, scaled, trial = work.nodal
-    vbar, Dp, flux, face = work.faces
-    system, ab, resid, finite = work.system, work.ab, work.resid, work.finite
+    vbar, Dp, face = work.faces
+    system, ab, rhs, finite = work.system, work.ab, work.rhs, work.finite
     upper, diag, lower = work.bands
     # only a step that succeeds gives L and the last step back: one that
     # fails or raises clears them
     L, work.L = work.L, None
     last, work.last = work.last, None
     at_run_dt = dt == work.dt
+    if at_run_dt:
+        c, chV_l, mchV_r = work.dt_constants
+    else:
+        c, chV_l, mchV_r = _dt_constants(dt, work.g, work.h, hV)
     e0 = None
-    x = x_old.copy()
     if at_run_dt and last is not None and last[1] is x_old:
-        x0 = 2.0 * x_old - last[0]
-        np.add(1.0, x0, out=xp1)
-        if np.isfinite(xp1).all() and xp1.min() > 0.0:
-            x = x0
+        x = np.multiply(2.0, x_old)
+        np.subtract(x, last[0], out=x)
+        np.add(1.0, x, out=xp1)
+        # a NaN makes the min NaN, an inf the max inf
+        if not (xp1.min() > 0.0 and np.isfinite(xp1.max())):
+            np.copyto(x, x_old)
+    else:
+        x = x_old.copy()
     for it in range(30):
         # pressure p and its derivative dp = dp/dx
         np.log1p(x, out=lx)
         np.multiply(m1, lx, out=p)
         np.expm1(p, out=p)
-        np.multiply(Vm1, p, out=p)
-        np.divide(p, m1, out=p)
+        np.multiply(p_scale, p, out=p)
         np.multiply(m2, lx, out=dp)
         np.exp(dp, out=dp)
         np.multiply(Vm1, dp, out=dp)
-        # face mobility vbar = (v_i + v_(i+1))/2 with v = V (1 + x)
+        # face mobility c vbar, with vbar = (v_i + v_(i+1))/2, v = V (1 + x)
         np.add(1.0, x, out=xp1)
-        np.multiply(V, xp1, out=v)
+        np.multiply(hV, xp1, out=v)
         np.add(v[:-1], v[1:], out=vbar)
-        np.multiply(0.5, vbar, out=vbar)
+        np.multiply(c, vbar, out=vbar)
         np.subtract(p[1:], p[:-1], out=Dp)
-        # dt times the face flux g vbar Dp / h
-        np.multiply(g, vbar, out=flux)
-        np.multiply(flux, Dp, out=flux)
-        np.divide(flux, h, out=flux)
-        np.multiply(dt, flux, out=flux)
-        np.subtract(x, x_old, out=resid)
-        np.multiply(wV, resid, out=resid)
-        resid[:-1] -= flux
-        resid[1:] += flux
-        # dt times the flux derivatives: by x_i into the lower band
-        # (hV_l Dp - vbar dp_i equals -vbar dp_i + hV_l Dp exactly), by
-        # x_(i+1) into the upper band, negated once the diagonal has it
-        np.multiply(hV_l, Dp, out=lower)
+        # right-hand side w V (x_old - x) minus the net flux, dt times the
+        # face flux being c vbar Dp
+        np.multiply(vbar, Dp, out=face)
+        np.subtract(x_old, x, out=rhs)
+        np.multiply(wV, rhs, out=rhs)
+        rhs[:-1] += face
+        rhs[1:] -= face
+        # dt times the flux derivatives: by x_i into the lower band, by
+        # x_(i+1), negated, into the upper band
+        np.multiply(chV_l, Dp, out=lower)
         np.multiply(vbar, dp[:-1], out=face)
         np.subtract(lower, face, out=lower)
-        np.multiply(gh, lower, out=lower)
-        np.multiply(dt, lower, out=lower)
-        np.multiply(vbar, dp[1:], out=upper)
-        np.multiply(hV_r, Dp, out=face)
-        np.add(upper, face, out=upper)
-        np.multiply(gh, upper, out=upper)
-        np.multiply(dt, upper, out=upper)
+        np.multiply(mchV_r, Dp, out=upper)
+        np.multiply(vbar, dp[1:], out=face)
+        np.subtract(upper, face, out=upper)
         np.subtract(wV[:-1], lower, out=diag[:-1])
         diag[-1] = wV[-1]
-        diag[1:] += upper
-        np.negative(upper, out=upper)
+        diag[1:] -= upper
         if work.closure:
-            resid[0] = p[1] - p[0]
+            rhs[0] = p[0] - p[1]
             ab[1, 0] = -dp[0]
             ab[0, 1] = dp[1]
-        rhs = np.negative(resid, out=resid)
         if not np.isfinite(system, out=finite).all():
             raise ValueError("array must not contain infs or NaNs")
         try:
-            dx = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
-                              overwrite_b=True, check_finite=False)
-        except LinAlgError:  # a singular Jacobian: the step failed
+            dx = work.solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+                                   overwrite_b=True, check_finite=False)
+        except work.LinAlgError:  # a singular Jacobian: the step failed
             return None, it + 1
         # damping: halve lam until 1 + x + lam dx > 0 wherever it is not NaN
         # (fmin skips NaN, as a test "any <= 0" does)

@@ -234,10 +234,20 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
 
     kind "exp" fits log F = a - rate*t and returns the decay rate (positive
     for decaying F); kind "loglog" fits log F = a + slope*log t and returns
-    the algebraic slope (negative for decaying F).  Windows with fewer than
+    the algebraic slope (negative for decaying F).  Windows that reach
+    beyond the trace's [t_0, t_end] by more than 1e-9 max(t_end - t_0, 1),
+    the tolerance of the flows' time schedule, and windows with fewer than
     10 positive samples are refused.
     """
     t0, t1 = window
+    first, last = float(trace.t[0]), float(trace.t[-1])
+    tol = 1e-9 * max(last - first, 1.0)
+    if t0 < first - tol:
+        raise ValueError(f"fit window start {t0} lies before the trace start "
+                         f"t = {first}")
+    if t1 > last + tol:
+        raise ValueError(f"fit window end {t1} lies beyond the trace end "
+                         f"t = {last}")
     mask = (trace.t >= t0) & (trace.t <= t1) & (trace.entropy > 0)
     t = trace.t[mask]
     F = trace.entropy[mask]

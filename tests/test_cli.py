@@ -367,6 +367,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                        (["--n", "0"], "argument --n")):
         assert main(quotient + extra) == 1
         assert msg in capsys.readouterr().err
+    # 1: a fit window that reaches beyond the run, refused with its bound
+    late = _evolve_config(tmp_path, "fit.window_start = 0.0\nfit.window_end = 5\n")
+    assert main(["evolve", "--config", late]) == 1
+    assert ("fit window end 5.0 lies beyond the trace end t = 0.05"
+            in capsys.readouterr().err)
     # 2: a singular Newton system fails the step, and dt halving gives up
     import scipy.linalg
 

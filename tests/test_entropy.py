@@ -154,6 +154,16 @@ def test_fit_rate_rejections():
         fit_rate(tr, (0.0, 1.0), kind="cubic")
     with pytest.raises(ValueError):
         fit_rate(tr, (0.0, 1.0), kind="loglog")  # t = 0 in a loglog window
+    # a window beyond the trace, by more than the schedule's tolerance
+    with pytest.raises(ValueError, match="fit window end 5.0 lies beyond the "
+                                         "trace end t = 1.0"):
+        fit_rate(tr, (0.1, 5.0))
+    with pytest.raises(ValueError, match="fit window start -0.5 lies before "
+                                         "the trace start t = 0.0"):
+        fit_rate(tr, (-0.5, 1.0))
+    with pytest.raises(ValueError, match="fit window end"):
+        fit_rate(tr, (0.1, 1.0 + 2e-9))
+    assert fit_rate(tr, (-5e-10, 1.0 + 5e-10)).n_samples == 101
 
 
 def test_gronwall_linear_limit_exact():

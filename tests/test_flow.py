@@ -169,6 +169,39 @@ def test_estimate_accepted_steps_match_full_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("run", [_critical_run, _eigen_run])
+def test_run_steps_within_rounding_of_unfolded(monkeypatch, run):
+    # along the run, each step lies within rounding of the kernel's
+    # unfolded arithmetic from the same start, with as many iterations: one
+    # iteration for a step that took one (by either stopping rule), full
+    # iteration to 1e-11 for the others
+    import fdrates._kernels as K
+    from test_kernels import _folding_gap, _unfolded_step
+
+    st, t_end, dt, cadence = run()
+    wts = Weights.of(st.grid, st.profile)
+    step = K.newton_step
+    gaps = []
+
+    def checked(x_old, work, dt):
+        start, last = x_old, work.last
+        if dt == work.dt and last is not None and last[1] is x_old:
+            x0 = 2.0 * x_old - last[0]
+            if np.all(np.isfinite(x0)) and np.all(1.0 + x0 > 0.0):
+                start = x0
+        x, iters = step(x_old, work, dt)
+        want, want_it = _unfolded_step(x_old, wts, dt, start=start,
+                                       tol=np.inf if iters == 1 else 1e-11)
+        assert want_it == iters
+        gaps.append(_folding_gap(x, want))
+        return x, iters
+
+    monkeypatch.setattr(K, "newton_step", checked)
+    FL.evolve_nonlinear(st, t_end, dt, cadence=cadence)
+    assert len(gaps) == round(t_end / dt)
+    assert max(gaps) <= 1e-14
+
+
+@pytest.mark.parametrize("run", [_critical_run, _eigen_run])
 def test_newton_work_budget(monkeypatch, run):
     # the extrapolated start and the estimate rule together bring a smooth
     # run to about one Newton iteration, one Jacobian and one solve, per step

@@ -30,10 +30,66 @@ def test_backend_registry():
 
 
 def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
-    """The Newton step written with one new array per operation, as the
-    kernel's docstring states it, from the profile and geometry of the
-    Weights wts, starting from start (default x_old); also returns the
-    number of damping halvings."""
+    """The Newton step written with one new array per operation, in the
+    association of the kernel's folded constants (see its docstring), from
+    the profile and geometry of the Weights wts, starting from start
+    (default x_old); also returns the number of damping halvings."""
+    from scipy.linalg import solve_banded
+
+    V, Vm1, w, g, h, m = wts.V, wts.Vm1, wts.w, wts.g, wts.h, wts.m
+    x = (x_old if start is None else start).copy()
+    n = len(x)
+    wV = w * V
+    m1 = m - 1.0
+    m2 = m - 2.0
+    p_scale = Vm1 / m1
+    hV = 0.5 * V
+    c = dt * g / h
+    chV_l = c * hV[:-1]
+    mchV_r = -c * hV[1:]
+    halvings = 0
+    for it in range(maxit):
+        lx = np.log1p(x)
+        p = p_scale * np.expm1(m1 * lx)
+        dp = Vm1 * np.exp(m2 * lx)
+        v = hV * (1.0 + x)
+        cvbar = c * (v[:-1] + v[1:])
+        Dp = p[1:] - p[:-1]
+        dt_flux = cvbar * Dp
+        rhs = wV * (x_old - x)
+        rhs[:-1] += dt_flux
+        rhs[1:] -= dt_flux
+        lower = chV_l * Dp - cvbar * dp[:-1]
+        upper = mchV_r * Dp - cvbar * dp[1:]
+        ab = np.zeros((3, n))
+        ab[1] = wV
+        ab[1, :-1] -= lower
+        ab[1, 1:] -= upper
+        ab[0, 1:] = upper
+        ab[2, :-1] = lower
+        if w[0] == 0.0:
+            rhs[0] = p[0] - p[1]
+            ab[1, 0] = -dp[0]
+            ab[0, 1] = dp[1]
+        dx = solve_banded((1, 1), ab, rhs)
+        lam = 1.0
+        while np.any(1.0 + x + lam * dx <= 0.0):
+            lam *= 0.5
+            halvings += 1
+            if lam < 1e-18:
+                return None, it + 1, halvings
+        x = x + lam * dx
+        if np.max(np.abs(dx) / (1.0 + np.abs(x))) < tol:
+            return x, it + 1, halvings
+    return None, maxit, halvings
+
+
+def _unfolded_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
+    """_reference_step with no constant folded: the pressure divided by
+    m - 1 after the product with V^(m-1), the mean 0.5 (v_i + v_(i+1)), dt
+    and g/h applied to each flux term, and the residual and upper band
+    negated after they are built.  The folds must move the kernel's result
+    from it only by rounding."""
     from scipy.linalg import solve_banded
 
     V, Vm1, w, g, h, m = wts.V, wts.Vm1, wts.w, wts.g, wts.h, wts.m
@@ -43,7 +99,6 @@ def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
     gh = g / h
     m1 = m - 1.0
     m2 = m - 2.0
-    halvings = 0
     for it in range(maxit):
         lx = np.log1p(x)
         p = Vm1 * np.expm1(m1 * lx) / m1
@@ -72,13 +127,18 @@ def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
         lam = 1.0
         while np.any(1.0 + x + lam * dx <= 0.0):
             lam *= 0.5
-            halvings += 1
             if lam < 1e-18:
-                return None, it + 1, halvings
+                return None, it + 1
         x = x + lam * dx
         if np.max(np.abs(dx) / (1.0 + np.abs(x))) < tol:
-            return x, it + 1, halvings
-    return None, maxit, halvings
+            return x, it + 1
+    return None, maxit
+
+
+def _folding_gap(got, want):
+    """The largest gap between two states, relative to 1 + x, the density
+    over the profile."""
+    return float(np.max(np.abs(got - want) / (1.0 + want)))
 
 
 def _cases(d):
@@ -113,6 +173,46 @@ def test_step_matches_reference():
                 halved += halvings > 0
     # the damped branch (lam < 1) and the failure return are both covered
     assert halved > 0 and failed > 0
+
+
+def test_step_within_rounding_of_unfolded():
+    # the folded constants move each step by rounding only, with the same
+    # iteration count, over every case at every dt
+    failed = 0
+    for m in (0.0, 0.3, 0.9):
+        for d in (1, 3, 5):
+            _, wts = _problem(d=d, m=m)
+            work = K.Workspace(wts, 0.5)
+            for x in _cases(d):
+                for dt in (1e-3, 1e-2, 1.0, 1e6):
+                    want, want_it = _unfolded_step(x, wts, dt)
+                    got, got_it = K.newton_step(x, work, dt)
+                    assert got_it == want_it
+                    if want is None:
+                        assert got is None
+                        failed += 1
+                    else:
+                        assert _folding_gap(got, want) <= 1e-14
+    assert failed > 0
+
+
+def test_run_dt_constants_match_those_computed_on_entry():
+    # a step at the run's dt, with no estimate and no last step, reads the
+    # Workspace's per-dt constants; on a Workspace of another run dt, the
+    # same step computes them on entry, by the same expression
+    for d in (1, 5):
+        x, wts = _problem(d=d)
+        for dt in (1e-3, 0.3):
+            work = K.Workspace(wts, dt)
+            kept = [a.copy() for a in work.dt_constants]
+            got, got_it = K.newton_step(x, work, dt)
+            want, want_it = K.newton_step(x, K.Workspace(wts, 0.5), dt)
+            assert got_it == want_it
+            assert np.array_equal(got, want)
+            # a halving computes its own and leaves the run's unchanged
+            K.newton_step(x, work, dt / 2.0)
+            for a, b in zip(work.dt_constants, kept):
+                assert np.array_equal(a, b)
 
 
 def test_nan_update_matches_reference(monkeypatch):
