@@ -18,6 +18,12 @@ Only the closed forms (exponents, spectral) are imported with this module;
 each command that runs numerics imports numpy and the numerical modules
 itself, so constants, spectrum and eigenfunction, whose ODE residual is
 exact rational arithmetic, start without them.
+
+The `fdrates` command and `python -m fdrates.cli` enter through run(): BLAS
+runs single-threaded unless the user sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS, and the process flushes its output and
+exits without interpreter teardown.  main(argv) returns the exit code to
+in-process callers.
 """
 
 from __future__ import annotations
@@ -25,14 +31,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import exponents as exp_mod
 from . import spectral as spec
 
-__all__ = ["main", "parse_config", "RunConfig", "ConfigError"]
+__all__ = ["main", "run", "parse_config", "RunConfig", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -70,6 +78,18 @@ def _matching(pattern: str, expected: str):
             return text
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return parse
+
+
+def _quotient_function(text: str) -> str:
+    """quotient's --f: gauss, ring or a discrete mode:l,k other than the
+    constant mode:0,0, whose mean-zero part, the quotient's denominator,
+    vanishes."""
+    name = _matching(r"gauss|ring|mode:\d+,\d+",
+                     "gauss, ring or mode:l,k with integers l, k >= 0")(text)
+    if name.startswith("mode:") and not any(map(int, name[5:].split(","))):
+        raise argparse.ArgumentTypeError(
+            f"{text} is the constant mode, whose mean-zero part vanishes")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +220,18 @@ def _validate_config(v: RunConfig):
     w0, w1 = v.get("fit.window_start"), v.get("fit.window_end")
     if (w0 is None) != (w1 is None):
         raise ConfigError("set both fit.window_start and fit.window_end or neither")
-    if w0 is not None and not w0 < w1:
+    if w0 is None:
+        return
+    if not w0 < w1:
         raise ConfigError(f"fit window must be increasing, got [{w0}, {w1}]")
+    # the run's trace spans [0, time.t_end]: refuse, within entropy.fit_rate's
+    # tolerance, a window outside it before any flow runs
+    t_end = v["time.t_end"]
+    tol = 1e-9 * max(t_end, 1.0)
+    if w0 < -tol:
+        raise ConfigError(f"fit.window_start = {w0} lies before the run start t = 0")
+    if w1 > t_end + tol:
+        raise ConfigError(f"fit.window_end = {w1} lies beyond time.t_end = {t_end}")
 
 
 def _load_config(path: str) -> RunConfig:
@@ -604,8 +634,7 @@ def _build_parser():
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=_exact, required=True)
     sp.add_argument("--D", type=float, default=1.0)
-    sp.add_argument("--f", default="gauss", type=_matching(
-        r"gauss|ring|mode:\d+,\d+", "gauss, ring or mode:l,k with integers l, k >= 0"))
+    sp.add_argument("--f", default="gauss", type=_quotient_function)
     sp.add_argument("--n", default="50,100,200,400", type=_matching(
         r"0*[1-9]\d*(,0*[1-9]\d*)*", "comma-separated positive integers"))
     sp.add_argument("--R", type=float, default=50.0)
@@ -637,5 +666,28 @@ def main(argv=None) -> int:
         return 2
 
 
+# fdrates' linear algebra is tridiagonal LAPACK and short dot products, which
+# a BLAS thread pool only slows down
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run() -> NoReturn:
+    """Process entry of the `fdrates` command and of `python -m fdrates.cli`.
+
+    Runs BLAS single-threaded unless the user set its thread variables (each
+    command imports numpy after this), calls main(), flushes stdout and
+    stderr and ends the process with os._exit, which skips the interpreter
+    teardown over numpy's and scipy's heap.  Every --output file is closed
+    before main returns.  An exception or SystemExit (argparse's --help) from
+    main, or a failing flush, propagates, and the process ends the usual way.
+    """
+    for var in _BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

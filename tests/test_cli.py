@@ -63,6 +63,15 @@ def test_parse_config_rejections():
         parse_config("D0 = 0.5\nD1 = 2.0")
     with pytest.raises(ConfigError, match="window"):
         parse_config("fit.window_start = 0.5")
+    # a fit window outside the run [0, time.t_end], refused with its key named
+    with pytest.raises(ConfigError,
+                       match="fit.window_end = 5.0 lies beyond time.t_end = 0.25"):
+        parse_config("time.t_end = 0.25\nfit.window_start = 0.1\nfit.window_end = 5")
+    with pytest.raises(ConfigError, match="fit.window_start = -0.1 lies before"):
+        parse_config("fit.window_start = -0.1\nfit.window_end = 0.5")
+    # within entropy.fit_rate's tolerance, 1e-9 max(t_end, 1), the window holds
+    parse_config("time.t_end = 0.25\nfit.window_start = -1e-10\n"
+                 "fit.window_end = 0.2500000001")
     with pytest.raises(ConfigError, match="line 2: bad value for data.kind: 'mdoe'"):
         parse_config("d = 5\ndata.kind = mdoe")
     with pytest.raises(ConfigError, match="line 2: bad value for fit.kind: 'lolog'"):
@@ -88,6 +97,16 @@ def test_constants_json(capsys):
     assert out["lambda_cont"] == 289.0 / 4.0
     assert out["Lambda_improved"] == 30.0
     assert out["regime"] == "good"
+
+
+def _process_env(**extra):
+    """The environment of a fresh process that imports this fdrates, with
+    stdout block-buffered, as it is by default on a pipe."""
+    src = str(Path(fdrates.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_import_and_closed_form_commands_do_not_load_scipy(tmp_path):
@@ -124,12 +143,10 @@ def test_import_and_closed_form_commands_do_not_load_scipy(tmp_path):
                 rc = fdrates.cli.main(argv)
             print(json.dumps([argv[0], rc, loaded()]))
     """)
-    src = str(Path(fdrates.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code,
                            json.dumps(exact + numeric + [verify])],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_process_env(), capture_output=True, text=True,
+                          check=True)
     got = [json.loads(line) for line in proc.stdout.splitlines()]
     assert got == ([["import", 0, []]] + [[c[0], 0, []] for c in exact]
                    + [[c[0], 0, ["numpy"]] for c in numeric]
@@ -364,13 +381,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                                            "or mode:l,k"),
                        (["--n", "10,x"], "argument --n: expected comma-separated "
                                          "positive integers, got '10,x'"),
-                       (["--n", "0"], "argument --n")):
+                       (["--n", "0"], "argument --n"),
+                       # the constant, whose mean-zero part vanishes
+                       (["--f", "mode:0,0"], "argument --f: mode:0,0 is the "
+                                             "constant mode")):
         assert main(quotient + extra) == 1
         assert msg in capsys.readouterr().err
-    # 1: a fit window that reaches beyond the run, refused with its bound
+    # 1: a fit window that reaches beyond the run, refused with its key named
+    # when the config is read, before any flow runs
     late = _evolve_config(tmp_path, "fit.window_start = 0.0\nfit.window_end = 5\n")
-    assert main(["evolve", "--config", late]) == 1
-    assert ("fit window end 5.0 lies beyond the trace end t = 0.05"
+    with monkeypatch.context() as mp:
+        mp.setattr(flow_mod, "make_initial_data", None)
+        assert main(["evolve", "--config", late]) == 1
+    assert ("fit.window_end = 5.0 lies beyond time.t_end = 0.05"
             in capsys.readouterr().err)
     # 2: a singular Newton system fails the step, and dt halving gives up
     import scipy.linalg
@@ -417,6 +440,90 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     lin.write_text("d = 5\nalpha = -10\nsector.l = 1\nfit.kind = lolog\n")
     assert main(["evolve-linear", "--config", str(lin)]) == 1
     assert "line 4: bad value for fit.kind: 'lolog'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the process entry, run(), behind `fdrates` and `python -m fdrates.cli`
+
+
+def test_process_entry_matches_main(tmp_path, monkeypatch, capsys):
+    # each process exits with main's code and prints main's stdout byte for
+    # byte; --output files are complete, and --help exits through SystemExit
+    monkeypatch.setenv("COLUMNS", "80")  # one --help layout in both
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("nonsense = 1\n")
+    singular = tmp_path / "singular.cfg"
+    singular.write_text("d = 5\nm = 0.9\ndata.kind = bump\ndata.amplitude = 1e300\n"
+                        "data.match_D = false\ngrid.N = 100\ntime.t_end = 0.01\n")
+    evolve = ["evolve", "--config", _evolve_config(tmp_path), "--output", "trace.csv"]
+    cases = [(0, ["constants", "--d", "5", "--m", "0.9"]),
+             (0, evolve),
+             (1, ["evolve", "--config", str(bad)]),
+             (2, ["evolve", "--config", str(singular)]),
+             (0, ["--help"])]
+    trace = tmp_path / "trace.csv"
+    env = _process_env()
+    for code, argv in cases:
+        proc = subprocess.run([sys.executable, "-m", "fdrates.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        written = trace.read_bytes() if argv is evolve else None
+        try:
+            got = main(argv)
+        except SystemExit as e:
+            got = e.code
+        out = capsys.readouterr()
+        assert proc.returncode == got == code, argv
+        assert proc.stdout == out.out.encode(), argv
+        if code:
+            assert proc.stderr.decode() == out.err, argv
+        if written is not None:
+            assert written == trace.read_bytes()
+            rows = [l for l in written.decode().splitlines() if not l.startswith("#")]
+            assert len(rows) == 12 and written.endswith(b"\n")  # header + 11 rows
+    assert out.out.startswith("usage: fdrates")
+
+
+def test_process_entry_keeps_user_thread_settings():
+    # run() defaults the BLAS thread variables to 1, leaves a value the user
+    # set, and exits without the interpreter teardown that runs atexit hooks
+    code = textwrap.dedent("""
+        import atexit, os
+        import fdrates.cli as cli
+
+        def main():
+            print(*(os.environ.get(v) for v in cli._BLAS_THREAD_VARS))
+            return 3
+
+        cli.main = main
+        atexit.register(print, "teardown")
+        cli.run()
+    """)
+    env = _process_env(OPENBLAS_NUM_THREADS="4")
+    env.pop("OMP_NUM_THREADS", None)
+    env.pop("MKL_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "4 1 1\n", "")
+
+
+def test_console_script_calls_the_module_entry():
+    # [project.scripts] names the function that `python -m fdrates.cli` calls
+    import ast
+    import re
+
+    import fdrates.cli
+
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    entry = re.search(r'^fdrates\s*=\s*"([^"]+)"', scripts, re.M).group(1)
+    tree = ast.parse(Path(fdrates.cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [n for n in tree.body if isinstance(n, ast.If)
+                and ast.unparse(n.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    assert isinstance(stmt.value, ast.Call) and not stmt.value.args
+    assert entry == f"fdrates.cli:{stmt.value.func.id}" == "fdrates.cli:run"
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
