@@ -10,9 +10,14 @@ and runs with identical configuration and seed produce identical bytes.
 --m and --alpha (each item of the comma-separated alpha sweep of hp-verify
 too), and m and alpha in config files, are read as exact rationals (decimals
 such as 0.9, or fractions such as -7/2), so the closed forms evaluate them
-exactly.
+exactly.  Every other real number, option or config value, is read by one
+parser, _finite, which refuses nan and inf.  A config file is checked as it
+is read: each key by its parser and range in _CONFIG_KEYS, the time axis
+(time.dt, time.t_end, output.cadence) by numerics._schedule, then the
+constraints across keys by _validate_config.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure;
+the process entry run() exits 141 (128 + SIGPIPE) when stdout is closed.
 
 Only the closed forms (exponents, spectral) are imported with this module;
 each command that runs numerics imports numpy and the numerical modules
@@ -66,6 +71,18 @@ def _exact(text: str) -> Fraction:
             f"expected a finite decimal or fraction, got {text!r}") from None
 
 
+def _finite(text: str) -> float:
+    """Every float option and float config value: a number such as 2e-4 or
+    15, as float() reads it, but not nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _exact_list(text: str) -> list[Fraction]:
     """A comma-separated sweep such as -1,-4,-6, each item read by _exact."""
     return [_exact(item) for item in text.split(",")]
@@ -114,33 +131,43 @@ _DATA_KEYS = ("D0", "D1", "data.kind", "data.seed", "data.epsilon",
               "data.amplitude", "data.mode_l", "data.mode_k", "data.match_D",
               "data.clip")
 
-# key -> (parser, default); None default means "unset"
+# limits of config values, (text, holds): a value v is refused unless holds(v)
+_POSITIVE = ("positive", lambda v: v > 0)
+_NONNEGATIVE = (">= 0", lambda v: v >= 0)
+
+# key -> (parser, default, limits); a None default means "unset", and a value
+# outside the limits is refused with the key and its line named.  The
+# time keys have none of their own: they form the time axis, which
+# numerics._schedule checks
 _CONFIG_KEYS = {
-    "d": (int, None),
-    "m": (_exact, None),
-    "alpha": (_exact, None),
-    "D": (float, 1.0),
-    "D0": (float, None),
-    "D1": (float, None),
-    "data.kind": (_DATA_KIND, "profile-blend"),
-    "data.seed": (int, None),
-    "data.epsilon": (float, 0.05),
-    "data.amplitude": (float, 0.1),
-    "data.mode_l": (int, 0),
-    "data.mode_k": (int, 1),
-    "data.match_D": (lambda s: _BOOL[s.lower()], True),
-    "data.clip": (lambda s: _BOOL[s.lower()], True),
-    "grid.R_max": (float, 100.0),
-    "grid.N": (int, 800),
-    "grid.grading": (_one_of("sinh", "uniform"), "sinh"),
-    "sector.l": (int, 0),
-    "time.dt": (float, 1e-3),
-    "time.t_end": (float, 1.0),
-    "output.cadence": (float, None),
-    "fit.window_start": (float, None),
-    "fit.window_end": (float, None),
-    "fit.kind": (_one_of("exp", "loglog"), "exp"),
+    "d": (int, None, (">= 1", lambda d: d >= 1)),
+    "m": (_exact, None, ("< 1", lambda m: m < 1)),
+    "alpha": (_exact, None, ("< 0", lambda a: a < 0)),
+    "D": (_finite, 1.0, _POSITIVE),
+    "D0": (_finite, None, _POSITIVE),
+    "D1": (_finite, None, _POSITIVE),
+    "data.kind": (_DATA_KIND, "profile-blend", None),
+    "data.seed": (int, None, _NONNEGATIVE),
+    "data.epsilon": (_finite, 0.05, None),
+    "data.amplitude": (_finite, 0.1, None),
+    "data.mode_l": (int, 0, _NONNEGATIVE),
+    "data.mode_k": (int, 1, _NONNEGATIVE),
+    "data.match_D": (lambda s: _BOOL[s.lower()], True, None),
+    "data.clip": (lambda s: _BOOL[s.lower()], True, None),
+    "grid.R_max": (_finite, 100.0, _POSITIVE),
+    "grid.N": (int, 800, (">= 16", lambda n: n >= 16)),
+    "grid.grading": (_one_of("sinh", "uniform"), "sinh", None),
+    "sector.l": (int, 0, _NONNEGATIVE),
+    "time.dt": (_finite, 1e-3, None),
+    "time.t_end": (_finite, 1.0, None),
+    "output.cadence": (_finite, None, None),
+    "fit.window_start": (_finite, None, None),
+    "fit.window_end": (_finite, None, None),
+    "fit.kind": (_one_of("exp", "loglog"), "exp", None),
 }
+
+# numerics._schedule's parameter -> the config key it reads
+_TIME_KEYS = {"dt": "time.dt", "t_end": "time.t_end", "cadence": "output.cadence"}
 
 
 class RunConfig(dict):
@@ -166,8 +193,16 @@ class RunConfig(dict):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value configuration text ('#' comments, one pair per line)."""
-    values = {k: v for k, (_, v) in _CONFIG_KEYS.items()}
+    """Parse key=value configuration text ('#' comments, one pair per line).
+
+    Each value is checked as it is read, by its key's parser and range; then
+    numerics._schedule checks the time axis, whether or not the command runs
+    a flow, and _validate_config the constraints across keys.  Raises
+    ConfigError naming the key, and its line when the text sets it.
+    """
+    from . import numerics as num
+
+    values = {k: v for k, (_, v, _) in _CONFIG_KEYS.items()}
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -184,39 +219,36 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})"
             )
         seen[key] = lineno
-        parser = _CONFIG_KEYS[key][0]
+        parser, _, limits = _CONFIG_KEYS[key]
         try:
-            values[key] = parser(val)
-        except (ValueError, KeyError, argparse.ArgumentTypeError) as e:
+            value = parser(val)
+        except argparse.ArgumentTypeError as e:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from None
+        except (ValueError, KeyError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from e
+        if limits is not None and not limits[1](value):
+            raise ConfigError(f"line {lineno}: {key} must be {limits[0]}, got {value}")
+        values[key] = value
     cfg = RunConfig(values)
+    try:
+        num._schedule(0.0, cfg["time.t_end"], cfg["time.dt"], cfg["output.cadence"])
+    except num.ScheduleError as e:
+        key = _TIME_KEYS[e.parameter]
+        if key in seen:
+            raise ConfigError(f"line {seen[key]}: bad value for {key}: {e}") from None
+        raise ConfigError(f"bad value for {key} (default {cfg[key]}): {e}") from None
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(v: RunConfig):
-    if v.get("m") is not None and not v["m"] < 1:
-        raise ConfigError(f"m must be < 1, got {v['m']}")
-    if v.get("alpha") is not None and not v["alpha"] < 0:
-        raise ConfigError(f"alpha must be < 0, got {v['alpha']}")
-    if v.get("d") is not None and v["d"] < 1:
-        raise ConfigError(f"d must be >= 1, got {v['d']}")
+    """The constraints across keys: the bracket D0 > D1, both or neither end
+    of the fit window, and the window inside the run [0, time.t_end]."""
+    from . import numerics as num
+
     D0, D1 = v.get("D0"), v.get("D1")
-    if D0 is not None and D1 is not None and not D0 > D1 > 0:
-        raise ConfigError(f"need D0 > D1 > 0, got D0={D0}, D1={D1}")
-    if not v["D"] > 0:
-        raise ConfigError(f"D must be positive, got {v['D']}")
-    if not v["grid.R_max"] > 0:
-        raise ConfigError(f"grid.R_max must be positive, got {v['grid.R_max']}")
-    if v["grid.N"] < 16:
-        raise ConfigError(f"grid.N must be >= 16, got {v['grid.N']}")
-    if not v["time.dt"] > 0:
-        raise ConfigError(f"time.dt must be positive, got {v['time.dt']}")
-    if not v["time.t_end"] > 0:
-        raise ConfigError(f"time.t_end must be positive, got {v['time.t_end']}")
-    cad = v.get("output.cadence")
-    if cad is not None and not cad > 0:
-        raise ConfigError(f"output.cadence must be positive, got {cad}")
+    if D0 is not None and D1 is not None and not D0 > D1:
+        raise ConfigError(f"need D0 > D1, got D0={D0}, D1={D1}")
     w0, w1 = v.get("fit.window_start"), v.get("fit.window_end")
     if (w0 is None) != (w1 is None):
         raise ConfigError("set both fit.window_start and fit.window_end or neither")
@@ -224,10 +256,9 @@ def _validate_config(v: RunConfig):
         return
     if not w0 < w1:
         raise ConfigError(f"fit window must be increasing, got [{w0}, {w1}]")
-    # the run's trace spans [0, time.t_end]: refuse, within entropy.fit_rate's
-    # tolerance, a window outside it before any flow runs
+    # refuse, within entropy.fit_rate's tolerance, a window outside the trace
     t_end = v["time.t_end"]
-    tol = 1e-9 * max(t_end, 1.0)
+    tol = num._time_tol(t_end)
     if w0 < -tol:
         raise ConfigError(f"fit.window_start = {w0} lies before the run start t = 0")
     if w1 > t_end + tol:
@@ -597,8 +628,8 @@ def _build_parser():
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--alpha", type=_exact_list, required=True,
                     help="alpha value or comma-separated sweep")
-    sp.add_argument("--D", type=float, default=1.0)
-    sp.add_argument("--R", type=float, default=100.0)
+    sp.add_argument("--D", type=_finite, default=1.0)
+    sp.add_argument("--R", type=_finite, default=100.0)
     sp.add_argument("--N", type=int, default=1600)
     sp.add_argument("--l-max", type=int, default=3)
     sp.add_argument("--no-extrapolate", action="store_true")
@@ -624,30 +655,30 @@ def _build_parser():
     sp = add("gronwall", _cmd_gronwall, "integrate the Gronwall comparison ODE")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=_exact, required=True)
-    sp.add_argument("--F0", type=float, required=True)
-    sp.add_argument("--C", type=float, default=0.0)
-    sp.add_argument("--Lambda", type=float, default=None)
-    sp.add_argument("--t-end", type=float, default=1.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
+    sp.add_argument("--F0", type=_finite, required=True)
+    sp.add_argument("--C", type=_finite, default=0.0)
+    sp.add_argument("--Lambda", type=_finite, default=None)
+    sp.add_argument("--t-end", type=_finite, default=1.0)
+    sp.add_argument("--dt", type=_finite, default=1e-3)
 
     sp = add("quotient", _cmd_quotient, "variational sharpness quotient sweep")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=_exact, required=True)
-    sp.add_argument("--D", type=float, default=1.0)
+    sp.add_argument("--D", type=_finite, default=1.0)
     sp.add_argument("--f", default="gauss", type=_quotient_function)
     sp.add_argument("--n", default="50,100,200,400", type=_matching(
         r"0*[1-9]\d*(,0*[1-9]\d*)*", "comma-separated positive integers"))
-    sp.add_argument("--R", type=float, default=50.0)
+    sp.add_argument("--R", type=_finite, default=50.0)
     sp.add_argument("--N", type=int, default=1200)
 
     sp = add("rescale", _cmd_rescale,
              "map original variables (tau, y, u) to rescaled (t, x, v)")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=_exact, required=True)
-    sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--y", type=float, default=1.0)
-    sp.add_argument("--u", type=float, default=1.0)
+    sp.add_argument("--T", type=_finite, default=1.0)
+    sp.add_argument("--tau", type=_finite, required=True)
+    sp.add_argument("--y", type=_finite, default=1.0)
+    sp.add_argument("--u", type=_finite, default=1.0)
 
     return p
 
@@ -678,13 +709,21 @@ def run() -> NoReturn:
     command imports numpy after this), calls main(), flushes stdout and
     stderr and ends the process with os._exit, which skips the interpreter
     teardown over numpy's and scipy's heap.  Every --output file is closed
-    before main returns.  An exception or SystemExit (argparse's --help) from
-    main, or a failing flush, propagates, and the process ends the usual way.
+    before main returns.  When stdout is closed, so that writing or flushing
+    it raises BrokenPipeError, the process ends quietly with status 141, as
+    one killed by SIGPIPE would.  Any other exception or SystemExit
+    (argparse's --help) from main, or a failing stderr flush, propagates, and
+    the process ends the usual way.
     """
     for var in _BLAS_THREAD_VARS:
         os.environ.setdefault(var, "1")
-    code = main()
-    sys.stdout.flush()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout to devnull, so that no later write or flush raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, the status of a process SIGPIPE ended
     sys.stderr.flush()
     os._exit(code)
 

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .exponents import ExponentSet
-from .numerics import (RadialField, RadialGrid, _schedule, cell_volumes,
-                       face_geometry, sphere_area)
+from .numerics import (RadialField, RadialGrid, _schedule, _time_tol,
+                       cell_volumes, face_geometry, sphere_area)
 from .profiles import Profile
 
 __all__ = [
@@ -235,13 +235,13 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
     kind "exp" fits log F = a - rate*t and returns the decay rate (positive
     for decaying F); kind "loglog" fits log F = a + slope*log t and returns
     the algebraic slope (negative for decaying F).  Windows that reach
-    beyond the trace's [t_0, t_end] by more than 1e-9 max(t_end - t_0, 1),
-    the tolerance of the flows' time schedule, and windows with fewer than
-    10 positive samples are refused.
+    beyond the trace's [t_0, t_end] by more than _time_tol(t_end - t_0), the
+    tolerance of the flows' time schedule, and windows with fewer than 10
+    positive samples are refused.
     """
     t0, t1 = window
     first, last = float(trace.t[0]), float(trace.t[-1])
-    tol = 1e-9 * max(last - first, 1.0)
+    tol = _time_tol(last - first)
     if t0 < first - tol:
         raise ValueError(f"fit window start {t0} lies before the trace start "
                          f"t = {first}")
@@ -315,7 +315,7 @@ def gronwall_bound(F0: float, h0: float, params: GronwallParams,
 
     Requires h0 < h_star (the regime where Lambda - Y(h) > 0); with C = 0 the
     solution is exactly F0 e^(-2 Lambda t).  t_end must be an integer multiple
-    of dt.  Returns (t, G) arrays.
+    of dt (numerics._schedule).  Returns (t, G) arrays.
     """
     if F0 < 0:
         raise ValueError("F0 must be nonnegative")

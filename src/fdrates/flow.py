@@ -189,7 +189,8 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     """Advance the state to t_end, recording the entropy trace.
 
     Rows (t, F, I, h1, h2, mass defect) are recorded every `cadence` time
-    units (default: ~200 rows), cadence being an integer multiple of dt.  With
+    units, cadence being an integer multiple of dt (default: about 200 rows,
+    the steps per row dividing the step count; see numerics._schedule).  With
     track_sandwich=True a SandwichReport is attached per row, and the row takes
     F, I, h1 and h2 from it.  The state is advanced in place and also
     reflected in state.t.  The quadrature weights of the grid and profile

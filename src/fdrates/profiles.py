@@ -42,7 +42,8 @@ class ExtinctionError(ValueError):
 
 
 class BisectionError(RuntimeError):
-    """solve_D took maxit bisection steps without the mass defect reaching tol."""
+    """solve_D took _BISECT_MAXIT bisection steps without the mass defect
+    reaching _BISECT_TOL."""
 
 
 @dataclass(frozen=True)
@@ -155,15 +156,21 @@ def from_selfsimilar(map: RescalingMap, t: float, x, v_value: float):
     return tau, y, u
 
 
-def solve_D(v0: RadialField, exponents: ExponentSet, D0: float, D1: float,
-            tol: float = 1e-10, maxit: int = 200) -> float:
+# solve_D stops once |mass defect| <= _BISECT_TOL, and raises BisectionError
+# after _BISECT_MAXIT bisection steps
+_BISECT_TOL = 1e-10
+_BISECT_MAXIT = 200
+
+
+def solve_D(v0: RadialField, exponents: ExponentSet, D0: float,
+            D1: float) -> float:
     """Unique D in [D1, D0] with zero truncated mass defect, by bisection.
 
     The defect is strictly increasing in D (V_D is pointwise decreasing in D),
     so bisection on the bracket is unconditionally safe; raises ValueError if
     the defect has the same sign at both endpoints (the data violates the
-    sandwich hypothesis) and BisectionError if |defect| <= tol is not reached
-    in maxit steps.
+    sandwich hypothesis) and BisectionError if |defect| <= _BISECT_TOL is not
+    reached in _BISECT_MAXIT steps.
     """
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
@@ -188,16 +195,16 @@ def solve_D(v0: RadialField, exponents: ExponentSet, D0: float, D1: float,
             f"mass defect has the same sign at D1 = {D1} ({glo:.3e}) and "
             f"D0 = {D0} ({ghi:.3e}); no root in the bracket"
         )
-    for _ in range(maxit):
+    for _ in range(_BISECT_MAXIT):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
-        if abs(gm) <= tol:
+        if abs(gm) <= _BISECT_TOL:
             return mid
         if gm * glo < 0:
             hi = mid
         else:
             lo, glo = mid, gm
     raise BisectionError(
-        f"mass defect not within {tol:g} of zero after {maxit} bisection steps "
-        f"(bracket [{lo!r}, {hi!r}])"
+        f"mass defect not within {_BISECT_TOL:g} of zero after {_BISECT_MAXIT} "
+        f"bisection steps (bracket [{lo!r}, {hi!r}])"
     )

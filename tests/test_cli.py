@@ -1,17 +1,21 @@
 """Tests for the batch command-line interface."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fdrates
+import fdrates.cli as cli
 import fdrates.flow as flow_mod
 import fdrates.spectral as spec_mod
 from fdrates.cli import ConfigError, main, parse_config
@@ -82,6 +86,72 @@ def test_parse_config_rejections():
         parse_config("m = 0.9\nalpha = -10").exponent_set()  # both given
     with pytest.raises(ConfigError):
         parse_config("m = 0.9").exponent_set()  # d missing
+
+
+def test_config_ranges_and_time_axis_are_checked_when_read():
+    # a value out of its key's range, with the key and its line named
+    for text, msg in (("d = 0", "line 1: d must be >= 1, got 0"),
+                      ("d = 5\nalpha = 1/2", "line 2: alpha must be < 0, got 1/2"),
+                      ("grid.N = 8", "line 1: grid.N must be >= 16, got 8"),
+                      ("D1 = 0", "line 1: D1 must be positive, got 0.0"),
+                      ("data.seed = -3", "line 1: data.seed must be >= 0, got -3"),
+                      ("data.mode_k = -1", "line 1: data.mode_k must be >= 0")):
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            parse_config(text)
+    # the time axis, by numerics._schedule, naming the key it blames
+    for text, msg in (
+            ("time.dt = 0", "line 1: bad value for time.dt: dt must be finite and "
+                            "positive, got 0.0"),
+            ("time.t_end = -1", "line 1: bad value for time.t_end: t_end must be "
+                                "finite and beyond the current time t = 0.0"),
+            ("time.t_end = 0.0105", "bad value for time.dt (default 0.001): t_end - "
+                                    "t = 0.0105 is not an integer multiple of the "
+                                    "time step dt = 0.001"),
+            ("time.dt = 1e-3\ntime.t_end = 0.05\noutput.cadence = 0.0015",
+             "line 3: bad value for output.cadence: cadence 0.0015 is not an "
+             "integer multiple of dt 0.001")):
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            parse_config(text)
+    # before the window, which lies inside [0, time.t_end] only for t_end > 0
+    with pytest.raises(ConfigError, match="time.t_end"):
+        parse_config("time.t_end = -1\nfit.window_start = 0\nfit.window_end = 0.5")
+    # a default cadence whose rows divide the run: 1250 steps, 5 per row
+    assert parse_config("time.dt = 2e-4\ntime.t_end = 0.25")["output.cadence"] is None
+
+
+def _parses(parse, text):
+    """parse(text), or None if it refuses the text."""
+    try:
+        return parse(text)
+    except (ValueError, KeyError, argparse.ArgumentTypeError):
+        return None
+
+
+def test_every_float_key_and_option_refuses_nan_and_inf():
+    # one parser, cli._finite, reads every float config value and option
+    keys = [k for k, (parse, _, _) in cli._CONFIG_KEYS.items()
+            if isinstance(_parses(parse, "1.5"), float)]
+    assert len(keys) == 11 and "output.cadence" in keys
+    for key in keys:
+        for bad in ("nan", "inf", "-inf", "NaN"):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"line 2: bad value for {key}: expected a finite number, "
+                    f"got '{bad}'")):
+                parse_config(f"d = 5\n{key} = {bad}")
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = []
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            if action.type is not None and isinstance(_parses(action.type, "1.5"),
+                                                      float):
+                options.append((name, action.option_strings[0]))
+                for bad in ("nan", "inf", "-inf", "NaN"):
+                    with pytest.raises(argparse.ArgumentTypeError,
+                                       match="expected a finite number"):
+                        action.type(bad)
+    assert len(options) == 13 and ("gronwall", "--Lambda") in options
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +247,27 @@ def test_spectrum_csv(capsys):
     assert "l,k,lambda,admissible,below_continuum,multiplicity" in out
     assert "1,0,20,true,true,5" in out
     assert "0,0,0,false,true,1" in out  # (0,0) sits below but is inadmissible
+
+
+@pytest.mark.parametrize("d, alpha", [("5", "-10"), ("3", "-2")])
+def test_spectrum_json_matches_csv(capsys, d, alpha):
+    argv = ["spectrum", "--d", d, "--alpha", alpha]
+    assert main(argv + ["--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    comments = dict(l[2:].split("=", 1) for l in lines if l.startswith("# ") and "=" in l)
+    assert float(comments["sharp_constant"]) == out["sharp_constant"]
+    assert float(comments["continuum_bottom"]) == out["continuum_bottom"]
+    assert comments["gap_source"] == ":".join(map(str, out["gap_source"]))
+    header, *rows = [l for l in lines if not l.startswith("#")]
+    assert header == "l,k,lambda,admissible,below_continuum,multiplicity"
+    assert rows and len(rows) == len(out["modes"])
+    for row, mode in zip(rows, out["modes"]):
+        l, k, lam, admissible, below, mult = row.split(",")
+        assert (int(l), int(k), float(lam), admissible, below, int(mult)) == (
+            mode["l"], mode["k"], mode["lambda"], cli._fmt(mode["admissible"]),
+            cli._fmt(mode["below_continuum"]), mode["multiplicity"])
 
 
 def test_hp_verify_quick(capsys):
@@ -442,6 +533,64 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert "line 4: bad value for fit.kind: 'lolog'" in capsys.readouterr().err
 
 
+# the README run.cfg with one line changed or added, and the refusal it gets
+_BAD_RUN_CFG = [
+    ("time.t_end = 0.25", "time.t_end = inf",
+     "line 10: bad value for time.t_end: expected a finite number, got 'inf'"),
+    ("time.dt = 2e-4", "time.dt = inf",
+     "line 9: bad value for time.dt: expected a finite number, got 'inf'"),
+    ("output.cadence = 0.005", "output.cadence = inf",
+     "line 11: bad value for output.cadence: expected a finite number, got 'inf'"),
+    ("output.cadence = 0.005", "output.cadence = 0.003",
+     "line 11: bad value for output.cadence: t_end - t = 0.25 is not an integer "
+     "multiple of the cadence 0.003"),
+    (None, "D = inf", "line 14: bad value for D: expected a finite number, got 'inf'"),
+    ("D0 = 2.0 ", "D0 = inf ",
+     "line 3: bad value for D0: expected a finite number, got 'inf'"),
+    ("grid.R_max = 15", "grid.R_max = inf",
+     "line 7: bad value for grid.R_max: expected a finite number, got 'inf'"),
+    ("data.epsilon = 0.05", "data.epsilon = nan",
+     "line 6: bad value for data.epsilon: expected a finite number, got 'nan'"),
+    (None, "sector.l = -1", "line 14: sector.l must be >= 0, got -1"),
+]
+
+
+def test_bad_config_values_exit_1_before_any_flow(tmp_path, capsys, monkeypatch):
+    # each command that reads a config refuses these when reading it, with
+    # the key and its line named, and without a warning or a traceback
+    for name in ("make_initial_data", "evolve_nonlinear", "evolve_linear_sector"):
+        monkeypatch.setattr(flow_mod, name, None)
+    run_cfg = _readme()[0]["run.cfg"]
+    for old, new, msg in _BAD_RUN_CFG:
+        assert old is None or run_cfg.count(old) == 1, old
+        text = run_cfg + new + "\n" if old is None else run_cfg.replace(old, new)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        for command in ("evolve", "evolve-linear", "entropy-report"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--config", str(cfg)]) == 1, (new, command)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"fdrates: error: {msg}\n", (new, command)
+
+
+def test_bad_float_options_exit_1_naming_the_option(capsys):
+    for argv, option, bad in (
+            (["gronwall", "--d", "5", "--m", "0.9", "--F0", "1"], "--Lambda", "inf"),
+            (["gronwall", "--d", "5", "--m", "0.9", "--F0", "1"], "--t-end", "inf"),
+            (["rescale", "--d", "5", "--m", "0.8", "--tau", "2"], "--T", "nan"),
+            (["rescale", "--d", "5", "--m", "0.8", "--tau", "2"], "--y", "inf")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [option, bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"fdrates: error: argument {option}: expected "
+                                     f"a finite number, got '{bad}'\n")
+        assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # the process entry, run(), behind `fdrates` and `python -m fdrates.cli`
 
@@ -526,13 +675,9 @@ def test_console_script_calls_the_module_entry():
     assert entry == f"fdrates.cli:{stmt.value.func.id}" == "fdrates.cli:run"
 
 
-def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
-    # every fdrates line of the README's sh blocks runs and exits 0, from a
-    # directory holding the README's run.cfg and lin.cfg, each ini block
-    # written to the file the text before it names
-    import re
-    import shlex
-
+def _readme():
+    """The README's configs, each ini block under the file name the text
+    before it gives, and the fdrates lines of its sh blocks."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
     configs, lines = {}, []
@@ -543,6 +688,15 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
             configs[name] = body
         elif kind == "sh":
             lines += [l for l in body.splitlines() if l.startswith("fdrates ")]
+    return configs, lines
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every fdrates line of the README's sh blocks runs and exits 0, from a
+    # directory holding the README's run.cfg and lin.cfg
+    import shlex
+
+    configs, lines = _readme()
     assert sorted(configs) == ["lin.cfg", "run.cfg"]
     assert len(lines) == 10
     monkeypatch.chdir(tmp_path)
@@ -552,3 +706,39 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         assert main(shlex.split(line)[1:]) == 0, line
         assert capsys.readouterr().err == "", line
     assert (tmp_path / "trace.csv").read_text().startswith("# fdrates evolve")
+
+
+def test_readme_run_cfg_without_cadence(tmp_path, capsys):
+    # the default cadence: k0 = round(1250/200) = 6 steps per row does not
+    # divide the 1250 steps, so the rows are 5 steps apart, 251 with t = 0;
+    # the dilation mode decays at rate 2*lambda_(0,1) = 60
+    run_cfg = _readme()[0]["run.cfg"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(run_cfg.replace("output.cadence = 0.005\n", ""))
+    assert "cadence" not in cfg.read_text()
+    assert main(["evolve", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [l for l in lines if not l.startswith("#")][1:]
+    t = [float(r.split(",")[0]) for r in rows]
+    assert len(rows) == 251 and t[1] == pytest.approx(1e-3) and t[-1] == 0.25
+    fit = dict(l[2:].split("=") for l in lines if l.startswith(("# fit")))
+    assert float(fit["fitted_rate"]) == pytest.approx(60.0, rel=0.05)
+    assert float(fit["fit_r2"]) >= 0.999
+
+
+@pytest.mark.parametrize("argv", [
+    # output that run() flushes, and output that main's write hands to the pipe
+    ["constants", "--d", "5", "--m", "0.9"],
+    ["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0", "--t-end", "1"]])
+def test_process_entry_closed_stdout_exits_141(argv):
+    # the child's stdout is a pipe whose read end is closed before it starts;
+    # it exits quietly, as a process SIGPIPE ended would
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fdrates.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_process_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

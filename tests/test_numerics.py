@@ -349,3 +349,128 @@ def test_verify_constants_branch_interiors_never_raise(d, branch, frac, log_D):
     res = N.verify_constants(d, lo + frac * (hi - lo), D=D, l_max=3,
                              R_max=100.0 * math.sqrt(D), N=1600)
     assert math.isfinite(res.minimum) and res.minimum > 0
+
+
+# ---------------------------------------------------------------------------
+# the time schedule
+
+
+def _reference_schedule(t0, t_end, dt, cadence):
+    """_schedule as first written: its default cadence need not divide the
+    run, and non-finite input fails with whatever error it meets."""
+    if dt <= 0 or t_end <= t0:
+        raise ValueError("need dt > 0 and t_end beyond the current time")
+    span = t_end - t0
+    if cadence is None:
+        cadence = max(dt, span / 200.0)
+        cadence = round(cadence / dt) * dt
+    n_sub = int(round(cadence / dt))
+    if n_sub < 1 or abs(n_sub * dt - cadence) > 1e-9 * cadence:
+        raise ValueError(f"cadence {cadence} is not an integer multiple of dt {dt}")
+    n_rec = int(round(span / cadence))
+    if abs(n_rec * cadence - span) > 1e-9 * max(span, 1.0):
+        raise ValueError(f"t_end - t = {span} is not an integer multiple of the "
+                         f"cadence {cadence}")
+    return cadence, n_sub, n_rec
+
+
+# time steps written as decimals, as config files give them, or any float
+_STEPS = st.one_of(
+    st.builds(lambda m, e: m * 10.0**-e, st.integers(1, 99), st.integers(1, 6)),
+    st.floats(1e-5, 1.0))
+# relative offsets well inside, around and far beyond the tolerance 1e-9
+_OFFSETS = st.sampled_from([0.0, 0.0, 0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9,
+                            -1e-9, 2e-9, -2e-9, 1e-6, -1e-6, 0.3])
+
+
+@st.composite
+def _time_axes(draw):
+    dt = draw(_STEPS)
+    n = draw(st.integers(1, 20000))
+    t0 = draw(st.sampled_from([0.0, 0.0, 0.0, 0.5, 7 * dt]))
+    t_end = t0 + n * dt * (1.0 + draw(_OFFSETS))
+    if draw(st.booleans()):
+        t_end = float(f"{t_end:.6g}")  # as a config file would write it
+    kind = draw(st.sampled_from(["default", "default", "steps", "any"]))
+    if kind == "default":
+        cadence = None
+    elif kind == "steps":
+        cadence = draw(st.integers(1, n)) * dt * (1.0 + draw(_OFFSETS))
+    else:
+        cadence = draw(st.floats(1e-6, 10.0))
+    return t0, t_end, dt, cadence
+
+
+@given(_time_axes())
+@settings(max_examples=1500, deadline=None, derandomize=True)
+def test_schedule_keeps_every_schedule_the_reference_accepts(axis):
+    # wherever the reference returns a schedule, _schedule returns the same
+    # bits; it adds only default schedules whose k0 did not divide the steps
+    t0, t_end, dt, cadence = axis
+    try:
+        want = _reference_schedule(*axis)
+    except ValueError:
+        want = None
+    try:
+        got = N._schedule(*axis)
+    except N.ScheduleError:
+        assert want is None
+        return
+    if want is not None:
+        assert got == want
+        return
+    assert cadence is None
+    span = t_end - t0
+    n = round(span / dt)
+    k0 = round(max(dt, span / 200.0) / dt)
+    cadence, n_sub, n_rec = got
+    assert cadence == n_sub * dt and n_sub * n_rec == n and n % k0
+    assert not any(n % k == 0 for k in range(n_sub + 1, k0))
+
+
+def test_schedule_default_rows_on_common_pairs():
+    # about 200 rows for each (t_end, dt) pair: where k0 = round(n/200) steps
+    # per row divides the n steps the reference's schedule is kept; otherwise,
+    # as for the README's (0.25, 2e-4) with k0 = 6 and n = 1250, the largest
+    # divisor of n below k0 sets the rows
+    added = []
+    for t_end in (0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 0.5, 1, 2, 5, 10, 20):
+        for dt in (1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3):
+            cadence, n_sub, n_rec = N._schedule(0.0, t_end, dt, None)
+            n = round(t_end / dt)
+            assert cadence == n_sub * dt and n_sub * n_rec == n
+            assert min(n, 200) <= n_rec <= 250
+            try:
+                assert _reference_schedule(0.0, t_end, dt, None) == (cadence, n_sub,
+                                                                      n_rec)
+            except ValueError:
+                added.append((t_end, dt, n_sub))
+    assert len(added) == 6 and (0.25, 2e-4, 5) in added
+
+
+@pytest.mark.parametrize("axis, parameter, msg", [
+    ((0.0, 1.0, math.inf, None), "dt", "dt must be finite and positive, got inf"),
+    ((0.0, 1.0, math.nan, None), "dt", "dt must be finite and positive, got nan"),
+    ((0.0, 1.0, -1e-3, 0.1), "dt", "dt must be finite and positive, got -0.001"),
+    ((0.0, math.inf, 1e-3, None), "t_end", "t_end must be finite and beyond the "
+                                           "current time t = 0.0, got inf"),
+    ((0.0, math.nan, 1e-3, None), "t_end", "got nan"),
+    ((0.5, 0.5, 1e-3, None), "t_end", "current time t = 0.5, got 0.5"),
+    ((0.0, 1.0, 1e-3, math.inf), "cadence", "cadence must be finite and positive"),
+    ((0.0, 1.0, 1e-3, 0.0), "cadence", "cadence must be finite and positive"),
+    ((0.0, 1.0, 1e-3, 0.0015), "cadence", "cadence 0.0015 is not an integer "
+                                          "multiple of dt 0.001"),
+    ((0.0, 0.25, 2e-4, 0.003), "cadence", "t_end - t = 0.25 is not an integer "
+                                          "multiple of the cadence 0.003"),
+    ((0.0, 0.0105, 1e-3, None), "dt", "t_end - t = 0.0105 is not an integer "
+                                      "multiple of the time step dt = 0.001"),
+    ((0.0, 0.0105, 1e-3, 0.005), "dt", "of the time step dt = 0.001"),
+])
+def test_schedule_names_the_parameter_at_fault(axis, parameter, msg):
+    with pytest.raises(N.ScheduleError) as err:
+        N._schedule(*axis)
+    assert err.value.parameter == parameter and msg in str(err.value)
+
+
+def test_time_tol_is_relative_to_spans_beyond_one():
+    assert N._time_tol(0.25) == 1e-9 and N._time_tol(200.0) == 1e-9 * 200.0

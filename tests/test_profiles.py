@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fdrates.flow as FL
 import fdrates.numerics as N
+import fdrates.profiles as P
 from fdrates.entropy import Weights, mass_defect_from_x
 from fdrates.exponents import Regime, derive_exponents
 from fdrates.profiles import (BisectionError, ExtinctionError, Profile,
@@ -196,11 +197,15 @@ def test_solve_D_matches_reference(monkeypatch):
             v = N.RadialField(grid=grid, values=values)
             for kw in ({}, {"tol": 1e-13}, {"tol": 0.0}):
                 want = _outcome(_reference_solve_D, v, e, D0, D1, **kw)
-                assert _outcome(solve_D, v, e, D0, D1, **kw) == want
+                with monkeypatch.context() as mp:
+                    mp.setattr(P, "_BISECT_TOL", kw.get("tol", P._BISECT_TOL))
+                    assert _outcome(solve_D, v, e, D0, D1) == want
             assert isinstance(_outcome(solve_D, v, e, D0, D1), float)
             want = _outcome(_reference_solve_D, v, e, D0, D1, maxit=3)
             assert want[0] is BisectionError
-            assert _outcome(solve_D, v, e, D0, D1, maxit=3) == want
+            with monkeypatch.context() as mp:
+                mp.setattr(P, "_BISECT_MAXIT", 3)
+                assert _outcome(solve_D, v, e, D0, D1) == want
         # the same-sign bracket is refused with the same message
         v = N.RadialField(grid=grid, values=V(0.1))
         want = _outcome(_reference_solve_D, v, e, 2.0, 0.5)
@@ -216,31 +221,33 @@ def test_solve_D_matches_reference(monkeypatch):
             assert np.array_equal(states[0].x, states[1].x)
 
 
-def test_solve_D_recovers_exact_profile():
+def test_solve_D_recovers_exact_profile(monkeypatch):
+    monkeypatch.setattr(P, "_BISECT_TOL", 1e-13)
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 800, 5)
     target = Profile(exponents=e, D=1.37)
     v = N.RadialField(grid=grid, values=target(grid.nodes))
-    D = solve_D(v, e, D0=2.0, D1=0.5, tol=1e-13)
+    D = solve_D(v, e, D0=2.0, D1=0.5)
     assert D == pytest.approx(1.37, rel=1e-9)
 
 
-def test_solve_D_midpoint_oracle():
+def test_solve_D_midpoint_oracle(monkeypatch):
     # v = (V_2 + V_0.5)/2, d = 5, m = 0.9: since int V_D = c D^(alpha+d/2),
     # the matched D is ((2^-7.5 + 0.5^-7.5)/2)^(-1/7.5) in closed form,
     # cross-checked against adaptive quadrature + root finding.
+    monkeypatch.setattr(P, "_BISECT_TOL", 1e-13)
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(60.0, 2400, 5)
     v2 = Profile(exponents=e, D=2.0)(grid.nodes)
     vh = Profile(exponents=e, D=0.5)(grid.nodes)
     v = N.RadialField(grid=grid, values=0.5 * (v2 + vh))
-    D = solve_D(v, e, D0=2.0, D1=0.5, tol=1e-13)
+    D = solve_D(v, e, D0=2.0, D1=0.5)
     closed = ((2.0**-7.5 + 0.5**-7.5) / 2.0) ** (-1.0 / 7.5)
     assert closed == pytest.approx(0.5484102583897682, rel=1e-15)
     assert D == pytest.approx(closed, rel=2e-6)
 
 
-def test_solve_D_rejections():
+def test_solve_D_rejections(monkeypatch):
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 400, 5)
     v = N.RadialField(grid=grid, values=Profile(exponents=e, D=0.1)(grid.nodes))
@@ -250,5 +257,6 @@ def test_solve_D_rejections():
         solve_D(v, e, D0=0.5, D1=2.0)  # inverted bracket
     # a bisection cut short raises rather than returning its midpoint 0.96875
     v = N.RadialField(grid=grid, values=Profile(exponents=e, D=1.37)(grid.nodes))
+    monkeypatch.setattr(P, "_BISECT_MAXIT", 3)
     with pytest.raises(BisectionError, match="after 3 bisection steps"):
-        solve_D(v, e, D0=2.0, D1=0.5, maxit=3)
+        solve_D(v, e, D0=2.0, D1=0.5)
