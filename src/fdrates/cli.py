@@ -426,9 +426,9 @@ def _write_trace(args, cfg: RunConfig, trace, comments):
 
     w0, w1 = cfg.get("fit.window_start"), cfg.get("fit.window_end")
     if w0 is not None:
-        trace.fitted = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
-        comments = comments + [f"# fitted_rate={_fmt(trace.fitted.rate)}",
-                               f"# fit_r2={_fmt(trace.fitted.r2)}"]
+        fit = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
+        comments = comments + [f"# fitted_rate={_fmt(fit.rate)}",
+                               f"# fit_r2={_fmt(fit.r2)}"]
     _csv(comments, ent.EntropyTrace.COLUMNS, list(trace.rows()), args.output)
     return 0
 

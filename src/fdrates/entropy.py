@@ -17,7 +17,6 @@ functionals, and the flow's Newton kernel, read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -217,9 +216,6 @@ class EntropyTrace:
     h1: np.ndarray
     h2: np.ndarray
     mass_defect: np.ndarray
-    exponents: Optional[ExponentSet] = None
-    D: Optional[float] = None
-    fitted: Optional[FitResult] = None
     sandwich: tuple = field(default_factory=tuple)
 
     COLUMNS = ("t", "entropy", "fisher", "h1", "h2", "mass_defect")

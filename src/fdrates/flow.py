@@ -6,10 +6,12 @@ Newton iteration (kernel in fdrates._kernels), no-flux at r = 0 and r = R_max.
 Every profile V_D is an exact steady state of the truncated problem and the
 truncated mass defect is conserved exactly by the scheme.
 
-The evolving unknown is the relative variable x = v/V_D - 1: on very large
-domains (critical-case runs reach R_max ~ e^90) the difference v - V_D is far
-below the rounding floor of v, so the conserved defect and the entropy are
-only representable in x.
+A state is the relative variable x = v/V_D - 1 and its one Profile V_D, from
+initial data to the last step: on very large domains (critical-case runs
+reach R_max ~ e^90) the difference v - V_D is far below the rounding floor
+of v, so the conserved defect and the entropy are only representable in x.
+Matching D to the data, profiles.solve_D, also bisects the defect in x, and
+the matched state is x re-expressed relative to V_D.
 
 Linear: sector evolution df/dt = -L f discretized by the same P1 forms,
 B (df/dt) = -A f with backward Euler.
@@ -18,7 +20,7 @@ B (df/dt) = -A f with backward Euler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,10 +28,10 @@ import numpy as np
 from . import _kernels
 from .entropy import (EntropyTrace, Weights, entropy_from_x, fisher_from_x,
                       mass_defect_from_x, sandwich_from_x)
-from .exponents import ExponentSet, alpha_to_m, derive_exponents
+from .exponents import ExponentSet
 from .numerics import (RadialField, RadialGrid, _schedule,
                        assemble_sector_forms, sphere_area)
-from .profiles import Profile, solve_D
+from .profiles import Profile, _profile_ratio_minus_one, solve_D
 
 __all__ = [
     "NonlinearState",
@@ -47,28 +49,20 @@ class FlowError(RuntimeError):
 
 @dataclass
 class NonlinearState:
-    """State of a radial nonlinear run: x = v/V_D - 1 relative to the target
-    profile, plus the sandwich bracket (D0, D1) when one is declared."""
+    """State of a radial nonlinear run at time t: v = V_D (1 + x) on grid,
+    stored as x relative to profile, the one Profile V_D of the run."""
 
     grid: RadialGrid
-    exponents: ExponentSet
     profile: Profile
     x: np.ndarray
     t: float = 0.0
-    D0: Optional[float] = None
-    D1: Optional[float] = None
-
-    @property
-    def v(self) -> RadialField:
-        """Absolute values v = V_D (1 + x) as a RadialField."""
-        V = (self.profile.D + self.grid.nodes**2) ** float(self.exponents.alpha)
-        return RadialField(grid=self.grid, values=V * (1.0 + self.x))
 
 
 @dataclass
 class LinearState:
     """State of a linear sector run: nodal values of f in sector l.  alpha and
-    D may be exact (Fractions); the trace's exponents are then exact too."""
+    D may be exact (Fractions); the flow evaluates them in floats, so its
+    trace is the same as for their float values."""
 
     grid: RadialGrid
     alpha: float
@@ -76,11 +70,6 @@ class LinearState:
     l: int
     f: np.ndarray
     t: float = 0.0
-
-
-def _profile_ratio_minus_one(D_from: float, D_to: float, alpha: float, r):
-    """V_(D_from)/V_(D_to) - 1 evaluated without cancellation."""
-    return np.expm1(alpha * np.log1p((D_from - D_to) / (D_to + r**2)))
 
 
 def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
@@ -99,9 +88,11 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
       "bump":   v0 = V_D (1 + amplitude exp(-((r-c)/s)^2)); c = 0, s = 1 when
                 seed is None, otherwise drawn reproducibly from the seed.
 
-    When match_D is True the profile parameter is re-matched by bisection so
-    the truncated mass defect of v0 vanishes, and x is re-expressed relative
-    to the matched profile (requires D0 > D1 bracketing the root).
+    When match_D is True the profile parameter is re-matched by bisection
+    (profiles.solve_D, on the defect in x) so that the truncated mass defect
+    of v0 vanishes, and x is re-expressed relative to the matched profile
+    (requires D0 > D1 bracketing the root).  With the bracket given, the
+    returned x is checked to lie in the sandwich V_D0 <= v0 <= V_D1.
     """
     alpha = float(exponents.alpha)
     r = grid.nodes
@@ -135,23 +126,20 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
         xhi = _profile_ratio_minus_one(D1, D, alpha, r)
         x = np.clip(x, xlo, xhi)
 
-    state = NonlinearState(grid=grid, exponents=exponents,
-                           profile=Profile(exponents=exponents, D=D),
-                           x=x, t=0.0, D0=D0, D1=D1)
+    profile = Profile(exponents=exponents, D=D)
     if match_D:
         if D0 is None or D1 is None:
             raise ValueError("match_D needs the bracket D0 > D1")
-        Dm = solve_D(state.v, exponents, D0, D1)
+        Dm = solve_D(RadialField(grid=grid, values=x), profile, D0, D1)
         q = _profile_ratio_minus_one(D, Dm, alpha, r)
-        x_new = q + (1.0 + q) * x
-        state = replace(state, profile=Profile(exponents=exponents, D=Dm),
-                        x=x_new)
-    if state.D0 is not None and state.D1 is not None:
-        xlo = _profile_ratio_minus_one(state.D0, state.profile.D, alpha, r)
-        xhi = _profile_ratio_minus_one(state.D1, state.profile.D, alpha, r)
-        if np.any(state.x < xlo - 1e-8) or np.any(state.x > xhi + 1e-8):
+        x = q + (1.0 + q) * x
+        profile = Profile(exponents=exponents, D=Dm)
+    if D0 is not None and D1 is not None:
+        xlo = _profile_ratio_minus_one(D0, profile.D, alpha, r)
+        xhi = _profile_ratio_minus_one(D1, profile.D, alpha, r)
+        if np.any(x < xlo - 1e-8) or np.any(x > xhi + 1e-8):
             raise ValueError("initial data violates the sandwich after clipping")
-    return state
+    return NonlinearState(grid=grid, profile=profile, x=x)
 
 
 def _advance(x, work, dt, depth=0):
@@ -226,8 +214,7 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
         return state.t, F, I, h1, h2, md
 
     columns = _march(state, schedule, step, row)
-    return EntropyTrace(**columns, exponents=state.exponents, D=state.profile.D,
-                        sandwich=tuple(sandwiches))
+    return EntropyTrace(**columns, sandwich=tuple(sandwiches))
 
 
 def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
@@ -267,5 +254,4 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
 
     columns = _march(state, schedule, step, row)
     state.f = forms.pad(f)
-    exps = derive_exponents(state.grid.d, alpha_to_m(state.grid.d, state.alpha))
-    return EntropyTrace(**columns, exponents=exps, D=state.D)
+    return EntropyTrace(**columns)

@@ -168,11 +168,12 @@ def _schedule(t0, t_end, dt, cadence):
 
     The one check of a time axis, for the flows, the Gronwall integrator and
     the run configuration.  dt and a given cadence must be finite and
-    positive, t_end finite and beyond t0, and t_end - t0 a whole number of
-    steps and of cadences, within _time_tol, so no run stops short of t_end
-    or beyond it.  The default cadence gives ~200 rows: k0 = round(max(dt,
-    span/200)/dt) steps per row when k0 divides the n steps of the span,
-    otherwise the largest divisor of n below k0, found in at most k0 trials.
+    positive, t_end finite and beyond t0, and t_end - t0 a whole number,
+    at least one, of steps and of cadences, within _time_tol, so no run
+    stops short of t_end or beyond it.  The default cadence gives ~200
+    rows: k0 = round(max(dt, span/200)/dt) steps per row when k0 divides the
+    n steps of the span, otherwise the largest divisor of n below k0, found
+    in at most k0 trials.
     Raises ScheduleError naming the parameter at fault.
     """
     for name, value in (("dt", dt), ("cadence", cadence)):
@@ -183,9 +184,12 @@ def _schedule(t0, t_end, dt, cadence):
         raise ScheduleError("t_end", f"t_end must be finite and beyond the "
                                      f"current time t = {t0}, got {t_end}")
     span = t_end - t0
+    n = round(span / dt)
+    if n < 1:
+        raise ScheduleError("t_end", f"t_end - t = {span} holds no time step "
+                                     f"of dt = {dt}")
     given = cadence is not None
     if not given:
-        n = round(span / dt)
         k = round(max(dt, span / 200.0) / dt)
         while n % k:
             k -= 1
@@ -196,8 +200,8 @@ def _schedule(t0, t_end, dt, cadence):
                                        f"multiple of dt {dt}")
     n_rec = round(span / cadence)
     tol = _time_tol(span)
-    if abs(n_rec * cadence - span) > tol:
-        if given and abs(round(span / dt) * dt - span) <= tol:
+    if n_rec < 1 or abs(n_rec * cadence - span) > tol:
+        if given and abs(n * dt - span) <= tol:
             raise ScheduleError("cadence", f"t_end - t = {span} is not an "
                                            f"integer multiple of the cadence {cadence}")
         raise ScheduleError("dt", f"t_end - t = {span} is not an integer "

@@ -4,9 +4,15 @@ The stationary profiles of the rescaled flow are V_D(x) = (D+|x|^2)^(1/(m-1)),
 D > 0.  In original variables the Barenblatt solutions are obtained from V_D
 by the time-dependent rescaling r(tau) = R(tau) whose form depends on the
 regime (global growth for m > m_c, finite-time extinction for m < m_c,
-exponential for m = m_c).  solve_D matches D to initial data by bisection
-on the truncated mass defect int (v - V_D) dx, evaluated inline; the public
-mass defect of a state is entropy.mass_defect_from_x.
+exponential for m = m_c).
+
+solve_D matches D to initial data by bisection on the truncated mass defect,
+evaluated as entropy.mass_defect_from_x evaluates it: in the relative
+variable x = v/V_D - 1, as int V_D x dx.  The data are given relative to one
+profile and re-expressed relative to each candidate by
+_profile_ratio_minus_one, so no absolute value v or difference v - V_D is
+formed; on the very large domains of critical-case runs that difference is
+far below the rounding floor of v.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ __all__ = [
     "RescalingMap",
     "ExtinctionError",
     "BisectionError",
-    "eval_profile",
     "eval_barenblatt",
     "to_selfsimilar",
     "from_selfsimilar",
@@ -58,14 +63,15 @@ class Profile:
             raise ValueError(f"D must be positive, got {self.D}")
 
     def __call__(self, r):
-        return eval_profile(self, r)
+        """V_D at radius r >= 0 (scalar or array): (D + r^2)^(1/(m-1))."""
+        r = np.asarray(r, dtype=float)
+        out = (self.D + r**2) ** float(self.exponents.alpha)
+        return float(out) if out.ndim == 0 else out
 
 
-def eval_profile(p: Profile, r):
-    """V_D at radius r >= 0 (scalar or array): (D + r^2)^(1/(m-1))."""
-    r = np.asarray(r, dtype=float)
-    out = (p.D + r**2) ** float(p.exponents.alpha)
-    return float(out) if out.ndim == 0 else out
+def _profile_ratio_minus_one(D_from: float, D_to: float, alpha: float, r):
+    """V_(D_from)/V_(D_to) - 1 at radii r, evaluated without cancellation."""
+    return np.expm1(alpha * np.log1p((D_from - D_to) / (D_to + r**2)))
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,8 @@ def eval_barenblatt(map: RescalingMap, D: float, tau: float, y) -> float:
     y = np.asarray(y, dtype=float)
     rho = math.sqrt(float(np.sum(y**2)))
     x = map.space_factor() * rho / R
-    v = eval_profile(Profile(exponents=map.exponents, D=D), x)
-    return float(v) / R ** map.exponents.d
+    v = Profile(exponents=map.exponents, D=D)(x)
+    return v / R ** map.exponents.d
 
 
 def to_selfsimilar(map: RescalingMap, tau: float, y, u_value: float):
@@ -162,27 +168,30 @@ _BISECT_TOL = 1e-10
 _BISECT_MAXIT = 200
 
 
-def solve_D(v0: RadialField, exponents: ExponentSet, D0: float,
-            D1: float) -> float:
-    """Unique D in [D1, D0] with zero truncated mass defect, by bisection.
+def solve_D(x: RadialField, profile: Profile, D0: float, D1: float) -> float:
+    """Unique D' in [D1, D0] with zero truncated mass defect, by bisection.
 
-    The defect is strictly increasing in D (V_D is pointwise decreasing in D),
-    so bisection on the bracket is unconditionally safe; raises ValueError if
-    the defect has the same sign at both endpoints (the data violates the
-    sandwich hypothesis) and BisectionError if |defect| <= _BISECT_TOL is not
-    reached in _BISECT_MAXIT steps.
+    x holds the data relative to profile, v = V_D (1 + x).  The defect of v
+    against a candidate V_D' is int V_D' x' dx with x' = q + (1 + q) x and
+    q = V_D/V_D' - 1, in the operation order of entropy.mass_defect_from_x,
+    so that x' at the returned D' has as its mass_defect_from_x the last
+    defect evaluated here.  The defect is strictly increasing in D' (V_D' is pointwise
+    decreasing in D'), so bisection on the bracket is unconditionally safe;
+    raises ValueError if the defect has the same sign at both endpoints (the
+    data violates the sandwich hypothesis) and BisectionError if
+    |defect| <= _BISECT_TOL is not reached in _BISECT_MAXIT steps.
     """
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
-    alpha = float(exponents.alpha)
-    w = cell_volumes(v0.grid)
-    sd = sphere_area(v0.grid.d)
-    r2 = v0.grid.nodes**2
+    alpha = float(profile.exponents.alpha)
+    r = x.grid.nodes
+    w = cell_volumes(x.grid)
+    sd = sphere_area(x.grid.d)
+    r2 = r**2
 
     def g(D):
-        # the difference v - V_D is integrated, never each term alone, which
-        # stays meaningful for m < m_c where V_D itself is not integrable
-        return sd * float(np.sum(w * (v0.values - (D + r2) ** alpha)))
+        q = _profile_ratio_minus_one(profile.D, D, alpha, r)
+        return sd * float(np.sum(w * (D + r2) ** alpha * (q + (1.0 + q) * x.values)))
 
     lo, hi = D1, D0
     glo, ghi = g(lo), g(hi)

@@ -104,6 +104,8 @@ def test_config_ranges_and_time_axis_are_checked_when_read():
                             "positive, got 0.0"),
             ("time.t_end = -1", "line 1: bad value for time.t_end: t_end must be "
                                 "finite and beyond the current time t = 0.0"),
+            ("time.t_end = 1e-12", "line 1: bad value for time.t_end: t_end - t = "
+                                   "1e-12 holds no time step of dt = 0.001"),
             ("time.t_end = 0.0105", "bad value for time.dt (default 0.001): t_end - "
                                     "t = 0.0105 is not an integer multiple of the "
                                     "time step dt = 0.001"),
@@ -356,6 +358,33 @@ def test_evolve_with_fit(tmp_path, capsys):
     assert float(rate_line.split("=")[1]) > 0
 
 
+def test_evolve_critical_loglog_fit(tmp_path, capsys):
+    # the critical exponent m* = (d-4)/(d-2) = 1/3 in d = 5 decays
+    # algebraically; on a large domain, with data matched to its profile
+    # (data.match_D by default) and without, a log-log fit gives a negative
+    # slope and the scheme conserves the defect to 1e-10 of the unmatched one
+    cfg = tmp_path / "crit.cfg"
+    text = ("d = 5\nm = 1/3\nD0 = 2.0\nD1 = 0.5\ndata.kind = bump\n"
+            "data.clip = false\ngrid.R_max = 1e8\ngrid.N = 400\n"
+            "time.dt = 0.05\ntime.t_end = 2\noutput.cadence = 0.1\n"
+            "fit.kind = loglog\nfit.window_start = 0.5\nfit.window_end = 2\n")
+    columns = []
+    for extra in ("", "data.match_D = false\n"):
+        cfg.write_text(text + extra)
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rate = float([l for l in lines if l.startswith("# fitted_rate=")][0][14:])
+        assert math.isfinite(rate) and rate < 0
+        header = lines.index("t,entropy,fisher,h1,h2,mass_defect")
+        columns.append([float(l.split(",")[5]) for l in lines[header + 1:]])
+    matched, unmatched = columns
+    assert len(matched) == 21 and abs(matched[0]) <= 1e-10
+    scale = abs(unmatched[0])
+    assert scale > 1e-3
+    for md in columns:
+        assert max(abs(v - md[0]) for v in md) <= 1e-10 * scale
+
+
 def test_evolve_linear(tmp_path, capsys):
     cfg = tmp_path / "lin.cfg"
     cfg.write_text("d = 5\nalpha = -10\nsector.l = 1\ngrid.R_max = 15\n"
@@ -539,6 +568,9 @@ _BAD_RUN_CFG = [
      "line 10: bad value for time.t_end: expected a finite number, got 'inf'"),
     ("time.dt = 2e-4", "time.dt = inf",
      "line 9: bad value for time.dt: expected a finite number, got 'inf'"),
+    ("time.t_end = 0.25", "time.t_end = 1e-12",
+     "line 10: bad value for time.t_end: t_end - t = 1e-12 holds no time step of "
+     "dt = 0.0002"),
     ("output.cadence = 0.005", "output.cadence = inf",
      "line 11: bad value for output.cadence: expected a finite number, got 'inf'"),
     ("output.cadence = 0.005", "output.cadence = 0.003",
@@ -689,6 +721,12 @@ def _readme():
         elif kind == "sh":
             lines += [l for l in body.splitlines() if l.startswith("fdrates ")]
     return configs, lines
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    assert [k for k in cli._CONFIG_KEYS if f"`{k}`" not in readme] == []
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import fdrates.flow as FL
 import fdrates.numerics as N
-from fdrates.entropy import Weights, fit_rate
+from fdrates.entropy import Weights, fit_rate, mass_defect_from_x
 from fdrates.exponents import derive_exponents
 from fdrates.profiles import Profile
 
@@ -20,8 +20,7 @@ def _grid(R=15.0, n=200):
 
 def test_profile_is_exact_steady_state():
     g = _grid()
-    st = FL.NonlinearState(grid=g, exponents=E59,
-                           profile=Profile(exponents=E59, D=1.0),
+    st = FL.NonlinearState(grid=g, profile=Profile(exponents=E59, D=1.0),
                            x=np.zeros(g.N + 1))
     tr = FL.evolve_nonlinear(st, 0.1, 0.01, cadence=0.05)
     assert np.max(np.abs(st.x)) < 1e-13
@@ -34,7 +33,6 @@ def test_make_initial_data_kinds_and_rejections():
     st = FL.make_initial_data(g, E59, "profile-blend", D0=2.0, D1=0.5)
     # matched by bisection; closed form ((2^-7.5 + 0.5^-7.5)/2)^(-1/7.5)
     assert st.profile.D == pytest.approx(0.5484102583897682, abs=2e-3)
-    assert st.D0 == 2.0 and st.D1 == 0.5
     st2 = FL.make_initial_data(g, E59, "eigen", D=1.0, D0=2.0, D1=0.5,
                                epsilon=0.05, mode=(0, 1))
     assert np.max(np.abs(st2.x)) < 0.2
@@ -85,7 +83,6 @@ def test_trace_shape():
     st = FL.make_initial_data(g, E59, "eigen", D=1.0, D0=2.0, D1=0.5)
     tr = FL.evolve_nonlinear(st, 0.05, 1e-3, cadence=0.01)
     assert len(tr.t) == 6  # includes t = 0
-    assert tr.D == st.profile.D and tr.exponents is E59
 
 
 def test_evolve_rejects_bad_stepping():
@@ -115,6 +112,18 @@ def test_nonlinear_decay_rate_matches_spectrum():
     fit = fit_rate(tr, (0.1, 0.22))
     assert fit.rate == pytest.approx(60.0, rel=0.03)
     assert fit.r2 > 0.9999
+
+
+@pytest.mark.parametrize("R_max", [1e4, 1e8, float(np.sinh(40.0))])
+def test_critical_data_matched_on_large_domains(R_max):
+    # at the critical exponent m* = 1/3 in d = 5 the profile is not
+    # integrable on these domains, and v - V_D falls below the rounding floor
+    # of v; matching D in x = v/V_D - 1 still zeroes the truncated defect
+    e = derive_exponents(5, Fraction(1, 3))
+    g = N.build_grid(R_max, 2000, 5)
+    st = FL.make_initial_data(g, e, "bump", D0=2.0, D1=0.5, clip=False)
+    assert 0.5 < st.profile.D < 2.0
+    assert abs(mass_defect_from_x(st.x, Weights.of(g, st.profile))) <= 1e-10
 
 
 def _critical_run():
@@ -237,14 +246,12 @@ def test_linear_sector_eigenmode_rate():
 
 
 def test_linear_sector_exact_alpha():
-    # a Fraction alpha or D runs the same float flow; alpha's exponents stay
-    # exact
+    # a Fraction alpha or D runs the same float flow
     g = _grid()
     f0 = g.nodes * np.exp(-g.nodes**2)
     exact, flt = (FL.evolve_linear_sector(FL.LinearState(grid=g, alpha=a, D=1.0, l=1,
                                                          f=f0.copy()), 0.01, 1e-3)
                   for a in (Fraction(-10), -10.0))
-    assert exact.exponents.alpha == -10 and exact.exponents.m == Fraction(9, 10)
     assert np.array_equal(exact.entropy, flt.entropy)
     assert np.array_equal(exact.fisher, flt.fisher)
     exact_D, flt_D = (FL.evolve_linear_sector(FL.LinearState(grid=g, alpha=-10.0, D=D,

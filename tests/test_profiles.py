@@ -14,8 +14,9 @@ import fdrates.profiles as P
 from fdrates.entropy import Weights, mass_defect_from_x
 from fdrates.exponents import Regime, derive_exponents
 from fdrates.profiles import (BisectionError, ExtinctionError, Profile,
-                              RescalingMap, eval_barenblatt, eval_profile,
-                              from_selfsimilar, solve_D, to_selfsimilar)
+                              RescalingMap, _profile_ratio_minus_one,
+                              eval_barenblatt, from_selfsimilar, solve_D,
+                              to_selfsimilar)
 
 
 def test_profile_values():
@@ -100,7 +101,7 @@ def test_barenblatt_is_rescaled_profile():
     u = eval_barenblatt(mp, D, tau, y)
     t, x, v = to_selfsimilar(mp, tau, y, u)
     rho = math.sqrt(float(np.sum(np.asarray(x) ** 2)))
-    assert v == pytest.approx(eval_profile(Profile(exponents=e, D=D), rho), rel=1e-12)
+    assert v == pytest.approx(Profile(exponents=e, D=D)(rho), rel=1e-12)
 
 
 def test_barenblatt_solves_pde():
@@ -136,16 +137,20 @@ def test_mass_defect_sign_and_zero():
     assert mass_defect_from_x(hi, wts) > 0 > mass_defect_from_x(lo, wts)
 
 
-def _reference_solve_D(v0, exponents, D0, D1, tol=1e-10, maxit=200):
-    """The bisection on a separate truncated mass defect, each step building
-    a Profile and evaluating V_D anew, as solve_D was first written."""
+def _reference_solve_D(x, profile, D0, D1, tol=1e-10, maxit=200):
+    """The bisection on the public mass defect: each step re-expresses the
+    data x, given relative to profile, relative to a new Profile V_D' as
+    x' = q + (1+q) x with q = V_D/V_D' - 1, and evaluates
+    mass_defect_from_x(x') on that profile's Weights."""
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
+    alpha = float(profile.exponents.alpha)
+    r = x.grid.nodes
 
     def g(D):
-        grid = v0.grid
-        diff = v0.values - eval_profile(Profile(exponents=exponents, D=D), grid.nodes)
-        return N.sphere_area(grid.d) * float(np.sum(N.cell_volumes(grid) * diff))
+        q = np.expm1(alpha * np.log1p((profile.D - D) / (D + r**2)))
+        p = Profile(exponents=profile.exponents, D=D)
+        return mass_defect_from_x(q + (1.0 + q) * x.values, Weights.of(x.grid, p))
 
     lo, hi = D1, D0
     glo, ghi = g(lo), g(hi)
@@ -173,11 +178,39 @@ def _reference_solve_D(v0, exponents, D0, D1, tol=1e-10, maxit=200):
     )
 
 
+def _absolute_solve_D(v0, exponents, D0, D1):
+    """solve_D as first written, on absolute values: the bisection of
+    int (v - V_D) dx at the default tolerance."""
+    def g(D):
+        grid = v0.grid
+        diff = v0.values - Profile(exponents=exponents, D=D)(grid.nodes)
+        return N.sphere_area(grid.d) * float(np.sum(N.cell_volumes(grid) * diff))
+
+    lo, hi = D1, D0
+    glo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if abs(gm) <= 1e-10:
+            return mid
+        if gm * glo < 0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    raise BisectionError("absolute bisection did not converge")
+
+
 def _outcome(solve, *args, **kwargs):
     try:
         return solve(*args, **kwargs)
     except (ValueError, BisectionError) as exc:
         return type(exc), str(exc)
+
+
+def _relative(grid, profile, D):
+    """The profile V_D as data relative to profile: V_D/V_profile - 1."""
+    return N.RadialField(grid=grid, values=_profile_ratio_minus_one(
+        D, profile.D, float(profile.exponents.alpha), grid.nodes))
 
 
 def test_solve_D_matches_reference(monkeypatch):
@@ -188,28 +221,31 @@ def test_solve_D_matches_reference(monkeypatch):
     for d, m, n in ((2, 0.2, 64), (3, 0.5, 800), (5, 0.9, 800), (5, 0.3, 64)):
         e = derive_exponents(d, m)
         grid = N.build_grid(20.0, n, d)
-
-        def V(D):
-            return Profile(exponents=e, D=D)(grid.nodes)
-
-        blend = 0.5 * (V(1.7) + V(0.6))
-        for values, D0, D1 in ((blend, 1.7, 0.6), (blend, 1.3, 0.5), (V(2.3), 2.5, 0.5)):
-            v = N.RadialField(grid=grid, values=values)
+        p1 = Profile(exponents=e, D=1.0)
+        blend = N.RadialField(grid=grid, values=0.5 * (
+            _relative(grid, p1, 1.7).values + _relative(grid, p1, 0.6).values))
+        for x, D0, D1 in ((blend, 1.7, 0.6), (blend, 1.3, 0.5),
+                          (_relative(grid, p1, 2.3), 2.5, 0.5)):
             for kw in ({}, {"tol": 1e-13}, {"tol": 0.0}):
-                want = _outcome(_reference_solve_D, v, e, D0, D1, **kw)
+                want = _outcome(_reference_solve_D, x, p1, D0, D1, **kw)
                 with monkeypatch.context() as mp:
                     mp.setattr(P, "_BISECT_TOL", kw.get("tol", P._BISECT_TOL))
-                    assert _outcome(solve_D, v, e, D0, D1) == want
-            assert isinstance(_outcome(solve_D, v, e, D0, D1), float)
-            want = _outcome(_reference_solve_D, v, e, D0, D1, maxit=3)
+                    assert _outcome(solve_D, x, p1, D0, D1) == want
+            got = _outcome(solve_D, x, p1, D0, D1)
+            assert isinstance(got, float)
+            # on these moderate domains the absolute bisection, which the
+            # relative one replaced, matches the same D
+            v = N.RadialField(grid=grid, values=p1(grid.nodes) * (1.0 + x.values))
+            assert _absolute_solve_D(v, e, D0, D1) == got
+            want = _outcome(_reference_solve_D, x, p1, D0, D1, maxit=3)
             assert want[0] is BisectionError
             with monkeypatch.context() as mp:
                 mp.setattr(P, "_BISECT_MAXIT", 3)
-                assert _outcome(solve_D, v, e, D0, D1) == want
+                assert _outcome(solve_D, x, p1, D0, D1) == want
         # the same-sign bracket is refused with the same message
-        v = N.RadialField(grid=grid, values=V(0.1))
-        want = _outcome(_reference_solve_D, v, e, 2.0, 0.5)
-        assert want[0] is ValueError and _outcome(solve_D, v, e, 2.0, 0.5) == want
+        x = _relative(grid, p1, 0.1)
+        want = _outcome(_reference_solve_D, x, p1, 2.0, 0.5)
+        assert want[0] is ValueError and _outcome(solve_D, x, p1, 2.0, 0.5) == want
         # initial data matched through either bisection is the same state
         for kind in ("profile-blend", "bump"):
             states = []
@@ -225,9 +261,8 @@ def test_solve_D_recovers_exact_profile(monkeypatch):
     monkeypatch.setattr(P, "_BISECT_TOL", 1e-13)
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 800, 5)
-    target = Profile(exponents=e, D=1.37)
-    v = N.RadialField(grid=grid, values=target(grid.nodes))
-    D = solve_D(v, e, D0=2.0, D1=0.5)
+    p1 = Profile(exponents=e, D=1.0)
+    D = solve_D(_relative(grid, p1, 1.37), p1, D0=2.0, D1=0.5)
     assert D == pytest.approx(1.37, rel=1e-9)
 
 
@@ -238,10 +273,9 @@ def test_solve_D_midpoint_oracle(monkeypatch):
     monkeypatch.setattr(P, "_BISECT_TOL", 1e-13)
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(60.0, 2400, 5)
-    v2 = Profile(exponents=e, D=2.0)(grid.nodes)
-    vh = Profile(exponents=e, D=0.5)(grid.nodes)
-    v = N.RadialField(grid=grid, values=0.5 * (v2 + vh))
-    D = solve_D(v, e, D0=2.0, D1=0.5)
+    p1 = Profile(exponents=e, D=1.0)
+    x = 0.5 * (_relative(grid, p1, 2.0).values + _relative(grid, p1, 0.5).values)
+    D = solve_D(N.RadialField(grid=grid, values=x), p1, D0=2.0, D1=0.5)
     closed = ((2.0**-7.5 + 0.5**-7.5) / 2.0) ** (-1.0 / 7.5)
     assert closed == pytest.approx(0.5484102583897682, rel=1e-15)
     assert D == pytest.approx(closed, rel=2e-6)
@@ -250,13 +284,14 @@ def test_solve_D_midpoint_oracle(monkeypatch):
 def test_solve_D_rejections(monkeypatch):
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 400, 5)
-    v = N.RadialField(grid=grid, values=Profile(exponents=e, D=0.1)(grid.nodes))
+    p1 = Profile(exponents=e, D=1.0)
+    x = _relative(grid, p1, 0.1)
     with pytest.raises(ValueError):
-        solve_D(v, e, D0=2.0, D1=0.5)  # defect positive at both ends
+        solve_D(x, p1, D0=2.0, D1=0.5)  # defect positive at both ends
     with pytest.raises(ValueError):
-        solve_D(v, e, D0=0.5, D1=2.0)  # inverted bracket
+        solve_D(x, p1, D0=0.5, D1=2.0)  # inverted bracket
     # a bisection cut short raises rather than returning its midpoint 0.96875
-    v = N.RadialField(grid=grid, values=Profile(exponents=e, D=1.37)(grid.nodes))
+    x = _relative(grid, p1, 1.37)
     monkeypatch.setattr(P, "_BISECT_MAXIT", 3)
     with pytest.raises(BisectionError, match="after 3 bisection steps"):
-        solve_D(v, e, D0=2.0, D1=0.5)
+        solve_D(x, p1, D0=2.0, D1=0.5)
