@@ -456,11 +456,6 @@ def test_schedule_default_rows_on_common_pairs():
                                            "current time t = 0.0, got inf"),
     ((0.0, math.nan, 1e-3, None), "t_end", "got nan"),
     ((0.5, 0.5, 1e-3, None), "t_end", "current time t = 0.5, got 0.5"),
-    ((0.0, 1e-12, 1e-3, None), "t_end", "t_end - t = 1e-12 holds no time step of "
-                                        "dt = 0.001"),
-    ((0.0, 1e-12, 1e-3, 1e-3), "t_end", "holds no time step"),
-    ((0.0, 1e-12, 1e-13, 1e-3), "cadence", "t_end - t = 1e-12 is not an integer "
-                                           "multiple of the cadence 0.001"),
     ((0.0, 1.0, 1e-3, math.inf), "cadence", "cadence must be finite and positive"),
     ((0.0, 1.0, 1e-3, 0.0), "cadence", "cadence must be finite and positive"),
     ((0.0, 1.0, 1e-3, 0.0015), "cadence", "cadence 0.0015 is not an integer "
@@ -470,6 +465,11 @@ def test_schedule_default_rows_on_common_pairs():
     ((0.0, 0.0105, 1e-3, None), "dt", "t_end - t = 0.0105 is not an integer "
                                       "multiple of the time step dt = 0.001"),
     ((0.0, 0.0105, 1e-3, 0.005), "dt", "of the time step dt = 0.001"),
+    ((0.0, 1e-12, 1e-3, None), "t_end", "t_end - t = 1e-12 holds no time step of "
+                                        "dt = 0.001"),
+    ((0.0, 1e-12, 1e-3, 1e-3), "t_end", "holds no time step"),
+    ((0.0, 1e-12, 1e-13, 1e-3), "cadence", "t_end - t = 1e-12 is not an integer "
+                                           "multiple of the cadence 0.001"),
 ])
 def test_schedule_names_the_parameter_at_fault(axis, parameter, msg):
     with pytest.raises(N.ScheduleError) as err:
