@@ -18,6 +18,7 @@ __all__ = [
     "flow",
     "numerics",
     "profiles",
+    "scalar",
     "spectral",
     "__version__",
 ]

@@ -13,16 +13,17 @@ such as 0.9, or fractions such as -7/2), so the closed forms evaluate them
 exactly.  Every other real number, option or config value, is read by one
 parser, _finite, which refuses nan and inf.  A config file is checked as it
 is read: each key by its parser and range in _CONFIG_KEYS, the time axis
-(time.dt, time.t_end, output.cadence) by numerics._schedule, then the
+(time.dt, time.t_end, output.cadence) by scalar._schedule, then the
 constraints across keys by _validate_config.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure;
 the process entry run() exits 141 (128 + SIGPIPE) when stdout is closed.
 
 Only the closed forms (exponents, spectral) are imported with this module;
-each command that runs numerics imports numpy and the numerical modules
-itself, so constants, spectrum and eigenfunction, whose ODE residual is
-exact rational arithmetic, start without them.
+each command imports the other modules it runs itself.  So constants,
+spectrum and eigenfunction, whose ODE residual is exact rational arithmetic,
+and gronwall and rescale, which run on Python floats (scalar), load neither
+numpy nor scipy.
 
 The `fdrates` command and `python -m fdrates.cli` enter through run(): BLAS
 runs single-threaded unless the user sets OPENBLAS_NUM_THREADS,
@@ -138,7 +139,7 @@ _NONNEGATIVE = (">= 0", lambda v: v >= 0)
 # key -> (parser, default, limits); a None default means "unset", and a value
 # outside the limits is refused with the key and its line named.  The
 # time keys have none of their own: they form the time axis, which
-# numerics._schedule checks
+# scalar._schedule checks
 _CONFIG_KEYS = {
     "d": (int, None, (">= 1", lambda d: d >= 1)),
     "m": (_exact, None, ("< 1", lambda m: m < 1)),
@@ -166,7 +167,7 @@ _CONFIG_KEYS = {
     "fit.kind": (_one_of("exp", "loglog"), "exp", None),
 }
 
-# numerics._schedule's parameter -> the config key it reads
+# scalar._schedule's parameter -> the config key it reads
 _TIME_KEYS = {"dt": "time.dt", "t_end": "time.t_end", "cadence": "output.cadence"}
 
 
@@ -196,11 +197,11 @@ def parse_config(text: str) -> RunConfig:
     """Parse key=value configuration text ('#' comments, one pair per line).
 
     Each value is checked as it is read, by its key's parser and range; then
-    numerics._schedule checks the time axis, whether or not the command runs
+    scalar._schedule checks the time axis, whether or not the command runs
     a flow, and _validate_config the constraints across keys.  Raises
     ConfigError naming the key, and its line when the text sets it.
     """
-    from . import numerics as num
+    from . import scalar
 
     values = {k: v for k, (_, v, _) in _CONFIG_KEYS.items()}
     seen = {}
@@ -231,8 +232,9 @@ def parse_config(text: str) -> RunConfig:
         values[key] = value
     cfg = RunConfig(values)
     try:
-        num._schedule(0.0, cfg["time.t_end"], cfg["time.dt"], cfg["output.cadence"])
-    except num.ScheduleError as e:
+        scalar._schedule(0.0, cfg["time.t_end"], cfg["time.dt"],
+                         cfg["output.cadence"])
+    except scalar.ScheduleError as e:
         key = _TIME_KEYS[e.parameter]
         if key in seen:
             raise ConfigError(f"line {seen[key]}: bad value for {key}: {e}") from None
@@ -244,7 +246,7 @@ def parse_config(text: str) -> RunConfig:
 def _validate_config(v: RunConfig):
     """The constraints across keys: the bracket D0 > D1, both or neither end
     of the fit window, and the window inside the run [0, time.t_end]."""
-    from . import numerics as num
+    from . import scalar
 
     D0, D1 = v.get("D0"), v.get("D1")
     if D0 is not None and D1 is not None and not D0 > D1:
@@ -258,7 +260,7 @@ def _validate_config(v: RunConfig):
         raise ConfigError(f"fit window must be increasing, got [{w0}, {w1}]")
     # refuse, within entropy.fit_rate's tolerance, a window outside the trace
     t_end = v["time.t_end"]
-    tol = num._time_tol(t_end)
+    tol = scalar._time_tol(t_end)
     if w0 < -tol:
         raise ConfigError(f"fit.window_start = {w0} lies before the run start t = 0")
     if w1 > t_end + tol:
@@ -498,19 +500,19 @@ def _cmd_entropy_report(args):
 
 
 def _cmd_gronwall(args):
-    from . import entropy as ent
+    from . import scalar
 
     e = exp_mod.derive_exponents(args.d, args.m)
     Lambda = args.Lambda
     if Lambda is None:
         Lambda = exp_mod.sharp_rate(e.d, e.alpha)
-    params = ent.GronwallParams(exponents=e, Lambda=Lambda, C_unif=args.C)
+    params = scalar.GronwallParams(exponents=e, Lambda=Lambda, C_unif=args.C)
     h0 = 1.0 + args.C * args.F0 ** params.e_unif
-    t, G = ent.gronwall_bound(args.F0, h0, params, args.t_end, args.dt)
+    t, G = scalar.gronwall_bound(args.F0, h0, params, args.t_end, args.dt)
     comments = ["# fdrates gronwall", f"# d={args.d}", f"# m={_fmt(args.m)}",
                 f"# Lambda={_fmt(Lambda)}", f"# C={_fmt(args.C)}",
                 f"# F0={_fmt(args.F0)}", f"# h0={_fmt(h0)}",
-                f"# h_star={_fmt(ent.h_star(e, Lambda))}",
+                f"# h_star={_fmt(scalar.h_star(e, Lambda))}",
                 f"# e_unif={_fmt(params.e_unif)}", f"# dt={_fmt(args.dt)}"]
     _csv(comments, ["t", "G"], zip(t, G), args.output)
     return 0
@@ -556,12 +558,12 @@ def _cmd_quotient(args):
 
 
 def _cmd_rescale(args):
-    from . import profiles as prof
+    from . import scalar
 
     e = exp_mod.derive_exponents(args.d, args.m)
-    rmap = prof.RescalingMap(exponents=e, T=args.T)
-    t, x, v = prof.to_selfsimilar(rmap, args.tau, args.y, args.u)
-    row = (args.tau, args.y, args.u, rmap.R(args.tau), t, float(x), v)
+    rmap = scalar.RescalingMap(exponents=e, T=args.T)
+    t, x, v = scalar.to_selfsimilar(rmap, args.tau, args.y, args.u)
+    row = (args.tau, args.y, args.u, rmap.R(args.tau), t, x, v)
     comments = ["# fdrates rescale", f"# d={args.d}", f"# m={_fmt(args.m)}",
                 f"# T={_fmt(args.T)}", f"# regime={e.regime.value}"]
     _csv(comments, ["tau", "y", "u", "R", "t", "x", "v"], [row], args.output)
@@ -573,11 +575,16 @@ def _cmd_rescale(args):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors are configuration errors: exit code 1, not argparse's 2."""
+    """Usage errors are configuration errors, exit code 1 and not argparse's
+    2, and a help text that cannot be written raises."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        """As argparse's, but a failed write, to a closed stdout say, raises."""
+        (file or sys.stdout).write(self.format_help())
 
 
 # a value that starts like a negative number, e.g. the sweep "-1,-4,-6",
@@ -709,16 +716,20 @@ def run() -> NoReturn:
     command imports numpy after this), calls main(), flushes stdout and
     stderr and ends the process with os._exit, which skips the interpreter
     teardown over numpy's and scipy's heap.  Every --output file is closed
-    before main returns.  When stdout is closed, so that writing or flushing
-    it raises BrokenPipeError, the process ends quietly with status 141, as
-    one killed by SIGPIPE would.  Any other exception or SystemExit
-    (argparse's --help) from main, or a failing stderr flush, propagates, and
-    the process ends the usual way.
+    before main returns.  argparse's --help leaves main by SystemExit, whose
+    status ends the process the same way.  When stdout is closed, so that
+    writing or flushing it raises BrokenPipeError, the process ends quietly
+    with status 141, as one killed by SIGPIPE would.  Any other exception
+    from main, or a failing stderr flush, propagates, and the process ends
+    the usual way.
     """
     for var in _BLAS_THREAD_VARS:
         os.environ.setdefault(var, "1")
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as e:  # --help, after argparse printed the help
+            code = e.code
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout to devnull, so that no later write or flush raises again

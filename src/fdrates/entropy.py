@@ -1,9 +1,11 @@
 """Entropy-method functionals and estimates.
 
 Relative entropy F, relative Fisher information I, the truncated mass
-defect, the relative bounds h1/h2/h, the X/Y comparison functions with their
-root h_star, the linear-nonlinear sandwich bounds, exponential/algebraic rate
-fitting, the Gronwall comparison ODE, and the variational sharpness quotient.
+defect, the relative bounds h1/h2/h, the linear-nonlinear sandwich bounds,
+exponential/algebraic rate fitting, the calibration of the Gronwall constant
+from a trace, and the variational sharpness quotient.  The X/Y comparison
+functions, their root h_star and the Gronwall comparison ODE itself are
+scalar and live, without numpy, in fdrates.scalar.
 
 All functionals are evaluated in the relative variable x = v/V_D - 1; the
 identity V_D^(m-1) = D + r^2 (exact, since alpha(m-1) = 1) makes every weight
@@ -21,20 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentSet
-from .numerics import (RadialField, RadialGrid, _schedule, _time_tol,
-                       cell_volumes, face_geometry, sphere_area)
+from .numerics import (RadialField, RadialGrid, cell_volumes, face_geometry,
+                       sphere_area)
 from .profiles import Profile
+from .scalar import GronwallParams, _time_tol, xy_functions
 
 __all__ = [
     "Weights",
     "EntropyTrace",
     "FitResult",
-    "GronwallParams",
     "SandwichReport",
-    "xy_functions",
-    "h_star",
     "fit_rate",
-    "gronwall_bound",
     "calibrate_uniform_constant",
     "variational_quotient",
     "entropy_from_x",
@@ -172,27 +171,6 @@ def sandwich_from_x(x: np.ndarray, wts: Weights) -> SandwichReport:
     )
 
 
-def xy_functions(h: float, exponents: ExponentSet):
-    """Comparison functions X(h) = h^(5-2m) - 1 and
-    Y(h) = d(1-m)(h^(4(2-m)) - 1); X(1) = Y(1) = 0."""
-    if h < 1.0:
-        raise ValueError(f"h must be >= 1, got {h}")
-    m = float(exponents.m)
-    d = exponents.d
-    X = h ** (5.0 - 2.0 * m) - 1.0
-    Y = d * (1.0 - m) * (h ** (4.0 * (2.0 - m)) - 1.0)
-    return X, Y
-
-
-def h_star(exponents: ExponentSet, Lambda: float) -> float:
-    """Unique h > 1 with Y(h) = Lambda (Y is strictly increasing, Y(1) = 0):
-    h_star = (1 + Lambda/(d(1-m)))^(1/(4(2-m)))."""
-    if not Lambda > 0:
-        raise ValueError(f"Lambda must be positive, got {Lambda}")
-    m = float(exponents.m)
-    return (1.0 + Lambda / (exponents.d * (1.0 - m))) ** (1.0 / (4.0 * (2.0 - m)))
-
-
 # ---------------------------------------------------------------------------
 # traces and rate fitting
 
@@ -231,8 +209,8 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
     kind "exp" fits log F = a - rate*t and returns the decay rate (positive
     for decaying F); kind "loglog" fits log F = a + slope*log t and returns
     the algebraic slope (negative for decaying F).  Windows that reach
-    beyond the trace's [t_0, t_end] by more than _time_tol(t_end - t_0), the
-    tolerance of the flows' time schedule, and windows with fewer than 10
+    beyond the trace's [t_0, t_end] by more than scalar._time_tol(t_end - t_0),
+    the tolerance of the flows' time schedule, and windows with fewer than 10
     positive samples are refused.
     """
     t0, t1 = window
@@ -271,26 +249,7 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
 
 
 # ---------------------------------------------------------------------------
-# Gronwall comparison ODE
-
-
-@dataclass(frozen=True)
-class GronwallParams:
-    """Parameters of the comparison ODE
-    dG/dt = -2 (Lambda - Y(h)) / ((1+X(h)) h^(2-m)) G with h = 1 + C G^e."""
-
-    exponents: ExponentSet
-    Lambda: float
-    C_unif: float = 0.0
-
-    def __post_init__(self):
-        if self.C_unif < 0:
-            raise ValueError("C_unif must be nonnegative")
-
-    @property
-    def e_unif(self) -> float:
-        m, d = float(self.exponents.m), self.exponents.d
-        return (1.0 - m) / (d + 2.0 - (d + 1.0) * m)
+# the constant of the Gronwall comparison ODE (scalar.gronwall_bound)
 
 
 def calibrate_uniform_constant(trace: EntropyTrace,
@@ -303,45 +262,6 @@ def calibrate_uniform_constant(trace: EntropyTrace,
     if not np.any(mask):
         raise ValueError("trace has no rows with positive entropy")
     return float(np.max((h[mask] - 1.0) * trace.entropy[mask] ** (-e)))
-
-
-def gronwall_bound(F0: float, h0: float, params: GronwallParams,
-                   t_end: float, dt: float):
-    """Integrate the comparison ODE by classical RK4 from G(0) = F0.
-
-    Requires h0 < h_star (the regime where Lambda - Y(h) > 0); with C = 0 the
-    solution is exactly F0 e^(-2 Lambda t).  t_end must be an integer multiple
-    of dt (numerics._schedule).  Returns (t, G) arrays.
-    """
-    if F0 < 0:
-        raise ValueError("F0 must be nonnegative")
-    hs = h_star(params.exponents, params.Lambda)
-    if not h0 < hs:
-        raise ValueError(f"h0 = {h0} must be below h_star = {hs}")
-    _, _, n = _schedule(0.0, t_end, dt, dt)
-    m = float(params.exponents.m)
-    e = params.e_unif
-    Lam, C = float(params.Lambda), params.C_unif
-
-    def rhs(G):
-        if G <= 0.0:
-            return 0.0
-        h = 1.0 + C * G**e
-        X, Y = xy_functions(h, params.exponents)
-        return -2.0 * (Lam - Y) / ((1.0 + X) * h ** (2.0 - m)) * G
-
-    t = np.linspace(0.0, n * dt, n + 1)
-    G = np.empty(n + 1)
-    G[0] = F0
-    g = F0
-    for i in range(n):
-        k1 = rhs(g)
-        k2 = rhs(g + 0.5 * dt * k1)
-        k3 = rhs(g + 0.5 * dt * k2)
-        k4 = rhs(g + dt * k3)
-        g = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        G[i + 1] = g
-    return t, G
 
 
 # ---------------------------------------------------------------------------

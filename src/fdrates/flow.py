@@ -29,9 +29,10 @@ from . import _kernels
 from .entropy import (EntropyTrace, Weights, entropy_from_x, fisher_from_x,
                       mass_defect_from_x, sandwich_from_x)
 from .exponents import ExponentSet
-from .numerics import (RadialField, RadialGrid, _schedule,
-                       assemble_sector_forms, sphere_area)
+from .numerics import (RadialField, RadialGrid, assemble_sector_forms,
+                       sphere_area)
 from .profiles import Profile, _profile_ratio_minus_one, solve_D
+from .scalar import _schedule
 
 __all__ = [
     "NonlinearState",
@@ -159,7 +160,7 @@ def _advance(x, work, dt, depth=0):
 def _march(state, schedule, step, row) -> dict:
     """The time loop of both flows: row() at state.t and every cadence after,
     n_sub step() calls between rows, for schedule = (cadence, n_sub, n_rec)
-    of numerics._schedule; state.t follows the rows.  Returns the columns."""
+    of scalar._schedule; state.t follows the rows.  Returns the columns."""
     cadence, n_sub, n_rec = schedule
     t0 = state.t
     rows = [row()]
@@ -178,7 +179,7 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
 
     Rows (t, F, I, h1, h2, mass defect) are recorded every `cadence` time
     units, cadence being an integer multiple of dt (default: about 200 rows,
-    the steps per row dividing the step count; see numerics._schedule).  With
+    the steps per row dividing the step count; see scalar._schedule).  With
     track_sandwich=True a SandwichReport is attached per row, and the row takes
     F, I, h1 and h2 from it.  The state is advanced in place and also
     reflected in state.t.  The quadrature weights of the grid and profile

@@ -20,7 +20,7 @@ to the infinite-domain limit, which together verify the closed-form sharp
 constants numerically; each truncated domain is gridded and assembled once,
 and every sector is formed from that one assembly by adding its centrifugal
 term.  The time-schedule check shared by the flows and the Gronwall
-integrator lives here too.
+integrator is scalar._schedule, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -146,67 +146,6 @@ def face_geometry(grid: RadialGrid):
     r = grid.nodes
     mid = (r[:-1] + r[1:]) / 2.0
     return mid ** (grid.d - 1), np.diff(r)
-
-
-class ScheduleError(ValueError):
-    """A time axis that _schedule refuses; parameter names the input at fault:
-    "dt", "t_end" or "cadence"."""
-
-    def __init__(self, parameter, message):
-        super().__init__(message)
-        self.parameter = parameter
-
-
-def _time_tol(span):
-    """How far a time may lie off a time axis of length span and still count
-    as on it: 1e-9 max(span, 1)."""
-    return 1e-9 * max(span, 1.0)
-
-
-def _schedule(t0, t_end, dt, cadence):
-    """(cadence, n_sub, n_rec): rows every cadence = n_sub*dt, n_rec rows after t0.
-
-    The one check of a time axis, for the flows, the Gronwall integrator and
-    the run configuration.  dt and a given cadence must be finite and
-    positive, t_end finite and beyond t0, and t_end - t0 a whole number,
-    at least one, of steps and of cadences, within _time_tol, so no run
-    stops short of t_end or beyond it.  The default cadence gives ~200
-    rows: k0 = round(max(dt, span/200)/dt) steps per row when k0 divides the
-    n steps of the span, otherwise the largest divisor of n below k0, found
-    in at most k0 trials.
-    Raises ScheduleError naming the parameter at fault.
-    """
-    for name, value in (("dt", dt), ("cadence", cadence)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ScheduleError(name, f"{name} must be finite and positive, "
-                                      f"got {value}")
-    if not (math.isfinite(t_end) and t_end > t0):
-        raise ScheduleError("t_end", f"t_end must be finite and beyond the "
-                                     f"current time t = {t0}, got {t_end}")
-    span = t_end - t0
-    n = round(span / dt)
-    if n < 1:
-        raise ScheduleError("t_end", f"t_end - t = {span} holds no time step "
-                                     f"of dt = {dt}")
-    given = cadence is not None
-    if not given:
-        k = round(max(dt, span / 200.0) / dt)
-        while n % k:
-            k -= 1
-        cadence = k * dt
-    n_sub = round(cadence / dt)
-    if n_sub < 1 or abs(n_sub * dt - cadence) > 1e-9 * cadence:
-        raise ScheduleError("cadence", f"cadence {cadence} is not an integer "
-                                       f"multiple of dt {dt}")
-    n_rec = round(span / cadence)
-    tol = _time_tol(span)
-    if n_rec < 1 or abs(n_rec * cadence - span) > tol:
-        if given and abs(n * dt - span) <= tol:
-            raise ScheduleError("cadence", f"t_end - t = {span} is not an "
-                                           f"integer multiple of the cadence {cadence}")
-        raise ScheduleError("dt", f"t_end - t = {span} is not an integer "
-                                  f"multiple of the time step dt = {dt}")
-    return cadence, n_sub, n_rec
 
 
 @dataclass(frozen=True)

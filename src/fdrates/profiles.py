@@ -1,10 +1,12 @@
-"""Barenblatt solutions, generalized stationary profiles, and rescaling maps.
+"""Barenblatt solutions, generalized stationary profiles, and matching D.
 
 The stationary profiles of the rescaled flow are V_D(x) = (D+|x|^2)^(1/(m-1)),
 D > 0.  In original variables the Barenblatt solutions are obtained from V_D
 by the time-dependent rescaling r(tau) = R(tau) whose form depends on the
 regime (global growth for m > m_c, finite-time extinction for m < m_c,
-exponential for m = m_c).
+exponential for m = m_c).  That rescaling, RescalingMap with to_selfsimilar
+and from_selfsimilar, is scalar and lives, without numpy, in fdrates.scalar;
+eval_barenblatt, which takes |y| of an array y, stays here.
 
 solve_D matches D to initial data by bisection on the truncated mass defect,
 evaluated as entropy.mass_defect_from_x evaluates it: in the relative
@@ -19,31 +21,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exponents import ExponentSet, Regime
+from .exponents import ExponentSet
 from .numerics import RadialField, cell_volumes, sphere_area
+
+if TYPE_CHECKING:
+    from .scalar import RescalingMap
 
 __all__ = [
     "Profile",
-    "RescalingMap",
-    "ExtinctionError",
     "BisectionError",
     "eval_barenblatt",
-    "to_selfsimilar",
-    "from_selfsimilar",
     "solve_D",
 ]
-
-
-class ExtinctionError(ValueError):
-    """Evaluation requested at or past the extinction time (m < m_c)."""
-
-    def __init__(self, tau, T):
-        super().__init__(f"tau = {tau} is not before the extinction time T = {T}")
-        self.tau = tau
-        self.T = T
 
 
 class BisectionError(RuntimeError):
@@ -74,53 +67,10 @@ def _profile_ratio_minus_one(D_from: float, D_to: float, alpha: float, r):
     return np.expm1(alpha * np.log1p((D_from - D_to) / (D_to + r**2)))
 
 
-@dataclass(frozen=True)
-class RescalingMap:
-    """Self-similar change of variables between original (tau, y, u) and
-    rescaled (t, x, v) coordinates, with v = R(tau)^d u."""
-
-    exponents: ExponentSet
-    T: float = 1.0
-
-    def __post_init__(self):
-        if self.T < 0:
-            raise ValueError(f"time origin T must be nonnegative, got {self.T}")
-
-    def _regime_data(self):
-        """(side, m, m_c, d): side is the sign of m - m_c as derive_exponents
-        decided it, 0 at m = m_c."""
-        e = self.exponents
-        if e.at_m_c:
-            side = 0
-        else:
-            side = 1 if e.regime is Regime.GOOD else -1
-        return side, float(e.m), float(e.m_c), e.d
-
-    def R(self, tau: float) -> float:
-        """Regime-resolved rescaling radius R(tau)."""
-        side, m, m_c, d = self._regime_data()
-        if side > 0:
-            if self.T + tau <= 0:
-                raise ValueError(f"T + tau must be positive, got {self.T + tau}")
-            return (self.T + tau) ** (1.0 / (d * (m - m_c)))
-        if side < 0:
-            if tau >= self.T:
-                raise ExtinctionError(tau, self.T)
-            return (self.T - tau) ** (-1.0 / (d * (m_c - m)))
-        return math.exp(tau)
-
-    def space_factor(self) -> float:
-        """sqrt((1-m)/(2d|m-m_c|)), the x = c*y/R coefficient; 1/sqrt(d) at m=m_c."""
-        side, m, m_c, d = self._regime_data()
-        if side == 0:
-            return 1.0 / math.sqrt(d)
-        return math.sqrt((1.0 - m) / (2.0 * d * abs(m - m_c)))
-
-
 def eval_barenblatt(map: RescalingMap, D: float, tau: float, y) -> float:
     """Barenblatt solution U_(D,T)(tau, y) in original variables.
 
-    Satisfies R(tau)^d * U = V_D(x) with x from to_selfsimilar; the positive
+    Satisfies R(tau)^d * U = V_D(x) with x from scalar.to_selfsimilar; the positive
     part truncation of the m > 1 family is never active for m < 1.
     """
     R = map.R(tau)
@@ -129,37 +79,6 @@ def eval_barenblatt(map: RescalingMap, D: float, tau: float, y) -> float:
     x = map.space_factor() * rho / R
     v = Profile(exponents=map.exponents, D=D)(x)
     return v / R ** map.exponents.d
-
-
-def to_selfsimilar(map: RescalingMap, tau: float, y, u_value: float):
-    """Map original variables (tau, y, u) to rescaled (t, x, v).
-
-    t = ((1-m)/2) log(R(tau)/R(0)); x = space_factor * y/R(tau); v = R^d u.
-    For m = m_c these reduce to t = tau/d and x = e^(-tau) y/sqrt(d).
-    """
-    m = float(map.exponents.m)
-    R = map.R(tau)
-    R0 = map.R(0.0)
-    t = 0.5 * (1.0 - m) * math.log(R / R0)
-    x = map.space_factor() * np.asarray(y, dtype=float) / R
-    v = R ** map.exponents.d * u_value
-    return t, x, v
-
-
-def from_selfsimilar(map: RescalingMap, t: float, x, v_value: float):
-    """Inverse of to_selfsimilar; round-trips to 1e-12 relative error."""
-    side, m, m_c, d = map._regime_data()
-    R0 = map.R(0.0)
-    R = R0 * math.exp(2.0 * t / (1.0 - m))
-    if side > 0:
-        tau = R ** (d * (m - m_c)) - map.T
-    elif side < 0:
-        tau = map.T - R ** (-(d * (m_c - m)))
-    else:
-        tau = d * t
-    y = np.asarray(x, dtype=float) * R / map.space_factor()
-    u = v_value / R**d
-    return tau, y, u
 
 
 # solve_D stops once |mass defect| <= _BISECT_TOL, and raises BisectionError

@@ -1,0 +1,283 @@
+"""The scalar steps from the sharp constant to decay rates, in Python floats.
+
+The time-axis check shared by the flows, the Gronwall integrator and the run
+configuration (_schedule); the Gronwall comparison ODE, which turns a rate
+Lambda and the comparison functions X, Y into a bound on the entropy; and the
+self-similar change of variables between original (tau, y, u) and rescaled
+(t, x, v) coordinates.
+
+This module imports no numpy, so the gronwall and rescale commands start
+without it.  gronwall_bound returns its columns as array('d') buffers, 8 bytes
+a value, which np.asarray reads without a copy; the maps take y and x as a
+float or as an ndarray.
+"""
+
+from __future__ import annotations
+
+import math
+from array import array
+from dataclasses import dataclass
+
+from .exponents import ExponentSet, Regime
+
+__all__ = [
+    "ScheduleError",
+    "GronwallParams",
+    "xy_functions",
+    "h_star",
+    "gronwall_bound",
+    "ExtinctionError",
+    "RescalingMap",
+    "to_selfsimilar",
+    "from_selfsimilar",
+]
+
+
+# ---------------------------------------------------------------------------
+# the time axis
+
+
+class ScheduleError(ValueError):
+    """A time axis that _schedule refuses; parameter names the input at fault:
+    "dt", "t_end" or "cadence"."""
+
+    def __init__(self, parameter, message):
+        super().__init__(message)
+        self.parameter = parameter
+
+
+def _time_tol(span):
+    """How far a time may lie off a time axis of length span and still count
+    as on it: 1e-9 max(span, 1)."""
+    return 1e-9 * max(span, 1.0)
+
+
+def _schedule(t0, t_end, dt, cadence):
+    """(cadence, n_sub, n_rec): rows every cadence = n_sub*dt, n_rec rows after t0.
+
+    The one check of a time axis, for the flows, the Gronwall integrator and
+    the run configuration.  dt and a given cadence must be finite and
+    positive, t_end finite and beyond t0, and t_end - t0 a whole number,
+    at least one, of steps and of cadences, within _time_tol, so no run
+    stops short of t_end or beyond it.  The default cadence gives ~200
+    rows: k0 = round(max(dt, span/200)/dt) steps per row when k0 divides the
+    n steps of the span, otherwise the largest divisor of n below k0, found
+    in at most k0 trials.
+    Raises ScheduleError naming the parameter at fault.
+    """
+    for name, value in (("dt", dt), ("cadence", cadence)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ScheduleError(name, f"{name} must be finite and positive, "
+                                      f"got {value}")
+    if not (math.isfinite(t_end) and t_end > t0):
+        raise ScheduleError("t_end", f"t_end must be finite and beyond the "
+                                     f"current time t = {t0}, got {t_end}")
+    span = t_end - t0
+    n = round(span / dt)
+    if n < 1:
+        raise ScheduleError("t_end", f"t_end - t = {span} holds no time step "
+                                     f"of dt = {dt}")
+    given = cadence is not None
+    if not given:
+        k = round(max(dt, span / 200.0) / dt)
+        while n % k:
+            k -= 1
+        cadence = k * dt
+    n_sub = round(cadence / dt)
+    if n_sub < 1 or abs(n_sub * dt - cadence) > 1e-9 * cadence:
+        raise ScheduleError("cadence", f"cadence {cadence} is not an integer "
+                                       f"multiple of dt {dt}")
+    n_rec = round(span / cadence)
+    tol = _time_tol(span)
+    if n_rec < 1 or abs(n_rec * cadence - span) > tol:
+        if given and abs(n * dt - span) <= tol:
+            raise ScheduleError("cadence", f"t_end - t = {span} is not an "
+                                           f"integer multiple of the cadence {cadence}")
+        raise ScheduleError("dt", f"t_end - t = {span} is not an integer "
+                                  f"multiple of the time step dt = {dt}")
+    return cadence, n_sub, n_rec
+
+
+# ---------------------------------------------------------------------------
+# Gronwall comparison ODE
+
+
+def xy_functions(h: float, exponents: ExponentSet):
+    """Comparison functions X(h) = h^(5-2m) - 1 and
+    Y(h) = d(1-m)(h^(4(2-m)) - 1); X(1) = Y(1) = 0."""
+    if h < 1.0:
+        raise ValueError(f"h must be >= 1, got {h}")
+    m = float(exponents.m)
+    d = exponents.d
+    X = h ** (5.0 - 2.0 * m) - 1.0
+    Y = d * (1.0 - m) * (h ** (4.0 * (2.0 - m)) - 1.0)
+    return X, Y
+
+
+def h_star(exponents: ExponentSet, Lambda: float) -> float:
+    """Unique h > 1 with Y(h) = Lambda (Y is strictly increasing, Y(1) = 0):
+    h_star = (1 + Lambda/(d(1-m)))^(1/(4(2-m)))."""
+    if not Lambda > 0:
+        raise ValueError(f"Lambda must be positive, got {Lambda}")
+    m = float(exponents.m)
+    return (1.0 + Lambda / (exponents.d * (1.0 - m))) ** (1.0 / (4.0 * (2.0 - m)))
+
+
+@dataclass(frozen=True)
+class GronwallParams:
+    """Parameters of the comparison ODE
+    dG/dt = -2 (Lambda - Y(h)) / ((1+X(h)) h^(2-m)) G with h = 1 + C G^e."""
+
+    exponents: ExponentSet
+    Lambda: float
+    C_unif: float = 0.0
+
+    def __post_init__(self):
+        if self.C_unif < 0:
+            raise ValueError("C_unif must be nonnegative")
+
+    @property
+    def e_unif(self) -> float:
+        m, d = float(self.exponents.m), self.exponents.d
+        return (1.0 - m) / (d + 2.0 - (d + 1.0) * m)
+
+
+def gronwall_bound(F0: float, h0: float, params: GronwallParams,
+                   t_end: float, dt: float):
+    """Integrate the comparison ODE by classical RK4 from G(0) = F0.
+
+    Requires h0 < h_star (the regime where Lambda - Y(h) > 0); with C = 0 the
+    solution is exactly F0 e^(-2 Lambda t).  t_end must be an integer multiple
+    of dt (_schedule).  Returns (t, G) as array('d') buffers of n + 1 values,
+    with t[i] = i (n dt/n) and t[n] = n dt, the bits of
+    np.linspace(0, n dt, n + 1).
+    """
+    if F0 < 0:
+        raise ValueError("F0 must be nonnegative")
+    hs = h_star(params.exponents, params.Lambda)
+    if not h0 < hs:
+        raise ValueError(f"h0 = {h0} must be below h_star = {hs}")
+    _, _, n = _schedule(0.0, t_end, dt, dt)
+    m = float(params.exponents.m)
+    e = params.e_unif
+    Lam, C = float(params.Lambda), params.C_unif
+
+    def rhs(G):
+        if G <= 0.0:
+            return 0.0
+        h = 1.0 + C * G**e
+        X, Y = xy_functions(h, params.exponents)
+        return -2.0 * (Lam - Y) / ((1.0 + X) * h ** (2.0 - m)) * G
+
+    step = n * dt / n
+    t = array("d", (i * step for i in range(n)))
+    t.append(n * dt)
+    G = array("d", [F0])
+    g = F0
+    for _ in range(n):
+        k1 = rhs(g)
+        k2 = rhs(g + 0.5 * dt * k1)
+        k3 = rhs(g + 0.5 * dt * k2)
+        k4 = rhs(g + dt * k3)
+        g = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        G.append(g)
+    return t, G
+
+
+# ---------------------------------------------------------------------------
+# self-similar change of variables
+
+
+class ExtinctionError(ValueError):
+    """Evaluation requested at or past the extinction time (m < m_c)."""
+
+    def __init__(self, tau, T):
+        super().__init__(f"tau = {tau} is not before the extinction time T = {T}")
+        self.tau = tau
+        self.T = T
+
+
+@dataclass(frozen=True)
+class RescalingMap:
+    """Self-similar change of variables between original (tau, y, u) and
+    rescaled (t, x, v) coordinates, with v = R(tau)^d u."""
+
+    exponents: ExponentSet
+    T: float = 1.0
+
+    def __post_init__(self):
+        if self.T < 0:
+            raise ValueError(f"time origin T must be nonnegative, got {self.T}")
+
+    def _regime_data(self):
+        """(side, m, m_c, d): side is the sign of m - m_c as derive_exponents
+        decided it, 0 at m = m_c."""
+        e = self.exponents
+        if e.at_m_c:
+            side = 0
+        else:
+            side = 1 if e.regime is Regime.GOOD else -1
+        return side, float(e.m), float(e.m_c), e.d
+
+    def R(self, tau: float) -> float:
+        """Regime-resolved rescaling radius R(tau)."""
+        side, m, m_c, d = self._regime_data()
+        if side > 0:
+            if self.T + tau <= 0:
+                raise ValueError(f"T + tau must be positive, got {self.T + tau}")
+            return (self.T + tau) ** (1.0 / (d * (m - m_c)))
+        if side < 0:
+            if tau >= self.T:
+                raise ExtinctionError(tau, self.T)
+            return (self.T - tau) ** (-1.0 / (d * (m_c - m)))
+        return math.exp(tau)
+
+    def space_factor(self) -> float:
+        """sqrt((1-m)/(2d|m-m_c|)), the x = c*y/R coefficient; 1/sqrt(d) at m=m_c."""
+        side, m, m_c, d = self._regime_data()
+        if side == 0:
+            return 1.0 / math.sqrt(d)
+        return math.sqrt((1.0 - m) / (2.0 * d * abs(m - m_c)))
+
+
+def _R0(map: RescalingMap) -> float:
+    """R(0), the radius at the origin of the rescaled time t.  Off m = m_c a
+    time origin T = 0 puts R(0) at 0 (m > m_c) or past the extinction time
+    (m < m_c), so it is refused, naming T."""
+    if map.T == 0 and map._regime_data()[0] != 0:
+        raise ValueError(f"the self-similar variables need a time origin T > 0 "
+                         f"when m != m_c, got T = {map.T}")
+    return map.R(0.0)
+
+
+def to_selfsimilar(map: RescalingMap, tau: float, y, u_value: float):
+    """Map original variables (tau, y, u) to rescaled (t, x, v); y is a float
+    or an ndarray.
+
+    t = ((1-m)/2) log(R(tau)/R(0)); x = space_factor * y/R(tau); v = R^d u.
+    For m = m_c these reduce to t = tau/d and x = e^(-tau) y/sqrt(d).
+    """
+    m = float(map.exponents.m)
+    R0 = _R0(map)
+    R = map.R(tau)
+    t = 0.5 * (1.0 - m) * math.log(R / R0)
+    x = map.space_factor() * y / R
+    v = R ** map.exponents.d * u_value
+    return t, x, v
+
+
+def from_selfsimilar(map: RescalingMap, t: float, x, v_value: float):
+    """Inverse of to_selfsimilar, x a float or an ndarray; round-trips to
+    1e-12 relative error."""
+    side, m, m_c, d = map._regime_data()
+    R0 = _R0(map)
+    R = R0 * math.exp(2.0 * t / (1.0 - m))
+    if side > 0:
+        tau = R ** (d * (m - m_c)) - map.T
+    elif side < 0:
+        tau = map.T - R ** (-(d * (m_c - m)))
+    else:
+        tau = d * t
+    y = x * R / map.space_factor()
+    u = v_value / R**d
+    return tau, y, u

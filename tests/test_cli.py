@@ -181,21 +181,22 @@ def _process_env(**extra):
     return env
 
 
-def test_import_and_closed_form_commands_do_not_load_scipy(tmp_path):
+def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
     # numpy and scipy are imported where numerics and linear algebra run: the
-    # import and the exact closed-form commands load neither (nor mpmath), the
-    # other closed-form commands no scipy, and nothing loads scipy.optimize
+    # import, the exact closed-form commands and the scalar commands on
+    # Python floats load neither (nor mpmath), the other closed-form commands
+    # no scipy, and nothing loads scipy.optimize
     cfg = _evolve_config(tmp_path)
     exact = [
         ["constants", "--d", "5", "--m", "0.9"],
         ["spectrum", "--d", "5", "--alpha", "-10"],
         ["eigenfunction", "--d", "5", "--alpha", "-10", "--l", "0", "--k", "1"],
+        ["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0", "--t-end", "0.01"],
+        ["rescale", "--d", "5", "--m", "0.8", "--tau", "2"],
     ]
     numeric = [
         ["entropy-report", "--config", cfg],
-        ["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0", "--t-end", "0.01"],
         ["quotient", "--d", "5", "--m", "0.9", "--n", "100", "--R", "30", "--N", "400"],
-        ["rescale", "--d", "5", "--m", "0.8", "--tau", "2"],
     ]
     # extrapolates its l = 0 sector, so the quantization fit runs
     verify = ["hp-verify", "--d", "5", "--alpha=-1", "--R", "100", "--N", "200",
@@ -454,6 +455,14 @@ def test_rescale_cli(capsys):
     assert R == pytest.approx(3.0, rel=1e-14)
     assert t == pytest.approx(0.1 * math.log(3.0), rel=1e-13)
     assert v == pytest.approx(243.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("m, tau", [("0.8", "2"), ("0.5", "-2")])
+def test_rescale_cli_refuses_T_0_naming_T(m, tau, capsys):
+    assert main(["rescale", "--d", "5", "--m", m, "--T", "0", "--tau", tau]) == 1
+    err = capsys.readouterr().err
+    assert "time origin T > 0" in err and "got T = 0.0" in err
+    assert "tau" not in err
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
@@ -764,19 +773,33 @@ def test_readme_run_cfg_without_cadence(tmp_path, capsys):
     assert float(fit["fit_r2"]) >= 0.999
 
 
-@pytest.mark.parametrize("argv", [
-    # output that run() flushes, and output that main's write hands to the pipe
-    ["constants", "--d", "5", "--m", "0.9"],
-    ["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0", "--t-end", "1"]])
-def test_process_entry_closed_stdout_exits_141(argv):
-    # the child's stdout is a pipe whose read end is closed before it starts;
-    # it exits quietly, as a process SIGPIPE ended would
+def _into_closed_stdout(argv, env):
+    """Run the command with its stdout a pipe whose read end is closed
+    before it starts; (exit status, stderr)."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "fdrates.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env=_process_env(), timeout=120)
+                              env=env, timeout=120)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # output that run() flushes, and output that main's write hands to the pipe
+    ["constants", "--d", "5", "--m", "0.9"],
+    ["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0", "--t-end", "1"],
+    # help texts, which leave main by argparse's SystemExit
+    ["--help"],
+    ["gronwall", "--help"]])
+def test_process_entry_closed_stdout_exits_141(argv):
+    # the child exits quietly, as a process SIGPIPE ended would
+    assert _into_closed_stdout(argv, _process_env()) == (141, b"")
+
+
+def test_help_into_closed_unbuffered_stdout_exits_141():
+    # unbuffered, the help text's own write fails, inside main
+    env = _process_env(PYTHONUNBUFFERED="1")
+    assert _into_closed_stdout(["--help"], env) == (141, b"")

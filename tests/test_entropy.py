@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import fdrates.numerics as N
-from fdrates.entropy import (GronwallParams, SandwichReport, Weights, _phi,
+from fdrates.entropy import (SandwichReport, Weights, _phi,
                              calibrate_uniform_constant, entropy_from_x,
-                             fisher_from_x, fit_rate, gronwall_bound, h_star,
-                             mass_defect_from_x, sandwich_from_x,
-                             variational_quotient, xy_functions, EntropyTrace)
+                             fisher_from_x, fit_rate, mass_defect_from_x,
+                             sandwich_from_x, variational_quotient,
+                             EntropyTrace)
 from fdrates.exponents import derive_exponents
 from fdrates.profiles import Profile
+from fdrates.scalar import GronwallParams, gronwall_bound, h_star, xy_functions
 
 
 E59 = derive_exponents(5, 0.9)
@@ -168,7 +169,7 @@ def test_fit_rate_rejections():
 
 def test_gronwall_linear_limit_exact():
     params = GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.0)
-    t, G = gronwall_bound(1.0, 1.0, params, 0.1, 1e-3)
+    t, G = map(np.asarray, gronwall_bound(1.0, 1.0, params, 0.1, 1e-3))
     exact = np.exp(-24.0 * t)
     assert np.max(np.abs(G - exact) / exact) < 1e-8
 
@@ -176,8 +177,8 @@ def test_gronwall_linear_limit_exact():
 def test_gronwall_with_constant_decays_slower():
     p0 = GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.0)
     pc = GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.5)
-    t, G0 = gronwall_bound(1.0, 1.0, p0, 0.2, 1e-3)
-    _, Gc = gronwall_bound(1.0, 1.5, pc, 0.2, 1e-3)
+    _, G0 = map(np.asarray, gronwall_bound(1.0, 1.0, p0, 0.2, 1e-3))
+    _, Gc = map(np.asarray, gronwall_bound(1.0, 1.5, pc, 0.2, 1e-3))
     assert np.all(Gc[1:] > G0[1:])
     assert np.all(np.diff(Gc) < 0)  # still decaying below h_star
 

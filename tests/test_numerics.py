@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdrates.numerics as N
+import fdrates.scalar as S
 from eigen_oracle import dense_bottom, mass, stiffness
 
 
@@ -412,8 +413,8 @@ def test_schedule_keeps_every_schedule_the_reference_accepts(axis):
     except ValueError:
         want = None
     try:
-        got = N._schedule(*axis)
-    except N.ScheduleError:
+        got = S._schedule(*axis)
+    except S.ScheduleError:
         assert want is None
         return
     if want is not None:
@@ -436,7 +437,7 @@ def test_schedule_default_rows_on_common_pairs():
     added = []
     for t_end in (0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 0.5, 1, 2, 5, 10, 20):
         for dt in (1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3):
-            cadence, n_sub, n_rec = N._schedule(0.0, t_end, dt, None)
+            cadence, n_sub, n_rec = S._schedule(0.0, t_end, dt, None)
             n = round(t_end / dt)
             assert cadence == n_sub * dt and n_sub * n_rec == n
             assert min(n, 200) <= n_rec <= 250
@@ -472,10 +473,10 @@ def test_schedule_default_rows_on_common_pairs():
                                            "multiple of the cadence 0.001"),
 ])
 def test_schedule_names_the_parameter_at_fault(axis, parameter, msg):
-    with pytest.raises(N.ScheduleError) as err:
-        N._schedule(*axis)
+    with pytest.raises(S.ScheduleError) as err:
+        S._schedule(*axis)
     assert err.value.parameter == parameter and msg in str(err.value)
 
 
 def test_time_tol_is_relative_to_spans_beyond_one():
-    assert N._time_tol(0.25) == 1e-9 and N._time_tol(200.0) == 1e-9 * 200.0
+    assert S._time_tol(0.25) == 1e-9 and S._time_tol(200.0) == 1e-9 * 200.0

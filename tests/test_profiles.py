@@ -13,10 +13,11 @@ import fdrates.numerics as N
 import fdrates.profiles as P
 from fdrates.entropy import Weights, mass_defect_from_x
 from fdrates.exponents import Regime, derive_exponents
-from fdrates.profiles import (BisectionError, ExtinctionError, Profile,
-                              RescalingMap, _profile_ratio_minus_one,
-                              eval_barenblatt, from_selfsimilar, solve_D,
-                              to_selfsimilar)
+from fdrates.profiles import (BisectionError, Profile,
+                              _profile_ratio_minus_one, eval_barenblatt,
+                              solve_D)
+from fdrates.scalar import (ExtinctionError, RescalingMap, from_selfsimilar,
+                            to_selfsimilar)
 
 
 def test_profile_values():
