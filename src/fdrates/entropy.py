@@ -211,7 +211,9 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
     the algebraic slope (negative for decaying F).  Windows that reach
     beyond the trace's [t_0, t_end] by more than scalar._time_tol(t_end - t_0),
     the tolerance of the flows' time schedule, and windows with fewer than 10
-    positive samples are refused.
+    positive samples are refused.  A row belongs to the window when its time
+    lies within the same tolerance of it, so a row whose time rounds just
+    past a window end, as j*0.1 for j = 12 does past 1.2, is kept.
     """
     t0, t1 = window
     first, last = float(trace.t[0]), float(trace.t[-1])
@@ -222,7 +224,7 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
     if t1 > last + tol:
         raise ValueError(f"fit window end {t1} lies beyond the trace end "
                          f"t = {last}")
-    mask = (trace.t >= t0) & (trace.t <= t1) & (trace.entropy > 0)
+    mask = (trace.t >= t0 - tol) & (trace.t <= t1 + tol) & (trace.entropy > 0)
     t = trace.t[mask]
     F = trace.entropy[mask]
     if len(t) < 10:

@@ -13,14 +13,16 @@ quadratic forms
 
 This module discretizes (A_l, B) with P1 finite elements on a sinh-graded
 radial grid and computes sector bottom eigenvalues, mean-zero for l = 0, by
-index, along one path: a lumped-mass tridiagonal eigensolve gives the shift
-and start vector, and consistent-mass inverse iteration with one
-factorization finishes them.  Truncated-domain eigenvalues are extrapolated
-to the infinite-domain limit, which together verify the closed-form sharp
-constants numerically; each truncated domain is gridded and assembled once,
-and every sector is formed from that one assembly by adding its centrifugal
-term.  The time-schedule check shared by the flows and the Gronwall
-integrator is scalar._schedule, which needs no numpy.
+index, along one path: a lumped-mass tridiagonal eigensolve, bisected only
+below a Courant-Fischer upper bound, gives the shift and start vector, and
+consistent-mass inverse iteration with one factorization finishes them.
+Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
+by a quantization-law fit whose root Brent's method finds, which together
+verify the closed-form sharp constants numerically; each truncated domain
+is gridded and assembled once, and every sector is formed from that one
+assembly by adding its centrifugal term.  The time-schedule check shared by
+the flows and the Gronwall integrator is scalar._schedule, which needs no
+numpy.
 """
 
 from __future__ import annotations
@@ -285,10 +287,69 @@ def rayleigh_quotient(f: RadialField, forms: SectorForms) -> float:
     return float(x @ forms.apply_a(x)) / den
 
 
-# inverse iteration stops once the eigen-residual is below _EIGEN_TOL times
-# its rounding scale, and raises NonConvergenceError after _EIGEN_MAXIT solves
+# the shift's upper bound is the Rayleigh quotient after _BOUND_STEPS solves
+# with A + B; inverse iteration stops once the eigen-residual is below
+# _EIGEN_TOL times its rounding scale, and raises NonConvergenceError after
+# _EIGEN_MAXIT solves
+_BOUND_STEPS = 3
 _EIGEN_TOL = 1e-13
 _EIGEN_MAXIT = 100
+
+
+def _lumped_shift(forms: SectorForms):
+    """Eigenpair k of the lumped-mass pencil (A, L): the shift and start
+    vector of bottom_eigenvalue, with k = 1 for l = 0 and k = 0 otherwise.
+
+    L = diag(row sums of B) and the scaling s = L^(-1/2) make the pencil a
+    symmetric tridiagonal matrix.  An upper bound u >= lambda_k comes first
+    (Courant-Fischer): the L-Rayleigh quotient of any vector bounds lambda_0,
+    and for k = 1 a vector L-orthogonal to the constant, which A maps to zero,
+    spans with the constant a space whose Ritz matrix is diag(0, quotient), so
+    its quotient bounds lambda_1.  The vector is the grid radius after
+    _BOUND_STEPS steps of (A + B)^(-1) L, kept L-orthogonal to the constant
+    for k = 1.  LAPACK dstebz then bisects only (-u', u'], u' = u (1 + 1e-12),
+    to an absolute 1e-7 u', doubling u' until eigenvalue k lies inside, and
+    dstein gives its vector.  Returns (sigma, x) with x in the unscaled
+    coordinates.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein
+
+    k = 1 if forms.l == 0 else 0
+    lumped = forms.b_diag.copy()
+    lumped[:-1] += forms.b_off
+    lumped[1:] += forms.b_off
+    s = 1.0 / np.sqrt(lumped)
+    d, e = forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:]
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("array must not contain infs or NaNs")
+    off = forms.a_off + forms.b_off
+    lu = dgttrf(off, forms.a_diag + forms.b_diag, off)[:5]
+    v = forms.restrict(forms.grid.nodes)
+    for _ in range(_BOUND_STEPS):
+        if k:
+            v = v - (lumped @ v) / lumped.sum()
+        v = dgttrs(*lu, lumped * v)[0]
+    if k:
+        v -= (lumped @ v) / lumped.sum()
+    u = float(v @ forms.apply_a(v)) / float(v @ (lumped * v))
+    if not 0.0 < u < math.inf:
+        raise NonConvergenceError("no finite positive bound for the shift", u)
+    vu = u * (1.0 + 1e-12)
+    # range 1 asks dstebz for the eigenvalues in (vl, vu], in block order "B"
+    while True:
+        m, w, iblock, isplit, info = dstebz(d, e, 1, -vu, vu, 0, 0, 1e-7 * vu, "B")
+        if info:
+            raise NonConvergenceError(f"dstebz failed with info = {info}", u)
+        if m > k:
+            break
+        vu *= 2.0
+    # dstein takes the one eigenvalue and its block
+    j = np.argsort(w[:m])[k]
+    iblock[0] = iblock[j]
+    z, info = dstein(d, e, w[j:j + 1], iblock, isplit)
+    if info:
+        raise NonConvergenceError(f"dstein failed with info = {info}", float(w[j]))
+    return float(w[j]), s * z[:, 0]
 
 
 def bottom_eigenvalue(forms: SectorForms):
@@ -297,35 +358,26 @@ def bottom_eigenvalue(forms: SectorForms):
     The eigenvalue is picked by index: k = 1 for l = 0, where the constant is
     an exact zero mode of A, so that eigenvector k is B-orthogonal to it (the
     mean-zero condition int f dmu_(alpha-1) = 0); k = 0 otherwise.  Eigenpair
-    k of the lumped-mass pencil (LAPACK bisection on a symmetric tridiagonal
-    matrix) gives the shift sigma and the start vector; consistent-mass
-    inverse iteration, with A - sigma B factored once, runs until the
-    eigen-residual |A f - lambda B f| is below 1e-13 times its rounding scale
-    |A||f| + |lambda||B||f|, and raises NonConvergenceError after 100 solves.
+    k of the lumped-mass pencil (_lumped_shift: LAPACK bisection over the
+    range below a Courant-Fischer upper bound) gives the shift sigma and the
+    start vector; consistent-mass inverse iteration, with A - sigma B factored
+    once, runs until the eigen-residual |A f - lambda B f| is below 1e-13
+    times its rounding scale |A||f| + |lambda||B||f|, and raises
+    NonConvergenceError after 100 solves.
 
     Returns (lambda, f) with f a RadialField normalized in the B-norm.
     """
     # scipy.linalg is loaded at the first eigensolve, so that the closed-form
     # commands start without it
-    from scipy.linalg import eigh_tridiagonal
     from scipy.linalg.lapack import dgttrf, dgttrs
 
-    k = 1 if forms.l == 0 else 0
-    # shift and start vector: eigenpair k of the lumped-mass pencil, which the
-    # scaling s = lumped^(-1/2) turns into a symmetric tridiagonal problem
-    lumped = forms.b_diag.copy()
-    lumped[:-1] += forms.b_off
-    lumped[1:] += forms.b_off
-    s = 1.0 / np.sqrt(lumped)
-    lam_l, y = eigh_tridiagonal(forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:],
-                                select="i", select_range=(k, k))
-    sigma = float(lam_l[0])
+    sigma, x = _lumped_shift(forms)
     # consistent-mass inverse iteration, A - sigma B factored once
     off = forms.a_off - sigma * forms.b_off
     lu = dgttrf(off, forms.a_diag - sigma * forms.b_diag, off)[:5]
     abs_a = (np.abs(forms.a_diag), np.abs(forms.a_off))
     abs_b = (np.abs(forms.b_diag), np.abs(forms.b_off))
-    bf = forms.apply_b(s * y[:, 0])
+    bf = forms.apply_b(x)
     lam = sigma
     for _ in range(_EIGEN_MAXIT):
         f = dgttrs(*lu, bf)[0]
@@ -355,6 +407,55 @@ def sector_bottom(d: int, alpha: float, D: float, l: int, R_max: float, N: int):
     return bottom_eigenvalue(assemble_sector_forms(grid, alpha, D, l))
 
 
+def _brent_root(f, a, fa, b, fb):
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4): an inverse quadratic or secant step,
+    kept only if it stays within three quarters of the way to c and below
+    half the step before last, else a bisection step; a step below one ulp
+    moves one ulp.  The bracket [b, c] keeps ends of opposite sign, and the
+    search stops only when no double lies strictly inside it, or when f(b)
+    is exactly zero; it returns the end b, the one with the smaller |f|.
+    """
+    c, fc = a, fa
+    step = prev = b - a
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            step = prev = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0 or math.nextafter(b, c) == c:
+            return b
+        half = 0.5 * (c - b)
+        if prev != 0 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q, abs(prev * q)):
+                prev, step = step, p / q
+            else:
+                prev = step = half
+        else:
+            prev = step = half
+        a, fa = b, fb
+        x = b + step
+        if x == b:
+            x = math.nextafter(b, c)
+        elif not min(b, c) < x < max(b, c):
+            x = b + half
+        b, fb = x, f(x)
+
+
 def _quantization_fit(Ss, lams, npow):
     """Infinite-domain limit of truncated continuum-bottom eigenvalues.
 
@@ -362,8 +463,9 @@ def _quantization_fit(Ss, lams, npow):
     sits at lambda(S) = lambda_inf + k(S)^2 where the wavenumber k satisfies a
     quantization relation S = kappa/k + s0 + s1 k + ... ; given 5 domain sizes
     the relation is solved for lambda_inf by nesting a linear least-squares
-    fit of (kappa, s0, ..) inside a bisection on the last residual, over
-    (0, min lambda); None when that residual does not change sign there.
+    fit of (kappa, s0, ..) inside a root search on the last residual, Brent's
+    method over the bracket (0, min lambda); None when that residual does not
+    change sign there.
     """
     Ss = np.asarray(Ss, dtype=float)
     lams = np.asarray(lams, dtype=float)
@@ -381,17 +483,9 @@ def _quantization_fit(Ss, lams, npow):
     r_lo, r_hi = resid(lo), resid(hi)
     if not (math.isfinite(r_lo) and math.isfinite(r_hi)) or r_lo * r_hi > 0:
         return None
-    # bisect down to adjacent doubles: about 53 halvings, and the root then
-    # carries no tolerance of its own into the extrapolated eigenvalue
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        r_mid = resid(mid)
-        if r_mid * r_lo > 0:
-            lo, r_lo = mid, r_mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    # the bracket narrows to adjacent doubles, so the root carries no
+    # tolerance of its own into the extrapolated eigenvalue
+    return _brent_root(resid, lo, r_lo, hi, r_hi)
 
 
 def _extrapolate(Ss, lams):

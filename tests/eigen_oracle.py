@@ -1,6 +1,7 @@
-"""The dense eigen oracle: the matrices of a SectorForms written out in full,
-and the bottom eigenpair of their pencil from a direct O(n^3) eigensolve,
-for cross-checking numerics.bottom_eigenvalue on small problems."""
+"""The eigen oracles: the matrices of a SectorForms written out in full, the
+bottom eigenpair of their pencil from a direct O(n^3) eigensolve, for
+cross-checking numerics.bottom_eigenvalue on small problems, and the lumped
+shift by index, for cross-checking numerics._lumped_shift."""
 
 import numpy as np
 
@@ -36,3 +37,19 @@ def dense_bottom(forms):
     # LAPACK's eigenvalue carries an absolute error of order eps times the
     # largest eigenvalue; the quotient of its B-normalized vector does not
     return float(v @ forms.apply_a(v)), forms.pad(v)
+
+
+def lumped_shift_by_index(forms):
+    """Eigenpair k of the lumped-mass pencil (A, diag(row sums of B)), picked
+    by index over the whole spectrum (LAPACK dstebz in index mode, then
+    dstein), as bottom_eigenvalue once took its shift: (sigma, vector)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    k = 1 if forms.l == 0 else 0
+    lumped = forms.b_diag.copy()
+    lumped[:-1] += forms.b_off
+    lumped[1:] += forms.b_off
+    s = 1.0 / np.sqrt(lumped)
+    lam, y = eigh_tridiagonal(forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:],
+                              select="i", select_range=(k, k))
+    return float(lam[0]), s * y[:, 0]

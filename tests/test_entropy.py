@@ -167,6 +167,25 @@ def test_fit_rate_rejections():
     assert fit_rate(tr, (-5e-10, 1.0 + 5e-10)).n_samples == 101
 
 
+def test_fit_rate_keeps_rows_that_round_past_the_window():
+    # t = j*0.1 gives 1.2000000000000002 at j = 12: the row is in the window
+    # (0, 1.2), within the tolerance that the window check itself allows
+    t = np.arange(21) * 0.1
+    z = np.zeros_like(t)
+    tr = EntropyTrace(t=t, entropy=np.exp(-3.0 * t), fisher=z, h1=1 + z, h2=1 + z,
+                      mass_defect=z)
+    assert t[12] > 1.2
+    fit = fit_rate(tr, (0.0, 1.2))
+    assert fit.n_samples == 13 and fit.window == (0.0, 1.2)
+    assert fit.rate == pytest.approx(3.0, rel=1e-12)
+    # and a row that rounds just before the window start: 2 - 1.2000000000000002
+    t = 2.0 - t[::-1]
+    tr = EntropyTrace(t=t, entropy=np.exp(-3.0 * t), fisher=z, h1=1 + z, h2=1 + z,
+                      mass_defect=z)
+    assert t[8] < 0.8
+    assert fit_rate(tr, (0.8, 2.0)).n_samples == 13
+
+
 def test_gronwall_linear_limit_exact():
     params = GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.0)
     t, G = map(np.asarray, gronwall_bound(1.0, 1.0, params, 0.1, 1e-3))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fdrates.numerics as N
 import fdrates.scalar as S
-from eigen_oracle import dense_bottom, mass, stiffness
+from eigen_oracle import dense_bottom, lumped_shift_by_index, mass, stiffness
 
 
 def test_build_grid_basics():
@@ -242,13 +242,44 @@ def test_nonconvergence_carries_quotient(monkeypatch):
     forms = N.assemble_sector_forms(g, -4.0, 1.0, 1)
     monkeypatch.setattr(N, "_EIGEN_TOL", 0.0)
     monkeypatch.setattr(N, "_EIGEN_MAXIT", 3)
-    # the solve count shows that the iteration stops at the cap
+    # the solve count shows that the iteration stops at the cap: the shift's
+    # upper bound takes _BOUND_STEPS solves, inverse iteration the other 3
     solves, dgttrs = [], lapack.dgttrs
     monkeypatch.setattr(lapack, "dgttrs", lambda *a: solves.append(a) or dgttrs(*a))
     with pytest.raises(N.NonConvergenceError) as exc:
         N.bottom_eigenvalue(forms)
     assert math.isfinite(exc.value.last_quotient)
-    assert len(solves) == 3
+    assert len(solves) == N._BOUND_STEPS + 3
+
+
+@given(d=st.sampled_from([1, 2, 3, 5, 6]), near_star=st.booleans(),
+       branch=st.integers(0, 3), frac=st.floats(0.1, 0.9),
+       rel=st.floats(-0.1, 0.1), l=st.integers(0, 3),
+       R=st.sampled_from([5.0, 100.0]), D=st.sampled_from([1.0, 2.3]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_lumped_shift_matches_the_index_mode_reference(d, near_star, branch, frac,
+                                                       rel, l, R, D):
+    # the shift bisected below its Courant-Fischer bound is the same index-k
+    # eigenvalue of the lumped pencil as one picked by index over the whole
+    # spectrum, in the branch interiors and within 10% of alpha* < 0
+    if near_star and d >= 3:
+        alpha = -(d - 2) / 2 * (1.0 + rel)
+    else:
+        ends = _branch_ends(d)
+        i = branch % (len(ends) - 1)
+        alpha = ends[i] + frac * (ends[i + 1] - ends[i])
+    if d == 1:
+        l %= 2  # the only sectors that exist in d = 1
+    scale = math.sqrt(D)
+    forms = N.assemble_sector_forms(N.build_grid(R * scale, 400, d, scale=scale),
+                                    alpha, D, l)
+    sigma = N._lumped_shift(forms)[0]
+    assert sigma == pytest.approx(lumped_shift_by_index(forms)[0], rel=1e-6)
+    # and on a small grid the eigensolve it starts agrees with the dense oracle
+    small = N.assemble_sector_forms(N.build_grid(R * scale, 48, d, scale=scale),
+                                    alpha, D, l)
+    assert N.bottom_eigenvalue(small)[0] == pytest.approx(dense_bottom(small)[0],
+                                                          rel=1e-10)
 
 
 def test_sector_bottom_discrete_mode():
@@ -307,13 +338,68 @@ def test_verify_constants_continuum_case_needs_extrapolation():
     assert abs(raw - res.closed_form) > 3 * abs(res.minimum - res.closed_form)
 
 
-def test_quantization_fit_recovers_exact_law():
+def _bisect_root(f, lo, hi):
+    """The root search _quantization_fit first used: bisection down to
+    adjacent doubles, from a bracket whose ends differ in sign."""
+    r_lo = f(lo)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        r_mid = f(mid)
+        if r_mid * r_lo > 0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def test_quantization_fit_recovers_exact_law(monkeypatch):
     # lambda(S) = lambda_inf + k^2 with S = kappa/k + s0 + s1 k + s2 k^2 exactly
     lam_inf = 2.25
     k = np.array([1.0, 0.8, 0.6, 0.5, 0.4])
     Ss = math.pi / k + 0.5 + 0.1 * k + 0.02 * k**2
-    assert N._quantization_fit(Ss, lam_inf + k**2, 2) == pytest.approx(lam_inf,
-                                                                       rel=1e-12)
+    lams = lam_inf + k**2
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+    root = N._quantization_fit(Ss, lams, 2)
+    assert root == pytest.approx(lam_inf, rel=1e-12)
+    # the two ends of the bracket and at most 18 residuals inside it, where
+    # bisection down to adjacent doubles takes about 53
+    assert len(calls) <= 20
+
+    def resid(lam):
+        kk = np.sqrt(lams - lam)
+        M = np.column_stack([1.0 / kk, np.ones_like(kk), kk, kk**2])
+        coef, *_ = np.linalg.lstsq(M[:-1], Ss[:-1], rcond=None)
+        return Ss[-1] - float(M[-1] @ coef)
+
+    ref = _bisect_root(resid, 1e-12, float(lams.min()) - 1e-10)
+    assert abs(root - ref) <= 4 * math.ulp(ref)
+
+
+def test_quantization_fit_two_roots_still_refused():
+    # the residual changes sign twice across (0, min lambda), so the end-sign
+    # test refuses the npow = 2 fit, as it did under bisection
+    k = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+    Ss = 1.7 / k + 0.3 - 0.2 * k + 0.05 * k**2
+    assert N._quantization_fit(Ss, 2.25 + k**2, 2) is None
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x - 1.0 / 3.0, 0.0, 1.0),
+    (lambda x: math.tanh(50.0 * (x - 0.7)), 0.0, 1.0),
+    (lambda x: x**3 - 2.0, 1.0, 2.0),
+    (lambda x: 1.0 if x > 0.25 else -1.0, 0.0, 1.0),
+])
+def test_brent_root_ends_on_adjacent_doubles(f, lo, hi):
+    root = N._brent_root(f, lo, f(lo), hi, f(hi))
+    ref = _bisect_root(f, lo, hi)
+    assert abs(root - ref) <= 4 * math.ulp(ref)
+    # no double lies between the root and a point of the other sign
+    if f(root) != 0:
+        beyond = math.nextafter(root, hi if f(root) * f(lo) > 0 else lo)
+        assert f(beyond) * f(root) <= 0
 
 
 @pytest.mark.parametrize("d, alpha, D, within_3pct", [
