@@ -120,7 +120,7 @@ def newton_step(x_old, work, dt):
     the damping cannot keep 1 + x positive, or if the Jacobian is singular
     (caller decides how to subdivide the step).  When w[0] == 0 (d >= 2) the
     origin row is replaced by the algebraic regularity closure p_1 = p_0.
-    Raises ValueError if the Jacobian or the residual is not finite.
+    Raises FloatingPointError if the Jacobian or the residual is not finite.
     """
     Vm1, wV, p_scale, hV = work.Vm1, work.wV, work.p_scale, work.hV
     m1, m2 = work.m1, work.m2
@@ -185,7 +185,7 @@ def newton_step(x_old, work, dt):
             ab[1, 0] = -dp[0]
             ab[0, 1] = dp[1]
         if not np.isfinite(system, out=finite).all():
-            raise ValueError("array must not contain infs or NaNs")
+            raise FloatingPointError("array must not contain infs or NaNs")
         try:
             dx = work.solve_banded((1, 1), ab, rhs, overwrite_ab=True,
                                    overwrite_b=True, check_finite=False)

@@ -1,11 +1,14 @@
 """Batch command-line front end.
 
 Subcommands: constants, spectrum, hp-verify, eigenfunction, evolve,
-evolve-linear, entropy-report, gronwall, quotient, rescale.  Outputs are CSV
-(default; header row plus '#' comment lines echoing the full configuration)
-or JSON via --format json where noted, on stdout or in the --output file.
-Numbers are printed with 17 significant digits so outputs round-trip exactly
-and runs with identical configuration and seed produce identical bytes.
+evolve-linear, entropy-report, gronwall, quotient, rescale.  Each command
+returns its output and main writes it, on stdout or in the --output file:
+a JSON text (--format json, where offered) as it is, or a table (echo,
+header, rows) as CSV, the title '# fdrates <command>' and one '# key=value'
+line per echo pair, which echo the full configuration, before the header
+row.  Numbers are printed with 17 significant digits so outputs round-trip
+exactly and runs with identical configuration and seed produce identical
+bytes.
 
 --m and --alpha (each item of the comma-separated alpha sweep of hp-verify
 too), and m and alpha in config files, are read as exact rationals (decimals
@@ -35,6 +38,7 @@ in-process callers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -171,26 +175,25 @@ _CONFIG_KEYS = {
 _TIME_KEYS = {"dt": "time.dt", "t_end": "time.t_end", "cadence": "output.cadence"}
 
 
+def _exponents(d, m, alpha, names):
+    """The exponent set of dimension d and exactly one of m and alpha, which
+    the user sets as names, such as "--m and --alpha"."""
+    if (m is None) == (alpha is None):
+        raise ConfigError(f"give exactly one of {names}")
+    return exp_mod.derive_exponents(d, exp_mod.alpha_to_m(d, alpha) if m is None else m)
+
+
 class RunConfig(dict):
     """Validated key=value run configuration: every known key, None if unset."""
 
-    def echo_lines(self):
-        return [f"# {k}={_fmt(v)}" for k, v in sorted(self.items())
-                if v is not None]
+    def echo(self):
+        """The (key, value) pairs of the keys set, sorted by key."""
+        return [(k, v) for k, v in sorted(self.items()) if v is not None]
 
     def exponent_set(self):
-        d = self.get("d")
-        if d is None:
+        if self.get("d") is None:
             raise ConfigError("config must set d")
-        m = self.get("m")
-        alpha = self.get("alpha")
-        if m is None and alpha is None:
-            raise ConfigError("config must set m or alpha")
-        if m is not None and alpha is not None:
-            raise ConfigError("set only one of m and alpha")
-        if m is None:
-            m = exp_mod.alpha_to_m(d, alpha)
-        return exp_mod.derive_exponents(d, m)
+        return _exponents(self["d"], self.get("m"), self.get("alpha"), "m and alpha")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -273,35 +276,12 @@ def _load_config(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
-
-
-def _emit(lines, path):
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv(comments, header, rows, path):
-    lines = list(comments)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit(lines, path)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output, a JSON text or a table
+# (echo, header, rows), and main writes it
 
 
 def _cmd_constants(args):
-    if (args.m is None) == (args.alpha is None):
-        raise ConfigError("give exactly one of --m and --alpha")
-    m = args.m if args.m is not None else exp_mod.alpha_to_m(args.d, args.alpha)
-    e = exp_mod.derive_exponents(args.d, m)
+    e = _exponents(args.d, args.m, args.alpha, "--m and --alpha")
     out = {
         "d": e.d, "m": float(e.m), "alpha": float(e.alpha),
         "m_c": float(e.m_c), "m_star": float(e.m_star), "m_1": float(e.m_1),
@@ -318,17 +298,17 @@ def _cmd_constants(args):
     except ValueError:
         pass
     if args.format == "json":
-        _emit([json.dumps(out, sort_keys=True)], args.output)
-    else:
-        _csv(["# fdrates constants"], ["key", "value"],
-             sorted(out.items()), args.output)
-    return 0
+        return json.dumps(out, sort_keys=True)
+    return [], ["key", "value"], sorted(out.items())
 
 
 def _cmd_spectrum(args):
     report = spec.spectrum_report(args.d, args.alpha, args.l_max, args.k_max)
+    header = ["l", "k", "lambda", "admissible", "below_continuum", "multiplicity"]
+    rows = [(mo.l, mo.k, float(mo.lam), mo.admissible, mo.below_continuum,
+             mo.multiplicity) for mo in report.modes]
     if args.format == "json":
-        out = {
+        return json.dumps({
             "d": report.d, "alpha": float(report.alpha),
             "sharp_constant": float(report.sharp_constant),
             "continuum_bottom": float(report.continuum_bottom),
@@ -336,32 +316,13 @@ def _cmd_spectrum(args):
                                   if report.improved_constant is not None else None),
             "gap_source": list(report.gap_source),
             "constraint_needed": report.constraint_needed,
-            "modes": [
-                {"l": mo.l, "k": mo.k, "lambda": float(mo.lam),
-                 "admissible": mo.admissible,
-                 "below_continuum": mo.below_continuum,
-                 "multiplicity": mo.multiplicity}
-                for mo in report.modes
-            ],
-        }
-        _emit([json.dumps(out, sort_keys=True)], args.output)
-    else:
-        comments = [
-            "# fdrates spectrum",
-            f"# d={args.d}",
-            f"# alpha={_fmt(args.alpha)}",
-            f"# sharp_constant={_fmt(report.sharp_constant)}",
-            f"# continuum_bottom={_fmt(report.continuum_bottom)}",
-            f"# gap_source={':'.join(str(s) for s in report.gap_source)}",
-        ]
-        rows = [
-            (mo.l, mo.k, mo.lam, mo.admissible, mo.below_continuum,
-             mo.multiplicity)
-            for mo in report.modes
-        ]
-        _csv(comments, ["l", "k", "lambda", "admissible", "below_continuum",
-                        "multiplicity"], rows, args.output)
-    return 0
+            "modes": [dict(zip(header, row)) for row in rows],
+        }, sort_keys=True)
+    echo = [("d", args.d), ("alpha", args.alpha),
+            ("sharp_constant", report.sharp_constant),
+            ("continuum_bottom", report.continuum_bottom),
+            ("gap_source", ":".join(str(s) for s in report.gap_source))]
+    return echo, header, rows
 
 
 def _cmd_hp_verify(args):
@@ -378,27 +339,19 @@ def _cmd_hp_verify(args):
                          abs(s.lambda_numeric - res.closed_form) / abs(res.closed_form)))
         rows.append((res.alpha, "min", "mean-zero", res.R_max, res.N,
                      res.minimum, res.closed_form, res.rel_err))
-    comments = ["# fdrates hp-verify", f"# d={args.d}", f"# D={_fmt(args.D)}",
-                f"# extrapolate={_fmt(not args.no_extrapolate)}"]
-    _csv(comments, ["alpha", "l", "constraints", "R_max", "N",
-                    "lambda_numeric", "lambda_closed_form", "rel_err"],
-         rows, args.output)
-    return 0
+    echo = [("d", args.d), ("D", args.D), ("extrapolate", not args.no_extrapolate)]
+    return echo, ["alpha", "l", "constraints", "R_max", "N", "lambda_numeric",
+                  "lambda_closed_form", "rel_err"], rows
 
 
 def _cmd_eigenfunction(args):
     mode = spec.discrete_mode(args.d, args.alpha, args.l, args.k)
     resid = spec.ode_residual(args.d, args.alpha, args.l, args.k)
-    comments = ["# fdrates eigenfunction", f"# d={args.d}",
-                f"# alpha={_fmt(args.alpha)}", f"# l={args.l}", f"# k={args.k}",
-                f"# lambda={_fmt(mode.lam)}",
-                f"# admissible={_fmt(mode.admissible)}",
-                f"# below_continuum={_fmt(mode.below_continuum)}",
-                f"# multiplicity={mode.multiplicity}",
-                f"# max_ode_residual={_fmt(resid)}"]
-    rows = list(enumerate(mode.radial_poly))
-    _csv(comments, ["power_of_r2", "coefficient"], rows, args.output)
-    return 0
+    echo = [("d", args.d), ("alpha", args.alpha), ("l", args.l), ("k", args.k),
+            ("lambda", mode.lam), ("admissible", mode.admissible),
+            ("below_continuum", mode.below_continuum),
+            ("multiplicity", mode.multiplicity), ("max_ode_residual", resid)]
+    return echo, ["power_of_r2", "coefficient"], enumerate(mode.radial_poly)
 
 
 def _config_grid(cfg: RunConfig, d: int):
@@ -422,17 +375,16 @@ def _build_state(cfg: RunConfig):
         clip=cfg["data.clip"], match_D=cfg["data.match_D"])
 
 
-def _write_trace(args, cfg: RunConfig, trace, comments):
-    """Fit the configured window, if any, and write the trace CSV."""
+def _trace_table(cfg: RunConfig, trace, echo):
+    """The trace as a table, echo followed by the fit of the configured
+    window, if any."""
     from . import entropy as ent
 
     w0, w1 = cfg.get("fit.window_start"), cfg.get("fit.window_end")
     if w0 is not None:
         fit = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
-        comments = comments + [f"# fitted_rate={_fmt(fit.rate)}",
-                               f"# fit_r2={_fmt(fit.r2)}"]
-    _csv(comments, ent.EntropyTrace.COLUMNS, list(trace.rows()), args.output)
-    return 0
+        echo = echo + [("fitted_rate", fit.rate), ("fit_r2", fit.r2)]
+    return echo, ent.EntropyTrace.COLUMNS, trace.rows()
 
 
 def _cmd_evolve(args):
@@ -442,9 +394,7 @@ def _cmd_evolve(args):
     state = _build_state(cfg)
     trace = flow_mod.evolve_nonlinear(state, cfg["time.t_end"], cfg["time.dt"],
                                       cadence=cfg.get("output.cadence"))
-    comments = (["# fdrates evolve"] + cfg.echo_lines()
-                + [f"# matched_D={_fmt(state.profile.D)}"])
-    return _write_trace(args, cfg, trace, comments)
+    return _trace_table(cfg, trace, cfg.echo() + [("matched_D", state.profile.D)])
 
 
 def _cmd_evolve_linear(args):
@@ -474,8 +424,7 @@ def _cmd_evolve_linear(args):
     state = flow_mod.LinearState(grid=grid, alpha=e.alpha, D=cfg["D"], l=l, f=f0)
     trace = flow_mod.evolve_linear_sector(state, cfg["time.t_end"], cfg["time.dt"],
                                           cadence=cfg.get("output.cadence"))
-    return _write_trace(args, cfg, trace,
-                        ["# fdrates evolve-linear"] + echo.echo_lines())
+    return _trace_table(cfg, trace, echo.echo())
 
 
 def _cmd_entropy_report(args):
@@ -484,19 +433,10 @@ def _cmd_entropy_report(args):
     cfg = _load_config(args.config)
     state = _build_state(cfg)
     wts = ent.Weights.of(state.grid, state.profile)
-    rep = ent.sandwich_from_x(state.x, wts)
-    md = ent.mass_defect_from_x(state.x, wts)
-    out = {
-        "entropy": rep.entropy, "fisher": rep.fisher, "f_norm": rep.f_norm,
-        "grad_norm": rep.grad_norm, "h1": rep.h1, "h2": rep.h2, "h": rep.h,
-        "slack_entropy_lower": rep.slack_entropy_lower,
-        "slack_entropy_upper": rep.slack_entropy_upper,
-        "slack_fisher": rep.slack_fisher, "mass_defect": md,
-        "matched_D": state.profile.D,
-    }
-    comments = ["# fdrates entropy-report"] + cfg.echo_lines()
-    _csv(comments, ["key", "value"], sorted(out.items()), args.output)
-    return 0
+    out = dataclasses.asdict(ent.sandwich_from_x(state.x, wts))
+    out.update(mass_defect=ent.mass_defect_from_x(state.x, wts),
+               matched_D=state.profile.D)
+    return cfg.echo(), ["key", "value"], sorted(out.items())
 
 
 def _cmd_gronwall(args):
@@ -509,13 +449,10 @@ def _cmd_gronwall(args):
     params = scalar.GronwallParams(exponents=e, Lambda=Lambda, C_unif=args.C)
     h0 = 1.0 + args.C * args.F0 ** params.e_unif
     t, G = scalar.gronwall_bound(args.F0, h0, params, args.t_end, args.dt)
-    comments = ["# fdrates gronwall", f"# d={args.d}", f"# m={_fmt(args.m)}",
-                f"# Lambda={_fmt(Lambda)}", f"# C={_fmt(args.C)}",
-                f"# F0={_fmt(args.F0)}", f"# h0={_fmt(h0)}",
-                f"# h_star={_fmt(scalar.h_star(e, Lambda))}",
-                f"# e_unif={_fmt(params.e_unif)}", f"# dt={_fmt(args.dt)}"]
-    _csv(comments, ["t", "G"], zip(t, G), args.output)
-    return 0
+    echo = [("d", args.d), ("m", args.m), ("Lambda", Lambda), ("C", args.C),
+            ("F0", args.F0), ("h0", h0), ("h_star", scalar.h_star(e, Lambda)),
+            ("e_unif", params.e_unif), ("dt", args.dt)]
+    return echo, ["t", "G"], zip(t, G)
 
 
 def _quotient_test_function(name, grid, alpha):
@@ -550,11 +487,9 @@ def _cmd_quotient(args):
     for n in map(int, args.n.split(",")):
         q = ent.variational_quotient(f, n, p)
         rows.append((n, q, rq, q / rq))
-    comments = ["# fdrates quotient", f"# d={args.d}", f"# m={_fmt(args.m)}",
-                f"# D={_fmt(args.D)}", f"# f={args.f}",
-                f"# R_max={_fmt(args.R)}", f"# N={args.N}"]
-    _csv(comments, ["n", "quotient", "rayleigh", "ratio"], rows, args.output)
-    return 0
+    echo = [("d", args.d), ("m", args.m), ("D", args.D), ("f", args.f),
+            ("R_max", args.R), ("N", args.N)]
+    return echo, ["n", "quotient", "rayleigh", "ratio"], rows
 
 
 def _cmd_rescale(args):
@@ -563,11 +498,9 @@ def _cmd_rescale(args):
     e = exp_mod.derive_exponents(args.d, args.m)
     rmap = scalar.RescalingMap(exponents=e, T=args.T)
     t, x, v = scalar.to_selfsimilar(rmap, args.tau, args.y, args.u)
-    row = (args.tau, args.y, args.u, rmap.R(args.tau), t, x, v)
-    comments = ["# fdrates rescale", f"# d={args.d}", f"# m={_fmt(args.m)}",
-                f"# T={_fmt(args.T)}", f"# regime={e.regime.value}"]
-    _csv(comments, ["tau", "y", "u", "R", "t", "x", "v"], [row], args.output)
-    return 0
+    echo = [("d", args.d), ("m", args.m), ("T", args.T), ("regime", e.regime.value)]
+    return echo, ["tau", "y", "u", "R", "t", "x", "v"], [
+        (args.tau, args.y, args.u, rmap.R(args.tau), t, x, v)]
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +537,16 @@ def _bind_negative_values(argv):
     return out
 
 
+# the options that several commands declare alike
+_SHARED_OPTIONS = {
+    "--d": {"type": int, "required": True},
+    "--m": {"type": _exact, "required": True},
+    "--alpha": {"type": _exact, "required": True},
+    "--config": {"required": True},
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+}
+
+
 def _build_parser():
     p = _ArgumentParser(
         prog="fdrates",
@@ -611,28 +554,29 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, *shared):
+        """The subcommand name, with --output and then the shared options."""
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(func=fn)
         sp.add_argument("--output", default=None, help="write to file instead of stdout")
+        for flag in shared:
+            sp.add_argument(flag, **_SHARED_OPTIONS[flag])
         return sp
 
-    sp = add("constants", _cmd_constants, "exponents, thresholds, sharp constants")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=_exact, default=None)
-    sp.add_argument("--alpha", type=_exact, default=None)
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    sp = add("constants", _cmd_constants, "exponents, thresholds, sharp constants",
+             "--d")
+    sp.add_argument("--m", type=_exact)
+    sp.add_argument("--alpha", type=_exact)
+    sp.add_argument("--format", **_SHARED_OPTIONS["--format"])
 
-    sp = add("spectrum", _cmd_spectrum, "discrete spectrum table for (d, alpha)")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--alpha", type=_exact, required=True)
+    sp = add("spectrum", _cmd_spectrum, "discrete spectrum table for (d, alpha)",
+             "--d", "--alpha")
     sp.add_argument("--l-max", type=int, default=3)
     sp.add_argument("--k-max", type=int, default=3)
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    sp.add_argument("--format", **_SHARED_OPTIONS["--format"])
 
     sp = add("hp-verify", _cmd_hp_verify,
-             "verify sharp constants by constrained eigensolve")
-    sp.add_argument("--d", type=int, required=True)
+             "verify sharp constants by constrained eigensolve", "--d")
     sp.add_argument("--alpha", type=_exact_list, required=True,
                     help="alpha value or comma-separated sweep")
     sp.add_argument("--D", type=_finite, default=1.0)
@@ -642,35 +586,27 @@ def _build_parser():
     sp.add_argument("--no-extrapolate", action="store_true")
 
     sp = add("eigenfunction", _cmd_eigenfunction,
-             "polynomial eigenfunction and its ODE residual")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--alpha", type=_exact, required=True)
+             "polynomial eigenfunction and its ODE residual", "--d", "--alpha")
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
 
-    sp = add("evolve", _cmd_evolve, "nonlinear radial flow run from a config file")
-    sp.add_argument("--config", required=True)
+    add("evolve", _cmd_evolve, "nonlinear radial flow run from a config file",
+        "--config")
+    add("evolve-linear", _cmd_evolve_linear,
+        "linear sector flow run from a config file", "--config")
+    add("entropy-report", _cmd_entropy_report,
+        "functionals and sandwich slacks of configured initial data", "--config")
 
-    sp = add("evolve-linear", _cmd_evolve_linear,
-             "linear sector flow run from a config file")
-    sp.add_argument("--config", required=True)
-
-    sp = add("entropy-report", _cmd_entropy_report,
-             "functionals and sandwich slacks of configured initial data")
-    sp.add_argument("--config", required=True)
-
-    sp = add("gronwall", _cmd_gronwall, "integrate the Gronwall comparison ODE")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=_exact, required=True)
+    sp = add("gronwall", _cmd_gronwall, "integrate the Gronwall comparison ODE",
+             "--d", "--m")
     sp.add_argument("--F0", type=_finite, required=True)
     sp.add_argument("--C", type=_finite, default=0.0)
     sp.add_argument("--Lambda", type=_finite, default=None)
     sp.add_argument("--t-end", type=_finite, default=1.0)
     sp.add_argument("--dt", type=_finite, default=1e-3)
 
-    sp = add("quotient", _cmd_quotient, "variational sharpness quotient sweep")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=_exact, required=True)
+    sp = add("quotient", _cmd_quotient, "variational sharpness quotient sweep",
+             "--d", "--m")
     sp.add_argument("--D", type=_finite, default=1.0)
     sp.add_argument("--f", default="gauss", type=_quotient_function)
     sp.add_argument("--n", default="50,100,200,400", type=_matching(
@@ -679,9 +615,7 @@ def _build_parser():
     sp.add_argument("--N", type=int, default=1200)
 
     sp = add("rescale", _cmd_rescale,
-             "map original variables (tau, y, u) to rescaled (t, x, v)")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=_exact, required=True)
+             "map original variables (tau, y, u) to rescaled (t, x, v)", "--d", "--m")
     sp.add_argument("--T", type=_finite, default=1.0)
     sp.add_argument("--tau", type=_finite, required=True)
     sp.add_argument("--y", type=_finite, default=1.0)
@@ -691,11 +625,27 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run the command of argv (default sys.argv[1:]) and write its output:
+    a JSON text as it is, a table (echo, header, rows) as CSV, the title
+    '# fdrates <command>' and one '# key=value' line per echo pair before
+    the header.  Returns the exit code."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(_bind_negative_values(argv))
-        return args.func(args)
+        out = args.func(args)
+        if not isinstance(out, str):
+            echo, header, rows = out
+            out = "\n".join([f"# fdrates {args.command}",
+                             *(f"# {k}={_fmt(v)}" for k, v in echo),
+                             ",".join(header),
+                             *(",".join(map(_fmt, row)) for row in rows)])
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        else:
+            sys.stdout.write(out + "\n")
+        return 0
     except (ConfigError, ValueError, FileNotFoundError) as e:
         print(f"fdrates: error: {e}", file=sys.stderr)
         return 1

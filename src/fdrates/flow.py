@@ -45,7 +45,8 @@ __all__ = [
 
 
 class FlowError(RuntimeError):
-    """Newton divergence or positivity loss during time stepping."""
+    """Newton divergence, positivity loss or a singular system during time
+    stepping."""
 
 
 @dataclass
@@ -228,8 +229,11 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     mass-defect column holds int f dmu_(alpha-1).  Band and initial data are
     checked for finiteness once: backward Euler with the symmetric positive
     definite pencil (A, B) contracts the B-norm, so no step creates an inf.
+    A band whose weights underflowed to zero is singular, and its solve
+    raises FlowError.
     """
-    from scipy.linalg import solve_banded  # loaded only when a linear flow runs
+    # loaded only when a linear flow runs
+    from scipy.linalg import LinAlgError, solve_banded
 
     schedule = _schedule(state.t, t_end, dt, cadence)
 
@@ -240,13 +244,16 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     ab[1] = forms.b_diag + dt * forms.a_diag
     ab[2, :-1] = forms.b_off + dt * forms.a_off
     if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(f))):
-        raise ValueError("array must not contain infs or NaNs")
+        raise FloatingPointError("array must not contain infs or NaNs")
     sd = sphere_area(state.grid.d)
 
     def step():
         nonlocal f
-        f = solve_banded((1, 1), ab, forms.apply_b(f), overwrite_b=True,
-                         check_finite=False)
+        try:
+            f = solve_banded((1, 1), ab, forms.apply_b(f), overwrite_b=True,
+                             check_finite=False)
+        except LinAlgError as e:
+            raise FlowError(f"backward Euler system of sector {state.l}: {e}") from None
 
     def row():
         bf = forms.apply_b(f)

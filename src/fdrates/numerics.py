@@ -161,14 +161,15 @@ class SectorForms:
     """
 
     grid: RadialGrid
-    alpha: float
-    D: float
     l: int
     a_diag: np.ndarray = field(repr=False)
     a_off: np.ndarray = field(repr=False)
     b_diag: np.ndarray = field(repr=False)
     b_off: np.ndarray = field(repr=False)
-    dirichlet_origin: bool = False
+
+    @property
+    def dirichlet_origin(self) -> bool:
+        return self.l >= 1
 
     @property
     def n(self) -> int:
@@ -269,12 +270,10 @@ def _assemble_sectors(grid, alpha, D, ls):
             ad[1:] += np.sum(q * p1 * p1 * w, axis=1)
             ao += np.sum(q * p0 * p1 * w, axis=1)
         bd, bo = b_diag, b_off
-        dirichlet = l >= 1
-        if dirichlet:
+        if l >= 1:
             ad, ao, bd, bo = ad[1:], ao[1:], bd[1:], bo[1:]
-        out.append(SectorForms(grid=grid, alpha=alpha, D=D, l=int(l),
-                               a_diag=ad, a_off=ao, b_diag=bd, b_off=bo,
-                               dirichlet_origin=dirichlet))
+        out.append(SectorForms(grid=grid, l=int(l), a_diag=ad, a_off=ao,
+                               b_diag=bd, b_off=bo))
     return out
 
 
@@ -310,7 +309,8 @@ def _lumped_shift(forms: SectorForms):
     for k = 1.  LAPACK dstebz then bisects only (-u', u'], u' = u (1 + 1e-12),
     to an absolute 1e-7 u', doubling u' until eigenvalue k lies inside, and
     dstein gives its vector.  Returns (sigma, x) with x in the unscaled
-    coordinates.
+    coordinates.  A lumped mass that is not positive, where the weights
+    underflowed, raises FloatingPointError before the scaling divides by it.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein
 
@@ -318,10 +318,12 @@ def _lumped_shift(forms: SectorForms):
     lumped = forms.b_diag.copy()
     lumped[:-1] += forms.b_off
     lumped[1:] += forms.b_off
+    if not np.all(lumped > 0.0):
+        raise FloatingPointError("lumped mass is not positive: a weight underflowed")
     s = 1.0 / np.sqrt(lumped)
     d, e = forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:]
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ValueError("array must not contain infs or NaNs")
+        raise FloatingPointError("array must not contain infs or NaNs")
     off = forms.a_off + forms.b_off
     lu = dgttrf(off, forms.a_diag + forms.b_diag, off)[:5]
     v = forms.restrict(forms.grid.nodes)

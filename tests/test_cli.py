@@ -42,7 +42,7 @@ def test_parse_config_roundtrip():
     assert cfg["grid.grading"] == "sinh"  # default preserved
     e = cfg.exponent_set()
     assert e.alpha == -10
-    echo = "\n".join(cfg.echo_lines())
+    echo = "\n".join(f"# {k}={cli._fmt(v)}" for k, v in cfg.echo())
     assert "# d=5" in echo and "# m=0.90000000000000002" in echo
     e = parse_config("d = 5\nalpha = -10").exponent_set()
     assert e.alpha == -10 and e.m == Fraction(9, 10)
@@ -541,6 +541,21 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["evolve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err
+    # 2: valid input whose weights underflow, at alpha far below -d: the
+    # lumped mass of the eigensolve, and the band of the linear flow, which
+    # is singular; neither warns on the way
+    under = tmp_path / "under.cfg"
+    under.write_text("d = 5\nalpha = -400\nsector.l = 1\ngrid.R_max = 15\n"
+                     "grid.N = 64\ntime.dt = 1e-3\ntime.t_end = 0.01\n")
+    for argv, msg in (
+            (["hp-verify", "--d", "5", "--alpha=-400", "--N", "64",
+              "--no-extrapolate"], "lumped mass is not positive"),
+            (["evolve-linear", "--config", str(under)], "singular matrix")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("fdrates: numerical failure: ") and msg in err, argv
     # 2: a spectral minimum that disagrees with the closed form
     monkeypatch.setattr(spec_mod, "sharp_rate", lambda d, a: 19)
     assert main(["spectrum", "--d", "5", "--alpha", "-10"]) == 2
@@ -750,9 +765,26 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     for name, body in configs.items():
         (tmp_path / name).write_text(body, encoding="utf-8")
     for line in lines:
-        assert main(shlex.split(line)[1:]) == 0, line
-        assert capsys.readouterr().err == "", line
-    assert (tmp_path / "trace.csv").read_text().startswith("# fdrates evolve")
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        captured = capsys.readouterr()
+        assert captured.err == "", line
+        # the output main writes, on stdout or in the --output file: one JSON
+        # line, or the title, '# key=value' lines and the CSV header and rows
+        out = (Path(argv[argv.index("--output") + 1]).read_text()
+               if "--output" in argv else captured.out)
+        assert out.endswith("\n") and ("--output" not in argv or captured.out == "")
+        if "json" in argv:
+            assert out.count("\n") == 1 and isinstance(json.loads(out), dict), line
+            continue
+        title, *rest = out.splitlines()
+        assert title == f"# fdrates {argv[0]}", line
+        echo = [l for l in rest if l.startswith("#")]
+        assert rest[:len(echo)] == echo, line
+        assert all(re.fullmatch(r"# [\w.]+=\S+", l) for l in echo), line
+        header, *rows = rest[len(echo):]
+        assert re.fullmatch(r"[\w]+(,[\w]+)+", header) and rows, line
+        assert {r.count(",") for r in rows} == {header.count(",")}, line
 
 
 def test_readme_run_cfg_without_cadence(tmp_path, capsys):

@@ -97,7 +97,7 @@ def test_evolve_rejects_bad_stepping():
     with pytest.raises(ValueError):
         FL.evolve_linear_sector(lin, 0.013, 1e-3, cadence=0.005)  # 2.6 rows
     lin.f[3] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(FloatingPointError, match="infs or NaNs"):
         FL.evolve_linear_sector(lin, 0.01, 1e-3)
     with pytest.raises(ValueError):
         FL.evolve_nonlinear(st, 0.0, 1e-3)

@@ -99,7 +99,6 @@ def test_forms_and_verification_take_exact_alpha():
         flt = N.assemble_sector_forms(g, float(alpha), float(D), 1)
         for name in ("a_diag", "a_off", "b_diag", "b_off"):
             assert np.array_equal(getattr(exact, name), getattr(flt, name))
-        assert exact.D == float(D)
     for D in (1.0, Fraction(23, 10)):
         res = N.verify_constants(5, Fraction(-4), D=D, R_max=60.0, N=400, l_max=1)
         assert res.closed_form == 6.0
