@@ -21,6 +21,10 @@ constraints across keys by _validate_config.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure;
 the process entry run() exits 141 (128 + SIGPIPE) when stdout is closed.
+Exit 1 also covers a config or --output file that cannot be opened, and a
+scipy whose LAPACK extension is not where fdrates._lapack looks.  An --output
+that is a directory, or lies in a directory that does not exist, is refused
+before the command runs; the file is written only once the command succeeded.
 
 Only the closed forms (exponents, spectral) are imported with this module;
 each command imports the other modules it runs itself.  So constants,
@@ -624,6 +628,17 @@ def _build_parser():
     return p
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output that cannot be written, before the command runs.
+    main opens it, truncating, only once the command has succeeded, so that
+    a failing command leaves an existing file as it was."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--output {path} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"--output {path}: no directory {parent}")
+
+
 def main(argv=None) -> int:
     """Run the command of argv (default sys.argv[1:]) and write its output:
     a JSON text as it is, a table (echo, header, rows) as CSV, the title
@@ -633,6 +648,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(_bind_negative_values(argv))
+        if args.output:
+            _check_output(args.output)
         out = args.func(args)
         if not isinstance(out, str):
             echo, header, rows = out
@@ -646,7 +663,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(out + "\n")
         return 0
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except BrokenPipeError:  # stdout closed: run() ends the process quietly
+        raise
+    except (ConfigError, ValueError, ImportError, OSError) as e:
         print(f"fdrates: error: {e}", file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as e:

@@ -20,9 +20,11 @@ Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
 by a quantization-law fit whose root Brent's method finds, which together
 verify the closed-form sharp constants numerically; each truncated domain
 is gridded and assembled once, and every sector is formed from that one
-assembly by adding its centrifugal term.  The time-schedule check shared by
-the flows and the Gronwall integrator is scalar._schedule, which needs no
-numpy.
+assembly by adding its centrifugal term.  The four LAPACK routines of the
+eigensolver (dgttrf, dgttrs, dstebz, dstein) come from fdrates._lapack,
+bound when this module is imported, which loads scipy's LAPACK extension
+but not the scipy.linalg package.  The time-schedule check shared by the
+flows and the Gronwall integrator is scalar._schedule, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .exponents import sharp_rate
 
 __all__ = [
@@ -312,8 +315,6 @@ def _lumped_shift(forms: SectorForms):
     coordinates.  A lumped mass that is not positive, where the weights
     underflowed, raises FloatingPointError before the scaling divides by it.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein
-
     k = 1 if forms.l == 0 else 0
     lumped = forms.b_diag.copy()
     lumped[:-1] += forms.b_off
@@ -325,12 +326,12 @@ def _lumped_shift(forms: SectorForms):
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise FloatingPointError("array must not contain infs or NaNs")
     off = forms.a_off + forms.b_off
-    lu = dgttrf(off, forms.a_diag + forms.b_diag, off)[:5]
+    lu = _lapack.dgttrf(off, forms.a_diag + forms.b_diag, off)[:5]
     v = forms.restrict(forms.grid.nodes)
     for _ in range(_BOUND_STEPS):
         if k:
             v = v - (lumped @ v) / lumped.sum()
-        v = dgttrs(*lu, lumped * v)[0]
+        v = _lapack.dgttrs(*lu, lumped * v)[0]
     if k:
         v -= (lumped @ v) / lumped.sum()
     u = float(v @ forms.apply_a(v)) / float(v @ (lumped * v))
@@ -339,7 +340,8 @@ def _lumped_shift(forms: SectorForms):
     vu = u * (1.0 + 1e-12)
     # range 1 asks dstebz for the eigenvalues in (vl, vu], in block order "B"
     while True:
-        m, w, iblock, isplit, info = dstebz(d, e, 1, -vu, vu, 0, 0, 1e-7 * vu, "B")
+        m, w, iblock, isplit, info = _lapack.dstebz(d, e, 1, -vu, vu, 0, 0,
+                                                    1e-7 * vu, "B")
         if info:
             raise NonConvergenceError(f"dstebz failed with info = {info}", u)
         if m > k:
@@ -348,7 +350,7 @@ def _lumped_shift(forms: SectorForms):
     # dstein takes the one eigenvalue and its block
     j = np.argsort(w[:m])[k]
     iblock[0] = iblock[j]
-    z, info = dstein(d, e, w[j:j + 1], iblock, isplit)
+    z, info = _lapack.dstein(d, e, w[j:j + 1], iblock, isplit)
     if info:
         raise NonConvergenceError(f"dstein failed with info = {info}", float(w[j]))
     return float(w[j]), s * z[:, 0]
@@ -369,20 +371,16 @@ def bottom_eigenvalue(forms: SectorForms):
 
     Returns (lambda, f) with f a RadialField normalized in the B-norm.
     """
-    # scipy.linalg is loaded at the first eigensolve, so that the closed-form
-    # commands start without it
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
     sigma, x = _lumped_shift(forms)
     # consistent-mass inverse iteration, A - sigma B factored once
     off = forms.a_off - sigma * forms.b_off
-    lu = dgttrf(off, forms.a_diag - sigma * forms.b_diag, off)[:5]
+    lu = _lapack.dgttrf(off, forms.a_diag - sigma * forms.b_diag, off)[:5]
     abs_a = (np.abs(forms.a_diag), np.abs(forms.a_off))
     abs_b = (np.abs(forms.b_diag), np.abs(forms.b_off))
     bf = forms.apply_b(x)
     lam = sigma
     for _ in range(_EIGEN_MAXIT):
-        f = dgttrs(*lu, bf)[0]
+        f = _lapack.dgttrs(*lu, bf)[0]
         bf = forms.apply_b(f)
         nrm = math.sqrt(float(f @ bf))
         f /= nrm

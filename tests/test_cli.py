@@ -185,7 +185,8 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
     # numpy and scipy are imported where numerics and linear algebra run: the
     # import, the exact closed-form commands and the scalar commands on
     # Python floats load neither (nor mpmath), the other closed-form commands
-    # no scipy, and nothing loads scipy.optimize
+    # no scipy, hp-verify only scipy's LAPACK extension (fdrates._lapack),
+    # not the scipy package, and nothing loads scipy.optimize
     cfg = _evolve_config(tmp_path)
     exact = [
         ["constants", "--d", "5", "--m", "0.9"],
@@ -223,7 +224,7 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
     got = [json.loads(line) for line in proc.stdout.splitlines()]
     assert got == ([["import", 0, []]] + [[c[0], 0, []] for c in exact]
                    + [[c[0], 0, ["numpy"]] for c in numeric]
-                   + [["hp-verify", 0, ["numpy", "scipy", "scipy.linalg"]]])
+                   + [["hp-verify", 0, ["numpy"]]])
 
 
 def test_constants_csv_and_arg_validation(capsys):
@@ -330,6 +331,43 @@ def _evolve_config(tmp_path, extra=""):
         "time.dt = 1e-3\ntime.t_end = 0.05\noutput.cadence = 0.005\n" + extra
     )
     return str(cfg)
+
+
+def test_unusable_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    # a directory, or a file in a directory that does not exist, exits 1 with
+    # one error line naming the path before the command runs
+    cfg = _evolve_config(tmp_path)
+    missing = tmp_path / "missing" / "trace.csv"
+
+    def never(args):
+        raise AssertionError("the command ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cmd_constants", never)
+        patch.setattr(cli, "_cmd_evolve", never)
+        for argv, msg in (
+                (["constants", "--d", "5", "--m", "0.9", "--output", str(tmp_path)],
+                 f"--output {tmp_path} is a directory"),
+                (["evolve", "--config", cfg, "--output", str(missing)],
+                 f"--output {missing}: no directory {missing.parent}")):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"fdrates: error: {msg}\n")
+    # an existing --output keeps its bytes when the command then fails
+    out = tmp_path / "trace.csv"
+    out.write_text("kept\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("nonsense = 1\n")
+    assert main(["evolve", "--config", str(bad), "--output", str(out)]) == 1
+    assert out.read_text() == "kept\n"
+    # an OSError on opening, the config or the output, exits 1 naming the path
+    long_name = str(tmp_path / ("x" * 300))
+    for argv in (["evolve", "--config", str(tmp_path)],
+                 ["constants", "--d", "5", "--m", "0.9", "--output", long_name]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fdrates: error: [Errno ") and err.count("\n") == 1
+        assert repr(argv[-1]) in err
 
 
 def test_evolve_deterministic_bytes(tmp_path, capsys):

@@ -235,7 +235,7 @@ def test_bottom_eigenvalue_unconstrained_l0_is_zero():
 
 
 def test_nonconvergence_carries_quotient(monkeypatch):
-    import scipy.linalg.lapack as lapack
+    import fdrates._lapack as lapack
 
     g = N.build_grid(40.0, 200, 5)
     forms = N.assemble_sector_forms(g, -4.0, 1.0, 1)
