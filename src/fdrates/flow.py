@@ -10,8 +10,9 @@ A state is the relative variable x = v/V_D - 1 and its one Profile V_D, from
 initial data to the last step: on very large domains (critical-case runs
 reach R_max ~ e^90) the difference v - V_D is far below the rounding floor
 of v, so the conserved defect and the entropy are only representable in x.
-Matching D to the data, profiles.solve_D, also bisects the defect in x, and
-the matched state is x re-expressed relative to V_D.
+Matching D to the data, profiles.solve_D, also finds the zero of the defect
+in x, by Brent's method, and the matched state is x re-expressed relative to
+V_D.
 
 Linear: sector evolution df/dt = -L f discretized by the same P1 forms,
 B (df/dt) = -A f with backward Euler.
@@ -84,17 +85,19 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
 
     Kinds:
       "profile-blend": v0 = (V_D0 + V_D1)/2 (inside the sandwich by convexity);
-      "eigen":  v0 = V_D (1 + epsilon g V_D^(1-m)) with g a spectral mode
-                (mode=(l, k), default the dilation mode (0, 1)); clipped to the
-                sandwich when (D0, D1) are given;
+      "eigen":  v0 = V_D (1 + epsilon g V_D^(1-m)) with g a radial spectral
+                mode (mode=(0, k), default the dilation mode (0, 1)); clipped
+                to the sandwich when (D0, D1) are given;
       "bump":   v0 = V_D (1 + amplitude exp(-((r-c)/s)^2)); c = 0, s = 1 when
                 seed is None, otherwise drawn reproducibly from the seed.
 
-    When match_D is True the profile parameter is re-matched by bisection
-    (profiles.solve_D, on the defect in x) so that the truncated mass defect
-    of v0 vanishes, and x is re-expressed relative to the matched profile
-    (requires D0 > D1 bracketing the root).  With the bracket given, the
-    returned x is checked to lie in the sandwich V_D0 <= v0 <= V_D1.
+    When match_D is True the profile parameter is re-matched by Brent's
+    method (profiles.solve_D, on the defect in x) so that the truncated mass
+    defect of v0 vanishes, and x is re-expressed relative to the matched
+    profile (requires D0 > D1 bracketing the root).  With the bracket given,
+    the returned x is checked to lie in the sandwich V_D0 <= v0 <= V_D1.
+    Raises ValueError for an eigen mode of sector l >= 1, which is not
+    radial.
     """
     alpha = float(exponents.alpha)
     r = grid.nodes
@@ -108,6 +111,10 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
         from .spectral import discrete_mode, mode_field
 
         l, k = mode if mode is not None else (0, 1)
+        if l != 0:
+            raise ValueError(f"eigen data take a radial mode (l = 0), got mode "
+                             f"(l, k) = ({l}, {k}); the radial flow cannot "
+                             f"carry sector l = {l}")
         mo = discrete_mode(grid.d, alpha, l, k)
         g = mode_field(mo, grid).values
         # V^(1-m) = (D+r^2)^(alpha(1-m)) = 1/(D+r^2)

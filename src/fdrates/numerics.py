@@ -17,10 +17,10 @@ index, along one path: a lumped-mass tridiagonal eigensolve, bisected only
 below a Courant-Fischer upper bound, gives the shift and start vector, and
 consistent-mass inverse iteration with one factorization finishes them.
 Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
-by a quantization-law fit whose root Brent's method finds, which together
-verify the closed-form sharp constants numerically; each truncated domain
-is gridded and assembled once, and every sector is formed from that one
-assembly by adding its centrifugal term.  The four LAPACK routines of the
+by a quantization-law fit whose root Brent's method (scalar._brent_root)
+finds, which together verify the closed-form sharp constants numerically;
+each truncated domain is gridded and assembled once, and every sector is
+formed from that one assembly by adding its centrifugal term.  The four LAPACK routines of the
 eigensolver (dgttrf, dgttrs, dstebz, dstein) come from fdrates._lapack,
 bound when this module is imported, which loads scipy's LAPACK extension
 but not the scipy.linalg package.  The time-schedule check shared by the
@@ -37,6 +37,7 @@ import numpy as np
 
 from . import _lapack
 from .exponents import sharp_rate
+from .scalar import _brent_root
 
 __all__ = [
     "RadialGrid",
@@ -405,55 +406,6 @@ def sector_bottom(d: int, alpha: float, D: float, l: int, R_max: float, N: int):
     """
     grid = build_grid(R_max, N, d, grading="sinh", scale=math.sqrt(D))
     return bottom_eigenvalue(assemble_sector_forms(grid, alpha, D, l))
-
-
-def _brent_root(f, a, fa, b, fb):
-    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
-
-    Brent's method (Brent 1973, ch. 4): an inverse quadratic or secant step,
-    kept only if it stays within three quarters of the way to c and below
-    half the step before last, else a bisection step; a step below one ulp
-    moves one ulp.  The bracket [b, c] keeps ends of opposite sign, and the
-    search stops only when no double lies strictly inside it, or when f(b)
-    is exactly zero; it returns the end b, the one with the smaller |f|.
-    """
-    c, fc = a, fa
-    step = prev = b - a
-    while True:
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            step = prev = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        if fb == 0 or math.nextafter(b, c) == c:
-            return b
-        half = 0.5 * (c - b)
-        if prev != 0 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * half * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * half * q, abs(prev * q)):
-                prev, step = step, p / q
-            else:
-                prev = step = half
-        else:
-            prev = step = half
-        a, fa = b, fb
-        x = b + step
-        if x == b:
-            x = math.nextafter(b, c)
-        elif not min(b, c) < x < max(b, c):
-            x = b + half
-        b, fb = x, f(x)
 
 
 def _quantization_fit(Ss, lams, npow):

@@ -8,9 +8,10 @@ exponential for m = m_c).  That rescaling, RescalingMap with to_selfsimilar
 and from_selfsimilar, is scalar and lives, without numpy, in fdrates.scalar;
 eval_barenblatt, which takes |y| of an array y, stays here.
 
-solve_D matches D to initial data by bisection on the truncated mass defect,
-evaluated as entropy.mass_defect_from_x evaluates it: in the relative
-variable x = v/V_D - 1, as int V_D x dx.  The data are given relative to one
+solve_D matches D to initial data by the bracketed Brent search of
+scalar._brent_root on the truncated mass defect, evaluated as
+entropy.mass_defect_from_x evaluates it: in the relative variable
+x = v/V_D - 1, as int V_D x dx.  The data are given relative to one
 profile and re-expressed relative to each candidate by
 _profile_ratio_minus_one, so no absolute value v or difference v - V_D is
 formed; on the very large domains of critical-case runs that difference is
@@ -27,21 +28,16 @@ import numpy as np
 
 from .exponents import ExponentSet
 from .numerics import RadialField, cell_volumes, sphere_area
+from .scalar import _brent_root
 
 if TYPE_CHECKING:
     from .scalar import RescalingMap
 
 __all__ = [
     "Profile",
-    "BisectionError",
     "eval_barenblatt",
     "solve_D",
 ]
-
-
-class BisectionError(RuntimeError):
-    """solve_D took _BISECT_MAXIT bisection steps without the mass defect
-    reaching _BISECT_TOL."""
 
 
 @dataclass(frozen=True)
@@ -81,24 +77,19 @@ def eval_barenblatt(map: RescalingMap, D: float, tau: float, y) -> float:
     return v / R ** map.exponents.d
 
 
-# solve_D stops once |mass defect| <= _BISECT_TOL, and raises BisectionError
-# after _BISECT_MAXIT bisection steps
-_BISECT_TOL = 1e-10
-_BISECT_MAXIT = 200
-
-
 def solve_D(x: RadialField, profile: Profile, D0: float, D1: float) -> float:
-    """Unique D' in [D1, D0] with zero truncated mass defect, by bisection.
+    """Unique D' in [D1, D0] with zero truncated mass defect, by Brent's method.
 
     x holds the data relative to profile, v = V_D (1 + x).  The defect of v
     against a candidate V_D' is int V_D' x' dx with x' = q + (1 + q) x and
     q = V_D/V_D' - 1, in the operation order of entropy.mass_defect_from_x,
-    so that x' at the returned D' has as its mass_defect_from_x the last
-    defect evaluated here.  The defect is strictly increasing in D' (V_D' is pointwise
-    decreasing in D'), so bisection on the bracket is unconditionally safe;
-    raises ValueError if the defect has the same sign at both endpoints (the
-    data violates the sandwich hypothesis) and BisectionError if
-    |defect| <= _BISECT_TOL is not reached in _BISECT_MAXIT steps.
+    so that x' at the returned D' has as its mass_defect_from_x the defect
+    evaluated at D'.  The defect is strictly increasing in D' (V_D' is
+    pointwise decreasing in D'), so the bracket holds one root, and
+    scalar._brent_root narrows it to adjacent doubles, or to an exact zero,
+    and returns the end with the smaller |defect|.  Raises ValueError if the
+    defect has the same sign at both endpoints (the data violates the
+    sandwich hypothesis).
     """
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
@@ -112,27 +103,14 @@ def solve_D(x: RadialField, profile: Profile, D0: float, D1: float) -> float:
         q = _profile_ratio_minus_one(profile.D, D, alpha, r)
         return sd * float(np.sum(w * (D + r2) ** alpha * (q + (1.0 + q) * x.values)))
 
-    lo, hi = D1, D0
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
+    g1, g0 = g(D1), g(D0)
+    if g1 == 0.0:
+        return D1
+    if g0 == 0.0:
+        return D0
+    if g1 * g0 > 0:
         raise ValueError(
-            f"mass defect has the same sign at D1 = {D1} ({glo:.3e}) and "
-            f"D0 = {D0} ({ghi:.3e}); no root in the bracket"
+            f"mass defect has the same sign at D1 = {D1} ({g1:.3e}) and "
+            f"D0 = {D0} ({g0:.3e}); no root in the bracket"
         )
-    for _ in range(_BISECT_MAXIT):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= _BISECT_TOL:
-            return mid
-        if gm * glo < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    raise BisectionError(
-        f"mass defect not within {_BISECT_TOL:g} of zero after {_BISECT_MAXIT} "
-        f"bisection steps (bracket [{lo!r}, {hi!r}])"
-    )
+    return _brent_root(g, D1, g1, D0, g0)

@@ -1,10 +1,13 @@
 """The scalar steps from the sharp constant to decay rates, in Python floats.
 
 The time-axis check shared by the flows, the Gronwall integrator and the run
-configuration (_schedule); the Gronwall comparison ODE, which turns a rate
-Lambda and the comparison functions X, Y into a bound on the entropy; and the
-self-similar change of variables between original (tau, y, u) and rescaled
-(t, x, v) coordinates.
+configuration (_schedule); the one root finder of the package, a bracketed
+Brent search (_brent_root), which matches D to initial data
+(profiles.solve_D) and solves the quantization fit of the domain
+extrapolation (numerics._quantization_fit); the Gronwall comparison ODE,
+which turns a rate Lambda and the comparison functions X, Y into a bound on
+the entropy; and the self-similar change of variables between original
+(tau, y, u) and rescaled (t, x, v) coordinates.
 
 This module imports no numpy, so the gronwall and rescale commands start
 without it.  gronwall_bound returns its columns as array('d') buffers, 8 bytes
@@ -96,6 +99,59 @@ def _schedule(t0, t_end, dt, cadence):
         raise ScheduleError("dt", f"t_end - t = {span} is not an integer "
                                   f"multiple of the time step dt = {dt}")
     return cadence, n_sub, n_rec
+
+
+# ---------------------------------------------------------------------------
+# the root finder
+
+
+def _brent_root(f, a, fa, b, fb):
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4): an inverse quadratic or secant step,
+    kept only if it stays within three quarters of the way to c and below
+    half the step before last, else a bisection step; a step below one ulp
+    moves one ulp.  The bracket [b, c] keeps ends of opposite sign, and the
+    search stops only when no double lies strictly inside it, or when f(b)
+    is exactly zero; it returns the end b, the one with the smaller |f|.
+    """
+    c, fc = a, fa
+    step = prev = b - a
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            step = prev = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0 or math.nextafter(b, c) == c:
+            return b
+        half = 0.5 * (c - b)
+        if prev != 0 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q, abs(prev * q)):
+                prev, step = step, p / q
+            else:
+                prev = step = half
+        else:
+            prev = step = half
+        a, fa = b, fb
+        x = b + step
+        if x == b:
+            x = math.nextafter(b, c)
+        elif not min(b, c) < x < max(b, c):
+            x = b + half
+        b, fb = x, f(x)
 
 
 # ---------------------------------------------------------------------------

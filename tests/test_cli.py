@@ -843,6 +843,41 @@ def test_readme_run_cfg_without_cadence(tmp_path, capsys):
     assert float(fit["fit_r2"]) >= 0.999
 
 
+def test_readme_run_cfg_matched_in_few_evaluations(monkeypatch):
+    # solve_D narrows its bracket to adjacent doubles in at most 16 defect
+    # evaluations, and the matched state's defect is at the rounding floor;
+    # each evaluation re-expresses the data through one
+    # _profile_ratio_minus_one call, which counts them
+    import fdrates.profiles as prof
+    from fdrates.entropy import Weights, mass_defect_from_x
+
+    calls, ratio = [], prof._profile_ratio_minus_one
+    monkeypatch.setattr(prof, "_profile_ratio_minus_one",
+                        lambda *a: calls.append(a) or ratio(*a))
+    state = cli._build_state(parse_config(_readme()[0]["run.cfg"]))
+    assert 2 < len(calls) <= 16
+    wts = Weights.of(state.grid, state.profile)
+    assert abs(mass_defect_from_x(state.x, wts)) <= 1e-15
+
+
+def test_eigen_data_outside_the_radial_sector_exit_1(tmp_path, capsys):
+    # evolve and entropy-report run a radial flow, which cannot carry a mode
+    # of sector l >= 1; the refusal names the mode in one error line
+    run_cfg = _readme()[0]["run.cfg"]
+    text = "".join(l for l in run_cfg.splitlines(keepends=True)
+                   if not l.startswith("fit."))
+    cfg = tmp_path / "mode1.cfg"
+    cfg.write_text(text.replace("time.t_end = 0.25", "time.t_end = 0.01")
+                   + "data.mode_l = 1\n")
+    for command in ("evolve", "entropy-report"):
+        assert main([command, "--config", str(cfg)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fdrates: error: ")
+        assert captured.err.count("\n") == 1
+        assert "mode (l, k) = (1, 1)" in captured.err
+
+
 def _into_closed_stdout(argv, env):
     """Run the command with its stdout a pipe whose read end is closed
     before it starts; (exit status, stderr)."""

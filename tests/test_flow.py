@@ -31,7 +31,7 @@ def test_profile_is_exact_steady_state():
 def test_make_initial_data_kinds_and_rejections():
     g = _grid()
     st = FL.make_initial_data(g, E59, "profile-blend", D0=2.0, D1=0.5)
-    # matched by bisection; closed form ((2^-7.5 + 0.5^-7.5)/2)^(-1/7.5)
+    # matched by Brent's method; closed form ((2^-7.5 + 0.5^-7.5)/2)^(-1/7.5)
     assert st.profile.D == pytest.approx(0.5484102583897682, abs=2e-3)
     st2 = FL.make_initial_data(g, E59, "eigen", D=1.0, D0=2.0, D1=0.5,
                                epsilon=0.05, mode=(0, 1))
@@ -44,6 +44,11 @@ def test_make_initial_data_kinds_and_rejections():
         FL.make_initial_data(g, E59, "profile-blend")  # missing bracket
     with pytest.raises(ValueError):
         FL.make_initial_data(g, E59, "bump")  # match_D without bracket
+    # a mode of sector l >= 1 is r^l P(r^2) times a spherical harmonic; the
+    # radial flow would carry only its radial factor
+    for l, k in ((1, 0), (1, 1), (2, 0)):
+        with pytest.raises(ValueError, match=rf"mode \(l, k\) = \({l}, {k}\)"):
+            FL.make_initial_data(g, E59, "eigen", D0=2.0, D1=0.5, mode=(l, k))
 
 
 def test_bump_seed_reproducible():
@@ -123,7 +128,7 @@ def test_critical_data_matched_on_large_domains(R_max):
     g = N.build_grid(R_max, 2000, 5)
     st = FL.make_initial_data(g, e, "bump", D0=2.0, D1=0.5, clip=False)
     assert 0.5 < st.profile.D < 2.0
-    assert abs(mass_defect_from_x(st.x, Weights.of(g, st.profile))) <= 1e-10
+    assert abs(mass_defect_from_x(st.x, Weights.of(g, st.profile))) <= 1e-13
 
 
 def _critical_run():

@@ -392,7 +392,7 @@ def test_quantization_fit_two_roots_still_refused():
     (lambda x: 1.0 if x > 0.25 else -1.0, 0.0, 1.0),
 ])
 def test_brent_root_ends_on_adjacent_doubles(f, lo, hi):
-    root = N._brent_root(f, lo, f(lo), hi, f(hi))
+    root = S._brent_root(f, lo, f(lo), hi, f(hi))
     ref = _bisect_root(f, lo, hi)
     assert abs(root - ref) <= 4 * math.ulp(ref)
     # no double lies between the root and a point of the other sign

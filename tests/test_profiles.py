@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 import fdrates.flow as FL
 import fdrates.numerics as N
-import fdrates.profiles as P
+import fdrates.scalar as S
 from fdrates.entropy import Weights, mass_defect_from_x
 from fdrates.exponents import Regime, derive_exponents
-from fdrates.profiles import (BisectionError, Profile,
-                              _profile_ratio_minus_one, eval_barenblatt,
-                              solve_D)
+from fdrates.profiles import (Profile, _profile_ratio_minus_one,
+                              eval_barenblatt, solve_D)
 from fdrates.scalar import (ExtinctionError, RescalingMap, from_selfsimilar,
                             to_selfsimilar)
 
@@ -138,10 +137,10 @@ def test_mass_defect_sign_and_zero():
     assert mass_defect_from_x(hi, wts) > 0 > mass_defect_from_x(lo, wts)
 
 
-def _reference_solve_D(x, profile, D0, D1, tol=1e-10, maxit=200):
-    """The bisection on the public mass defect: each step re-expresses the
-    data x, given relative to profile, relative to a new Profile V_D' as
-    x' = q + (1+q) x with q = V_D/V_D' - 1, and evaluates
+def _reference_solve_D(x, profile, D0, D1):
+    """The Brent search on the public mass defect: each evaluation
+    re-expresses the data x, given relative to profile, relative to a new
+    Profile V_D' as x' = q + (1+q) x with q = V_D/V_D' - 1, and evaluates
     mass_defect_from_x(x') on that profile's Weights."""
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
@@ -153,58 +152,34 @@ def _reference_solve_D(x, profile, D0, D1, tol=1e-10, maxit=200):
         p = Profile(exponents=profile.exponents, D=D)
         return mass_defect_from_x(q + (1.0 + q) * x.values, Weights.of(x.grid, p))
 
-    lo, hi = D1, D0
-    glo, ghi = g(lo), g(hi)
+    glo, ghi = g(D1), g(D0)
     if glo == 0.0:
-        return lo
+        return D1
     if ghi == 0.0:
-        return hi
+        return D0
     if glo * ghi > 0:
         raise ValueError(
             f"mass defect has the same sign at D1 = {D1} ({glo:.3e}) and "
             f"D0 = {D0} ({ghi:.3e}); no root in the bracket"
         )
-    for _ in range(maxit):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol:
-            return mid
-        if gm * glo < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    raise BisectionError(
-        f"mass defect not within {tol:g} of zero after {maxit} bisection steps "
-        f"(bracket [{lo!r}, {hi!r}])"
-    )
+    return S._brent_root(g, D1, glo, D0, ghi)
 
 
 def _absolute_solve_D(v0, exponents, D0, D1):
-    """solve_D as first written, on absolute values: the bisection of
-    int (v - V_D) dx at the default tolerance."""
+    """solve_D as first written, on absolute values: the zero of
+    int (v - V_D) dx, here by the same Brent search."""
     def g(D):
         grid = v0.grid
         diff = v0.values - Profile(exponents=exponents, D=D)(grid.nodes)
         return N.sphere_area(grid.d) * float(np.sum(N.cell_volumes(grid) * diff))
 
-    lo, hi = D1, D0
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= 1e-10:
-            return mid
-        if gm * glo < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    raise BisectionError("absolute bisection did not converge")
+    return S._brent_root(g, D1, g(D1), D0, g(D0))
 
 
-def _outcome(solve, *args, **kwargs):
+def _outcome(solve, *args):
     try:
-        return solve(*args, **kwargs)
-    except (ValueError, BisectionError) as exc:
+        return solve(*args)
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -215,10 +190,10 @@ def _relative(grid, profile, D):
 
 
 def test_solve_D_matches_reference(monkeypatch):
-    # every outcome equals the reference bisection's exactly: the matched D,
-    # or the error type and message.  With tol = 0 the run ends in a
-    # BisectionError whose bracket holds the two doubles at which the computed
-    # defect changes sign, so every rounding of the defect counts
+    # every outcome equals the reference search's exactly: the matched D, or
+    # the error type and message.  Both searches narrow the bracket to the two
+    # doubles at which the computed defect changes sign, so every rounding of
+    # the defect counts
     for d, m, n in ((2, 0.2, 64), (3, 0.5, 800), (5, 0.9, 800), (5, 0.3, 64)):
         e = derive_exponents(d, m)
         grid = N.build_grid(20.0, n, d)
@@ -227,27 +202,19 @@ def test_solve_D_matches_reference(monkeypatch):
             _relative(grid, p1, 1.7).values + _relative(grid, p1, 0.6).values))
         for x, D0, D1 in ((blend, 1.7, 0.6), (blend, 1.3, 0.5),
                           (_relative(grid, p1, 2.3), 2.5, 0.5)):
-            for kw in ({}, {"tol": 1e-13}, {"tol": 0.0}):
-                want = _outcome(_reference_solve_D, x, p1, D0, D1, **kw)
-                with monkeypatch.context() as mp:
-                    mp.setattr(P, "_BISECT_TOL", kw.get("tol", P._BISECT_TOL))
-                    assert _outcome(solve_D, x, p1, D0, D1) == want
             got = _outcome(solve_D, x, p1, D0, D1)
             assert isinstance(got, float)
-            # on these moderate domains the absolute bisection, which the
-            # relative one replaced, matches the same D
+            assert _outcome(_reference_solve_D, x, p1, D0, D1) == got
+            # on these moderate domains the absolute search, which the
+            # relative one replaced, matches the same D to within the rounding
+            # of v - V_D, which it forms: up to 6 ulps on these cases
             v = N.RadialField(grid=grid, values=p1(grid.nodes) * (1.0 + x.values))
-            assert _absolute_solve_D(v, e, D0, D1) == got
-            want = _outcome(_reference_solve_D, x, p1, D0, D1, maxit=3)
-            assert want[0] is BisectionError
-            with monkeypatch.context() as mp:
-                mp.setattr(P, "_BISECT_MAXIT", 3)
-                assert _outcome(solve_D, x, p1, D0, D1) == want
+            assert abs(_absolute_solve_D(v, e, D0, D1) - got) <= 8 * math.ulp(got)
         # the same-sign bracket is refused with the same message
         x = _relative(grid, p1, 0.1)
         want = _outcome(_reference_solve_D, x, p1, 2.0, 0.5)
         assert want[0] is ValueError and _outcome(solve_D, x, p1, 2.0, 0.5) == want
-        # initial data matched through either bisection is the same state
+        # initial data matched through either search is the same state
         for kind in ("profile-blend", "bump"):
             states = []
             for solve in (solve_D, _reference_solve_D):
@@ -258,8 +225,7 @@ def test_solve_D_matches_reference(monkeypatch):
             assert np.array_equal(states[0].x, states[1].x)
 
 
-def test_solve_D_recovers_exact_profile(monkeypatch):
-    monkeypatch.setattr(P, "_BISECT_TOL", 1e-13)
+def test_solve_D_recovers_exact_profile():
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 800, 5)
     p1 = Profile(exponents=e, D=1.0)
@@ -267,11 +233,10 @@ def test_solve_D_recovers_exact_profile(monkeypatch):
     assert D == pytest.approx(1.37, rel=1e-9)
 
 
-def test_solve_D_midpoint_oracle(monkeypatch):
+def test_solve_D_midpoint_oracle():
     # v = (V_2 + V_0.5)/2, d = 5, m = 0.9: since int V_D = c D^(alpha+d/2),
     # the matched D is ((2^-7.5 + 0.5^-7.5)/2)^(-1/7.5) in closed form,
     # cross-checked against adaptive quadrature + root finding.
-    monkeypatch.setattr(P, "_BISECT_TOL", 1e-13)
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(60.0, 2400, 5)
     p1 = Profile(exponents=e, D=1.0)
@@ -282,7 +247,7 @@ def test_solve_D_midpoint_oracle(monkeypatch):
     assert D == pytest.approx(closed, rel=2e-6)
 
 
-def test_solve_D_rejections(monkeypatch):
+def test_solve_D_rejections():
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 400, 5)
     p1 = Profile(exponents=e, D=1.0)
@@ -291,8 +256,3 @@ def test_solve_D_rejections(monkeypatch):
         solve_D(x, p1, D0=2.0, D1=0.5)  # defect positive at both ends
     with pytest.raises(ValueError):
         solve_D(x, p1, D0=0.5, D1=2.0)  # inverted bracket
-    # a bisection cut short raises rather than returning its midpoint 0.96875
-    x = _relative(grid, p1, 1.37)
-    monkeypatch.setattr(P, "_BISECT_MAXIT", 3)
-    with pytest.raises(BisectionError, match="after 3 bisection steps"):
-        solve_D(x, p1, D0=2.0, D1=0.5)
