@@ -107,14 +107,20 @@ def _matching(pattern: str, expected: str):
 
 
 def _quotient_function(text: str) -> str:
-    """quotient's --f: gauss, ring or a discrete mode:l,k other than the
-    constant mode:0,0, whose mean-zero part, the quotient's denominator,
-    vanishes."""
+    """quotient's --f: gauss, ring or a discrete mode:0,k of the radial sector,
+    where the entropy functionals live, other than the constant mode:0,0,
+    whose mean-zero part, the quotient's denominator, vanishes."""
     name = _matching(r"gauss|ring|mode:\d+,\d+",
                      "gauss, ring or mode:l,k with integers l, k >= 0")(text)
-    if name.startswith("mode:") and not any(map(int, name[5:].split(","))):
-        raise argparse.ArgumentTypeError(
-            f"{text} is the constant mode, whose mean-zero part vanishes")
+    if name.startswith("mode:"):
+        l, k = map(int, name[5:].split(","))
+        if l:
+            raise argparse.ArgumentTypeError(
+                f"{text} lies in sector l = {l}; the quotient's entropy "
+                f"functionals are radial and take mode:0,k only")
+        if not k:
+            raise argparse.ArgumentTypeError(
+                f"{text} is the constant mode, whose mean-zero part vanishes")
     return name
 
 
@@ -251,13 +257,18 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_config(v: RunConfig):
-    """The constraints across keys: the bracket D0 > D1, both or neither end
-    of the fit window, and the window inside the run [0, time.t_end]."""
+    """The constraints across keys: the bracket D0 > D1, a radial eigen mode,
+    both or neither end of the fit window, and the window in [0, time.t_end]."""
     from . import scalar
 
     D0, D1 = v.get("D0"), v.get("D1")
     if D0 is not None and D1 is not None and not D0 > D1:
         raise ConfigError(f"need D0 > D1, got D0={D0}, D1={D1}")
+    l, k = v["data.mode_l"], v["data.mode_k"]
+    if v["data.kind"] == "eigen" and l != 0:
+        raise ConfigError(f"data.mode_l = {l}: eigen data take a radial mode "
+                          f"(l = 0), got mode (l, k) = ({l}, {k}); the radial "
+                          f"flow cannot carry sector l = {l}")
     w0, w1 = v.get("fit.window_start"), v.get("fit.window_end")
     if (w0 is None) != (w1 is None):
         raise ConfigError("set both fit.window_start and fit.window_end or neither")
@@ -420,7 +431,7 @@ def _cmd_evolve_linear(args):
             raise ConfigError(f"data.mode_l = {cfg['data.mode_l']} differs from "
                               f"sector.l = {l}; the mode must lie in the sector run")
         mode = spec.discrete_mode(e.d, e.alpha, l, cfg["data.mode_k"])
-        f0 = spec.mode_field(mode, grid).values
+        f0 = spec.mode_field(mode, grid)
     else:
         echo["data.kind"] = "generic"
         r = grid.nodes
@@ -462,16 +473,12 @@ def _cmd_gronwall(args):
 def _quotient_test_function(name, grid, alpha):
     import numpy as np
 
-    from . import numerics as num
-
     if name == "gauss":
-        return num.RadialField(grid=grid, values=np.exp(-grid.nodes**2))
+        return np.exp(-grid.nodes**2)
     if name == "ring":
-        return num.RadialField(grid=grid,
-                               values=np.exp(-((grid.nodes - 1.0) ** 2)))
-    l_str, k_str = name[5:].split(",")  # mode:l,k, as the --f type checked
-    mode = spec.discrete_mode(grid.d, alpha, int(l_str), int(k_str))
-    return spec.mode_field(mode, grid)
+        return np.exp(-((grid.nodes - 1.0) ** 2))
+    k = int(name.split(",")[1])  # mode:0,k, as the --f type checked
+    return spec.mode_field(spec.discrete_mode(grid.d, alpha, 0, k), grid)
 
 
 def _cmd_quotient(args):
@@ -483,13 +490,13 @@ def _cmd_quotient(args):
     p = prof.Profile(exponents=e, D=args.D)  # refuses D <= 0 before its sqrt
     grid = num.build_grid(args.R, args.N, args.d, scale=math.sqrt(args.D))
     f = _quotient_test_function(args.f, grid, e.alpha)
-    forms = num.assemble_sector_forms(grid, e.alpha, args.D, f.l)
+    forms = num.assemble_sector_forms(grid, e.alpha, args.D, 0)
+    wts = ent.Weights.of(grid, p)
     # Rayleigh quotient of the mean-zero projection of f
-    proj = ent._mean_zero(f, ent.Weights.of(grid, p))
-    rq = num.rayleigh_quotient(num.RadialField(grid=grid, values=proj, l=f.l), forms)
+    rq = num.rayleigh_quotient(ent._mean_zero(f, wts), forms)
     rows = []
     for n in map(int, args.n.split(",")):
-        q = ent.variational_quotient(f, n, p)
+        q = ent.variational_quotient(f, n, wts)
         rows.append((n, q, rq, q / rq))
     echo = [("d", args.d), ("m", args.m), ("D", args.D), ("f", args.f),
             ("R_max", args.R), ("N", args.N)]

@@ -19,14 +19,17 @@ functionals, and the flow's Newton kernel, read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exponents import ExponentSet
-from .numerics import (RadialField, RadialGrid, cell_volumes, face_geometry,
-                       sphere_area)
-from .profiles import Profile
+from .numerics import RadialGrid, cell_volumes, face_geometry, sphere_area
 from .scalar import GronwallParams, _time_tol, xy_functions
+
+if TYPE_CHECKING:
+    # only here: profiles imports this module for solve_D's mass defect
+    from .profiles import Profile
 
 __all__ = [
     "Weights",
@@ -270,23 +273,22 @@ def calibrate_uniform_constant(trace: EntropyTrace,
 # variational sharpness quotient
 
 
-def _mean_zero(f: RadialField, wts: Weights) -> np.ndarray:
-    """Values of f minus its mean in dmu_(alpha-1) = (D+|x|^2)^(alpha-1) dx."""
+def _mean_zero(f: np.ndarray, wts: Weights) -> np.ndarray:
+    """Nodal values f minus their mean in dmu_(alpha-1) = (D+|x|^2)^(alpha-1) dx."""
     mu = wts.w * wts.V_am1
-    return f.values - np.sum(mu * f.values) / np.sum(mu)
+    return f - np.sum(mu * f) / np.sum(mu)
 
 
-def variational_quotient(f: RadialField, n: int, p: Profile) -> float:
+def variational_quotient(f: np.ndarray, n: int, wts: Weights) -> float:
     """Fisher/entropy ratio of the perturbed profile v_n = V_D (1 + f V^(1-m)/n).
 
-    f is first projected to mean zero in dmu_(alpha-1); as n grows the
-    quotient converges (at rate O(1/n)) to a multiple of the Rayleigh quotient
-    of f, the multiple being the same for every f.  The Weights of (f.grid, p)
-    are built once and shared by the projection and both functionals.
+    f, nodal values on the grid of the caller's Weights wts of V_D, is first
+    projected to mean zero in dmu_(alpha-1); as n grows the quotient
+    converges (at rate O(1/n)) to a multiple of the Rayleigh quotient of f,
+    the multiple being the same for every f.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    wts = Weights.of(f.grid, p)
     # V^(1-m) = (D+r^2)^(alpha(1-m)) = 1/(D+r^2)
     x = _mean_zero(f, wts) / (n * wts.Vm1)
     if np.any(1.0 + x <= 0):

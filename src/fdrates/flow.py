@@ -30,8 +30,7 @@ from . import _kernels
 from .entropy import (EntropyTrace, Weights, entropy_from_x, fisher_from_x,
                       mass_defect_from_x, sandwich_from_x)
 from .exponents import ExponentSet
-from .numerics import (RadialField, RadialGrid, assemble_sector_forms,
-                       sphere_area)
+from .numerics import RadialGrid, assemble_sector_forms, sphere_area
 from .profiles import Profile, _profile_ratio_minus_one, solve_D
 from .scalar import _schedule
 
@@ -116,7 +115,7 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
                              f"(l, k) = ({l}, {k}); the radial flow cannot "
                              f"carry sector l = {l}")
         mo = discrete_mode(grid.d, alpha, l, k)
-        g = mode_field(mo, grid).values
+        g = mode_field(mo, grid)
         # V^(1-m) = (D+r^2)^(alpha(1-m)) = 1/(D+r^2)
         x = epsilon * g / (D + r**2)
     elif kind == "bump":
@@ -139,7 +138,7 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     if match_D:
         if D0 is None or D1 is None:
             raise ValueError("match_D needs the bracket D0 > D1")
-        Dm = solve_D(RadialField(grid=grid, values=x), profile, D0, D1)
+        Dm = solve_D(grid, x, profile, D0, D1)
         q = _profile_ratio_minus_one(D, Dm, alpha, r)
         x = q + (1.0 + q) * x
         profile = Profile(exponents=exponents, D=Dm)

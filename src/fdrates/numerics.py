@@ -16,15 +16,18 @@ radial grid and computes sector bottom eigenvalues, mean-zero for l = 0, by
 index, along one path: a lumped-mass tridiagonal eigensolve, bisected only
 below a Courant-Fischer upper bound, gives the shift and start vector, and
 consistent-mass inverse iteration with one factorization finishes them.
+Nodal data, such as eigenvectors, are plain arrays of values at the grid
+nodes; the SectorForms of a sector carry its grid and index l.
 Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
 by a quantization-law fit whose root Brent's method (scalar._brent_root)
 finds, which together verify the closed-form sharp constants numerically;
 each truncated domain is gridded and assembled once, and every sector is
-formed from that one assembly by adding its centrifugal term.  The four LAPACK routines of the
-eigensolver (dgttrf, dgttrs, dstebz, dstein) come from fdrates._lapack,
-bound when this module is imported, which loads scipy's LAPACK extension
-but not the scipy.linalg package.  The time-schedule check shared by the
-flows and the Gronwall integrator is scalar._schedule, which needs no numpy.
+formed from that one assembly by adding its centrifugal term.  The four
+LAPACK routines of the eigensolver (dgttrf, dgttrs, dstebz, dstein) come
+from fdrates._lapack, bound when this module is imported, which loads
+scipy's LAPACK extension but not the scipy.linalg package.  The
+time-schedule check shared by the flows and the Gronwall integrator is
+scalar._schedule, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .scalar import _brent_root
 
 __all__ = [
     "RadialGrid",
-    "RadialField",
     "SectorForms",
     "NonConvergenceError",
     "build_grid",
@@ -84,19 +86,6 @@ class RadialGrid:
     @property
     def N(self) -> int:
         return len(self.nodes) - 1
-
-
-@dataclass(frozen=True)
-class RadialField:
-    """Values of a radial function on a grid, tagged with its sector index l."""
-
-    grid: RadialGrid
-    values: np.ndarray
-    l: int = 0
-
-    def __post_init__(self):
-        if len(self.values) != len(self.grid.nodes):
-            raise ValueError("field length does not match grid")
 
 
 def build_grid(R_max: float, N: int, d: int, grading: str = "sinh",
@@ -160,7 +149,7 @@ class SectorForms:
 
     A and B are symmetric tridiagonal, stored by diagonals.  For l >= 1 the
     origin node carries the Dirichlet condition f(0) = 0 and is dropped from
-    the matrices (dirichlet_origin is True); fields returned by the solvers
+    the matrices (dirichlet_origin is True); vectors returned by the solvers
     are re-padded with the zero value.
     """
 
@@ -281,9 +270,10 @@ def _assemble_sectors(grid, alpha, D, ls):
     return out
 
 
-def rayleigh_quotient(f: RadialField, forms: SectorForms) -> float:
-    """(f^T A f)/(f^T B f) for the nodal interpolant of f."""
-    x = forms.restrict(np.asarray(f.values, dtype=float))
+def rayleigh_quotient(f: np.ndarray, forms: SectorForms) -> float:
+    """(f^T A f)/(f^T B f) for the nodal interpolant of the values f at the
+    nodes of forms.grid."""
+    x = forms.restrict(np.asarray(f, dtype=float))
     den = float(x @ forms.apply_b(x))
     if den == 0.0:
         raise ZeroDivisionError("zero B-norm in Rayleigh quotient")
@@ -370,7 +360,9 @@ def bottom_eigenvalue(forms: SectorForms):
     times its rounding scale |A||f| + |lambda||B||f|, and raises
     NonConvergenceError after 100 solves.
 
-    Returns (lambda, f) with f a RadialField normalized in the B-norm.
+    Returns (lambda, f) with f the eigenvector's values at all grid nodes,
+    normalized in the B-norm; for l >= 1 the origin carries the Dirichlet
+    zero (SectorForms.pad).
     """
     sigma, x = _lumped_shift(forms)
     # consistent-mass inverse iteration, A - sigma B factored once
@@ -392,7 +384,7 @@ def bottom_eigenvalue(forms: SectorForms):
         f_abs = np.abs(f)
         scale = _tridiag_apply(*abs_a, f_abs) + abs(lam) * _tridiag_apply(*abs_b, f_abs)
         if np.linalg.norm(af - lam * bf) <= _EIGEN_TOL * np.linalg.norm(scale):
-            return lam, RadialField(grid=forms.grid, values=forms.pad(f), l=forms.l)
+            return lam, forms.pad(f)
     raise NonConvergenceError("inverse iteration did not converge", lam)
 
 

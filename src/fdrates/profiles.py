@@ -9,8 +9,8 @@ and from_selfsimilar, is scalar and lives, without numpy, in fdrates.scalar;
 eval_barenblatt, which takes |y| of an array y, stays here.
 
 solve_D matches D to initial data by the bracketed Brent search of
-scalar._brent_root on the truncated mass defect, evaluated as
-entropy.mass_defect_from_x evaluates it: in the relative variable
+scalar._brent_root on the truncated mass defect, which
+entropy.mass_defect_from_x evaluates in the relative variable
 x = v/V_D - 1, as int V_D x dx.  The data are given relative to one
 profile and re-expressed relative to each candidate by
 _profile_ratio_minus_one, so no absolute value v or difference v - V_D is
@@ -26,11 +26,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .entropy import Weights, mass_defect_from_x
 from .exponents import ExponentSet
-from .numerics import RadialField, cell_volumes, sphere_area
 from .scalar import _brent_root
 
 if TYPE_CHECKING:
+    from .numerics import RadialGrid
     from .scalar import RescalingMap
 
 __all__ = [
@@ -77,31 +78,29 @@ def eval_barenblatt(map: RescalingMap, D: float, tau: float, y) -> float:
     return v / R ** map.exponents.d
 
 
-def solve_D(x: RadialField, profile: Profile, D0: float, D1: float) -> float:
+def solve_D(grid: RadialGrid, x: np.ndarray, profile: Profile, D0: float,
+            D1: float) -> float:
     """Unique D' in [D1, D0] with zero truncated mass defect, by Brent's method.
 
-    x holds the data relative to profile, v = V_D (1 + x).  The defect of v
-    against a candidate V_D' is int V_D' x' dx with x' = q + (1 + q) x and
-    q = V_D/V_D' - 1, in the operation order of entropy.mass_defect_from_x,
-    so that x' at the returned D' has as its mass_defect_from_x the defect
-    evaluated at D'.  The defect is strictly increasing in D' (V_D' is
-    pointwise decreasing in D'), so the bracket holds one root, and
-    scalar._brent_root narrows it to adjacent doubles, or to an exact zero,
-    and returns the end with the smaller |defect|.  Raises ValueError if the
-    defect has the same sign at both endpoints (the data violates the
-    sandwich hypothesis).
+    x holds the data at the grid nodes relative to profile, v = V_D (1 + x).
+    The defect of v against a candidate V_D' is entropy.mass_defect_from_x
+    of x' = q + (1 + q) x, q = V_D/V_D' - 1, on the Weights of (grid, V_D'),
+    so x' at the returned D' has the defect the search evaluated there.  The
+    defect is strictly increasing in D' (V_D' is pointwise decreasing in D'),
+    so the bracket holds one root, and scalar._brent_root narrows it to
+    adjacent doubles, or to an exact zero, and returns the end with the
+    smaller |defect|.  Raises ValueError if the defect has the same sign at
+    both endpoints (the data violates the sandwich hypothesis).
     """
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
     alpha = float(profile.exponents.alpha)
-    r = x.grid.nodes
-    w = cell_volumes(x.grid)
-    sd = sphere_area(x.grid.d)
-    r2 = r**2
+    r = grid.nodes
 
     def g(D):
         q = _profile_ratio_minus_one(profile.D, D, alpha, r)
-        return sd * float(np.sum(w * (D + r2) ** alpha * (q + (1.0 + q) * x.values)))
+        wts = Weights.of(grid, Profile(exponents=profile.exponents, D=D))
+        return mass_defect_from_x(q + (1.0 + q) * x, wts)
 
     g1, g0 = g(D1), g(D0)
     if g1 == 0.0:

@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING
 from .exponents import _dimension, _number, lambda_continuum, sharp_rate
 
 if TYPE_CHECKING:
-    from .numerics import RadialField, RadialGrid
+    import numpy as np
+
+    from .numerics import RadialGrid
 
 __all__ = [
     "EigenMode",
@@ -206,20 +208,17 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
                           constraint_needed=constraint_needed)
 
 
-def mode_field(mode: EigenMode, grid: RadialGrid) -> RadialField:
-    """Sample the radial eigenfunction r^l * poly(r^2) on a grid."""
+def mode_field(mode: EigenMode, grid: RadialGrid) -> np.ndarray:
+    """The radial eigenfunction r^l * poly(r^2) at the nodes of a grid."""
     # numpy is loaded here, its only user, so the closed-form spectrum and
     # eigenfunction computations start without it
     import numpy as np
-
-    from .numerics import RadialField
 
     r = grid.nodes
     poly = np.zeros_like(r)
     for j, c in enumerate(reversed(mode.radial_poly)):
         poly = poly * r**2 + float(c)
-    values = r ** mode.l * poly
-    return RadialField(grid=grid, values=values, l=mode.l)
+    return r ** mode.l * poly
 
 
 def ode_residual(d: int, alpha, l: int, k: int) -> float:

@@ -246,18 +246,19 @@ def test_acceptance_variational_quotient_sharpness():
     w2 = 1.0 + grid.nodes**2
     mu = N.cell_volumes(grid) * w2 ** (-11.0)
 
+    wts = ENT.Weights.of(grid, p)
+
     def ratio_series(values, l):
-        f = N.RadialField(grid=grid, values=values, l=l)
         forms = N.assemble_sector_forms(grid, -10.0, 1.0, l)
         proj = values - np.sum(mu * values) / np.sum(mu)
-        rq = N.rayleigh_quotient(N.RadialField(grid=grid, values=proj, l=l), forms)
-        qs = [ENT.variational_quotient(f, n, p) for n in (100, 200, 400)]
+        rq = N.rayleigh_quotient(proj, forms)
+        qs = [ENT.variational_quotient(values, n, wts) for n in (100, 200, 400)]
         return qs, rq
 
     fams = {
         "gauss": (np.exp(-grid.nodes**2), 0),
         "ring": (np.exp(-((grid.nodes - 1.0) ** 2)), 0),
-        "mode01": (mode_field(discrete_mode(5, -10.0, 0, 1), grid).values, 0),
+        "mode01": (mode_field(discrete_mode(5, -10.0, 0, 1), grid), 0),
     }
     ratios, cauchy_ok, floor_ok = {}, True, True
     for name, (vals, l) in fams.items():

@@ -65,6 +65,12 @@ def test_parse_config_rejections():
         parse_config("m = 1.5")
     with pytest.raises(ConfigError, match="D0 > D1"):
         parse_config("D0 = 0.5\nD1 = 2.0")
+    # eigen data of sector l >= 1, which the radial flow cannot carry,
+    # refused with its key named; a mode of the linear flow's sector l = 1
+    # parses
+    with pytest.raises(ConfigError, match=r"data\.mode_l = 1: .*\(l, k\) = \(1, 1\)"):
+        parse_config("data.kind = eigen\ndata.mode_l = 1")
+    assert parse_config("data.kind = mode\ndata.mode_l = 1")["data.mode_l"] == 1
     with pytest.raises(ConfigError, match="window"):
         parse_config("fit.window_start = 0.5")
     # a fit window outside the run [0, time.t_end], refused with its key named
@@ -546,6 +552,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     for extra, msg in ((["--D", "0"], "D must be positive, got 0.0"),
                        (["--f", "mode:1"], "argument --f: expected gauss, ring "
                                            "or mode:l,k"),
+                       # a mode outside the radial sector of the functionals
+                       (["--f", "mode:1,0"], "argument --f: mode:1,0 lies in "
+                                             "sector l = 1"),
                        (["--n", "10,x"], "argument --n: expected comma-separated "
                                          "positive integers, got '10,x'"),
                        (["--n", "0"], "argument --n"),
@@ -646,6 +655,9 @@ _BAD_RUN_CFG = [
     ("data.epsilon = 0.05", "data.epsilon = nan",
      "line 6: bad value for data.epsilon: expected a finite number, got 'nan'"),
     (None, "sector.l = -1", "line 14: sector.l must be >= 0, got -1"),
+    (None, "data.mode_l = 1",
+     "data.mode_l = 1: eigen data take a radial mode (l = 0), got mode (l, k) = "
+     "(1, 1); the radial flow cannot carry sector l = 1"),
 ]
 
 

@@ -231,14 +231,15 @@ def test_calibrate_uniform_constant():
 
 def test_variational_quotient_converges_and_bounded_below():
     g = N.build_grid(50.0, 600, 5)
-    f = N.RadialField(grid=g, values=np.exp(-g.nodes**2))
-    qs = [variational_quotient(f, n, P1) for n in (50, 100, 200, 400)]
+    f = np.exp(-g.nodes**2)
+    wts = Weights.of(g, P1)
+    qs = [variational_quotient(f, n, wts) for n in (50, 100, 200, 400)]
     assert all(q >= 2.0 for q in qs)
     # Cauchy at rate O(1/n): consecutive gaps roughly halve
     gaps = [abs(qs[i] - qs[i + 1]) for i in range(3)]
     assert gaps[1] < 0.8 * gaps[0] and gaps[2] < 0.8 * gaps[1]
     with pytest.raises(ValueError):
-        variational_quotient(f, 0, P1)
+        variational_quotient(f, 0, wts)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +301,10 @@ def _ref_sandwich(x, grid, p):
     )
 
 
-def _ref_variational_quotient(f, n, p):
-    grid = f.grid
+def _ref_variational_quotient(f, grid, n, p):
     w2 = p.D + grid.nodes**2
     mu = N.cell_volumes(grid) * w2 ** (float(p.exponents.alpha) - 1.0)
-    vals = f.values - np.sum(mu * f.values) / np.sum(mu)
+    vals = f - np.sum(mu * f) / np.sum(mu)
     x = vals / (n * (p.D + grid.nodes**2))
     return _ref_fisher(x, grid, p) / _ref_entropy(x, grid, p)
 
@@ -318,7 +318,7 @@ def test_shared_weights_functionals_equal_inline_formulas(d, D):
               -0.3 * np.exp(-(r - 1.0) ** 2) + 0.05 * np.cos(r),
               3e-5 * np.exp(-r),  # the Taylor branch of the entropy
               np.zeros_like(r))
-    f = N.RadialField(grid=g, values=np.exp(-r**2))
+    f = np.exp(-r**2)
     for m in (0.0, 0.5, 0.9):
         p = Profile(exponents=derive_exponents(d, m), D=D)
         wts = Weights.of(g, p)
@@ -329,4 +329,4 @@ def test_shared_weights_functionals_equal_inline_formulas(d, D):
             assert (dataclasses.astuple(sandwich_from_x(x, wts))
                     == dataclasses.astuple(_ref_sandwich(x, g, p)))
         for n in (50, 400):
-            assert variational_quotient(f, n, p) == _ref_variational_quotient(f, n, p)
+            assert variational_quotient(f, n, wts) == _ref_variational_quotient(f, g, n, p)

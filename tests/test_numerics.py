@@ -199,15 +199,14 @@ def test_rayleigh_quotient_eigen_oracle():
     d, alpha = 5, -6.0
     g = N.build_grid(60.0, 1200, d)
     forms = N.assemble_sector_forms(g, alpha, 1.0, 1)
-    f = N.RadialField(grid=g, values=g.nodes.copy(), l=1)
-    assert N.rayleigh_quotient(f, forms) == pytest.approx(12.0, rel=2e-4)
+    assert N.rayleigh_quotient(g.nodes, forms) == pytest.approx(12.0, rel=2e-4)
 
 
 def test_rayleigh_zero_norm_rejected():
     g = N.build_grid(30.0, 100, 5)
     forms = N.assemble_sector_forms(g, -4.0, 1.0, 0)
     with pytest.raises(ZeroDivisionError):
-        N.rayleigh_quotient(N.RadialField(grid=g, values=np.zeros(101)), forms)
+        N.rayleigh_quotient(np.zeros(101), forms)
 
 
 def test_bottom_eigenvalue_dense_vs_iterative():
@@ -216,10 +215,9 @@ def test_bottom_eigenvalue_dense_vs_iterative():
         g = N.build_grid(40.0, 200, d)
         forms = N.assemble_sector_forms(g, alpha, 1.0, l)
         lam_d, v_d = dense_bottom(forms)
-        lam_i, f_i = N.bottom_eigenvalue(forms)
+        lam_i, v_i = N.bottom_eigenvalue(forms)
         assert lam_i == pytest.approx(lam_d, rel=1e-10)
         # eigenvectors agree up to sign
-        v_i = f_i.values
         sgn = math.copysign(1.0, float(v_d @ v_i))
         assert np.allclose(v_i, sgn * v_d, atol=1e-6 * np.max(np.abs(v_d)))
 
@@ -285,8 +283,7 @@ def test_sector_bottom_discrete_mode():
     # (d, alpha) = (5, -6): l=1 bottom is the discrete mode at -2*alpha = 12
     lam, f = N.sector_bottom(5, -6.0, 1.0, 1, R_max=60.0, N=800)
     assert lam == pytest.approx(12.0, rel=2e-4)
-    assert f.values[0] == 0.0  # Dirichlet at the origin
-    assert f.l == 1
+    assert f[0] == 0.0  # Dirichlet at the origin
 
 
 def test_sector_bottom_scale_invariance():

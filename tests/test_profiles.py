@@ -1,13 +1,18 @@
 """Tests for profiles, rescaling maps, and mass-defect matching."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdrates
 import fdrates.flow as FL
 import fdrates.numerics as N
 import fdrates.scalar as S
@@ -137,7 +142,7 @@ def test_mass_defect_sign_and_zero():
     assert mass_defect_from_x(hi, wts) > 0 > mass_defect_from_x(lo, wts)
 
 
-def _reference_solve_D(x, profile, D0, D1):
+def _reference_solve_D(grid, x, profile, D0, D1):
     """The Brent search on the public mass defect: each evaluation
     re-expresses the data x, given relative to profile, relative to a new
     Profile V_D' as x' = q + (1+q) x with q = V_D/V_D' - 1, and evaluates
@@ -145,12 +150,12 @@ def _reference_solve_D(x, profile, D0, D1):
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
     alpha = float(profile.exponents.alpha)
-    r = x.grid.nodes
+    r = grid.nodes
 
     def g(D):
         q = np.expm1(alpha * np.log1p((profile.D - D) / (D + r**2)))
         p = Profile(exponents=profile.exponents, D=D)
-        return mass_defect_from_x(q + (1.0 + q) * x.values, Weights.of(x.grid, p))
+        return mass_defect_from_x(q + (1.0 + q) * x, Weights.of(grid, p))
 
     glo, ghi = g(D1), g(D0)
     if glo == 0.0:
@@ -165,12 +170,11 @@ def _reference_solve_D(x, profile, D0, D1):
     return S._brent_root(g, D1, glo, D0, ghi)
 
 
-def _absolute_solve_D(v0, exponents, D0, D1):
+def _absolute_solve_D(grid, v0, exponents, D0, D1):
     """solve_D as first written, on absolute values: the zero of
     int (v - V_D) dx, here by the same Brent search."""
     def g(D):
-        grid = v0.grid
-        diff = v0.values - Profile(exponents=exponents, D=D)(grid.nodes)
+        diff = v0 - Profile(exponents=exponents, D=D)(grid.nodes)
         return N.sphere_area(grid.d) * float(np.sum(N.cell_volumes(grid) * diff))
 
     return S._brent_root(g, D1, g(D1), D0, g(D0))
@@ -185,8 +189,8 @@ def _outcome(solve, *args):
 
 def _relative(grid, profile, D):
     """The profile V_D as data relative to profile: V_D/V_profile - 1."""
-    return N.RadialField(grid=grid, values=_profile_ratio_minus_one(
-        D, profile.D, float(profile.exponents.alpha), grid.nodes))
+    return _profile_ratio_minus_one(D, profile.D, float(profile.exponents.alpha),
+                                    grid.nodes)
 
 
 def test_solve_D_matches_reference(monkeypatch):
@@ -198,22 +202,21 @@ def test_solve_D_matches_reference(monkeypatch):
         e = derive_exponents(d, m)
         grid = N.build_grid(20.0, n, d)
         p1 = Profile(exponents=e, D=1.0)
-        blend = N.RadialField(grid=grid, values=0.5 * (
-            _relative(grid, p1, 1.7).values + _relative(grid, p1, 0.6).values))
+        blend = 0.5 * (_relative(grid, p1, 1.7) + _relative(grid, p1, 0.6))
         for x, D0, D1 in ((blend, 1.7, 0.6), (blend, 1.3, 0.5),
                           (_relative(grid, p1, 2.3), 2.5, 0.5)):
-            got = _outcome(solve_D, x, p1, D0, D1)
+            got = _outcome(solve_D, grid, x, p1, D0, D1)
             assert isinstance(got, float)
-            assert _outcome(_reference_solve_D, x, p1, D0, D1) == got
+            assert _outcome(_reference_solve_D, grid, x, p1, D0, D1) == got
             # on these moderate domains the absolute search, which the
             # relative one replaced, matches the same D to within the rounding
             # of v - V_D, which it forms: up to 6 ulps on these cases
-            v = N.RadialField(grid=grid, values=p1(grid.nodes) * (1.0 + x.values))
-            assert abs(_absolute_solve_D(v, e, D0, D1) - got) <= 8 * math.ulp(got)
+            v = p1(grid.nodes) * (1.0 + x)
+            assert abs(_absolute_solve_D(grid, v, e, D0, D1) - got) <= 8 * math.ulp(got)
         # the same-sign bracket is refused with the same message
         x = _relative(grid, p1, 0.1)
-        want = _outcome(_reference_solve_D, x, p1, 2.0, 0.5)
-        assert want[0] is ValueError and _outcome(solve_D, x, p1, 2.0, 0.5) == want
+        want = _outcome(_reference_solve_D, grid, x, p1, 2.0, 0.5)
+        assert want[0] is ValueError and _outcome(solve_D, grid, x, p1, 2.0, 0.5) == want
         # initial data matched through either search is the same state
         for kind in ("profile-blend", "bump"):
             states = []
@@ -229,7 +232,7 @@ def test_solve_D_recovers_exact_profile():
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(40.0, 800, 5)
     p1 = Profile(exponents=e, D=1.0)
-    D = solve_D(_relative(grid, p1, 1.37), p1, D0=2.0, D1=0.5)
+    D = solve_D(grid, _relative(grid, p1, 1.37), p1, D0=2.0, D1=0.5)
     assert D == pytest.approx(1.37, rel=1e-9)
 
 
@@ -240,8 +243,8 @@ def test_solve_D_midpoint_oracle():
     e = derive_exponents(5, 0.9)
     grid = N.build_grid(60.0, 2400, 5)
     p1 = Profile(exponents=e, D=1.0)
-    x = 0.5 * (_relative(grid, p1, 2.0).values + _relative(grid, p1, 0.5).values)
-    D = solve_D(N.RadialField(grid=grid, values=x), p1, D0=2.0, D1=0.5)
+    x = 0.5 * (_relative(grid, p1, 2.0) + _relative(grid, p1, 0.5))
+    D = solve_D(grid, x, p1, D0=2.0, D1=0.5)
     closed = ((2.0**-7.5 + 0.5**-7.5) / 2.0) ** (-1.0 / 7.5)
     assert closed == pytest.approx(0.5484102583897682, rel=1e-15)
     assert D == pytest.approx(closed, rel=2e-6)
@@ -253,6 +256,17 @@ def test_solve_D_rejections():
     p1 = Profile(exponents=e, D=1.0)
     x = _relative(grid, p1, 0.1)
     with pytest.raises(ValueError):
-        solve_D(x, p1, D0=2.0, D1=0.5)  # defect positive at both ends
+        solve_D(grid, x, p1, D0=2.0, D1=0.5)  # defect positive at both ends
     with pytest.raises(ValueError):
-        solve_D(x, p1, D0=0.5, D1=2.0)  # inverted bracket
+        solve_D(grid, x, p1, D0=0.5, D1=2.0)  # inverted bracket
+
+
+@pytest.mark.parametrize("first", ["fdrates.profiles", "fdrates.entropy"])
+def test_profiles_and_entropy_import_in_either_order(first):
+    # profiles takes the mass defect from entropy, which names Profile only
+    # for type checking, so a fresh process may import either module first
+    src = str(Path(fdrates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import {first}\nimport fdrates.entropy, fdrates.profiles"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

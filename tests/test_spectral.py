@@ -140,8 +140,7 @@ def test_mode_field_matches_polynomial():
     mode = discrete_mode(5, Fraction(-10), 0, 1)
     f = mode_field(mode, grid)
     r = grid.nodes
-    assert np.allclose(f.values, 1.0 - 3.0 * r**2, rtol=1e-14, atol=1e-14)
-    assert f.l == 0
+    assert np.allclose(f, 1.0 - 3.0 * r**2, rtol=1e-14, atol=1e-14)
 
 
 def test_ode_residual_exact_modes():
