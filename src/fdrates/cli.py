@@ -171,7 +171,6 @@ _CONFIG_KEYS = {
     "data.clip": (lambda s: _BOOL[s.lower()], True, None),
     "grid.R_max": (_finite, 100.0, _POSITIVE),
     "grid.N": (int, 800, (">= 16", lambda n: n >= 16)),
-    "grid.grading": (_one_of("sinh", "uniform"), "sinh", None),
     "sector.l": (int, 0, _NONNEGATIVE),
     "time.dt": (_finite, 1e-3, None),
     "time.t_end": (_finite, 1.0, None),
@@ -211,8 +210,9 @@ def parse_config(text: str) -> RunConfig:
 
     Each value is checked as it is read, by its key's parser and range; then
     scalar._schedule checks the time axis, whether or not the command runs
-    a flow, and _validate_config the constraints across keys.  Raises
-    ConfigError naming the key, and its line when the text sets it.
+    a flow, and _validate_config the constraints across keys, the fit window
+    on that time axis among them.  Raises ConfigError naming the key, and
+    its line when the text sets it.
     """
     from . import scalar
 
@@ -245,20 +245,22 @@ def parse_config(text: str) -> RunConfig:
         values[key] = value
     cfg = RunConfig(values)
     try:
-        scalar._schedule(0.0, cfg["time.t_end"], cfg["time.dt"],
-                         cfg["output.cadence"])
+        schedule = scalar._schedule(0.0, cfg["time.t_end"], cfg["time.dt"],
+                                    cfg["output.cadence"])
     except scalar.ScheduleError as e:
         key = _TIME_KEYS[e.parameter]
         if key in seen:
             raise ConfigError(f"line {seen[key]}: bad value for {key}: {e}") from None
         raise ConfigError(f"bad value for {key} (default {cfg[key]}): {e}") from None
-    _validate_config(cfg)
+    _validate_config(cfg, schedule)
     return cfg
 
 
-def _validate_config(v: RunConfig):
+def _validate_config(v: RunConfig, schedule):
     """The constraints across keys: the bracket D0 > D1, a radial eigen mode,
-    both or neither end of the fit window, and the window in [0, time.t_end]."""
+    both or neither end of the fit window, and a window that entropy.fit_rate
+    takes (scalar._window_rows) on the rows t = j*cadence, j = 0..n_rec, of
+    schedule = (cadence, n_sub, n_rec), the rows that a flow records."""
     from . import scalar
 
     D0, D1 = v.get("D0"), v.get("D1")
@@ -274,15 +276,13 @@ def _validate_config(v: RunConfig):
         raise ConfigError("set both fit.window_start and fit.window_end or neither")
     if w0 is None:
         return
-    if not w0 < w1:
-        raise ConfigError(f"fit window must be increasing, got [{w0}, {w1}]")
-    # refuse, within entropy.fit_rate's tolerance, a window outside the trace
-    t_end = v["time.t_end"]
-    tol = scalar._time_tol(t_end)
-    if w0 < -tol:
-        raise ConfigError(f"fit.window_start = {w0} lies before the run start t = 0")
-    if w1 > t_end + tol:
-        raise ConfigError(f"fit.window_end = {w1} lies beyond time.t_end = {t_end}")
+    cadence, _, n_rec = schedule
+    try:
+        scalar._window_rows([j * cadence for j in range(n_rec + 1)], (w0, w1),
+                            v["fit.kind"])
+    except ValueError as e:
+        raise ConfigError(f"fit.window_start = {w0}, fit.window_end = {w1}: "
+                          f"{e}") from None
 
 
 def _load_config(path: str) -> RunConfig:
@@ -303,17 +303,19 @@ def _cmd_constants(args):
         "m_2": float(e.m_2), "alpha_star": float(e.alpha_star),
         "alpha_1": float(e.alpha_1), "alpha_2": float(e.alpha_2),
         "regime": e.regime.value, "log_limit": e.log_limit,
-        "Lambda": float(exp_mod.sharp_rate(e.d, e.alpha)),
         "lambda_cont": float(exp_mod.lambda_continuum(e.d, e.alpha)),
     }
+    if e.regime is not exp_mod.Regime.CRITICAL:  # at m_star the gap closes
+        out["Lambda"] = float(exp_mod.sharp_rate(e.d, e.alpha))
     try:
         imp = spec.improved_constant(e.d, e.alpha)
         out["Lambda_improved"] = float(imp)
         out["improved_flag"] = imp.discrepancy_flag
     except ValueError:
         pass
-    if args.format == "json":
-        return json.dumps(out, sort_keys=True)
+    if args.format == "json":  # JSON has no -inf, the m_star of d <= 2
+        return json.dumps(dict(out, m_star=out["m_star"] if e.d > 2 else None),
+                          sort_keys=True, allow_nan=False)
     return [], ["key", "value"], sorted(out.items())
 
 
@@ -332,7 +334,7 @@ def _cmd_spectrum(args):
             "gap_source": list(report.gap_source),
             "constraint_needed": report.constraint_needed,
             "modes": [dict(zip(header, row)) for row in rows],
-        }, sort_keys=True)
+        }, sort_keys=True, allow_nan=False)
     echo = [("d", args.d), ("alpha", args.alpha),
             ("sharp_constant", report.sharp_constant),
             ("continuum_bottom", report.continuum_bottom),
@@ -373,7 +375,6 @@ def _config_grid(cfg: RunConfig, d: int):
     from . import numerics as num
 
     return num.build_grid(cfg["grid.R_max"], cfg["grid.N"], d,
-                          grading=cfg["grid.grading"],
                           scale=math.sqrt(cfg["D"]))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exponents import ExponentSet
 from .numerics import RadialGrid, cell_volumes, face_geometry, sphere_area
-from .scalar import GronwallParams, _time_tol, xy_functions
+from .scalar import GronwallParams, _window_rows, xy_functions
 
 if TYPE_CHECKING:
     # only here: profiles imports this module for solve_D's mass defect
@@ -211,36 +211,20 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
 
     kind "exp" fits log F = a - rate*t and returns the decay rate (positive
     for decaying F); kind "loglog" fits log F = a + slope*log t and returns
-    the algebraic slope (negative for decaying F).  Windows that reach
-    beyond the trace's [t_0, t_end] by more than scalar._time_tol(t_end - t_0),
-    the tolerance of the flows' time schedule, and windows with fewer than 10
-    positive samples are refused.  A row belongs to the window when its time
-    lies within the same tolerance of it, so a row whose time rounds just
-    past a window end, as j*0.1 for j = 12 does past 1.2, is kept.
+    the algebraic slope (negative for decaying F).  It takes the rows of the
+    window, as scalar._window_rows finds and checks them on trace.t, that
+    have F > 0, and refuses fewer than 10 of them.
     """
-    t0, t1 = window
-    first, last = float(trace.t[0]), float(trace.t[-1])
-    tol = _time_tol(last - first)
-    if t0 < first - tol:
-        raise ValueError(f"fit window start {t0} lies before the trace start "
-                         f"t = {first}")
-    if t1 > last + tol:
-        raise ValueError(f"fit window end {t1} lies beyond the trace end "
-                         f"t = {last}")
-    mask = (trace.t >= t0 - tol) & (trace.t <= t1 + tol) & (trace.entropy > 0)
-    t = trace.t[mask]
-    F = trace.entropy[mask]
+    if kind not in ("exp", "loglog"):
+        raise ValueError(f"unknown fit kind {kind!r}")
+    rows = _window_rows(trace.t, window, kind)
+    F = trace.entropy[rows.start:rows.stop]
+    usable = F > 0
+    t, F = trace.t[rows.start:rows.stop][usable], F[usable]
     if len(t) < 10:
         raise ValueError(f"window {window} has {len(t)} usable samples; need >= 10")
     y = np.log(F)
-    if kind == "exp":
-        xcol = t
-    elif kind == "loglog":
-        if np.any(t <= 0):
-            raise ValueError("loglog fit needs strictly positive times")
-        xcol = np.log(t)
-    else:
-        raise ValueError(f"unknown fit kind {kind!r}")
+    xcol = t if kind == "exp" else np.log(t)
     M = np.column_stack([xcol, np.ones_like(xcol)])
     coef, *_ = np.linalg.lstsq(M, y, rcond=None)
     resid = y - M @ coef
@@ -249,7 +233,7 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     slope = float(coef[0])
     rate = -slope if kind == "exp" else slope
-    return FitResult(rate=rate, r2=r2, window=(float(t0), float(t1)), kind=kind,
+    return FitResult(rate=rate, r2=r2, window=tuple(map(float, window)), kind=kind,
                      n_samples=int(len(t)))
 
 

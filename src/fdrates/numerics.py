@@ -88,31 +88,21 @@ class RadialGrid:
         return len(self.nodes) - 1
 
 
-def build_grid(R_max: float, N: int, d: int, grading: str = "sinh",
-               scale: float = 1.0) -> RadialGrid:
-    """Build a radial grid on [0, R_max] with N cells.
-
-    grading "sinh" (the default) places nodes at r = scale*sinh(s) with s
-    uniform in the stretched coordinate: nodes cluster near the origin and
-    stretch toward R_max, and doubling N nests the grid.  "uniform" places
-    them at r = i*R_max/N.
-    """
+def build_grid(R_max: float, N: int, d: int, scale: float = 1.0) -> RadialGrid:
+    """Build a radial grid on [0, R_max] with N cells, its nodes at
+    r = scale*sinh(s), s uniform on [0, asinh(R_max/scale)]: they cluster near
+    the origin and stretch toward R_max, where the critical case's algebraic
+    tails reach, and doubling N nests the grid."""
     if not R_max > 0:
         raise ValueError(f"R_max must be positive, got {R_max}")
     if N < 16:
         raise ValueError(f"need at least 16 cells, got N = {N}")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    if grading == "uniform":
-        r = np.linspace(0.0, R_max, N + 1)
-    elif grading == "sinh":
-        S = math.asinh(R_max / scale)
-        s = np.linspace(0.0, S, N + 1)
-        r = scale * np.sinh(s)
-        r[0] = 0.0
-        r[-1] = R_max
-    else:
-        raise ValueError(f"unknown grading {grading!r}")
+    s = np.linspace(0.0, math.asinh(R_max / scale), N + 1)
+    r = scale * np.sinh(s)
+    r[0] = 0.0
+    r[-1] = R_max
     return RadialGrid(nodes=r, d=int(d))
 
 
@@ -396,7 +386,7 @@ def sector_bottom(d: int, alpha: float, D: float, l: int, R_max: float, N: int):
     regardless of whether the measure is finite on the whole space; the
     mean-zero bottom is the quantity the closed-form constants describe.
     """
-    grid = build_grid(R_max, N, d, grading="sinh", scale=math.sqrt(D))
+    grid = build_grid(R_max, N, d, scale=math.sqrt(D))
     return bottom_eigenvalue(assemble_sector_forms(grid, alpha, D, l))
 
 
@@ -508,7 +498,7 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
     ls = [l for l in range(l_max + 1) if multiplicity(d, l) > 0]
     lams = {l: [] for l in ls}
     for R in radii:
-        grid = build_grid(R, N, d, grading="sinh", scale=scale)
+        grid = build_grid(R, N, d, scale=scale)
         for forms in _assemble_sectors(grid, alpha, D, ls):
             lams[forms.l].append(bottom_eigenvalue(forms)[0])
     sectors = []

@@ -1,13 +1,13 @@
 """The scalar steps from the sharp constant to decay rates, in Python floats.
 
-The time-axis check shared by the flows, the Gronwall integrator and the run
-configuration (_schedule); the one root finder of the package, a bracketed
-Brent search (_brent_root), which matches D to initial data
-(profiles.solve_D) and solves the quantization fit of the domain
-extrapolation (numerics._quantization_fit); the Gronwall comparison ODE,
-which turns a rate Lambda and the comparison functions X, Y into a bound on
-the entropy; and the self-similar change of variables between original
-(tau, y, u) and rescaled (t, x, v) coordinates.
+The time-axis check of the flows, the Gronwall integrator and the run
+configuration (_schedule), and the fit-window check of fit_rate and the run
+configuration (_window_rows); the one root finder, a bracketed Brent search
+(_brent_root), which matches D to initial data (profiles.solve_D) and solves
+the quantization fit of the domain extrapolation (numerics._quantization_fit);
+the Gronwall comparison ODE, which turns a rate Lambda and the comparison
+functions X, Y into a bound on the entropy; and the self-similar change of
+variables between original (tau, y, u) and rescaled (t, x, v) coordinates.
 
 This module imports no numpy, so the gronwall and rescale commands start
 without it.  gronwall_bound returns its columns as array('d') buffers, 8 bytes
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .exponents import ExponentSet, Regime
@@ -99,6 +100,29 @@ def _schedule(t0, t_end, dt, cadence):
         raise ScheduleError("dt", f"t_end - t = {span} is not an integer "
                                   f"multiple of the time step dt = {dt}")
     return cadence, n_sub, n_rec
+
+
+def _window_rows(times, window, kind):
+    """The range of rows of the increasing time axis times that the fit
+    window (w0, w1) takes, for entropy.fit_rate and the run configuration.
+    A row within tol = _time_tol(times[-1] - times[0]) of the window counts,
+    as j*0.1 for j = 12 does, just past 1.2.  Raises ValueError for a window
+    beyond the axis by more than tol, with fewer than 10 rows (so one that
+    does not increase), or of kind "loglog" with a row at t <= 0; rows with
+    F <= 0 count here too, as fit_rate drops them only after this check."""
+    w0, w1 = window
+    first, last = float(times[0]), float(times[-1])
+    tol = _time_tol(last - first)
+    if w0 < first - tol:
+        raise ValueError(f"fit window start {w0} lies before the trace start t = {first}")
+    if w1 > last + tol:
+        raise ValueError(f"fit window end {w1} lies beyond the trace end t = {last}")
+    rows = range(bisect_left(times, w0 - tol), bisect_right(times, w1 + tol))
+    if len(rows) < 10:
+        raise ValueError(f"fit window [{w0}, {w1}] has {len(rows)} rows; need >= 10")
+    if kind == "loglog" and times[rows[0]] <= 0:
+        raise ValueError("loglog fit needs strictly positive times")
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -39,7 +40,6 @@ def test_parse_config_roundtrip():
     # m and alpha are read exactly, as --m and --alpha are
     assert cfg["d"] == 5 and cfg["m"] == Fraction(9, 10)
     assert cfg["data.match_D"] is False
-    assert cfg["grid.grading"] == "sinh"  # default preserved
     e = cfg.exponent_set()
     assert e.alpha == -10
     echo = "\n".join(f"# {k}={cli._fmt(v)}" for k, v in cfg.echo())
@@ -73,11 +73,14 @@ def test_parse_config_rejections():
     assert parse_config("data.kind = mode\ndata.mode_l = 1")["data.mode_l"] == 1
     with pytest.raises(ConfigError, match="window"):
         parse_config("fit.window_start = 0.5")
-    # a fit window outside the run [0, time.t_end], refused with its key named
-    with pytest.raises(ConfigError,
-                       match="fit.window_end = 5.0 lies beyond time.t_end = 0.25"):
+    # a fit window outside the run [0, time.t_end], refused with its keys named
+    with pytest.raises(ConfigError, match=re.escape(
+            "fit.window_start = 0.1, fit.window_end = 5.0: fit window end 5.0 "
+            "lies beyond the trace end t = 0.25")):
         parse_config("time.t_end = 0.25\nfit.window_start = 0.1\nfit.window_end = 5")
-    with pytest.raises(ConfigError, match="fit.window_start = -0.1 lies before"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "fit.window_start = -0.1, fit.window_end = 0.5: fit window start -0.1 "
+            "lies before the trace start t = 0.0")):
         parse_config("fit.window_start = -0.1\nfit.window_end = 0.5")
     # within entropy.fit_rate's tolerance, 1e-9 max(t_end, 1), the window holds
     parse_config("time.t_end = 0.25\nfit.window_start = -1e-10\n"
@@ -86,7 +89,8 @@ def test_parse_config_rejections():
         parse_config("d = 5\ndata.kind = mdoe")
     with pytest.raises(ConfigError, match="line 2: bad value for fit.kind: 'lolog'"):
         parse_config("d = 5\nfit.kind = lolog")
-    with pytest.raises(ConfigError, match="line 1: bad value for grid.grading: 'cosh'"):
+    # the grid has no grading to choose: the key is unknown
+    with pytest.raises(ConfigError, match="line 1: unknown key 'grid.grading'"):
         parse_config("grid.grading = cosh")
     with pytest.raises(ConfigError):
         parse_config("m = 0.9\nalpha = -10").exponent_set()  # both given
@@ -175,6 +179,33 @@ def test_constants_json(capsys):
     assert out["lambda_cont"] == 289.0 / 4.0
     assert out["Lambda_improved"] == 30.0
     assert out["regime"] == "good"
+
+
+def test_constants_at_the_critical_exponent(capsys):
+    # at m* = (d-4)/(d-2) the spectral gap closes: every other constant is
+    # printed, Lambda is not
+    for d, m_star in ((3, "-1"), (4, "0"), (5, "1/3"), (6, "1/2")):
+        assert main(["constants", "--d", str(d), "--m", m_star]) == 0, d
+        rows = capsys.readouterr().out.splitlines()
+        assert "regime,critical" in rows and "lambda_cont,0" in rows, d
+        assert not any(r.startswith("Lambda") for r in rows), d
+        assert main(["constants", "--d", str(d), "--m", m_star,
+                     "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["regime"] == "critical" and "Lambda" not in out, d
+
+
+def test_constants_json_is_strict(capsys):
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    for d in (1, 2, 3, 5):
+        assert main(["constants", "--d", str(d), "--m", "0", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        # m* = -inf for d <= 2, which JSON cannot hold
+        assert (out["m_star"] is None) == (d <= 2), d
+    # the CSV keeps -inf
+    assert main(["constants", "--d", "2", "--m", "0"]) == 0
+    assert "m_star,-inf" in capsys.readouterr().out.splitlines()
 
 
 def _process_env(**extra):
@@ -569,8 +600,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(flow_mod, "make_initial_data", None)
         assert main(["evolve", "--config", late]) == 1
-    assert ("fit.window_end = 5.0 lies beyond time.t_end = 0.05"
-            in capsys.readouterr().err)
+    assert ("fit.window_start = 0.0, fit.window_end = 5.0: fit window end 5.0 "
+            "lies beyond the trace end t = 0.05" in capsys.readouterr().err)
     # 2: a singular Newton system fails the step, and dt halving gives up
     import scipy.linalg
 
@@ -623,11 +654,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     typo.write_text(typo.read_text().replace("data.kind = eigen", "data.kind = mdoe"))
     assert main(["evolve", "--config", str(typo)]) == 1
     assert "line 5: bad value for data.kind: 'mdoe'" in capsys.readouterr().err
-    # 1: a fit.kind or grid.grading typo, refused before any flow runs
-    for key, val in (("fit.kind", "lolog"), ("grid.grading", "cosh")):
-        typo = Path(_evolve_config(tmp_path, f"{key} = {val}\n"))
+    # 1: a fit.kind typo, or the retired grid.grading key, refused before
+    # any flow runs
+    for line, msg in (("fit.kind = lolog", "bad value for fit.kind: 'lolog'"),
+                      ("grid.grading = cosh", "unknown key 'grid.grading'")):
+        typo = Path(_evolve_config(tmp_path, f"{line}\n"))
         assert main(["evolve", "--config", str(typo)]) == 1
-        assert f"line 12: bad value for {key}: '{val}'" in capsys.readouterr().err
+        assert f"line 12: {msg}" in capsys.readouterr().err
     lin.write_text("d = 5\nalpha = -10\nsector.l = 1\nfit.kind = lolog\n")
     assert main(["evolve-linear", "--config", str(lin)]) == 1
     assert "line 4: bad value for fit.kind: 'lolog'" in capsys.readouterr().err
@@ -658,6 +691,13 @@ _BAD_RUN_CFG = [
     (None, "data.mode_l = 1",
      "data.mode_l = 1: eigen data take a radial mode (l = 0), got mode (l, k) = "
      "(1, 1); the radial flow cannot carry sector l = 1"),
+    # fit windows that entropy.fit_rate would refuse after the run
+    ("fit.window_start = 0.1", "fit.window_start = 0\nfit.kind = loglog",
+     "fit.window_start = 0.0, fit.window_end = 0.22: loglog fit needs strictly "
+     "positive times"),
+    ("output.cadence = 0.005", "output.cadence = 0.025",
+     "fit.window_start = 0.1, fit.window_end = 0.22: fit window [0.1, 0.22] has "
+     "5 rows; need >= 10"),
 ]
 
 
@@ -679,6 +719,64 @@ def test_bad_config_values_exit_1_before_any_flow(tmp_path, capsys, monkeypatch)
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"fdrates: error: {msg}\n", (new, command)
+
+
+def test_config_and_fit_rate_refuse_the_same_windows():
+    # over a spread of time axes and windows, the config refuses a window
+    # exactly when fit_rate refuses it on the trace the flow records, whose
+    # rows are the config's rows j*cadence
+    import numpy as np
+
+    from fdrates import numerics
+    from fdrates.entropy import fit_rate
+
+    rng = random.Random(20261019)
+    grid = numerics.build_grid(15.0, 16, 5)
+    seen = set()
+    for _ in range(120):
+        dt = rng.choice([0.1, 0.05, 1e-3, 2e-4, 0.3, 1.0 / 3.0])
+        n_sub, n_rec = rng.randint(1, 4), rng.randint(1, 40)
+        t_end, cadence = n_sub * n_rec * dt, n_sub * dt
+        kind = rng.choice(["exp", "loglog"])
+
+        def end():
+            # mostly a row time, the first, the last or any, or one off it by
+            # about the time tolerance
+            if rng.random() < 0.2:
+                return rng.uniform(-0.2 * t_end, 1.2 * t_end)
+            j = rng.choice([0, n_rec, rng.randint(0, n_rec)])
+            off = rng.choice([0.0, 5e-10, -5e-10, 2e-9, -2e-9]) * max(t_end, 1.0)
+            return j * cadence + off
+        window = (end(), end())
+        text = (f"d = 5\nalpha = -10\nsector.l = 1\ntime.dt = {dt!r}\n"
+                f"time.t_end = {t_end!r}\noutput.cadence = {cadence!r}\n"
+                f"fit.window_start = {window[0]!r}\n"
+                f"fit.window_end = {window[1]!r}\nfit.kind = {kind}\n")
+        try:
+            parse_config(text)
+            config_refuses = False
+        except ConfigError as e:
+            assert "window" in str(e), e  # and not the time axis
+            config_refuses = True
+        r = grid.nodes
+        state = flow_mod.LinearState(grid=grid, alpha=-10.0, D=1.0, l=1,
+                                     f=r * np.exp(-r**2))
+        trace = flow_mod.evolve_linear_sector(state, t_end, dt, cadence=cadence)
+        assert list(trace.t) == [j * cadence for j in range(n_rec + 1)]
+        try:
+            fit = fit_rate(trace, window, kind=kind)
+        except ValueError as e:
+            assert config_refuses, (text, e)
+            seen.update(why for why in ("before the trace start", "beyond the "
+                                        "trace end", "need >= 10", "positive times")
+                        if why in str(e))
+            continue
+        assert not config_refuses, text
+        assert fit.n_samples >= 10
+        seen.add("taken")
+    # the spread reaches each outcome
+    assert seen == {"taken", "before the trace start", "beyond the trace end",
+                    "need >= 10", "positive times"}, seen
 
 
 def test_bad_float_options_exit_1_naming_the_option(capsys):

@@ -14,21 +14,20 @@ from eigen_oracle import dense_bottom, lumped_shift_by_index, mass, stiffness
 
 
 def test_build_grid_basics():
-    g = N.build_grid(10.0, 64, 3, grading="uniform")
-    assert g.N == 64
-    assert g.R_max == 10.0
-    assert np.allclose(np.diff(g.nodes), 10.0 / 64)
-    s = N.build_grid(10.0, 64, 3)  # sinh default
-    assert s.nodes[0] == 0.0 and s.nodes[-1] == 10.0
-    assert np.all(np.diff(s.nodes) > 0)
-    # sinh grading clusters near the origin
-    assert s.nodes[32] < g.nodes[32]
+    for scale in (1.0, 0.5):
+        g = N.build_grid(10.0, 64, 3, scale=scale)
+        assert g.N == 64
+        assert g.R_max == 10.0
+        s = scale * np.sinh(np.linspace(0.0, math.asinh(10.0 / scale), 65))
+        assert np.array_equal(g.nodes[1:-1], s[1:-1])
+        assert g.nodes[0] == 0.0 and g.nodes[-1] == 10.0
+        assert np.all(np.diff(g.nodes) > 0)
+        # the sinh grid clusters near the origin
+        assert g.nodes[32] < 10.0 / 2
     with pytest.raises(ValueError):
         N.build_grid(10.0, 8, 3)
     with pytest.raises(ValueError):
         N.build_grid(-1.0, 64, 3)
-    with pytest.raises(ValueError):
-        N.build_grid(10.0, 64, 3, grading="log")
     for scale in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="scale must be positive"):
             N.build_grid(10.0, 64, 3, scale=scale)
@@ -50,7 +49,7 @@ def test_sphere_area():
 def test_cell_volumes_total():
     # sum of weights * sphere area = volume of the ball (f = 1, no weight)
     for d in (1, 2, 3, 5):
-        g = N.build_grid(2.0, 600, d, grading="uniform")
+        g = N.build_grid(2.0, 600, d)
         vol = N.sphere_area(d) * float(np.sum(N.cell_volumes(g)))
         exact = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * 2.0**d
         assert vol == pytest.approx(exact, rel=1e-4)
@@ -74,10 +73,10 @@ def test_weighted_quadrature_oracle_and_order():
 
 
 def test_face_geometry():
-    g = N.build_grid(4.0, 64, 3, grading="uniform")
+    g = N.build_grid(4.0, 64, 3)
     surf, h = N.face_geometry(g)
     assert len(surf) == len(h) == 64
-    assert np.allclose(h, 4.0 / 64)
+    assert np.array_equal(h, np.diff(g.nodes))
     assert surf[0] == pytest.approx((g.nodes[1] / 2) ** 2)
 
 
