@@ -107,20 +107,15 @@ def _matching(pattern: str, expected: str):
 
 
 def _quotient_function(text: str) -> str:
-    """quotient's --f: gauss, ring or a discrete mode:0,k of the radial sector,
-    where the entropy functionals live, other than the constant mode:0,0,
-    whose mean-zero part, the quotient's denominator, vanishes."""
-    name = _matching(r"gauss|ring|mode:\d+,\d+",
-                     "gauss, ring or mode:l,k with integers l, k >= 0")(text)
-    if name.startswith("mode:"):
-        l, k = map(int, name[5:].split(","))
-        if l:
-            raise argparse.ArgumentTypeError(
-                f"{text} lies in sector l = {l}; the quotient's entropy "
-                f"functionals are radial and take mode:0,k only")
-        if not k:
-            raise argparse.ArgumentTypeError(
-                f"{text} is the constant mode, whose mean-zero part vanishes")
+    """quotient's --f: gauss, ring or mode:k, the discrete mode (0, k) of the
+    radial sector, where the entropy functionals live, other than the
+    constant mode:0, whose mean-zero part, the quotient's denominator,
+    vanishes."""
+    name = _matching(r"gauss|ring|mode:\d+",
+                     "gauss, ring or mode:k with an integer k >= 1")(text)
+    if name.startswith("mode:") and not int(name[5:]):
+        raise argparse.ArgumentTypeError(
+            f"{text} is the constant mode, whose mean-zero part vanishes")
     return name
 
 
@@ -141,10 +136,11 @@ def _one_of(*names):
 # reads mode and starts every other kind from the generic f = r^l exp(-r^2)
 _DATA_KIND = _one_of("profile-blend", "eigen", "bump", "mode", "generic")
 
-# the initial-data keys; evolve-linear echoes in their place the start it read
+# the initial-data keys; data.mode_k is the k of the mode (0, k) of eigen, whose
+# flow is radial, and (sector.l, k) of mode.  evolve-linear echoes in their
+# place the start it read
 _DATA_KEYS = ("D0", "D1", "data.kind", "data.seed", "data.epsilon",
-              "data.amplitude", "data.mode_l", "data.mode_k", "data.match_D",
-              "data.clip")
+              "data.amplitude", "data.mode_k", "data.match_D", "data.clip")
 
 # limits of config values, (text, holds): a value v is refused unless holds(v)
 _POSITIVE = ("positive", lambda v: v > 0)
@@ -165,7 +161,6 @@ _CONFIG_KEYS = {
     "data.seed": (int, None, _NONNEGATIVE),
     "data.epsilon": (_finite, 0.05, None),
     "data.amplitude": (_finite, 0.1, None),
-    "data.mode_l": (int, 0, _NONNEGATIVE),
     "data.mode_k": (int, 1, _NONNEGATIVE),
     "data.match_D": (lambda s: _BOOL[s.lower()], True, None),
     "data.clip": (lambda s: _BOOL[s.lower()], True, None),
@@ -257,20 +252,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_config(v: RunConfig, schedule):
-    """The constraints across keys: the bracket D0 > D1, a radial eigen mode,
-    both or neither end of the fit window, and a window that entropy.fit_rate
-    takes (scalar._window_rows) on the rows t = j*cadence, j = 0..n_rec, of
+    """The constraints across keys: the bracket D0 > D1, both or neither end
+    of the fit window, and a window that entropy.fit_rate takes
+    (scalar._window_rows) on the rows t = j*cadence, j = 0..n_rec, of
     schedule = (cadence, n_sub, n_rec), the rows that a flow records."""
     from . import scalar
 
     D0, D1 = v.get("D0"), v.get("D1")
     if D0 is not None and D1 is not None and not D0 > D1:
         raise ConfigError(f"need D0 > D1, got D0={D0}, D1={D1}")
-    l, k = v["data.mode_l"], v["data.mode_k"]
-    if v["data.kind"] == "eigen" and l != 0:
-        raise ConfigError(f"data.mode_l = {l}: eigen data take a radial mode "
-                          f"(l = 0), got mode (l, k) = ({l}, {k}); the radial "
-                          f"flow cannot carry sector l = {l}")
     w0, w1 = v.get("fit.window_start"), v.get("fit.window_end")
     if (w0 is None) != (w1 is None):
         raise ConfigError("set both fit.window_start and fit.window_end or neither")
@@ -386,7 +376,7 @@ def _build_state(cfg: RunConfig):
     return flow_mod.make_initial_data(
         grid, e, cfg["data.kind"], D=cfg["D"], D0=cfg.get("D0"),
         D1=cfg.get("D1"), epsilon=cfg["data.epsilon"],
-        mode=(cfg["data.mode_l"], cfg["data.mode_k"]),
+        mode=(0, cfg["data.mode_k"]),
         amplitude=cfg["data.amplitude"], seed=cfg.get("data.seed"),
         clip=cfg["data.clip"], match_D=cfg["data.match_D"])
 
@@ -426,11 +416,7 @@ def _cmd_evolve_linear(args):
     l = cfg["sector.l"]
     echo = RunConfig({k: v for k, v in cfg.items() if k not in _DATA_KEYS})
     if cfg["data.kind"] == "mode":
-        echo.update({"data.kind": "mode", "data.mode_l": cfg["data.mode_l"],
-                     "data.mode_k": cfg["data.mode_k"]})
-        if cfg["data.mode_l"] != l:
-            raise ConfigError(f"data.mode_l = {cfg['data.mode_l']} differs from "
-                              f"sector.l = {l}; the mode must lie in the sector run")
+        echo.update({"data.kind": "mode", "data.mode_k": cfg["data.mode_k"]})
         mode = spec.discrete_mode(e.d, e.alpha, l, cfg["data.mode_k"])
         f0 = spec.mode_field(mode, grid)
     else:
@@ -456,17 +442,17 @@ def _cmd_entropy_report(args):
 
 
 def _cmd_gronwall(args):
-    from . import scalar
+    from .scalar import GronwallParams, gronwall_bound, h_star
 
     e = exp_mod.derive_exponents(args.d, args.m)
     Lambda = args.Lambda
     if Lambda is None:
         Lambda = exp_mod.sharp_rate(e.d, e.alpha)
-    params = scalar.GronwallParams(exponents=e, Lambda=Lambda, C_unif=args.C)
+    params = GronwallParams(exponents=e, Lambda=Lambda, C_unif=args.C)
     h0 = 1.0 + args.C * args.F0 ** params.e_unif
-    t, G = scalar.gronwall_bound(args.F0, h0, params, args.t_end, args.dt)
+    t, G = gronwall_bound(args.F0, h0, params, args.t_end, args.dt)
     echo = [("d", args.d), ("m", args.m), ("Lambda", Lambda), ("C", args.C),
-            ("F0", args.F0), ("h0", h0), ("h_star", scalar.h_star(e, Lambda)),
+            ("F0", args.F0), ("h0", h0), ("h_star", h_star(e, Lambda)),
             ("e_unif", params.e_unif), ("dt", args.dt)]
     return echo, ["t", "G"], zip(t, G)
 
@@ -478,7 +464,7 @@ def _quotient_test_function(name, grid, alpha):
         return np.exp(-grid.nodes**2)
     if name == "ring":
         return np.exp(-((grid.nodes - 1.0) ** 2))
-    k = int(name.split(",")[1])  # mode:0,k, as the --f type checked
+    k = int(name[5:])  # mode:k, as the --f type checked
     return spec.mode_field(spec.discrete_mode(grid.d, alpha, 0, k), grid)
 
 
@@ -505,11 +491,11 @@ def _cmd_quotient(args):
 
 
 def _cmd_rescale(args):
-    from . import scalar
+    from .scalar import RescalingMap, to_selfsimilar
 
     e = exp_mod.derive_exponents(args.d, args.m)
-    rmap = scalar.RescalingMap(exponents=e, T=args.T)
-    t, x, v = scalar.to_selfsimilar(rmap, args.tau, args.y, args.u)
+    rmap = RescalingMap(exponents=e, T=args.T)
+    t, x, v = to_selfsimilar(rmap, args.tau, args.y, args.u)
     echo = [("d", args.d), ("m", args.m), ("T", args.T), ("regime", e.regime.value)]
     return echo, ["tau", "y", "u", "R", "t", "x", "v"], [
         (args.tau, args.y, args.u, rmap.R(args.tau), t, x, v)]

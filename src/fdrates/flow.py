@@ -85,8 +85,9 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     Kinds:
       "profile-blend": v0 = (V_D0 + V_D1)/2 (inside the sandwich by convexity);
       "eigen":  v0 = V_D (1 + epsilon g V_D^(1-m)) with g a radial spectral
-                mode (mode=(0, k), default the dilation mode (0, 1)); clipped
-                to the sandwich when (D0, D1) are given;
+                mode (mode=(0, k), default the dilation mode (0, 1); the
+                config key data.mode_k gives k); clipped to the sandwich
+                when (D0, D1) are given;
       "bump":   v0 = V_D (1 + amplitude exp(-((r-c)/s)^2)); c = 0, s = 1 when
                 seed is None, otherwise drawn reproducibly from the seed.
 

@@ -167,12 +167,12 @@ class SpectralReport:
 def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralReport:
     """Enumerate modes with l <= l_max, k <= k_max and locate the spectral gap.
 
-    When l_max, k_max >= 1 the minimum of the continuum bottom and the
-    admissible below-continuum eigenvalues is checked against the closed-form
-    sharp constant (the gap source is always the continuum, the translation
-    mode (1,0), or the dilation mode (0,1)); a disagreement raises
-    SpectralMismatchError.  Raises ValueError, naming the parameter, unless
-    d >= 1 and l_max, k_max >= 0.
+    The gap source is the continuum or the admissible below-continuum mode
+    of least eigenvalue among the table's modes, the translation mode (1,0)
+    and the dilation mode (0,1), whether the table holds them or not.  For
+    d >= 2 its value is checked against the closed-form sharp constant; a
+    disagreement raises SpectralMismatchError.  Raises ValueError, naming
+    the parameter, unless d >= 1 and l_max, k_max >= 0.
     """
     d = _dimension(d)
     for name, value in (("l_max", l_max), ("k_max", k_max)):
@@ -188,13 +188,13 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
     )
     best = ("continuum",)
     best_lam = cont
-    for mo in modes:
+    for mo in modes + (discrete_mode(d, a, 1, 0), discrete_mode(d, a, 0, 1)):
         if mo.admissible and mo.below_continuum and mo.lam < best_lam:
             best_lam = mo.lam
             best = ("mode", mo.l, mo.k)
     a_star = Fraction(-(d - 2), 2)
     constraint_needed = a < a_star
-    if l_max >= 1 and k_max >= 1 and d >= 2:
+    if d >= 2:
         if abs(float(best_lam) - float(sharp)) > 1e-9 * max(1.0, abs(float(sharp))):
             raise SpectralMismatchError(
                 f"spectral minimum {best_lam} disagrees with the closed form {sharp}"

@@ -65,12 +65,11 @@ def test_parse_config_rejections():
         parse_config("m = 1.5")
     with pytest.raises(ConfigError, match="D0 > D1"):
         parse_config("D0 = 0.5\nD1 = 2.0")
-    # eigen data of sector l >= 1, which the radial flow cannot carry,
-    # refused with its key named; a mode of the linear flow's sector l = 1
-    # parses
-    with pytest.raises(ConfigError, match=r"data\.mode_l = 1: .*\(l, k\) = \(1, 1\)"):
-        parse_config("data.kind = eigen\ndata.mode_l = 1")
-    assert parse_config("data.kind = mode\ndata.mode_l = 1")["data.mode_l"] == 1
+    # the retired data.mode_l: each command supplies the sector of its mode
+    for kind in ("eigen", "mode"):
+        for value in (0, 1):
+            with pytest.raises(ConfigError, match="line 2: unknown key 'data.mode_l'"):
+                parse_config(f"data.kind = {kind}\ndata.mode_l = {value}")
     with pytest.raises(ConfigError, match="window"):
         parse_config("fit.window_start = 0.5")
     # a fit window outside the run [0, time.t_end], refused with its keys named
@@ -262,6 +261,22 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
     assert got == ([["import", 0, []]] + [[c[0], 0, []] for c in exact]
                    + [[c[0], 0, ["numpy"]] for c in numeric]
                    + [["hp-verify", 0, ["numpy"]]])
+
+
+def test_scalar_commands_log_their_module_import():
+    # gronwall and rescale import from fdrates.scalar by name, so Python's
+    # import-time log names the module, and neither loads numpy
+    for argv in (["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0",
+                  "--t-end", "0.01"],
+                 ["rescale", "--d", "5", "--m", "0.8", "--tau", "2"]):
+        proc = subprocess.run([sys.executable, "-m", "fdrates.cli", *argv],
+                              env=_process_env(PYTHONPROFILEIMPORTTIME="1"),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        log = proc.stderr.splitlines()
+        assert any(re.fullmatch(r"import time:.*\| +fdrates\.scalar", l)
+                   for l in log), argv
+        assert not any(re.search(r"\bnumpy\b", l) for l in log), argv
 
 
 def test_constants_csv_and_arg_validation(capsys):
@@ -475,10 +490,10 @@ def test_evolve_linear(tmp_path, capsys):
     assert "# sector.l=1" in out.splitlines()
     echo = [l for l in out.splitlines() if l.startswith(("# data.", "# D0", "# D1"))]
     assert echo == ["# data.kind=generic"]
-    cfg.write_text(cfg.read_text().replace("generic", "mode") + "data.mode_l = 1\n")
+    cfg.write_text(cfg.read_text().replace("generic", "mode"))
     assert main(["evolve-linear", "--config", str(cfg)]) == 0
     echo = [l for l in capsys.readouterr().out.splitlines() if l.startswith("# data.")]
-    assert echo == ["# data.kind=mode", "# data.mode_k=1", "# data.mode_l=1"]
+    assert echo == ["# data.kind=mode", "# data.mode_k=1"]
 
 
 def test_entropy_report(tmp_path, capsys):
@@ -513,10 +528,10 @@ def test_quotient_cli(capsys):
     assert float(q) >= 2.0
     assert float(ratio) == pytest.approx(2.0, rel=0.05)
     # a discrete mode as the test function
-    assert main(["quotient", "--d", "5", "--m", "0.9", "--f", "mode:0,1",
+    assert main(["quotient", "--d", "5", "--m", "0.9", "--f", "mode:1",
                  "--n", "100", "--R", "20", "--N", "200"]) == 0
     out = capsys.readouterr().out
-    assert "# f=mode:0,1" in out
+    assert "# f=mode:1" in out
     assert len([l for l in out.splitlines() if not l.startswith("#")]) == 2
 
 
@@ -581,17 +596,17 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # or parameter named
     quotient = ["quotient", "--d", "5", "--m", "0.9"]
     for extra, msg in ((["--D", "0"], "D must be positive, got 0.0"),
-                       (["--f", "mode:1"], "argument --f: expected gauss, ring "
-                                           "or mode:l,k"),
-                       # a mode outside the radial sector of the functionals
-                       (["--f", "mode:1,0"], "argument --f: mode:1,0 lies in "
-                                             "sector l = 1"),
+                       # the retired sector index of mode:l,k
+                       (["--f", "mode:1,0"], "argument --f: expected gauss, ring "
+                                             "or mode:k"),
+                       (["--f", "mode:0,1"], "argument --f: expected gauss, ring "
+                                             "or mode:k"),
                        (["--n", "10,x"], "argument --n: expected comma-separated "
                                          "positive integers, got '10,x'"),
                        (["--n", "0"], "argument --n"),
                        # the constant, whose mean-zero part vanishes
-                       (["--f", "mode:0,0"], "argument --f: mode:0,0 is the "
-                                             "constant mode")):
+                       (["--f", "mode:0"], "argument --f: mode:0 is the "
+                                           "constant mode")):
         assert main(quotient + extra) == 1
         assert msg in capsys.readouterr().err
     # 1: a fit window that reaches beyond the run, refused with its key named
@@ -639,12 +654,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["spectrum", "--d", "5", "--alpha", "-10"]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "disagrees with the closed form" in err
-    # 1: evolve-linear mode data outside the configured sector
+    # 1: the retired data.mode_l, refused as an unknown key; the mode data
+    # of evolve-linear lie in sector.l
     lin = tmp_path / "lin.cfg"
     lin.write_text("d = 5\nalpha = -10\nsector.l = 2\ndata.kind = mode\n"
                    "data.mode_l = 0\ngrid.N = 200\ntime.t_end = 0.01\n")
     assert main(["evolve-linear", "--config", str(lin)]) == 1
-    assert "data.mode_l = 0 differs from sector.l = 2" in capsys.readouterr().err
+    assert "line 5: unknown key 'data.mode_l'" in capsys.readouterr().err
     # 1: a data.kind typo, refused when the config is read
     lin.write_text("d = 5\nalpha = -10\nsector.l = 1\ndata.kind = mdoe\n"
                    "grid.N = 200\ntime.t_end = 0.01\n")
@@ -664,6 +680,17 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     lin.write_text("d = 5\nalpha = -10\nsector.l = 1\nfit.kind = lolog\n")
     assert main(["evolve-linear", "--config", str(lin)]) == 1
     assert "line 4: bad value for fit.kind: 'lolog'" in capsys.readouterr().err
+
+
+def test_spectrum_checks_every_table_size(monkeypatch, capsys):
+    # the spectral minimum is checked against the closed form whatever the
+    # table's size, the tables of one sector or one radial index too
+    monkeypatch.setattr(spec_mod, "sharp_rate", lambda d, a: 19)
+    for size in (["--l-max", "0"], ["--k-max", "0"]):
+        assert main(["spectrum", "--d", "5", "--alpha", "-10", *size]) == 2, size
+        err = capsys.readouterr().err
+        assert err.startswith("fdrates: numerical failure: "), size
+        assert "disagrees with the closed form" in err, size
 
 
 # the README run.cfg with one line changed or added, and the refusal it gets
@@ -688,9 +715,7 @@ _BAD_RUN_CFG = [
     ("data.epsilon = 0.05", "data.epsilon = nan",
      "line 6: bad value for data.epsilon: expected a finite number, got 'nan'"),
     (None, "sector.l = -1", "line 14: sector.l must be >= 0, got -1"),
-    (None, "data.mode_l = 1",
-     "data.mode_l = 1: eigen data take a radial mode (l = 0), got mode (l, k) = "
-     "(1, 1); the radial flow cannot carry sector l = 1"),
+    (None, "data.mode_l = 1", "line 14: unknown key 'data.mode_l'"),
     # fit windows that entropy.fit_rate would refuse after the run
     ("fit.window_start = 0.1", "fit.window_start = 0\nfit.kind = loglog",
      "fit.window_start = 0.0, fit.window_end = 0.22: loglog fit needs strictly "
@@ -970,22 +995,45 @@ def test_readme_run_cfg_matched_in_few_evaluations(monkeypatch):
     assert abs(mass_defect_from_x(state.x, wts)) <= 1e-15
 
 
-def test_eigen_data_outside_the_radial_sector_exit_1(tmp_path, capsys):
-    # evolve and entropy-report run a radial flow, which cannot carry a mode
-    # of sector l >= 1; the refusal names the mode in one error line
+def test_eigen_data_outside_the_radial_sector_exit_1(tmp_path, capsys, monkeypatch):
+    # each command supplies the sector of its mode, so the retired
+    # data.mode_l is an unknown key, refused by the three commands that read
+    # a config in one error line, with its line named, before any flow runs
+    for name in ("make_initial_data", "evolve_nonlinear", "evolve_linear_sector"):
+        monkeypatch.setattr(flow_mod, name, None)
     run_cfg = _readme()[0]["run.cfg"]
     text = "".join(l for l in run_cfg.splitlines(keepends=True)
                    if not l.startswith("fit."))
     cfg = tmp_path / "mode1.cfg"
     cfg.write_text(text.replace("time.t_end = 0.25", "time.t_end = 0.01")
                    + "data.mode_l = 1\n")
-    for command in ("evolve", "entropy-report"):
+    for command in ("evolve", "evolve-linear", "entropy-report"):
         assert main([command, "--config", str(cfg)]) == 1, command
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("fdrates: error: ")
-        assert captured.err.count("\n") == 1
-        assert "mode (l, k) = (1, 1)" in captured.err
+        assert captured.err == "fdrates: error: line 12: unknown key 'data.mode_l'\n"
+
+
+def test_readme_lin_cfg_from_its_sector_mode(tmp_path, capsys):
+    # data.kind = mode starts the README's lin.cfg from the mode
+    # (sector.l, data.mode_k) = (1, 1): the trace is that of the linear flow
+    # run directly from that mode
+    from fdrates.numerics import build_grid
+
+    cfg = tmp_path / "lin.cfg"
+    cfg.write_text(_readme()[0]["lin.cfg"] + "data.kind = mode\n")
+    assert main(["evolve-linear", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [l for l in lines if l.startswith("# data.")] == [
+        "# data.kind=mode", "# data.mode_k=1"]
+    grid = build_grid(15.0, 800, 5)
+    f0 = spec_mod.mode_field(spec_mod.discrete_mode(5, Fraction(-10), 1, 1), grid)
+    state = flow_mod.LinearState(grid=grid, alpha=Fraction(-10), D=1.0, l=1, f=f0)
+    trace = flow_mod.evolve_linear_sector(state, 0.5, 1e-4, cadence=0.005)
+    rows = [",".join(map(cli._fmt, row)) for row in trace.rows()]
+    assert [l for l in lines if not l.startswith("#")][1:] == rows
 
 
 def _into_closed_stdout(argv, env):

@@ -107,6 +107,26 @@ def test_report_and_mode_rejections():
     assert len(spectrum_report(5, Fraction(-10), l_max=0, k_max=0).modes) == 1
 
 
+def test_gap_source_is_the_sharp_rate_for_every_table_size():
+    # the gap lies at the continuum, (1, 0) or (0, 1), whether the table
+    # holds them or not: the gap source's eigenvalue is the sharp rate
+    from fdrates.exponents import sharp_rate
+
+    rng = random.Random(20261019)
+    for _ in range(60):
+        d = rng.randint(1, 8)
+        alpha = Fraction(-rng.randint(1, 80), 4)
+        if d >= 3 and alpha == Fraction(-(d - 2), 2):
+            continue  # the gap closes at alpha_star
+        for l_max, k_max in ((0, 0), (0, 3), (3, 0), (1, 1), (3, 3)):
+            rep = spectrum_report(d, alpha, l_max, k_max)
+            source = rep.gap_source
+            lam = (rep.continuum_bottom if source == ("continuum",)
+                   else discrete_mode(d, alpha, *source[1:]).lam)
+            assert lam == sharp_rate(d, alpha), (d, alpha, l_max, k_max, source)
+            assert len(rep.modes) == (l_max + 1) * (k_max + 1)
+
+
 def test_report_cross_check_runs_near_branch_points():
     # dense sweep across both branch boundaries; the internal consistency
     # check between the mode table and the closed form must never raise
