@@ -5,19 +5,19 @@ evolve-linear, entropy-report, gronwall, quotient, rescale.  Each command
 returns its output and main writes it, on stdout or in the --output file:
 a JSON text (--format json, where offered) as it is, or a table (echo,
 header, rows) as CSV, the title '# fdrates <command>' and one '# key=value'
-line per echo pair, which echo the full configuration, before the header
-row.  Numbers are printed with 17 significant digits so outputs round-trip
-exactly and runs with identical configuration and seed produce identical
-bytes.
+line per echo pair, such as the config keys the command reads, before the
+header row.  Numbers are printed with 17 significant digits so outputs
+round-trip exactly and runs with identical configuration and seed produce
+identical bytes.
 
 --m and --alpha (each item of the comma-separated alpha sweep of hp-verify
 too), and m and alpha in config files, are read as exact rationals (decimals
 such as 0.9, or fractions such as -7/2), so the closed forms evaluate them
 exactly.  Every other real number, option or config value, is read by one
 parser, _finite, which refuses nan and inf.  A config file is checked as it
-is read: each key by its parser and range in _CONFIG_KEYS, the time axis
-(time.dt, time.t_end, output.cadence) by scalar._schedule, then the
-constraints across keys by _validate_config.
+is read: each key by its parser and range (_CONFIG_KEYS), the time axis by
+scalar._schedule, the constraints across keys by _validate_config, then each
+key set against the keys its command reads (_READS).
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure;
 the process entry run() exits 141 (128 + SIGPIPE) when stdout is closed.
@@ -132,15 +132,18 @@ def _one_of(*names):
     return lambda s: table[s]
 
 
-# initial-data kinds: evolve reads profile-blend, eigen and bump; evolve-linear
-# reads mode and starts every other kind from the generic f = r^l exp(-r^2)
-_DATA_KIND = _one_of("profile-blend", "eigen", "bump", "mode", "generic")
-
-# the initial-data keys; data.mode_k is the k of the mode (0, k) of eigen, whose
-# flow is radial, and (sector.l, k) of mode.  evolve-linear echoes in their
-# place the start it read
-_DATA_KEYS = ("D0", "D1", "data.kind", "data.seed", "data.epsilon",
-              "data.amplitude", "data.mode_k", "data.match_D", "data.clip")
+# the keys each config command reads, by data.kind, the first kind its default
+# (data.clip leaves a profile-blend, which lies in the sandwich, as it is)
+_SHARED_KEYS = ("d", "m", "alpha", "D", "data.kind", "grid.R_max", "grid.N",
+                "time.dt", "time.t_end", "output.cadence", "fit.window_start",
+                "fit.window_end", "fit.kind")
+_FLOW_KEYS = _SHARED_KEYS + ("D0", "D1", "data.match_D")
+_FLOW_READS = {"profile-blend": _FLOW_KEYS,
+               "eigen": _FLOW_KEYS + ("data.epsilon", "data.mode_k", "data.clip"),
+               "bump": _FLOW_KEYS + ("data.seed", "data.amplitude", "data.clip")}
+_READS = {"evolve": _FLOW_READS, "entropy-report": _FLOW_READS,
+          "evolve-linear": {"generic": _SHARED_KEYS + ("sector.l",),
+                            "mode": _SHARED_KEYS + ("sector.l", "data.mode_k")}}
 
 # limits of config values, (text, holds): a value v is refused unless holds(v)
 _POSITIVE = ("positive", lambda v: v > 0)
@@ -157,7 +160,7 @@ _CONFIG_KEYS = {
     "D": (_finite, 1.0, _POSITIVE),
     "D0": (_finite, None, _POSITIVE),
     "D1": (_finite, None, _POSITIVE),
-    "data.kind": (_DATA_KIND, "profile-blend", None),
+    "data.kind": (_one_of(*_FLOW_READS, *_READS["evolve-linear"]), None, None),
     "data.seed": (int, None, _NONNEGATIVE),
     "data.epsilon": (_finite, 0.05, None),
     "data.amplitude": (_finite, 0.1, None),
@@ -188,7 +191,8 @@ def _exponents(d, m, alpha, names):
 
 
 class RunConfig(dict):
-    """Validated key=value run configuration: every known key, None if unset."""
+    """Validated key=value run configuration: every key its reader takes,
+    None if unset, and lines, the line of each key the text sets."""
 
     def echo(self):
         """The (key, value) pairs of the keys set, sorted by key."""
@@ -211,8 +215,8 @@ def parse_config(text: str) -> RunConfig:
     """
     from . import scalar
 
-    values = {k: v for k, (_, v, _) in _CONFIG_KEYS.items()}
-    seen = {}
+    cfg = RunConfig({k: v for k, (_, v, _) in _CONFIG_KEYS.items()})
+    seen = cfg.lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,8 +241,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from e
         if limits is not None and not limits[1](value):
             raise ConfigError(f"line {lineno}: {key} must be {limits[0]}, got {value}")
-        values[key] = value
-    cfg = RunConfig(values)
+        cfg[key] = value
     try:
         schedule = scalar._schedule(0.0, cfg["time.t_end"], cfg["time.dt"],
                                     cfg["output.cadence"])
@@ -275,9 +278,24 @@ def _validate_config(v: RunConfig, schedule):
                           f"{e}") from None
 
 
-def _load_config(path: str) -> RunConfig:
+def _load_config(path: str, command: str) -> RunConfig:
+    """The config at path as command reads it (_READS): after parse_config's
+    checks, a data.kind, unset the command's first, or a key set that the
+    command does not read is refused by its line; the echo lists those read."""
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        cfg = parse_config(fh.read())
+    kinds = _READS[command]
+    kind = cfg["data.kind"] = cfg["data.kind"] or next(iter(kinds))
+    if kind not in kinds:
+        raise ConfigError(f"line {cfg.lines['data.kind']}: {command} does not take "
+                          f"data.kind = {kind}; its kinds are {', '.join(kinds)}")
+    for key, lineno in cfg.lines.items():
+        if key not in kinds[kind]:
+            raise ConfigError(f"line {lineno}: {command} with data.kind = {kind} "
+                              f"does not read {key}")
+    for key in _CONFIG_KEYS.keys() - kinds[kind]:
+        del cfg[key]
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +393,10 @@ def _build_state(cfg: RunConfig):
     grid = _config_grid(cfg, e.d)
     return flow_mod.make_initial_data(
         grid, e, cfg["data.kind"], D=cfg["D"], D0=cfg.get("D0"),
-        D1=cfg.get("D1"), epsilon=cfg["data.epsilon"],
-        mode=(0, cfg["data.mode_k"]),
-        amplitude=cfg["data.amplitude"], seed=cfg.get("data.seed"),
-        clip=cfg["data.clip"], match_D=cfg["data.match_D"])
+        D1=cfg.get("D1"), epsilon=cfg.get("data.epsilon"),
+        mode=(0, cfg.get("data.mode_k")), amplitude=cfg.get("data.amplitude"),
+        seed=cfg.get("data.seed"), clip=cfg.get("data.clip"),
+        match_D=cfg["data.match_D"])
 
 
 def _trace_table(cfg: RunConfig, trace, echo):
@@ -396,7 +414,7 @@ def _trace_table(cfg: RunConfig, trace, echo):
 def _cmd_evolve(args):
     from . import flow as flow_mod
 
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.command)
     state = _build_state(cfg)
     trace = flow_mod.evolve_nonlinear(state, cfg["time.t_end"], cfg["time.dt"],
                                       cadence=cfg.get("output.cadence"))
@@ -408,31 +426,28 @@ def _cmd_evolve_linear(args):
 
     from . import flow as flow_mod
 
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.command)
     e = cfg.exponent_set()
     if e.d < 2:
-        raise ConfigError("linear sector evolution needs d >= 2")
+        raise ConfigError(f"line {cfg.lines['d']}: evolve-linear needs d >= 2")
     grid = _config_grid(cfg, e.d)
     l = cfg["sector.l"]
-    echo = RunConfig({k: v for k, v in cfg.items() if k not in _DATA_KEYS})
     if cfg["data.kind"] == "mode":
-        echo.update({"data.kind": "mode", "data.mode_k": cfg["data.mode_k"]})
         mode = spec.discrete_mode(e.d, e.alpha, l, cfg["data.mode_k"])
         f0 = spec.mode_field(mode, grid)
-    else:
-        echo["data.kind"] = "generic"
+    else:  # generic
         r = grid.nodes
         f0 = r**l * np.exp(-(r**2))
     state = flow_mod.LinearState(grid=grid, alpha=e.alpha, D=cfg["D"], l=l, f=f0)
     trace = flow_mod.evolve_linear_sector(state, cfg["time.t_end"], cfg["time.dt"],
                                           cadence=cfg.get("output.cadence"))
-    return _trace_table(cfg, trace, echo.echo())
+    return _trace_table(cfg, trace, cfg.echo())
 
 
 def _cmd_entropy_report(args):
     from . import entropy as ent
 
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.command)
     state = _build_state(cfg)
     wts = ent.Weights.of(state.grid, state.profile)
     out = dataclasses.asdict(ent.sandwich_from_x(state.x, wts))

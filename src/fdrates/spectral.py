@@ -209,7 +209,12 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
 
 
 def mode_field(mode: EigenMode, grid: RadialGrid) -> np.ndarray:
-    """The radial eigenfunction r^l * poly(r^2) at the nodes of a grid."""
+    """The radial eigenfunction r^l * poly(r^2) at the nodes of a grid.  A
+    mode that is not admissible, whose polynomial lies outside the weighted
+    space, raises ValueError."""
+    if not mode.admissible:
+        raise ValueError(f"mode (l, k) = ({mode.l}, {mode.k}) is not admissible "
+                         f"at d = {mode.d}, alpha = {mode.alpha}")
     # numpy is loaded here, its only user, so the closed-form spectrum and
     # eigenfunction computations start without it
     import numpy as np

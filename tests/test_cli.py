@@ -303,6 +303,10 @@ def test_spectrum_csv(capsys):
     assert "l,k,lambda,admissible,below_continuum,multiplicity" in out
     assert "1,0,20,true,true,5" in out
     assert "0,0,0,false,true,1" in out  # (0,0) sits below but is inadmissible
+    # the gap source is the translation mode (1, 0) even when the table stops
+    # at l = 0
+    assert main(["spectrum", "--d", "5", "--alpha", "-10", "--l-max", "0"]) == 0
+    assert "# gap_source=mode:1:0" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("d, alpha", [("5", "-10"), ("3", "-2")])
@@ -744,6 +748,133 @@ def test_bad_config_values_exit_1_before_any_flow(tmp_path, capsys, monkeypatch)
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"fdrates: error: {msg}\n", (new, command)
+
+
+# a README config with lines changed, or added (old None), and the refusal
+# that each command reading it gives: a key the command does not read with
+# its data.kind, a data.kind of the other flow, or a d the flow cannot take
+_UNREAD_KEYS = [
+    ("lin.cfg", [(None, "D0 = 2.0")],
+     "line 11: {command} with data.kind = generic does not read D0"),
+    ("lin.cfg", [(None, "data.match_D = false")],
+     "line 11: {command} with data.kind = generic does not read data.match_D"),
+    ("lin.cfg", [(None, "data.epsilon = 0.3")],
+     "line 11: {command} with data.kind = generic does not read data.epsilon"),
+    ("lin.cfg", [(None, "data.seed = 4")],
+     "line 11: {command} with data.kind = generic does not read data.seed"),
+    ("lin.cfg", [(None, "data.kind = bump"), (None, "data.amplitude = 5")],
+     "line 11: {command} does not take data.kind = bump; its kinds are generic, "
+     "mode"),
+    ("lin.cfg", [(None, "data.kind = eigen")],
+     "line 11: {command} does not take data.kind = eigen; its kinds are generic, "
+     "mode"),
+    ("lin.cfg", [(None, "data.kind = mode"), (None, "data.epsilon = 0.3")],
+     "line 12: {command} with data.kind = mode does not read data.epsilon"),
+    ("lin.cfg", [("d = 5", "d = 1")], "line 1: {command} needs d >= 2"),
+    ("run.cfg", [(None, "sector.l = 3")],
+     "line 14: {command} with data.kind = eigen does not read sector.l"),
+    ("run.cfg", [(None, "data.amplitude = 5")],
+     "line 14: {command} with data.kind = eigen does not read data.amplitude"),
+    ("run.cfg", [(None, "data.seed = 3")],
+     "line 14: {command} with data.kind = eigen does not read data.seed"),
+    ("run.cfg", [("data.kind = eigen", "data.kind = mode")],
+     "line 5: {command} does not take data.kind = mode; its kinds are "
+     "profile-blend, eigen, bump"),
+    ("run.cfg", [("data.kind = eigen", "data.kind = profile-blend"),
+                 ("data.epsilon = 0.05", "data.clip = false")],
+     "line 6: {command} with data.kind = profile-blend does not read data.clip"),
+]
+
+
+def test_unread_keys_exit_1_before_any_flow(tmp_path, capsys, monkeypatch):
+    # each command accepts only the keys it reads with its data.kind: any
+    # other is refused in one error line that names the key, its line and
+    # the command, before any flow runs
+    for name in ("make_initial_data", "evolve_nonlinear", "evolve_linear_sector"):
+        monkeypatch.setattr(flow_mod, name, None)
+    configs = _readme()[0]
+    commands = {"run.cfg": ("evolve", "entropy-report"), "lin.cfg": ("evolve-linear",)}
+    for name, edits, msg in _UNREAD_KEYS:
+        text = configs[name]
+        for old, new in edits:
+            assert old is None or text.count(old) == 1, old
+            text = text + new + "\n" if old is None else text.replace(old, new)
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        for command in commands[name]:
+            assert main([command, "--config", str(cfg)]) == 1, (edits, command)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"fdrates: error: {msg.format(command=command)}\n"
+
+
+# the keys each command reads with each of its data.kinds, besides one of m
+# and alpha, and a value for every key, on a small grid and a short run
+_SHARED = ["d", "D", "data.kind", "grid.R_max", "grid.N", "time.dt", "time.t_end",
+           "output.cadence", "fit.window_start", "fit.window_end", "fit.kind"]
+_FLOW = _SHARED + ["D0", "D1", "data.match_D"]
+_FLOW_KINDS = {"profile-blend": _FLOW,
+               "eigen": _FLOW + ["data.epsilon", "data.mode_k", "data.clip"],
+               "bump": _FLOW + ["data.seed", "data.amplitude", "data.clip"]}
+_KEYS_READ = {"evolve": _FLOW_KINDS, "entropy-report": _FLOW_KINDS,
+              "evolve-linear": {"generic": _SHARED + ["sector.l"],
+                                "mode": _SHARED + ["sector.l", "data.mode_k"]}}
+_VALUES = {"d": "5", "m": "0.9", "alpha": "-10", "D": "1.0", "D0": "2.0",
+           "D1": "0.5", "data.match_D": "true", "data.clip": "true",
+           "data.epsilon": "0.05", "data.mode_k": "1", "data.seed": "1",
+           "data.amplitude": "0.1", "sector.l": "1", "grid.R_max": "15",
+           "grid.N": "64", "time.dt": "1e-3", "time.t_end": "0.01",
+           "output.cadence": "1e-3", "fit.window_start": "0",
+           "fit.window_end": "0.01", "fit.kind": "exp"}
+
+
+def test_each_command_takes_every_key_it_reads(tmp_path, capsys):
+    # a config setting every key that a command reads with a data.kind runs,
+    # and echoes exactly those keys; unset, data.kind is the command's first
+    # kind.  The settable keys, m and alpha among them:
+    assert {c: [len(keys) + 2 for keys in kinds.values()]
+            for c, kinds in _KEYS_READ.items()} == {
+        "evolve": [16, 19, 19], "entropy-report": [16, 19, 19],
+        "evolve-linear": [14, 15]}
+    results = {"matched_D", "fitted_rate", "fit_r2"}
+    cfg = tmp_path / "all.cfg"
+    for command, kinds in _KEYS_READ.items():
+        for kind, keys in kinds.items():
+            for exponent in ("m", "alpha"):
+                values = dict(_VALUES, **{"data.kind": kind})
+                cfg.write_text("".join(f"{k} = {values[k]}\n"
+                                       for k in [*keys, exponent]))
+                assert main([command, "--config", str(cfg)]) == 0, (command, kind)
+                echo = {l[2:].split("=")[0] for l in capsys.readouterr().out.splitlines()
+                        if l.startswith("# ") and "=" in l} - results
+                assert echo == {*keys, exponent}, (command, kind)
+        first = next(iter(kinds))
+        cfg.write_text("".join(f"{k} = {_VALUES[k]}\n"
+                               for k in kinds[first] + ["m"] if k != "data.kind"))
+        assert main([command, "--config", str(cfg)]) == 0, command
+        assert f"# data.kind={first}" in capsys.readouterr().out.splitlines()
+
+
+def test_inadmissible_modes_exit_1(tmp_path, capsys, monkeypatch):
+    # a mode outside the weighted space, or the constant (0, 0), is refused by
+    # each command that starts from a mode, before any flow runs; at d = 5,
+    # alpha = -10 the modes (0, k) are admissible for k = 1..4 and the modes
+    # (1, k) for k = 0..3
+    for name in ("evolve_nonlinear", "evolve_linear_sector"):
+        monkeypatch.setattr(flow_mod, name, None)
+    configs = _readme()[0]
+    cfg = tmp_path / "mode.cfg"
+    for name, extra, command, mode in (
+            ("lin.cfg", "data.kind = mode\ndata.mode_k = 7", "evolve-linear", (1, 7)),
+            ("run.cfg", "data.mode_k = 0", "evolve", (0, 0)),
+            ("run.cfg", "data.mode_k = 5", "entropy-report", (0, 5))):
+        cfg.write_text(configs[name] + extra + "\n")
+        assert main([command, "--config", str(cfg)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"mode (l, k) = {mode} is not admissible at d = 5" in captured.err
+    assert main(["quotient", "--d", "5", "--m", "0.9", "--f", "mode:5"]) == 1
+    assert "mode (l, k) = (0, 5) is not admissible" in capsys.readouterr().err
 
 
 def test_config_and_fit_rate_refuse_the_same_windows():
