@@ -17,7 +17,8 @@ exactly.  Every other real number, option or config value, is read by one
 parser, _finite, which refuses nan and inf.  A config file is checked as it
 is read: each key by its parser and range (_CONFIG_KEYS), the time axis by
 scalar._schedule, the constraints across keys by _validate_config, then each
-key set against the keys its command reads (_READS).
+key set against the keys its command reads (_READS), and what its data.kind
+needs: D0 and D1 for profile-blend and data.match_D, an admissible mode.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure;
 the process entry run() exits 141 (128 + SIGPIPE) when stdout is closed.
@@ -281,7 +282,9 @@ def _validate_config(v: RunConfig, schedule):
 def _load_config(path: str, command: str) -> RunConfig:
     """The config at path as command reads it (_READS): after parse_config's
     checks, a data.kind, unset the command's first, or a key set that the
-    command does not read is refused by its line; the echo lists those read."""
+    command does not read is refused by its line; the echo lists those read.
+    Then what the kind needs, by its key's line or with the key named unset:
+    D0 and D1 for profile-blend or data.match_D, and an admissible mode."""
     with open(path, encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     kinds = _READS[command]
@@ -295,6 +298,18 @@ def _load_config(path: str, command: str) -> RunConfig:
                               f"does not read {key}")
     for key in _CONFIG_KEYS.keys() - kinds[kind]:
         del cfg[key]
+    def refuse(key, needs):
+        at = f"line {cfg.lines[key]}" if key in cfg.lines else f"{key} unset"
+        raise ConfigError(f"{at}: {command} with data.kind = {kind} needs {needs}")
+    if kind == "profile-blend" and None in (cfg["D0"], cfg["D1"]):
+        refuse("D0" if cfg["D0"] is None else "D1", "D0 and D1")
+    if cfg.get("data.match_D") and None in (cfg["D0"], cfg["D1"]):
+        refuse("data.match_D", "D0 and D1, or data.match_D = false")
+    if "data.mode_k" in cfg:
+        e, l, k = cfg.exponent_set(), cfg.get("sector.l", 0), cfg["data.mode_k"]
+        if not spec.discrete_mode(e.d, e.alpha, l, k).admissible:
+            refuse("data.mode_k", f"an admissible data.mode_k: mode (l, k) = ({l}, {k}) "
+                                  f"is not admissible at d = {e.d}, alpha = {e.alpha}")
     return cfg
 
 

@@ -221,8 +221,9 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
     # numpy and scipy are imported where numerics and linear algebra run: the
     # import, the exact closed-form commands and the scalar commands on
     # Python floats load neither (nor mpmath), the other closed-form commands
-    # no scipy, hp-verify only scipy's LAPACK extension (fdrates._lapack),
-    # not the scipy package, and nothing loads scipy.optimize
+    # no scipy, hp-verify, the first to load numpy, only scipy's LAPACK
+    # extension through fdrates._lapack, not the scipy package or numpy.f2py,
+    # which that package pulls in, and nothing loads scipy.optimize
     cfg = _evolve_config(tmp_path)
     exact = [
         ["constants", "--d", "5", "--m", "0.9"],
@@ -243,8 +244,8 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
         import fdrates, fdrates.cli
 
         def loaded():
-            return [m for m in ("numpy", "scipy", "scipy.linalg", "scipy.optimize",
-                                "mpmath")
+            return [m for m in ("numpy", "numpy.f2py", "fdrates._lapack", "scipy",
+                                "scipy.linalg", "scipy.optimize", "mpmath")
                     if m in sys.modules]
 
         print(json.dumps(["import", 0, loaded()]))
@@ -254,13 +255,13 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
             print(json.dumps([argv[0], rc, loaded()]))
     """)
     proc = subprocess.run([sys.executable, "-c", code,
-                           json.dumps(exact + numeric + [verify])],
+                           json.dumps(exact + [verify] + numeric)],
                           env=_process_env(), capture_output=True, text=True,
                           check=True)
     got = [json.loads(line) for line in proc.stdout.splitlines()]
+    lapack = ["numpy", "fdrates._lapack"]
     assert got == ([["import", 0, []]] + [[c[0], 0, []] for c in exact]
-                   + [[c[0], 0, ["numpy"]] for c in numeric]
-                   + [["hp-verify", 0, ["numpy"]]])
+                   + [["hp-verify", 0, lapack]] + [[c[0], 0, lapack] for c in numeric])
 
 
 def test_scalar_commands_log_their_module_import():
@@ -457,7 +458,8 @@ def test_evolve_critical_loglog_fit(tmp_path, capsys):
     # the critical exponent m* = (d-4)/(d-2) = 1/3 in d = 5 decays
     # algebraically; on a large domain, with data matched to its profile
     # (data.match_D by default) and without, a log-log fit gives a negative
-    # slope and the scheme conserves the defect to 1e-10 of the unmatched one
+    # slope and the scheme conserves the defect to 1e-10 of the unmatched one;
+    # entropy-report matches the same data to a defect within 1e-10
     cfg = tmp_path / "crit.cfg"
     text = ("d = 5\nm = 1/3\nD0 = 2.0\nD1 = 0.5\ndata.kind = bump\n"
             "data.clip = false\ngrid.R_max = 1e8\ngrid.N = 400\n"
@@ -478,6 +480,11 @@ def test_evolve_critical_loglog_fit(tmp_path, capsys):
     assert scale > 1e-3
     for md in columns:
         assert max(abs(v - md[0]) for v in md) <= 1e-10 * scale
+    cfg.write_text(text)
+    assert main(["entropy-report", "--config", str(cfg)]) == 0
+    report = dict(l.split(",") for l in capsys.readouterr().out.splitlines()
+                  if not l.startswith("#"))
+    assert abs(float(report["mass_defect"])) <= 1e-10
 
 
 def test_evolve_linear(tmp_path, capsys):
@@ -752,7 +759,8 @@ def test_bad_config_values_exit_1_before_any_flow(tmp_path, capsys, monkeypatch)
 
 # a README config with lines changed, or added (old None), and the refusal
 # that each command reading it gives: a key the command does not read with
-# its data.kind, a data.kind of the other flow, or a d the flow cannot take
+# its data.kind, a data.kind of the other flow, a d the flow cannot take, or
+# initial data that its data.kind cannot build
 _UNREAD_KEYS = [
     ("lin.cfg", [(None, "D0 = 2.0")],
      "line 11: {command} with data.kind = generic does not read D0"),
@@ -783,6 +791,26 @@ _UNREAD_KEYS = [
     ("run.cfg", [("data.kind = eigen", "data.kind = profile-blend"),
                  ("data.epsilon = 0.05", "data.clip = false")],
      "line 6: {command} with data.kind = profile-blend does not read data.clip"),
+    ("run.cfg", [(None, "data.mode_k = 5")],
+     "line 14: {command} with data.kind = eigen needs an admissible data.mode_k: "
+     "mode (l, k) = (0, 5) is not admissible at d = 5, alpha = -10"),
+    ("lin.cfg", [(None, "data.kind = mode"), (None, "data.mode_k = 7")],
+     "line 12: {command} with data.kind = mode needs an admissible data.mode_k: "
+     "mode (l, k) = (1, 7) is not admissible at d = 5, alpha = -10"),
+    # profile-blend, the default kind, and matching D need both of D0 and D1
+    ("run.cfg", [("data.kind = eigen", "# data.kind = eigen"),
+                 ("data.epsilon", "# data.epsilon"), ("D0 =", "# D0 =")],
+     "D0 unset: {command} with data.kind = profile-blend needs D0 and D1"),
+    ("run.cfg", [("data.kind = eigen", "data.kind = profile-blend"),
+                 ("data.epsilon", "# data.epsilon"), ("D1 =", "# D1 =")],
+     "D1 unset: {command} with data.kind = profile-blend needs D0 and D1"),
+    ("run.cfg", [("D0 =", "# D0 ="), ("D1 =", "# D1 =")],
+     "data.match_D unset: {command} with data.kind = eigen needs D0 and D1, or "
+     "data.match_D = false"),
+    ("run.cfg", [("data.kind = eigen", "data.kind = bump"),
+                 ("data.epsilon = 0.05", "data.match_D = true"), ("D0 =", "# D0 =")],
+     "line 6: {command} with data.kind = bump needs D0 and D1, or "
+     "data.match_D = false"),
 ]
 
 
