@@ -1,4 +1,4 @@
-"""The LAPACK routines of the eigensolver: dgttrf, dgttrs, dstebz, dstein.
+"""The LAPACK routines of the eigensolver: dgttrf, dgttrs, dstebz.
 
 They come from scipy's f2py extension scipy.linalg._flapack, which needs only
 numpy.  It is loaded from its file, without the scipy.linalg package, whose
@@ -18,7 +18,7 @@ import importlib.util
 import os
 import sys
 
-__all__ = ["dgttrf", "dgttrs", "dstebz", "dstein"]
+__all__ = ["dgttrf", "dgttrs", "dstebz"]
 
 _NAME = "scipy.linalg._flapack"
 
@@ -46,4 +46,4 @@ def _load():
 
 
 _flapack = _load()
-dgttrf, dgttrs, dstebz, dstein = (getattr(_flapack, name) for name in __all__)
+dgttrf, dgttrs, dstebz = (getattr(_flapack, name) for name in __all__)

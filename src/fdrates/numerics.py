@@ -14,17 +14,18 @@ quadratic forms
 This module discretizes (A_l, B) with P1 finite elements on a sinh-graded
 radial grid and computes sector bottom eigenvalues, mean-zero for l = 0, by
 index, along one path: a lumped-mass tridiagonal eigensolve, bisected only
-below a Courant-Fischer upper bound, gives the shift and start vector, and
-consistent-mass inverse iteration with one factorization finishes them.
+below a Courant-Fischer upper bound, gives the shift, and consistent-mass
+inverse iteration with one factorization, started from the vector of that
+bound, finishes it.
 Nodal data, such as eigenvectors, are plain arrays of values at the grid
 nodes; the SectorForms of a sector carry its grid and index l.
 Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
 by a quantization-law fit whose root Brent's method (scalar._brent_root)
 finds, which together verify the closed-form sharp constants numerically;
 each truncated domain is gridded and assembled once, and every sector is
-formed from that one assembly by adding its centrifugal term.  The four
-LAPACK routines of the eigensolver (dgttrf, dgttrs, dstebz, dstein) come
-from fdrates._lapack, bound when this module is imported, which loads
+formed from that one assembly by adding its centrifugal term.  The three
+LAPACK routines of the eigensolver (dgttrf, dgttrs, dstebz) come from
+fdrates._lapack, bound when this module is imported, which loads
 scipy's LAPACK extension but not the scipy.linalg package.  The
 time-schedule check shared by the flows and the Gronwall integrator is
 scalar._schedule, which needs no numpy.
@@ -218,15 +219,16 @@ def _assemble_sectors(grid, alpha, D, ls):
         raise ValueError("grid has coincident nodes")
     xg, wg = _gauss_legendre()
     mid = (r[:-1] + r[1:]) / 2.0
-    # shape (n_elem, 4): quadrature points and weights per element
-    x = mid[:, None] + np.outer(h / 2.0, xg)
-    w = np.outer(h / 2.0, wg)
+    # shape (4, n_elem): quadrature points and weights, one row per Gauss
+    # point, so that each element sum adds four contiguous rows
+    x = mid + np.outer(xg, h / 2.0)
+    w = np.outer(wg, h / 2.0)
     x2 = x**2
     xd = x ** (d - 1)
     wa = (D + x2) ** alpha * xd
     wb = (D + x2) ** (alpha - 1) * xd
-    p0 = (r[1:, None] - x) / h[:, None]
-    p1 = (x - r[:-1, None]) / h[:, None]
+    p0 = (r[1:] - x) / h
+    p1 = (x - r[:-1]) / h
 
     n = len(r)
     a_diag = np.zeros(n)
@@ -234,13 +236,13 @@ def _assemble_sectors(grid, alpha, D, ls):
     b_diag = np.zeros(n)
     b_off = np.zeros(n - 1)
 
-    k = np.sum(wa * w, axis=1) / h**2  # gradient term, +/- per element
+    k = np.sum(wa * w, axis=0) / h**2  # gradient term, +/- per element
     a_diag[:-1] += k
     a_diag[1:] += k
     a_off -= k
-    b_diag[:-1] += np.sum(wb * p0 * p0 * w, axis=1)
-    b_diag[1:] += np.sum(wb * p1 * p1 * w, axis=1)
-    b_off += np.sum(wb * p0 * p1 * w, axis=1)
+    b_diag[:-1] += np.sum(wb * p0 * p0 * w, axis=0)
+    b_diag[1:] += np.sum(wb * p1 * p1 * w, axis=0)
+    b_off += np.sum(wb * p0 * p1 * w, axis=0)
 
     out = []
     for l in ls:
@@ -249,9 +251,9 @@ def _assemble_sectors(grid, alpha, D, ls):
             ad, ao = a_diag.copy(), a_off.copy()
             c = l * (l + d - 2)
             q = c * wa / x2
-            ad[:-1] += np.sum(q * p0 * p0 * w, axis=1)
-            ad[1:] += np.sum(q * p1 * p1 * w, axis=1)
-            ao += np.sum(q * p0 * p1 * w, axis=1)
+            ad[:-1] += np.sum(q * p0 * p0 * w, axis=0)
+            ad[1:] += np.sum(q * p1 * p1 * w, axis=0)
+            ao += np.sum(q * p0 * p1 * w, axis=0)
         bd, bo = b_diag, b_off
         if l >= 1:
             ad, ao, bd, bo = ad[1:], ao[1:], bd[1:], bo[1:]
@@ -280,8 +282,9 @@ _EIGEN_MAXIT = 100
 
 
 def _lumped_shift(forms: SectorForms):
-    """Eigenpair k of the lumped-mass pencil (A, L): the shift and start
-    vector of bottom_eigenvalue, with k = 1 for l = 0 and k = 0 otherwise.
+    """The shift and start vector of bottom_eigenvalue: eigenvalue k of the
+    lumped-mass pencil (A, L), with k = 1 for l = 0 and k = 0 otherwise, and
+    the Courant-Fischer vector that bounds it.
 
     L = diag(row sums of B) and the scaling s = L^(-1/2) make the pencil a
     symmetric tridiagonal matrix.  An upper bound u >= lambda_k comes first
@@ -291,10 +294,10 @@ def _lumped_shift(forms: SectorForms):
     its quotient bounds lambda_1.  The vector is the grid radius after
     _BOUND_STEPS steps of (A + B)^(-1) L, kept L-orthogonal to the constant
     for k = 1.  LAPACK dstebz then bisects only (-u', u'], u' = u (1 + 1e-12),
-    to an absolute 1e-7 u', doubling u' until eigenvalue k lies inside, and
-    dstein gives its vector.  Returns (sigma, x) with x in the unscaled
-    coordinates.  A lumped mass that is not positive, where the weights
-    underflowed, raises FloatingPointError before the scaling divides by it.
+    to an absolute 1e-7 u', doubling u' until eigenvalue k lies inside.
+    Returns (sigma, v), v the bound vector in the unscaled coordinates.  A
+    lumped mass that is not positive, where the weights underflowed, raises
+    FloatingPointError before the scaling divides by it.
     """
     k = 1 if forms.l == 0 else 0
     lumped = forms.b_diag.copy()
@@ -319,22 +322,14 @@ def _lumped_shift(forms: SectorForms):
     if not 0.0 < u < math.inf:
         raise NonConvergenceError("no finite positive bound for the shift", u)
     vu = u * (1.0 + 1e-12)
-    # range 1 asks dstebz for the eigenvalues in (vl, vu], in block order "B"
+    # range 1 asks dstebz for the eigenvalues in (vl, vu], order "E" sorts them
     while True:
-        m, w, iblock, isplit, info = _lapack.dstebz(d, e, 1, -vu, vu, 0, 0,
-                                                    1e-7 * vu, "B")
+        m, w, _, _, info = _lapack.dstebz(d, e, 1, -vu, vu, 0, 0, 1e-7 * vu, "E")
         if info:
             raise NonConvergenceError(f"dstebz failed with info = {info}", u)
         if m > k:
-            break
+            return float(w[k]), v
         vu *= 2.0
-    # dstein takes the one eigenvalue and its block
-    j = np.argsort(w[:m])[k]
-    iblock[0] = iblock[j]
-    z, info = _lapack.dstein(d, e, w[j:j + 1], iblock, isplit)
-    if info:
-        raise NonConvergenceError(f"dstein failed with info = {info}", float(w[j]))
-    return float(w[j]), s * z[:, 0]
 
 
 def bottom_eigenvalue(forms: SectorForms):
@@ -342,13 +337,14 @@ def bottom_eigenvalue(forms: SectorForms):
 
     The eigenvalue is picked by index: k = 1 for l = 0, where the constant is
     an exact zero mode of A, so that eigenvector k is B-orthogonal to it (the
-    mean-zero condition int f dmu_(alpha-1) = 0); k = 0 otherwise.  Eigenpair
-    k of the lumped-mass pencil (_lumped_shift: LAPACK bisection over the
-    range below a Courant-Fischer upper bound) gives the shift sigma and the
-    start vector; consistent-mass inverse iteration, with A - sigma B factored
-    once, runs until the eigen-residual |A f - lambda B f| is below 1e-13
-    times its rounding scale |A||f| + |lambda||B||f|, and raises
-    NonConvergenceError after 100 solves.
+    mean-zero condition int f dmu_(alpha-1) = 0); k = 0 otherwise.
+    Eigenvalue k of the lumped-mass pencil (_lumped_shift: LAPACK bisection
+    over the range below a Courant-Fischer upper bound) gives the shift
+    sigma, and the vector whose quotient is that bound is the start vector;
+    consistent-mass inverse iteration, with A - sigma B factored once, runs
+    until the eigen-residual |A f - lambda B f| is below 1e-13 times its
+    rounding scale |A||f| + |lambda| B|f| (B has no negative entry), and
+    raises NonConvergenceError after 100 solves.
 
     Returns (lambda, f) with f the eigenvector's values at all grid nodes,
     normalized in the B-norm; for l >= 1 the origin carries the Dirichlet
@@ -359,7 +355,6 @@ def bottom_eigenvalue(forms: SectorForms):
     off = forms.a_off - sigma * forms.b_off
     lu = _lapack.dgttrf(off, forms.a_diag - sigma * forms.b_diag, off)[:5]
     abs_a = (np.abs(forms.a_diag), np.abs(forms.a_off))
-    abs_b = (np.abs(forms.b_diag), np.abs(forms.b_off))
     bf = forms.apply_b(x)
     lam = sigma
     for _ in range(_EIGEN_MAXIT):
@@ -370,9 +365,9 @@ def bottom_eigenvalue(forms: SectorForms):
         bf /= nrm
         af = forms.apply_a(f)
         lam = float(f @ af)
-        # rounding alone leaves a residual of order eps * (|A||f| + |lam||B||f|)
+        # rounding alone leaves a residual of order eps * (|A||f| + |lam| B|f|)
         f_abs = np.abs(f)
-        scale = _tridiag_apply(*abs_a, f_abs) + abs(lam) * _tridiag_apply(*abs_b, f_abs)
+        scale = _tridiag_apply(*abs_a, f_abs) + abs(lam) * forms.apply_b(f_abs)
         if np.linalg.norm(af - lam * bf) <= _EIGEN_TOL * np.linalg.norm(scale):
             return lam, forms.pad(f)
     raise NonConvergenceError("inverse iteration did not converge", lam)

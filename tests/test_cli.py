@@ -1,6 +1,7 @@
 """Tests for the batch command-line interface."""
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -1079,12 +1080,14 @@ def _readme():
     return configs, lines
 
 
+@pytest.mark.readme
 def test_readme_names_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
     assert [k for k in cli._CONFIG_KEYS if f"`{k}`" not in readme] == []
 
 
+@pytest.mark.readme
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     # every fdrates line of the README's sh blocks runs and exits 0, from a
     # directory holding the README's run.cfg and lin.cfg
@@ -1119,6 +1122,44 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         assert {r.count(",") for r in rows} == {header.count(",")}, line
 
 
+@pytest.mark.readme
+def test_readme_config_lines_as_processes(tmp_path, monkeypatch, capsys):
+    # the README's config command lines, each run as a fresh process through
+    # python -m fdrates.cli (the console script's run()), exit 0 and write
+    # the stdout and --output file that main writes in-process; the
+    # processes run while main does
+    import shlex
+
+    configs, lines = _readme()
+    argvs = [shlex.split(l)[1:] for l in lines]
+    argvs = [a for a in argvs if a[0] in ("evolve", "evolve-linear", "entropy-report")]
+    assert [a[0] for a in argvs] == ["evolve", "evolve-linear", "entropy-report"]
+    dirs = {side: tmp_path / side for side in ("process", "main")}
+    for path in dirs.values():
+        path.mkdir()
+        for name, body in configs.items():
+            (path / name).write_text(body, encoding="utf-8")
+    with contextlib.ExitStack() as stack:
+        procs = [stack.enter_context(subprocess.Popen(
+            [sys.executable, "-m", "fdrates.cli", *argv], cwd=dirs["process"],
+            env=_process_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+            for argv in argvs]
+        monkeypatch.chdir(dirs["main"])
+        for argv, proc in zip(argvs, procs):
+            assert main(argv) == 0, argv
+            captured = capsys.readouterr()
+            out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, err, captured.err) == (0, b"", ""), argv
+            assert out.decode() == captured.out, argv
+    # the evolve line's --output file, beside the configs
+    names = sorted(p.name for p in dirs["process"].iterdir())
+    assert names == sorted(p.name for p in dirs["main"].iterdir())
+    assert names == ["lin.cfg", "run.cfg", "trace.csv"]
+    for name in names:
+        assert (dirs["process"] / name).read_bytes() == (dirs["main"] / name).read_bytes()
+
+
+@pytest.mark.readme
 def test_readme_run_cfg_without_cadence(tmp_path, capsys):
     # the default cadence: k0 = round(1250/200) = 6 steps per row does not
     # divide the 1250 steps, so the rows are 5 steps apart, 251 with t = 0;
@@ -1137,6 +1178,7 @@ def test_readme_run_cfg_without_cadence(tmp_path, capsys):
     assert float(fit["fit_r2"]) >= 0.999
 
 
+@pytest.mark.readme
 def test_readme_run_cfg_matched_in_few_evaluations(monkeypatch):
     # solve_D narrows its bracket to adjacent doubles in at most 16 defect
     # evaluations, and the matched state's defect is at the rounding floor;
@@ -1173,6 +1215,7 @@ def test_eigen_data_outside_the_radial_sector_exit_1(tmp_path, capsys, monkeypat
         assert captured.err == "fdrates: error: line 12: unknown key 'data.mode_l'\n"
 
 
+@pytest.mark.readme
 def test_readme_lin_cfg_from_its_sector_mode(tmp_path, capsys):
     # data.kind = mode starts the README's lin.cfg from the mode
     # (sector.l, data.mode_k) = (1, 1): the trace is that of the linear flow

@@ -30,8 +30,8 @@ def _run(args, *path):
 ])
 def test_one_extension_whichever_imports_first(first, second):
     # one extension module serves both, so each routine is scipy.linalg.lapack's
-    # own object, and gives its bytes on a random tridiagonal solve and a
-    # tridiagonal eigenpair
+    # own object, and gives its bytes on a random tridiagonal solve and
+    # tridiagonal eigenvalues
     code = textwrap.dedent(f"""
         import importlib, json, sys
         importlib.import_module({first!r})
@@ -48,9 +48,8 @@ def test_one_extension_whichever_imports_first(first, second):
         def results(lapack):
             lu = lapack.dgttrf(dl, diag, du)
             x = lapack.dgttrs(*lu[:5], b)[0]
-            m, w, iblock, isplit, info = lapack.dstebz(diag, e, 0, 0, 0, 0, 0, 0, "B")
-            z, info_z = lapack.dstein(diag, e, w[:3], iblock, isplit)
-            return [a.tobytes().hex() for a in (*lu[:5], x, w, z)] + [info, info_z]
+            m, w, iblock, isplit, info = lapack.dstebz(diag, e, 0, 0, 0, 0, 0, 0, "E")
+            return [a.tobytes().hex() for a in (*lu[:5], x, w)] + [info]
 
         same = [getattr(ours, n) is getattr(theirs, n) for n in ours.__all__]
         one = sys.modules["scipy.linalg._flapack"] is ours._flapack
@@ -58,7 +57,7 @@ def test_one_extension_whichever_imports_first(first, second):
     """)
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [True, [True] * 4, True]
+    assert json.loads(proc.stdout) == [True, [True] * 3, True]
 
 
 def test_moved_extension_is_an_import_error_naming_its_path(tmp_path):

@@ -271,6 +271,15 @@ def test_lumped_shift_matches_the_index_mode_reference(d, near_star, branch, fra
                                     alpha, D, l)
     sigma = N._lumped_shift(forms)[0]
     assert sigma == pytest.approx(lumped_shift_by_index(forms)[0], rel=1e-6)
+    # the eigensolve it starts takes at most 3 solves of inverse iteration
+    # after the _BOUND_STEPS of the bound
+    import fdrates._lapack as lapack
+
+    solves, dgttrs = [], lapack.dgttrs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lapack, "dgttrs", lambda *a: solves.append(a) or dgttrs(*a))
+        N.bottom_eigenvalue(forms)
+    assert len(solves) <= N._BOUND_STEPS + 3
     # and on a small grid the eigensolve it starts agrees with the dense oracle
     small = N.assemble_sector_forms(N.build_grid(R * scale, 48, d, scale=scale),
                                     alpha, D, l)
