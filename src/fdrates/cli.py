@@ -442,11 +442,11 @@ def _cmd_evolve_linear(args):
     from . import flow as flow_mod
 
     cfg = _load_config(args.config, args.command)
-    e = cfg.exponent_set()
-    if e.d < 2:
-        raise ConfigError(f"line {cfg.lines['d']}: evolve-linear needs d >= 2")
+    e, l = cfg.exponent_set(), cfg["sector.l"]
+    if spec.multiplicity(e.d, l) == 0:
+        raise ConfigError(f"line {cfg.lines['sector.l']}: evolve-linear has no "
+                          f"sector l = {l} in d = {e.d}")
     grid = _config_grid(cfg, e.d)
-    l = cfg["sector.l"]
     if cfg["data.kind"] == "mode":
         mode = spec.discrete_mode(e.d, e.alpha, l, cfg["data.mode_k"])
         f0 = spec.mode_field(mode, grid)
@@ -472,18 +472,17 @@ def _cmd_entropy_report(args):
 
 
 def _cmd_gronwall(args):
-    from .scalar import GronwallParams, gronwall_bound, h_star
+    from .scalar import e_unif, gronwall_bound, h_star
 
     e = exp_mod.derive_exponents(args.d, args.m)
     Lambda = args.Lambda
     if Lambda is None:
         Lambda = exp_mod.sharp_rate(e.d, e.alpha)
-    params = GronwallParams(exponents=e, Lambda=Lambda, C_unif=args.C)
-    h0 = 1.0 + args.C * args.F0 ** params.e_unif
-    t, G = gronwall_bound(args.F0, h0, params, args.t_end, args.dt)
+    t, G = gronwall_bound(args.F0, e, Lambda, args.C, args.t_end, args.dt)
+    eu = e_unif(e)
     echo = [("d", args.d), ("m", args.m), ("Lambda", Lambda), ("C", args.C),
-            ("F0", args.F0), ("h0", h0), ("h_star", h_star(e, Lambda)),
-            ("e_unif", params.e_unif), ("dt", args.dt)]
+            ("F0", args.F0), ("h0", 1.0 + args.C * args.F0**eu),
+            ("h_star", h_star(e, Lambda)), ("e_unif", eu), ("dt", args.dt)]
     return echo, ["t", "G"], zip(t, G)
 
 

@@ -3,9 +3,10 @@
 Relative entropy F, relative Fisher information I, the truncated mass
 defect, the relative bounds h1/h2/h, the linear-nonlinear sandwich bounds,
 exponential/algebraic rate fitting, the calibration of the Gronwall constant
-from a trace, and the variational sharpness quotient.  The X/Y comparison
-functions, their root h_star and the Gronwall comparison ODE itself are
-scalar and live, without numpy, in fdrates.scalar.
+C from a trace, and the variational sharpness quotient.  The X/Y comparison
+functions, their root h_star, the exponent e_unif of h <= 1 + C F^e_unif
+and the Gronwall comparison ODE itself are scalar and live, without numpy,
+in fdrates.scalar.
 
 All functionals are evaluated in the relative variable x = v/V_D - 1; the
 identity V_D^(m-1) = D + r^2 (exact, since alpha(m-1) = 1) makes every weight
@@ -25,7 +26,7 @@ import numpy as np
 
 from .exponents import ExponentSet
 from .numerics import RadialGrid, cell_volumes, face_geometry, sphere_area
-from .scalar import GronwallParams, _window_rows, xy_functions
+from .scalar import _window_rows, e_unif, xy_functions
 
 if TYPE_CHECKING:
     # only here: profiles imports this module for solve_D's mass defect
@@ -245,7 +246,7 @@ def calibrate_uniform_constant(trace: EntropyTrace,
                                exponents: ExponentSet) -> float:
     """Smallest C with h(t) <= 1 + C F(t)^e along the whole trace:
     max over rows of (h - 1) F^(-e)."""
-    e = GronwallParams(exponents=exponents, Lambda=1.0).e_unif
+    e = e_unif(exponents)
     h = np.maximum(trace.h2, 1.0 / trace.h1)
     mask = trace.entropy > 0
     if not np.any(mask):

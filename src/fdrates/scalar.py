@@ -5,9 +5,10 @@ configuration (_schedule), and the fit-window check of fit_rate and the run
 configuration (_window_rows); the one root finder, a bracketed Brent search
 (_brent_root), which matches D to initial data (profiles.solve_D) and solves
 the quantization fit of the domain extrapolation (numerics._quantization_fit);
-the Gronwall comparison ODE, which turns a rate Lambda and the comparison
-functions X, Y into a bound on the entropy; and the self-similar change of
-variables between original (tau, y, u) and rescaled (t, x, v) coordinates.
+the Gronwall comparison ODE, which turns F0, a rate Lambda, the constant C
+and the comparison functions X, Y into a bound on the entropy, or refuses a
+dt that overshoots G = 0; and the self-similar change of variables between
+original (tau, y, u) and rescaled (t, x, v) coordinates.
 
 This module imports no numpy, so the gronwall and rescale commands start
 without it.  gronwall_bound returns its columns as array('d') buffers, 8 bytes
@@ -26,9 +27,9 @@ from .exponents import ExponentSet, Regime
 
 __all__ = [
     "ScheduleError",
-    "GronwallParams",
     "xy_functions",
     "h_star",
+    "e_unif",
     "gronwall_bound",
     "ExtinctionError",
     "RescalingMap",
@@ -203,50 +204,48 @@ def h_star(exponents: ExponentSet, Lambda: float) -> float:
     return (1.0 + Lambda / (exponents.d * (1.0 - m))) ** (1.0 / (4.0 * (2.0 - m)))
 
 
-@dataclass(frozen=True)
-class GronwallParams:
-    """Parameters of the comparison ODE
-    dG/dt = -2 (Lambda - Y(h)) / ((1+X(h)) h^(2-m)) G with h = 1 + C G^e."""
-
-    exponents: ExponentSet
-    Lambda: float
-    C_unif: float = 0.0
-
-    def __post_init__(self):
-        if self.C_unif < 0:
-            raise ValueError("C_unif must be nonnegative")
-
-    @property
-    def e_unif(self) -> float:
-        m, d = float(self.exponents.m), self.exponents.d
-        return (1.0 - m) / (d + 2.0 - (d + 1.0) * m)
+def e_unif(exponents: ExponentSet) -> float:
+    """Exponent e = (1-m)/(d+2-(d+1)m) of the uniform bound h <= 1 + C F^e."""
+    m, d = float(exponents.m), exponents.d
+    return (1.0 - m) / (d + 2.0 - (d + 1.0) * m)
 
 
-def gronwall_bound(F0: float, h0: float, params: GronwallParams,
+def gronwall_bound(F0: float, exponents: ExponentSet, Lambda: float, C: float,
                    t_end: float, dt: float):
-    """Integrate the comparison ODE by classical RK4 from G(0) = F0.
+    """Integrate the comparison ODE
+    dG/dt = -2 (Lambda - Y(h)) / ((1+X(h)) h^(2-m)) G, h = 1 + C G^e_unif,
+    by classical RK4 from G(0) = F0.
 
-    Requires h0 < h_star (the regime where Lambda - Y(h) > 0); with C = 0 the
-    solution is exactly F0 e^(-2 Lambda t).  t_end must be an integer multiple
-    of dt (_schedule).  Returns (t, G) as array('d') buffers of n + 1 values,
-    with t[i] = i (n dt/n) and t[n] = n dt, the bits of
-    np.linspace(0, n dt, n + 1).
+    Requires F0 >= 0, C >= 0 and h0 = 1 + C F0^e_unif below h_star (the
+    regime where Lambda - Y(h) > 0, so the exact G stays positive and
+    decreasing); with C = 0 the solution is exactly F0 e^(-2 Lambda t).
+    t_end must be an integer multiple of dt (_schedule).  An RK4 stage
+    value below 0 raises FloatingPointError naming dt: with C = 0 and
+    z = 2 Lambda dt the fourth stage is G (1 - z + z^2/2 - z^3/4), which
+    first turns negative at z = 1.2956.  Returns (t, G) as array('d')
+    buffers of n + 1 values, with t[i] = i (n dt/n) and t[n] = n dt, the
+    bits of np.linspace(0, n dt, n + 1).
     """
     if F0 < 0:
         raise ValueError("F0 must be nonnegative")
-    hs = h_star(params.exponents, params.Lambda)
+    if C < 0:
+        raise ValueError("C must be nonnegative")
+    e = e_unif(exponents)
+    h0 = 1.0 + C * F0**e
+    hs = h_star(exponents, Lambda)
     if not h0 < hs:
         raise ValueError(f"h0 = {h0} must be below h_star = {hs}")
     _, _, n = _schedule(0.0, t_end, dt, dt)
-    m = float(params.exponents.m)
-    e = params.e_unif
-    Lam, C = float(params.Lambda), params.C_unif
+    m = float(exponents.m)
+    Lam = float(Lambda)
 
     def rhs(G):
-        if G <= 0.0:
-            return 0.0
+        if G < 0.0:
+            raise FloatingPointError(
+                f"an RK4 stage of the Gronwall ODE reached G = {G} < 0: "
+                f"dt = {dt} is too large for the rate 2 Lambda = {2.0 * Lam}")
         h = 1.0 + C * G**e
-        X, Y = xy_functions(h, params.exponents)
+        X, Y = xy_functions(h, exponents)
         return -2.0 * (Lam - Y) / ((1.0 + X) * h ** (2.0 - m)) * G
 
     step = n * dt / n

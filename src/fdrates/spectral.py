@@ -169,10 +169,10 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
 
     The gap source is the continuum or the admissible below-continuum mode
     of least eigenvalue among the table's modes, the translation mode (1,0)
-    and the dilation mode (0,1), whether the table holds them or not.  For
-    d >= 2 its value is checked against the closed-form sharp constant; a
-    disagreement raises SpectralMismatchError.  Raises ValueError, naming
-    the parameter, unless d >= 1 and l_max, k_max >= 0.
+    and the dilation mode (0,1), whether the table holds them or not.  Its
+    value is checked against the closed-form sharp constant; a disagreement
+    raises SpectralMismatchError.  Raises ValueError, naming the parameter,
+    unless d >= 1 and l_max, k_max >= 0.
     """
     d = _dimension(d)
     for name, value in (("l_max", l_max), ("k_max", k_max)):
@@ -194,11 +194,10 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
             best = ("mode", mo.l, mo.k)
     a_star = Fraction(-(d - 2), 2)
     constraint_needed = a < a_star
-    if d >= 2:
-        if abs(float(best_lam) - float(sharp)) > 1e-9 * max(1.0, abs(float(sharp))):
-            raise SpectralMismatchError(
-                f"spectral minimum {best_lam} disagrees with the closed form {sharp}"
-            )
+    if abs(float(best_lam) - float(sharp)) > 1e-9 * max(1.0, abs(float(sharp))):
+        raise SpectralMismatchError(
+            f"spectral minimum {best_lam} disagrees with the closed form {sharp}"
+        )
     try:
         improved = improved_constant(d, a)
     except ValueError:

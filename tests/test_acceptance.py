@@ -201,22 +201,20 @@ def test_acceptance_gronwall_bound(eigen_run):
     F0 e^(-2 Lambda t) to 1e-8, and with the constant calibrated from the
     nonlinear run at Lambda = sharp_rate(5,-10) = 20 the bound dominates the
     measured entropy along the whole trace."""
-    params0 = SC.GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.0)
-    t, G = map(np.asarray, SC.gronwall_bound(1.0, 1.0, params0, 0.1, 1e-3))
+    t, G = map(np.asarray, SC.gronwall_bound(1.0, E59, 12.0, 0.0, 0.1, 1e-3))
     err = float(np.max(np.abs(G - np.exp(-24.0 * t)) / np.exp(-24.0 * t)))
 
     st, tr = eigen_run
     C = ENT.calibrate_uniform_constant(tr, E59)
     Lam = float(sharp_rate(5, -10.0))
-    params = SC.GronwallParams(exponents=E59, Lambda=Lam, C_unif=C)
-    h0 = 1.0 + C * tr.entropy[0] ** params.e_unif
-    tg, Gg = map(np.asarray, SC.gronwall_bound(tr.entropy[0], h0, params,
+    h0 = 1.0 + C * tr.entropy[0] ** SC.e_unif(E59)
+    tg, Gg = map(np.asarray, SC.gronwall_bound(tr.entropy[0], E59, Lam, C,
                                                float(tr.t[-1]), 1e-3))
     # trace times are multiples of the ODE step: compare at exact indices
     idx = np.rint(tr.t / 1e-3).astype(int)
     assert np.allclose(tg[idx], tr.t, atol=1e-12)
     dominates = bool(np.all(Gg[idx] >= tr.entropy * (1.0 - 1e-9)))
-    hs = SC.h_star(E59, params.Lambda)
+    hs = SC.h_star(E59, Lam)
     ok = err <= 1e-8 and h0 < hs and dominates
     _verdict(ok, "Gronwall comparison bound",
              f"C=0 RK4 vs closed form: {err:.2e} <= 1e-8; calibrated C = {C:.4f}, "

@@ -508,6 +508,19 @@ def test_evolve_linear(tmp_path, capsys):
     assert echo == ["# data.kind=mode", "# data.mode_k=1"]
 
 
+def test_evolve_linear_on_the_line(tmp_path, capsys):
+    # d = 1 has the sectors l = 0, 1 (even and odd parts); the odd sector at
+    # alpha = -3 decays at 2 Lambda = 12
+    cfg = tmp_path / "lin.cfg"
+    cfg.write_text("d = 1\nalpha = -3\nsector.l = 1\ngrid.R_max = 15\n"
+                   "grid.N = 800\ntime.dt = 1e-3\ntime.t_end = 1\n"
+                   "fit.window_start = 0.4\nfit.window_end = 0.9\n")
+    assert main(["evolve-linear", "--config", str(cfg)]) == 0
+    echo = dict(l[2:].split("=", 1) for l in capsys.readouterr().out.splitlines()
+                if l.startswith("# ") and "=" in l)
+    assert float(echo["fitted_rate"]) == pytest.approx(12.0, rel=0.01)
+
+
 def test_entropy_report(tmp_path, capsys):
     cfg = _evolve_config(tmp_path)
     assert main(["entropy-report", "--config", cfg]) == 0
@@ -528,6 +541,16 @@ def test_gronwall_cli(capsys):
     rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
     t, G = zip(*(map(float, r.split(",")) for r in rows))
     assert G[0] == 1.0 and G[-1] == pytest.approx(math.exp(-40 * t[-1]), rel=1e-7)
+
+
+@pytest.mark.parametrize("dt", ["0.04", "0.05", "0.2"])
+def test_gronwall_cli_refuses_an_overshooting_step(dt, capsys):
+    # 2 Lambda dt = 1.6, 2 or 8 is past the RK4 stage's root 1.2956: exit 2,
+    # with dt named, and no rows
+    assert main(["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0",
+                 "--t-end", "1", "--dt", dt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"dt = {dt}" in err and "numerical failure" in err
 
 
 def test_quotient_cli(capsys):
@@ -696,13 +719,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
 def test_spectrum_checks_every_table_size(monkeypatch, capsys):
     # the spectral minimum is checked against the closed form whatever the
-    # table's size, the tables of one sector or one radial index too
+    # table's size, the tables of one sector or one radial index too, and in
+    # every dimension, d = 1 too
     monkeypatch.setattr(spec_mod, "sharp_rate", lambda d, a: 19)
-    for size in (["--l-max", "0"], ["--k-max", "0"]):
-        assert main(["spectrum", "--d", "5", "--alpha", "-10", *size]) == 2, size
+    for args in (["--d", "5", "--alpha", "-10", "--l-max", "0"],
+                 ["--d", "5", "--alpha", "-10", "--k-max", "0"],
+                 ["--d", "1", "--alpha", "-3"]):
+        assert main(["spectrum", *args]) == 2, args
         err = capsys.readouterr().err
-        assert err.startswith("fdrates: numerical failure: "), size
-        assert "disagrees with the closed form" in err, size
+        assert err.startswith("fdrates: numerical failure: "), args
+        assert "disagrees with the closed form" in err, args
 
 
 # the README run.cfg with one line changed or added, and the refusal it gets
@@ -779,7 +805,8 @@ _UNREAD_KEYS = [
      "mode"),
     ("lin.cfg", [(None, "data.kind = mode"), (None, "data.epsilon = 0.3")],
      "line 12: {command} with data.kind = mode does not read data.epsilon"),
-    ("lin.cfg", [("d = 5", "d = 1")], "line 1: {command} needs d >= 2"),
+    ("lin.cfg", [("d = 5", "d = 1"), ("sector.l = 1", "sector.l = 2")],
+     "line 3: {command} has no sector l = 2 in d = 1"),
     ("run.cfg", [(None, "sector.l = 3")],
      "line 14: {command} with data.kind = eigen does not read sector.l"),
     ("run.cfg", [(None, "data.amplitude = 5")],

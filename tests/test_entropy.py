@@ -15,7 +15,7 @@ from fdrates.entropy import (SandwichReport, Weights, _phi,
                              EntropyTrace)
 from fdrates.exponents import derive_exponents
 from fdrates.profiles import Profile
-from fdrates.scalar import GronwallParams, gronwall_bound, h_star, xy_functions
+from fdrates.scalar import e_unif, gronwall_bound, h_star, xy_functions
 
 
 E59 = derive_exponents(5, 0.9)
@@ -187,42 +187,37 @@ def test_fit_rate_keeps_rows_that_round_past_the_window():
 
 
 def test_gronwall_linear_limit_exact():
-    params = GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.0)
-    t, G = map(np.asarray, gronwall_bound(1.0, 1.0, params, 0.1, 1e-3))
+    t, G = map(np.asarray, gronwall_bound(1.0, E59, 12.0, 0.0, 0.1, 1e-3))
     exact = np.exp(-24.0 * t)
     assert np.max(np.abs(G - exact) / exact) < 1e-8
 
 
 def test_gronwall_with_constant_decays_slower():
-    p0 = GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.0)
-    pc = GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.5)
-    _, G0 = map(np.asarray, gronwall_bound(1.0, 1.0, p0, 0.2, 1e-3))
-    _, Gc = map(np.asarray, gronwall_bound(1.0, 1.5, pc, 0.2, 1e-3))
+    _, G0 = map(np.asarray, gronwall_bound(1.0, E59, 12.0, 0.0, 0.2, 1e-3))
+    _, Gc = map(np.asarray, gronwall_bound(1.0, E59, 12.0, 0.5, 0.2, 1e-3))
     assert np.all(Gc[1:] > G0[1:])
     assert np.all(np.diff(Gc) < 0)  # still decaying below h_star
 
 
 def test_gronwall_rejections():
-    params = GronwallParams(exponents=E59, Lambda=12.0, C_unif=0.0)
     with pytest.raises(ValueError):
-        gronwall_bound(1.0, 3.0, params, 0.1, 1e-3)  # h0 above h_star ~ 2.078
+        gronwall_bound(1.0, E59, 12.0, 2.0, 0.1, 1e-3)  # h0 = 3 above h_star ~ 2.078
     with pytest.raises(ValueError):
-        gronwall_bound(-1.0, 1.0, params, 0.1, 1e-3)
+        gronwall_bound(-1.0, E59, 12.0, 0.0, 0.1, 1e-3)
     with pytest.raises(ValueError, match="integer multiple"):
-        gronwall_bound(1.0, 1.0, params, 0.1234, 0.01)  # would stop at 0.12
+        gronwall_bound(1.0, E59, 12.0, 0.0, 0.1234, 0.01)  # would stop at 0.12
     with pytest.raises(ValueError):
-        GronwallParams(exponents=E59, Lambda=12.0, C_unif=-1.0)
+        gronwall_bound(1.0, E59, 12.0, -1.0, 0.1, 1e-3)
 
 
 def test_e_unif_value():
-    params = GronwallParams(exponents=E59, Lambda=12.0)
-    assert params.e_unif == pytest.approx(0.1 / (7.0 - 5.4), rel=1e-14)
+    assert e_unif(E59) == pytest.approx(0.1 / (7.0 - 5.4), rel=1e-14)
 
 
 def test_calibrate_uniform_constant():
     t = np.linspace(0.0, 1.0, 20)
     F = np.exp(-2.0 * t)
-    e = GronwallParams(exponents=E59, Lambda=1.0).e_unif
+    e = e_unif(E59)
     h2 = 1.0 + 0.3 * F**e
     tr = EntropyTrace(t=t, entropy=F, fisher=0 * t, h1=1 + 0 * t, h2=h2,
                       mass_defect=0 * t)

@@ -119,6 +119,17 @@ def test_nonlinear_decay_rate_matches_spectrum():
     assert fit.r2 > 0.9999
 
 
+def test_nonlinear_flow_on_the_line():
+    # d = 1, m = 0.9 (alpha = -10): the dilation mode (0, 1) decays at
+    # 2 lambda_(0,1) = 2(40 - 2) = 76, and the matched mass defect stays put
+    g = N.build_grid(15.0, 800, 1)
+    st = FL.make_initial_data(g, derive_exponents(1, 0.9), "eigen", D=1.0,
+                              D0=2.0, D1=0.5, mode=(0, 1))
+    tr = FL.evolve_nonlinear(st, 0.21, 2e-4, cadence=0.001)
+    assert fit_rate(tr, (0.084, 0.185)).rate == pytest.approx(76.0, rel=5e-3)
+    assert np.max(np.abs(tr.mass_defect - tr.mass_defect[0])) <= 1e-12
+
+
 @pytest.mark.parametrize("R_max", [1e4, 1e8, float(np.sinh(40.0))])
 def test_critical_data_matched_on_large_domains(R_max):
     # at the critical exponent m* = 1/3 in d = 5 the profile is not

@@ -1,5 +1,5 @@
-"""Tests for the scalar steps: the Gronwall ODE's time axis and the
-self-similar change of variables, on Python floats."""
+"""Tests for the scalar steps: the Gronwall ODE's time axis and RK4 step,
+and the self-similar change of variables, on Python floats."""
 
 import math
 from array import array
@@ -41,11 +41,41 @@ def test_gronwall_time_axis_is_linspace_bit_for_bit(axis):
     # F0 = 0 keeps G at zero, so each example costs only its axis
     t_end, dt = axis
     n = S._schedule(0.0, t_end, dt, dt)[2]
-    params = S.GronwallParams(exponents=derive_exponents(5, 0.9), Lambda=20.0)
-    t, G = S.gronwall_bound(0.0, 1.0, params, t_end, dt)
+    t, G = S.gronwall_bound(0.0, derive_exponents(5, 0.9), 20.0, 0.0, t_end, dt)
     assert isinstance(t, array) and t.typecode == "d" and t.itemsize == 8
     assert isinstance(G, array) and G.typecode == "d" and len(G) == n + 1
+    assert not any(G)  # G = 0 is a fixed point of the ODE
     assert np.asarray(t).tobytes() == np.linspace(0.0, n * dt, n + 1).tobytes()
+
+
+def test_gronwall_linear_limit_is_the_rk4_power():
+    # the README line: C = 0, Lambda = 20, so G_n = F0 R(z)^n with
+    # z = 2 Lambda dt and R the degree-4 Taylor polynomial of exp(-z)
+    t, G = map(np.asarray, S.gronwall_bound(1.0, derive_exponents(5, 0.9),
+                                            20.0, 0.0, 1.0, 1e-3))
+    z = 40.0 * 1e-3
+    rk4 = (1.0 - z + z**2 / 2.0 - z**3 / 6.0 + z**4 / 24.0) ** np.arange(len(t))
+    assert np.max(np.abs(G - rk4) / rk4) <= 1e-10
+
+
+def test_gronwall_refuses_a_stage_below_zero_past_the_edge():
+    # with C = 0 the fourth RK4 stage is G (1 - z + z^2/2 - z^3/4), negative
+    # for z = 2 Lambda dt past its real root; below it every G_n is at least
+    # the exact F0 e^(-2 Lambda t_n), since R(z) >= e^(-z)
+    edge = next(r.real for r in np.roots([-0.25, 0.5, -1.0, 1.0]) if r.imag == 0)
+    assert edge == pytest.approx(1.2956, abs=1e-4)
+    E, Lam = derive_exponents(5, 0.9), 20.0
+    accepted = refused = 0
+    for dt in map(float, np.linspace(1e-3, 0.04, 400)):
+        if 2.0 * Lam * dt > edge:
+            with pytest.raises(FloatingPointError, match=f"dt = {dt}"):
+                S.gronwall_bound(1.0, E, Lam, 0.0, 20 * dt, dt)
+            refused += 1
+        else:
+            t, G = map(np.asarray, S.gronwall_bound(1.0, E, Lam, 0.0, 20 * dt, dt))
+            assert np.all(G > 0) and np.all(G >= np.exp(-2.0 * Lam * t))
+            accepted += 1
+    assert (accepted, refused) == (322, 78)
 
 
 # m = 0.6 is m_c in d = 5
