@@ -8,16 +8,16 @@ with the analytic tridiagonal Jacobian.  The pressure is
 p = V^(m-1) expm1((m-1) log1p(x))/(m-1), which is exact for every m < 1
 including m = 0 and stays accurate when x underflows far in the tail.
 
-A Workspace, built once per flow run, holds what every step shares: the
-invariants of the grid and profile, read from the run's entropy.Weights,
-the constants of the run's dt, and the work buffers, which each Newton
-iteration overwrites before it reads them.  The constants are folded into
-the arithmetic: p = (V^(m-1)/(m-1)) expm1((m-1) log1p x); the face mobility
-is summed from (V/2)(1 + x); and c = dt g/h scales it once, so that dt times
-the face flux is c vbar Dp and the flux derivatives are c (V/2) Dp and
-c vbar dp.  The right-hand side w V (x_old - x) - (net flux) and the upper
-band are built with their signs, so nothing is negated afterwards.  Each
-buffer holds the same bits as the form that allocates one array per
+A Workspace, built once per run at one step length dt, holds what every
+step shares: the invariants of the grid and profile, read from the run's
+entropy.Weights, the constants of dt, and the work buffers, which each
+Newton iteration overwrites before it reads them.  The constants are folded
+into the arithmetic: p = (V^(m-1)/(m-1)) expm1((m-1) log1p x); the face
+mobility is summed from (V/2)(1 + x); and c = dt g/h scales it once, so that
+dt times the face flux is c vbar Dp and the flux derivatives are c (V/2) Dp
+and c vbar dp.  The right-hand side w V (x_old - x) - (net flux) and the
+upper band are built with their signs, so nothing is negated afterwards.
+Each buffer holds the same bits as the form that allocates one array per
 operation in this association (kept as the reference in
 tests/test_kernels.py); the folds move the result from the unfolded form
 p = V^(m-1) expm1(...)/(m-1), dt (g vbar Dp/h) only by rounding.
@@ -28,22 +28,21 @@ reference does.  The estimate rule accepts a step after its first iteration
 when Newton's quadratic convergence, e_1 ~ L e_0^2, predicts the next
 correction below 1e-12.  The Workspace keeps L = e_1 / e_0^2 from the last
 step that stopped by the full rule after exactly two iterations, the first of
-them undamped.  L is measured and used only at the run's dt, so no dt
-halving, no damped first iteration and no step before the first such
+them undamped.  No damped first iteration and no step before the first such
 measurement accepts on the estimate; a step that fails or raises clears L.
 
 Newton starts from the linear extrapolation x_0 = 2 x_old - x_prev, where
 x_prev is the state before x_old in the same run, so that in a smooth run
 the first correction is of second order in dt and most steps stop on the
 estimate after one iteration.  The Workspace keeps the pair (x_old, x_new)
-of the last step accepted at the run's dt, by either rule, and uses it only
-when the next x_old is that x_new itself (the flow hands the returned array
-straight back).  Without such a pair (the first step, the step after a dt
-halving, or a caller that passes another array), at a halved dt, or when
-some 1 + x_0 is not finite and positive, Newton starts from x_old.  The
-start moves only where the iteration begins: the residual still measures
-x against x_old, and both stopping rules are unchanged.  Like L, the pair
-is taken on entry, so a step that fails or raises clears it.
+of the last step it accepted, by either rule, and uses it only when the next
+x_old is that x_new itself (the flow hands the returned array straight
+back).  Without such a pair (the first step, the step after a failed one,
+or a caller that passes another array), or when some 1 + x_0 is not finite
+and positive, Newton starts from x_old.  The start moves only where the
+iteration begins: the residual still measures x against x_old, and both
+stopping rules are unchanged.  Like L, the pair is taken on entry, so a step
+that fails or raises clears it.
 """
 
 import numpy as np
@@ -53,27 +52,17 @@ __all__ = ["Workspace", "newton_step", "BACKEND"]
 BACKEND = "pure"
 
 
-def _dt_constants(dt, g, h, hV):
-    """The per-dt constants of newton_step: c = dt g/h on each face, and the
-    flux derivatives' profile terms c V_i/2 and -c V_(i+1)/2.  One
-    expression serves the run's dt (kept by the Workspace) and a halving
-    (computed on entry), so that both give the same bits."""
-    c = dt * g / h
-    return c, c * hV[:-1], -c * hV[1:]
-
-
 class Workspace:
-    """The per-run part of newton_step.  From wts, the run's entropy.Weights,
-    it reads the profile V, Vm1 = V^(m-1), w V, the face geometry (g, h) and
-    m, and folds them into p_scale = Vm1/(m-1), hV = V/2 and, for the run's
-    dt, the constants of _dt_constants; it also holds the work buffers and
-    scipy's solve_banded and LinAlgError, looked up once.  With these a
-    Newton iteration takes 35 elementwise array passes.
+    """The per-run part of newton_step at the step length dt.  From wts,
+    the run's entropy.Weights, it reads the profile V, Vm1 = V^(m-1), w V,
+    the face geometry (g, h) and m, and folds them into p_scale = Vm1/(m-1),
+    hV = V/2 and the constants of dt: c = dt g/h on each face, and the flux
+    derivatives' profile terms c V_i/2 and -c V_(i+1)/2.  It also holds the
+    work buffers and scipy's solve_banded and LinAlgError, looked up once.
+    With these a Newton iteration takes 35 elementwise array passes.
 
-    dt is the run's time step, the one step length at which the estimate
-    rule measures and uses L and the start extrapolates.  L is None until a
-    step measures it; last is the (x_old, x_new) pair of the last step
-    accepted at dt, or None."""
+    L is None until a step measures it; last is the (x_old, x_new) pair of
+    the last step accepted, or None."""
 
     def __init__(self, wts, dt):
         # scipy is loaded by the first flow run, not by import fdrates
@@ -81,13 +70,14 @@ class Workspace:
 
         n = len(wts.V)
         self.solve_banded, self.LinAlgError = solve_banded, LinAlgError
-        self.Vm1, self.wV, self.g, self.h = wts.Vm1, wts.wV, wts.g, wts.h
+        self.Vm1, self.wV = wts.Vm1, wts.wV
         self.m1 = wts.m - 1.0
         self.m2 = wts.m - 2.0
         self.p_scale = wts.Vm1 / self.m1
         self.hV = 0.5 * wts.V
         self.dt = dt
-        self.dt_constants = _dt_constants(dt, wts.g, wts.h, self.hV)
+        self.c = c = dt * wts.g / wts.h
+        self.chV_l, self.mchV_r = c * self.hV[:-1], -c * self.hV[1:]
         self.L = None
         self.last = None
         self.closure = wts.w[0] == 0.0
@@ -104,18 +94,18 @@ class Workspace:
         self.finite = np.empty((4, n), dtype=bool)
 
 
-def newton_step(x_old, work, dt):
-    """Advance x by one implicit step of length dt, with the invariants and
-    buffers of work (a Workspace); returns (x_new, iterations).  x_new is a
-    new array, never one of work's buffers.
+def newton_step(x_old, work):
+    """Advance x by one implicit step of length work.dt, with the invariants
+    and buffers of work (a Workspace); returns (x_new, iterations).  x_new
+    is a new array, never one of work's buffers.
 
-    At dt == work.dt, when x_old is the x_new that work.last holds, Newton
-    starts from 2 x_old - x_prev, x_prev being that pair's x_old, if every
-    1 + x of that start is finite and positive; otherwise from x_old.
+    When x_old is the x_new that work.last holds, Newton starts from
+    2 x_old - x_prev, x_prev being that pair's x_old, if every 1 + x of that
+    start is finite and positive; otherwise from x_old.
 
-    Newton stops when e = max |dx| / (1 + |x|) < 1e-11 (the full rule), or,
-    at dt == work.dt, after an undamped first iteration whose e_0 gives
-    work.L e_0^2 < 1e-12 (the estimate rule; see the module docstring).
+    Newton stops when e = max |dx| / (1 + |x|) < 1e-11 (the full rule), or
+    after an undamped first iteration whose e_0 gives work.L e_0^2 < 1e-12
+    (the estimate rule; see the module docstring).
     Returns (None, iterations) if it fails to do so within 30 iterations, if
     the damping cannot keep 1 + x positive, or if the Jacobian is singular
     (caller decides how to subdivide the step).  When w[0] == 0 (d >= 2) the
@@ -123,6 +113,7 @@ def newton_step(x_old, work, dt):
     Raises FloatingPointError if the Jacobian or the residual is not finite.
     """
     Vm1, wV, p_scale, hV = work.Vm1, work.wV, work.p_scale, work.hV
+    c, chV_l, mchV_r = work.c, work.chV_l, work.mchV_r
     m1, m2 = work.m1, work.m2
     lx, p, dp, xp1, v, scaled, trial = work.nodal
     vbar, Dp, face = work.faces
@@ -132,13 +123,8 @@ def newton_step(x_old, work, dt):
     # fails or raises clears them
     L, work.L = work.L, None
     last, work.last = work.last, None
-    at_run_dt = dt == work.dt
-    if at_run_dt:
-        c, chV_l, mchV_r = work.dt_constants
-    else:
-        c, chV_l, mchV_r = _dt_constants(dt, work.g, work.h, hV)
     e0 = None
-    if at_run_dt and last is not None and last[1] is x_old:
+    if last is not None and last[1] is x_old:
         x = np.multiply(2.0, x_old)
         np.subtract(x, last[0], out=x)
         np.add(1.0, x, out=xp1)
@@ -208,15 +194,14 @@ def newton_step(x_old, work, dt):
         np.divide(scaled, trial, out=scaled)
         e = float(scaled.max())
         if e < 1e-11:
-            # e0 is set only for an undamped first iteration at the run's dt;
-            # an exact e = 0 would make L = 0 and accept every later step
+            # e0 is set only for an undamped first iteration; an exact e = 0
+            # would make L = 0 and accept every later step
             if it == 1 and e0 is not None and e > 0.0:
                 L = e / (e0 * e0)
             work.L = L
-            if at_run_dt:
-                work.last = x_old, x
+            work.last = x_old, x
             return x, it + 1
-        if it == 0 and at_run_dt and lam == 1.0:
+        if it == 0 and lam == 1.0:
             if L is not None and L * e * e < 1e-12:
                 work.L = L
                 work.last = x_old, x

@@ -151,18 +151,20 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     return NonlinearState(grid=grid, profile=profile, x=x)
 
 
-def _advance(x, work, dt, depth=0):
-    """One backward-Euler step with the kernel Workspace work, bisecting dt
-    on Newton failure (depth <= 12)."""
-    x_new, _ = _kernels.newton_step(x, work, dt)
+def _advance(x, work, wts, depth=0):
+    """One backward-Euler step of length work.dt with the kernel Workspace
+    work.  A step that Newton cannot finish runs as two steps of a run at
+    half the step, on one new Workspace of wts; at most 12 halvings deep."""
+    x_new, _ = _kernels.newton_step(x, work)
     if x_new is not None:
         return x_new
     if depth >= 12:
         raise FlowError(
-            f"Newton iteration diverged at dt = {dt}; use a smaller time step"
+            f"Newton iteration diverged at dt = {work.dt}; use a smaller time step"
         )
-    half = _advance(x, work, dt / 2.0, depth + 1)
-    return _advance(half, work, dt / 2.0, depth + 1)
+    half = _kernels.Workspace(wts, work.dt / 2.0)
+    x = _advance(x, half, wts, depth + 1)
+    return _advance(x, half, wts, depth + 1)
 
 
 def _march(state, schedule, step, row) -> dict:
@@ -193,12 +195,12 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     reflected in state.t.  The quadrature weights of the grid and profile
     (an entropy.Weights) are computed once per call and shared by the row
     functionals and the Newton kernel, whose invariants and work buffers (a
-    _kernels.Workspace) are also set up once and shared by every step and
-    every dt halving.  At dt only, the Workspace keeps the last accepted step,
-    from which Newton's start is extrapolated, and its quadratic-convergence
-    estimate, which lets a step stop after one Newton iteration; so that the
-    kernel recognises its own last result, step() hands the array newton_step
-    returned straight back to it.
+    _kernels.Workspace at dt) are also set up once and shared by every step.
+    The Workspace keeps the last accepted step, from which Newton's start is
+    extrapolated, and its quadratic-convergence estimate, which lets a step
+    stop after one Newton iteration; so that the kernel recognises its own
+    last result, step() hands the array newton_step returned straight back
+    to it.
     """
     schedule = _schedule(state.t, t_end, dt, cadence)
 
@@ -207,7 +209,7 @@ def evolve_nonlinear(state: NonlinearState, t_end: float, dt: float,
     sandwiches = []
 
     def step():
-        state.x = _advance(state.x, work, dt)
+        state.x = _advance(state.x, work, wts)
 
     def row():
         if track_sandwich:
@@ -233,7 +235,11 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
     The trace records the linearized entropy F = (1/2) int f^2 dmu_(alpha-1)
     and Fisher term I = A(f, f) (so dF/dt = -I holds in the continuum limit);
     h1/h2 are undefined for the linear flow and recorded as NaN; the
-    mass-defect column holds int f dmu_(alpha-1).  Band and initial data are
+    mass-defect column holds int f dmu_(alpha-1).  In sector l = 0 the
+    constant is the zero mode (A 1 = 0), which the flow keeps, so its
+    B-component (1^T B f / 1^T B 1) 1 is removed from the data before the
+    first step: the trace then decays at the gap of the sector, and the
+    mass-defect column stays at rounding.  Band and initial data are
     checked for finiteness once: backward Euler with the symmetric positive
     definite pencil (A, B) contracts the B-norm, so no step creates an inf.
     A band whose weights underflowed to zero is singular, and its solve
@@ -246,6 +252,8 @@ def evolve_linear_sector(state: LinearState, t_end: float, dt: float,
 
     forms = assemble_sector_forms(state.grid, state.alpha, state.D, state.l)
     f = forms.restrict(np.asarray(state.f, dtype=float))
+    if state.l == 0:
+        f = f - np.sum(forms.apply_b(f)) / np.sum(forms.apply_b(np.ones(forms.n)))
     ab = np.zeros((3, forms.n))
     ab[0, 1:] = forms.b_off + dt * forms.a_off
     ab[1] = forms.b_diag + dt * forms.a_diag

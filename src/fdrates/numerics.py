@@ -215,8 +215,6 @@ def _assemble_sectors(grid, alpha, D, ls):
     r = grid.nodes
     d = grid.d
     h = np.diff(r)
-    if np.any(h <= 0):
-        raise ValueError("grid has coincident nodes")
     xg, wg = _gauss_legendre()
     mid = (r[:-1] + r[1:]) / 2.0
     # shape (4, n_elem): quadrature points and weights, one row per Gauss

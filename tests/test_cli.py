@@ -521,6 +521,34 @@ def test_evolve_linear_on_the_line(tmp_path, capsys):
     assert float(echo["fitted_rate"]) == pytest.approx(12.0, rel=0.01)
 
 
+_LIN_SECTOR_0_D5 = ("d = 5\nalpha = -10\nsector.l = 0\ngrid.R_max = 15\n"
+                    "grid.N = 800\ntime.dt = 1e-4\ntime.t_end = 0.5\n"
+                    "output.cadence = 0.005\n"
+                    "fit.window_start = 0.2\nfit.window_end = 0.45\n")
+
+
+@pytest.mark.parametrize("text, rate", [
+    (_LIN_SECTOR_0_D5, 60.0),
+    (_LIN_SECTOR_0_D5 + "data.kind = mode\n", 60.0),
+    ("d = 1\nalpha = -3\nsector.l = 0\ngrid.R_max = 15\ngrid.N = 800\n"
+     "time.dt = 1e-3\ntime.t_end = 1\n"
+     "fit.window_start = 0.4\nfit.window_end = 0.9\n", 20.0),
+], ids=["d5-generic", "d5-mode", "d1-generic"])
+def test_evolve_linear_in_sector_0_decays_at_the_gap(text, rate, tmp_path, capsys):
+    # the constant, sector 0's zero mode, leaves the data before the first
+    # step, so the fit measures the gap 2 lambda_(0,1): 60 at d = 5,
+    # alpha = -10 from either start, 20 at d = 1, alpha = -3; the mass
+    # column stays at rounding
+    cfg = tmp_path / "lin.cfg"
+    cfg.write_text(text)
+    assert main(["evolve-linear", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    echo = dict(l[2:].split("=", 1) for l in lines if l.startswith("# ") and "=" in l)
+    assert float(echo["fitted_rate"]) == pytest.approx(rate, rel=0.01)
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    assert max(abs(float(row[5])) for row in rows) <= 1e-14
+
+
 def test_entropy_report(tmp_path, capsys):
     cfg = _evolve_config(tmp_path)
     assert main(["entropy-report", "--config", cfg]) == 0
@@ -554,14 +582,16 @@ def test_gronwall_cli_refuses_an_overshooting_step(dt, capsys):
 
 
 def test_quotient_cli(capsys):
-    assert main(["quotient", "--d", "5", "--m", "0.9", "--f", "gauss",
-                 "--n", "100,200", "--R", "30", "--N", "400"]) == 0
-    out = capsys.readouterr().out
-    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
-    assert len(rows) == 2
-    n, q, rq, ratio = rows[0].split(",")
-    assert float(q) >= 2.0
-    assert float(ratio) == pytest.approx(2.0, rel=0.05)
+    for f in ("gauss", "ring"):
+        assert main(["quotient", "--d", "5", "--m", "0.9", "--f", f,
+                     "--n", "100,200", "--R", "30", "--N", "400"]) == 0
+        out = capsys.readouterr().out
+        assert f"# f={f}" in out
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 2
+        n, q, rq, ratio = rows[0].split(",")
+        assert float(q) >= 2.0
+        assert float(ratio) == pytest.approx(2.0, rel=0.05)
     # a discrete mode as the test function
     assert main(["quotient", "--d", "5", "--m", "0.9", "--f", "mode:1",
                  "--n", "100", "--R", "20", "--N", "200"]) == 0

@@ -151,6 +151,10 @@ def test_fit_rate_rejections():
     tr = _synthetic_trace()
     with pytest.raises(ValueError):
         fit_rate(tr, (0.0, 0.05))  # too few samples
+    # 21 rows in the window, 9 of them with F > 0
+    flat = dataclasses.replace(tr, entropy=np.where(tr.t < 0.09, tr.entropy, 0.0))
+    with pytest.raises(ValueError, match="has 9 usable samples; need >= 10"):
+        fit_rate(flat, (0.0, 0.2))
     with pytest.raises(ValueError):
         fit_rate(tr, (0.0, 1.0), kind="cubic")
     with pytest.raises(ValueError):
@@ -222,6 +226,8 @@ def test_calibrate_uniform_constant():
     tr = EntropyTrace(t=t, entropy=F, fisher=0 * t, h1=1 + 0 * t, h2=h2,
                       mass_defect=0 * t)
     assert calibrate_uniform_constant(tr, E59) == pytest.approx(0.3, rel=1e-12)
+    with pytest.raises(ValueError, match="no rows with positive entropy"):
+        calibrate_uniform_constant(dataclasses.replace(tr, entropy=0 * t), E59)
 
 
 def test_variational_quotient_converges_and_bounded_below():
@@ -235,6 +241,12 @@ def test_variational_quotient_converges_and_bounded_below():
     assert gaps[1] < 0.8 * gaps[0] and gaps[2] < 0.8 * gaps[1]
     with pytest.raises(ValueError):
         variational_quotient(f, 0, wts)
+    # 1 + x <= 0 near the origin
+    with pytest.raises(ValueError, match="perturbation not positive at n = 1"):
+        variational_quotient(-5.0 * f, 1, wts)
+    # a constant is zero once projected to mean zero
+    with pytest.raises(ZeroDivisionError, match="zero entropy"):
+        variational_quotient(np.ones_like(f), 1, wts)
 
 
 # ---------------------------------------------------------------------------

@@ -169,18 +169,19 @@ def test_estimate_accepted_steps_match_full_iteration(monkeypatch):
     import fdrates._kernels as K
 
     st, t_end, dt, cadence = _critical_run()
-    # full iteration from x_old: a workspace whose run dt no step of the run
-    # uses
-    full = K.Workspace(Weights.of(st.grid, st.profile), 0.5)
+    # full iteration from x_old: a workspace of the run's dt with no
+    # estimate and no last step
+    full = K.Workspace(Weights.of(st.grid, st.profile), dt)
     step = K.newton_step
     gaps = []
     identical = []
 
-    def checked(x_old, work, dt):
+    def checked(x_old, work):
         last = work.last
-        from_x_old = (dt != work.dt or last is None or last[1] is not x_old)
-        x, iters = step(x_old, work, dt)
-        want, want_it = step(x_old, full, dt)
+        from_x_old = last is None or last[1] is not x_old
+        x, iters = step(x_old, work)
+        full.L = full.last = None
+        want, want_it = step(x_old, full)
         if from_x_old and iters == want_it:
             assert np.array_equal(x, want)
             identical.append(iters)
@@ -207,14 +208,14 @@ def test_run_steps_within_rounding_of_unfolded(monkeypatch, run):
     step = K.newton_step
     gaps = []
 
-    def checked(x_old, work, dt):
+    def checked(x_old, work):
         start, last = x_old, work.last
-        if dt == work.dt and last is not None and last[1] is x_old:
+        if last is not None and last[1] is x_old:
             x0 = 2.0 * x_old - last[0]
             if np.all(np.isfinite(x0)) and np.all(1.0 + x0 > 0.0):
                 start = x0
-        x, iters = step(x_old, work, dt)
-        want, want_it = _unfolded_step(x_old, wts, dt, start=start,
+        x, iters = step(x_old, work)
+        want, want_it = _unfolded_step(x_old, wts, work.dt, start=start,
                                        tol=np.inf if iters == 1 else 1e-11)
         assert want_it == iters
         gaps.append(_folding_gap(x, want))
@@ -235,8 +236,8 @@ def test_newton_work_budget(monkeypatch, run):
     step = K.newton_step
     steps = []
 
-    def counted(x_old, work, dt):
-        x, iters = step(x_old, work, dt)
+    def counted(x_old, work):
+        x, iters = step(x_old, work)
         steps.append(iters)
         return x, iters
 
@@ -285,3 +286,39 @@ def test_newton_failure_raises_flow_error(monkeypatch):
                         lambda *a, **k: (None, 0), raising=True)
     with pytest.raises(FL.FlowError):
         FL.evolve_nonlinear(st, 0.01, 1e-3)
+
+
+
+def test_failed_step_runs_as_a_run_at_half_the_step(monkeypatch):
+    # a near-vacuum bump (1 + x = 1e-6 at the origin): Newton cannot finish
+    # the first step at dt = 1e-3, which then runs as two steps at 5e-4, bit
+    # for bit those of a run at 5e-4; the next step at 1e-3 starts from x_old
+    import fdrates._kernels as K
+
+    def data():
+        g = N.build_grid(20.0, 400, 2)
+        return FL.make_initial_data(g, derive_exponents(2, -0.5), "bump",
+                                    amplitude=-0.999999, match_D=False)
+
+    step = K.newton_step
+    calls = []
+
+    def traced(x_old, work):
+        last = work.last
+        x, iters = step(x_old, work)
+        calls.append((work.dt, last is not None and last[1] is x_old, x_old, x))
+        return x, iters
+
+    monkeypatch.setattr(K, "newton_step", traced)
+    st = data()
+    FL.evolve_nonlinear(st, 2e-3, 1e-3, cadence=1e-3)
+    # (dt, extrapolated start, failed) of each kernel call
+    assert [(dt, ext, x is None) for dt, ext, _, x in calls] == [
+        (1e-3, False, True), (5e-4, False, False), (5e-4, True, False),
+        (1e-3, False, False)]
+    run = data()
+    FL.evolve_nonlinear(run, 1e-3, 5e-4, cadence=1e-3)
+    assert np.array_equal(calls[2][3], run.x)
+    _, _, x_old, x = calls[3]
+    wts = Weights.of(st.grid, st.profile)
+    assert np.array_equal(x, step(x_old, K.Workspace(wts, 1e-3))[0])

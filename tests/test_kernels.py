@@ -155,15 +155,17 @@ def test_step_matches_reference():
     for m in (0.0, 0.3, 0.9):
         for d in (1, 3, 5):
             _, wts = _problem(d=d, m=m)
-            # one workspace runs all five cases in order, as a flow run does,
-            # including the cases after a failed step; its run dt is one no
-            # case uses, so every step stops by the full rule
-            work = K.Workspace(wts, 0.5)
+            # one workspace per dt runs its cases in order, as a flow run
+            # does, including the case after a failed step; clearing its
+            # estimate makes every step stop by the full rule
+            works = {dt: K.Workspace(wts, dt) for dt in (1e-3, 1.0, 1e-2, 1e6)}
             smooth, hole, dip = _cases(d)
             for x, dt in ((smooth, 1e-3), (smooth, 1.0), (hole, 1e-2),
                           (hole, 1e6), (dip, 1e6)):
                 want, want_it, halvings = _reference_step(x, wts, dt)
-                got, got_it = K.newton_step(x, work, dt)
+                work = works[dt]
+                work.L = None
+                got, got_it = K.newton_step(x, work)
                 assert got_it == want_it
                 if want is None:
                     assert got is None
@@ -182,11 +184,12 @@ def test_step_within_rounding_of_unfolded():
     for m in (0.0, 0.3, 0.9):
         for d in (1, 3, 5):
             _, wts = _problem(d=d, m=m)
-            work = K.Workspace(wts, 0.5)
+            works = {dt: K.Workspace(wts, dt) for dt in (1e-3, 1e-2, 1.0, 1e6)}
             for x in _cases(d):
-                for dt in (1e-3, 1e-2, 1.0, 1e6):
+                for dt, work in works.items():
                     want, want_it = _unfolded_step(x, wts, dt)
-                    got, got_it = K.newton_step(x, work, dt)
+                    work.L = None
+                    got, got_it = K.newton_step(x, work)
                     assert got_it == want_it
                     if want is None:
                         assert got is None
@@ -194,25 +197,6 @@ def test_step_within_rounding_of_unfolded():
                     else:
                         assert _folding_gap(got, want) <= 1e-14
     assert failed > 0
-
-
-def test_run_dt_constants_match_those_computed_on_entry():
-    # a step at the run's dt, with no estimate and no last step, reads the
-    # Workspace's per-dt constants; on a Workspace of another run dt, the
-    # same step computes them on entry, by the same expression
-    for d in (1, 5):
-        x, wts = _problem(d=d)
-        for dt in (1e-3, 0.3):
-            work = K.Workspace(wts, dt)
-            kept = [a.copy() for a in work.dt_constants]
-            got, got_it = K.newton_step(x, work, dt)
-            want, want_it = K.newton_step(x, K.Workspace(wts, 0.5), dt)
-            assert got_it == want_it
-            assert np.array_equal(got, want)
-            # a halving computes its own and leaves the run's unchanged
-            K.newton_step(x, work, dt / 2.0)
-            for a, b in zip(work.dt_constants, kept):
-                assert np.array_equal(a, b)
 
 
 def test_nan_update_matches_reference(monkeypatch):
@@ -232,12 +216,12 @@ def test_nan_update_matches_reference(monkeypatch):
     with pytest.raises(ValueError, match="infs or NaNs"):
         _reference_step(x, wts, 1e-3)
     with pytest.raises(FloatingPointError, match="infs or NaNs"):
-        K.newton_step(x, K.Workspace(wts, 1e-3), 1e-3)
+        K.newton_step(x, K.Workspace(wts, 1e-3))
 
 
 def test_pure_step_converges_and_conserves():
     x, wts = _problem()
-    x_new, iters = K.newton_step(x, K.Workspace(wts, 1e-3), 1e-3)
+    x_new, iters = K.newton_step(x, K.Workspace(wts, 1e-3))
     assert x_new is not None and 1 <= iters <= 30
     assert np.all(1.0 + x_new > 0)
     # backward Euler conserves sum w V x (the truncated mass defect)
@@ -248,10 +232,12 @@ def test_pure_step_converges_and_conserves():
 
 def test_step_determinism():
     x, wts = _problem()
-    # a run dt the steps do not use: both stop by the full rule
-    work = K.Workspace(wts, 0.5)
-    a, _ = K.newton_step(x, work, 1e-3)
-    b, _ = K.newton_step(x, work, 1e-3)
+    # the estimate the first step may measure is cleared, so both stop by
+    # the full rule
+    work = K.Workspace(wts, 1e-3)
+    a, _ = K.newton_step(x, work)
+    work.L = None
+    b, _ = K.newton_step(x, work)
     assert np.array_equal(a, b)
 
 
@@ -259,7 +245,7 @@ def test_huge_step_reports_failure_not_garbage():
     # an absurd time step must either converge or return None, never a
     # positivity-violating state
     x, wts = _problem(m=0.3)
-    x_new, _ = K.newton_step(5.0 * x, K.Workspace(wts, 1e6), 1e6)
+    x_new, _ = K.newton_step(5.0 * x, K.Workspace(wts, 1e6))
     assert x_new is None or np.all(1.0 + x_new > 0)
 
 
@@ -268,7 +254,7 @@ def test_non_finite_input_raises():
     x, wts = _problem()
     x[7] = np.nan
     with pytest.raises(FloatingPointError, match="infs or NaNs"):
-        K.newton_step(x, K.Workspace(wts, 1e-3), 1e-3)
+        K.newton_step(x, K.Workspace(wts, 1e-3))
 
 
 def test_workspace_clean_after_raise():
@@ -280,9 +266,9 @@ def test_workspace_clean_after_raise():
         bad = x.copy()
         bad[7] = np.nan
         with pytest.raises(FloatingPointError, match="infs or NaNs"):
-            K.newton_step(bad, work, 1e-3)
+            K.newton_step(bad, work)
         want, want_it, _ = _reference_step(x, wts, 1e-3)
-        got, got_it = K.newton_step(x, work, 1e-3)
+        got, got_it = K.newton_step(x, work)
         assert got_it == want_it
         assert np.array_equal(got, want)
 
@@ -297,7 +283,7 @@ def test_singular_system_is_a_failed_step(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
     x, wts = _problem()
-    assert K.newton_step(x, K.Workspace(wts, 1e-3), 1e-3) == (None, 1)
+    assert K.newton_step(x, K.Workspace(wts, 1e-3)) == (None, 1)
 
 
 # an estimate of the quadratic-convergence constant so small that the
@@ -305,15 +291,15 @@ def test_singular_system_is_a_failed_step(monkeypatch):
 ANY = 1e-300
 
 
-def test_estimate_accepts_after_one_undamped_iteration_at_run_dt():
-    # the control for the tests below: at the run's dt, with an estimate,
-    # an undamped first iteration is accepted
+def test_estimate_accepts_after_one_undamped_iteration():
+    # the control for the tests below: with an estimate, an undamped first
+    # iteration is accepted
     x, wts = _problem()
     work = K.Workspace(wts, 1e-3)
     work.L = ANY
     # one iteration of the reference, accepted whatever its correction
     want, _, _ = _reference_step(x, wts, 1e-3, tol=np.inf, maxit=1)
-    got, got_it = K.newton_step(x, work, 1e-3)
+    got, got_it = K.newton_step(x, work)
     assert (got_it, work.L) == (1, ANY)
     assert np.array_equal(got, want)
 
@@ -328,21 +314,9 @@ def test_estimate_never_used_on_a_damped_first_iteration():
         assert halvings > 0 and want_it > 1
         work = K.Workspace(wts, 1e6)
         work.L = ANY
-        got, got_it = K.newton_step(hole, work, 1e6)
+        got, got_it = K.newton_step(hole, work)
         assert got_it == want_it
         assert np.array_equal(got, want)
-
-
-def test_estimate_never_used_at_a_halved_dt():
-    x, wts = _problem()
-    work = K.Workspace(wts, 1e-3)
-    work.L = ANY
-    want, want_it, _ = _reference_step(x, wts, 5e-4)
-    got, got_it = K.newton_step(x, work, 5e-4)
-    assert want_it > 1 and got_it == want_it
-    assert np.array_equal(got, want)
-    # a dt halving neither measures nor clears the run's estimate
-    assert work.L == ANY
 
 
 def test_fresh_workspace_uses_full_rule_then_measures_L():
@@ -354,7 +328,7 @@ def test_fresh_workspace_uses_full_rule_then_measures_L():
         for x0 in (x, 1e-3 * x):
             work = K.Workspace(wts, 1e-3)
             want, want_it, _ = _reference_step(x0, wts, 1e-3)
-            got, got_it = K.newton_step(x0, work, 1e-3)
+            got, got_it = K.newton_step(x0, work)
             assert got_it == want_it > 1
             assert np.array_equal(got, want)
             if got_it == 2:
@@ -373,7 +347,7 @@ def test_failed_step_clears_estimate():
     work = K.Workspace(wts, 1e6)
     work.L = 1.0
     work.last = dip, dip
-    assert K.newton_step(dip, work, 1e6)[0] is None
+    assert K.newton_step(dip, work)[0] is None
     assert work.L is None and work.last is None
     # so does a step that raises
     x, wts = _problem()
@@ -382,7 +356,7 @@ def test_failed_step_clears_estimate():
     work.L = 1.0
     work.last = x, x
     with pytest.raises(FloatingPointError, match="infs or NaNs"):
-        K.newton_step(x, work, 1e-3)
+        K.newton_step(x, work)
     assert work.L is None and work.last is None
 
 
@@ -404,7 +378,7 @@ def test_exact_zero_correction_stores_no_zero_estimate(monkeypatch):
     for before in (None, 0.5):
         work = K.Workspace(wts, 1e-3)
         work.L = before
-        assert K.newton_step(x, work, 1e-3)[1] == 2
+        assert K.newton_step(x, work)[1] == 2
         assert work.L == before
 
 
@@ -413,40 +387,25 @@ def _one_iteration(x_old, wts, dt, start=None):
     return _reference_step(x_old, wts, dt, tol=np.inf, maxit=1, start=start)[0]
 
 
-def test_start_extrapolates_the_last_step_at_run_dt():
+def test_start_extrapolates_the_last_step():
     x, wts = _problem()
     work = K.Workspace(wts, 1e-3)
     # a fresh workspace starts from x_old and keeps the step it accepted
-    x1, _ = K.newton_step(x, work, 1e-3)
+    x1, _ = K.newton_step(x, work)
     assert work.last[0] is x and work.last[1] is x1
     work.L = ANY
     predicted = _one_iteration(x1, wts, 1e-3, start=2.0 * x1 - x)
     plain = _one_iteration(x1, wts, 1e-3)
     assert not np.array_equal(predicted, plain)
     # a copy of the last returned array is not that array: x_old start
-    got, got_it = K.newton_step(x1.copy(), work, 1e-3)
+    got, got_it = K.newton_step(x1.copy(), work)
     assert got_it == 1 and np.array_equal(got, plain)
-    # the returned array itself, at the run's dt, with the pair that the
-    # copy's step replaced put back: the extrapolated start
+    # the returned array itself, with the pair that the copy's step
+    # replaced put back: the extrapolated start
     work.last = x, x1
-    x2, got_it = K.newton_step(x1, work, 1e-3)
+    x2, got_it = K.newton_step(x1, work)
     assert got_it == 1 and np.array_equal(x2, predicted)
     assert work.last[0] is x1 and work.last[1] is x2
-
-
-def test_start_from_x_old_at_a_halved_dt_which_clears_the_last_step():
-    x, wts = _problem()
-    work = K.Workspace(wts, 1e-3)
-    x1, _ = K.newton_step(x, work, 1e-3)
-    work.L = ANY
-    want, want_it, _ = _reference_step(x1, wts, 5e-4)
-    got, got_it = K.newton_step(x1, work, 5e-4)
-    assert want_it > 1 and got_it == want_it
-    assert np.array_equal(got, want)
-    assert work.last is None
-    # so the next step at the run's dt starts from x_old
-    got, got_it = K.newton_step(got, work, 1e-3)
-    assert got_it == 1 and np.array_equal(got, _one_iteration(want, wts, 1e-3))
 
 
 @pytest.mark.parametrize("shift", [2.0, -np.inf, np.nan])
@@ -459,6 +418,6 @@ def test_start_from_x_old_when_the_extrapolation_leaves_the_domain(shift):
     work = K.Workspace(wts, 1e-3)
     work.L = ANY
     work.last = x_prev, x
-    got, got_it = K.newton_step(x, work, 1e-3)
+    got, got_it = K.newton_step(x, work)
     assert got_it == 1 and np.array_equal(got, _one_iteration(x, wts, 1e-3))
     assert work.last[0] is x and work.last[1] is got
