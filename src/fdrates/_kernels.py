@@ -38,11 +38,15 @@ estimate after one iteration.  The Workspace keeps the pair (x_old, x_new)
 of the last step it accepted, by either rule, and uses it only when the next
 x_old is that x_new itself (the flow hands the returned array straight
 back).  Without such a pair (the first step, the step after a failed one,
-or a caller that passes another array), or when some 1 + x_0 is not finite
-and positive, Newton starts from x_old.  The start moves only where the
+or a caller that passes another array), or when some x_0 is not finite or
+not above -1, Newton starts from x_old.  The start moves only where the
 iteration begins: the residual still measures x against x_old, and both
 stopping rules are unchanged.  Like L, the pair is taken on entry, so a step
 that fails or raises clears it.
+
+Every iterate Newton builds has x > -1, tested on the array it keeps; since
+1 + t is exact for t in [-1, -1/2] (Sterbenz's lemma), that is exactly
+1 + x > 0.  A step whose damping cannot keep x above -1 fails.
 """
 
 import numpy as np
@@ -82,7 +86,7 @@ class Workspace:
         self.last = None
         self.closure = wts.w[0] == 0.0
         # nodal (length n) and face (length n - 1) buffers
-        self.nodal = tuple(np.empty((7, n)))
+        self.nodal = tuple(np.empty((6, n)))
         self.faces = tuple(np.empty((3, n - 1)))
         # the band (rows: upper, diagonal, lower) and the right-hand side
         # share one buffer so that one finiteness test covers both; gtsv
@@ -100,14 +104,14 @@ def newton_step(x_old, work):
     is a new array, never one of work's buffers.
 
     When x_old is the x_new that work.last holds, Newton starts from
-    2 x_old - x_prev, x_prev being that pair's x_old, if every 1 + x of that
-    start is finite and positive; otherwise from x_old.
+    2 x_old - x_prev, x_prev being that pair's x_old, if every x of that
+    start is finite and above -1; otherwise from x_old.
 
     Newton stops when e = max |dx| / (1 + |x|) < 1e-11 (the full rule), or
     after an undamped first iteration whose e_0 gives work.L e_0^2 < 1e-12
     (the estimate rule; see the module docstring).
     Returns (None, iterations) if it fails to do so within 30 iterations, if
-    the damping cannot keep 1 + x positive, or if the Jacobian is singular
+    the damping cannot keep x above -1, or if the Jacobian is singular
     (caller decides how to subdivide the step).  When w[0] == 0 (d >= 2) the
     origin row is replaced by the algebraic regularity closure p_1 = p_0.
     Raises FloatingPointError if the Jacobian or the residual is not finite.
@@ -115,7 +119,7 @@ def newton_step(x_old, work):
     Vm1, wV, p_scale, hV = work.Vm1, work.wV, work.p_scale, work.hV
     c, chV_l, mchV_r = work.c, work.chV_l, work.mchV_r
     m1, m2 = work.m1, work.m2
-    lx, p, dp, xp1, v, scaled, trial = work.nodal
+    lx, p, dp, xp1, v, trial = work.nodal
     vbar, Dp, face = work.faces
     system, ab, rhs, finite = work.system, work.ab, work.rhs, work.finite
     upper, diag, lower = work.bands
@@ -127,9 +131,8 @@ def newton_step(x_old, work):
     if last is not None and last[1] is x_old:
         x = np.multiply(2.0, x_old)
         np.subtract(x, last[0], out=x)
-        np.add(1.0, x, out=xp1)
         # a NaN makes the min NaN, an inf the max inf
-        if not (xp1.min() > 0.0 and np.isfinite(xp1.max())):
+        if not (x.min() > -1.0 and np.isfinite(x.max())):
             np.copyto(x, x_old)
     else:
         x = x_old.copy()
@@ -177,22 +180,22 @@ def newton_step(x_old, work):
                                    overwrite_b=True, check_finite=False)
         except work.LinAlgError:  # a singular Jacobian: the step failed
             return None, it + 1
-        # damping: halve lam until 1 + x + lam dx > 0 wherever it is not NaN
-        # (fmin skips NaN, as a test "any <= 0" does)
+        # damping: halve lam until x + lam dx > -1 wherever it is not NaN
+        # (fmin skips NaN, as a test "any <= -1" does); x keeps what was tested
         lam = 1.0
-        step = dx
-        while np.fmin.reduce(np.add(xp1, step, out=trial)) <= 0.0:
+        np.add(x, dx, out=trial)
+        while np.fmin.reduce(trial) <= -1.0:
             lam *= 0.5
             if lam < 1e-18:
                 return None, it + 1
-            step = np.multiply(lam, dx, out=scaled)
-        x += step
+            np.add(x, np.multiply(lam, dx, out=trial), out=trial)
+        np.copyto(x, trial)
         # convergence: max |dx| / (1 + |x|)
-        np.abs(x, out=trial)
-        np.add(1.0, trial, out=trial)
-        np.abs(dx, out=scaled)
-        np.divide(scaled, trial, out=scaled)
-        e = float(scaled.max())
+        np.abs(x, out=xp1)
+        np.add(1.0, xp1, out=xp1)
+        np.abs(dx, out=trial)
+        np.divide(trial, xp1, out=trial)
+        e = float(trial.max())
         if e < 1e-11:
             # e0 is set only for an undamped first iteration; an exact e = 0
             # would make L = 0 and accept every later step

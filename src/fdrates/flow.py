@@ -95,18 +95,20 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     method (profiles.solve_D, on the defect in x) so that the truncated mass
     defect of v0 vanishes, and x is re-expressed relative to the matched
     profile (requires D0 > D1 bracketing the root).  With the bracket given,
-    the returned x is checked to lie in the sandwich V_D0 <= v0 <= V_D1.
-    Raises ValueError for an eigen mode of sector l >= 1, which is not
-    radial.
+    unclipped data outside the sandwich V_D0 <= v0 <= V_D1 (by 1e-8) raise
+    ValueError, as does an eigen mode of sector l >= 1, which is not radial.
     """
     alpha = float(exponents.alpha)
     r = grid.nodes
+    bracket = D0 is not None and D1 is not None
+    if bracket:
+        # the sandwich V_D0 <= v0 <= V_D1 as bounds on x, relative to V_D
+        xlo = _profile_ratio_minus_one(D0, D, alpha, r)
+        xhi = _profile_ratio_minus_one(D1, D, alpha, r)
     if kind == "profile-blend":
-        if D0 is None or D1 is None:
+        if not bracket:
             raise ValueError("profile-blend needs D0 and D1")
-        q0 = _profile_ratio_minus_one(D0, D, alpha, r)
-        q1 = _profile_ratio_minus_one(D1, D, alpha, r)
-        x = 0.5 * (q0 + q1)
+        x = 0.5 * (xlo + xhi)
     elif kind == "eigen":
         from .spectral import discrete_mode, mode_field
 
@@ -130,24 +132,22 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     else:
         raise ValueError(f"unknown initial-data kind {kind!r}")
 
-    if clip and D0 is not None and D1 is not None and kind != "profile-blend":
-        xlo = _profile_ratio_minus_one(D0, D, alpha, r)
-        xhi = _profile_ratio_minus_one(D1, D, alpha, r)
+    if clip and bracket and kind != "profile-blend":
         x = np.clip(x, xlo, xhi)
 
     profile = Profile(exponents=exponents, D=D)
     if match_D:
-        if D0 is None or D1 is None:
+        if not bracket:
             raise ValueError("match_D needs the bracket D0 > D1")
         Dm = solve_D(grid, x, profile, D0, D1)
         q = _profile_ratio_minus_one(D, Dm, alpha, r)
         x = q + (1.0 + q) * x
         profile = Profile(exponents=exponents, D=Dm)
-    if D0 is not None and D1 is not None:
-        xlo = _profile_ratio_minus_one(D0, profile.D, alpha, r)
-        xhi = _profile_ratio_minus_one(D1, profile.D, alpha, r)
-        if np.any(x < xlo - 1e-8) or np.any(x > xhi + 1e-8):
-            raise ValueError("initial data violates the sandwich after clipping")
+        xlo = _profile_ratio_minus_one(D0, Dm, alpha, r)
+        xhi = _profile_ratio_minus_one(D1, Dm, alpha, r)
+    if bracket and (np.any(x < xlo - 1e-8) or np.any(x > xhi + 1e-8)):
+        raise ValueError(f"unclipped initial data leave the sandwich "
+                         f"V_D0 <= v0 <= V_D1 with D0 = {D0}, D1 = {D1}")
     return NonlinearState(grid=grid, profile=profile, x=x)
 
 

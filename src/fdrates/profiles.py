@@ -103,10 +103,6 @@ def solve_D(grid: RadialGrid, x: np.ndarray, profile: Profile, D0: float,
         return mass_defect_from_x(q + (1.0 + q) * x, wts)
 
     g1, g0 = g(D1), g(D0)
-    if g1 == 0.0:
-        return D1
-    if g0 == 0.0:
-        return D0
     if g1 * g0 > 0:
         raise ValueError(
             f"mass defect has the same sign at D1 = {D1} ({g1:.3e}) and "

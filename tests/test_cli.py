@@ -682,6 +682,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["evolve", "--config", late]) == 1
     assert ("fit.window_start = 0.0, fit.window_end = 5.0: fit window end 5.0 "
             "lies beyond the trace end t = 0.05" in capsys.readouterr().err)
+    # 1: unclipped data outside the sandwich, refused naming the bracket
+    wide = Path(_evolve_config(tmp_path, "data.clip = false\n"))
+    wide.write_text(wide.read_text().replace("data.epsilon = 0.05",
+                                             "data.epsilon = 5"))
+    assert main(["evolve", "--config", str(wide)]) == 1
+    assert capsys.readouterr().err == (
+        "fdrates: error: unclipped initial data leave the sandwich "
+        "V_D0 <= v0 <= V_D1 with D0 = 2.0, D1 = 0.5\n")
     # 2: a singular Newton system fails the step, and dt halving gives up
     import scipy.linalg
 

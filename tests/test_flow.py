@@ -1,5 +1,6 @@
 """Tests for the nonlinear and linear flow integrators."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,13 @@ def test_make_initial_data_kinds_and_rejections():
         FL.make_initial_data(g, E59, "profile-blend")  # missing bracket
     with pytest.raises(ValueError):
         FL.make_initial_data(g, E59, "bump")  # match_D without bracket
+    # unclipped data outside the sandwich, whether D is re-matched or not
+    for match_D in (True, False):
+        with pytest.raises(ValueError, match=r"^unclipped initial data leave the "
+                           r"sandwich V_D0 <= v0 <= V_D1 with D0 = 2\.0, "
+                           r"D1 = 0\.5$"):
+            FL.make_initial_data(g, E59, "eigen", D0=2.0, D1=0.5, epsilon=5.0,
+                                 clip=False, match_D=match_D)
     # a mode of sector l >= 1 is r^l P(r^2) times a spherical harmonic; the
     # radial flow would carry only its radial factor
     for l, k in ((1, 0), (1, 1), (2, 0)):
@@ -286,6 +294,21 @@ def test_newton_failure_raises_flow_error(monkeypatch):
                         lambda *a, **k: (None, 0), raising=True)
     with pytest.raises(FL.FlowError):
         FL.evolve_nonlinear(st, 0.01, 1e-3)
+
+
+def test_a_step_damping_cannot_keep_in_the_domain_halves():
+    # a bump of height 50 at dt = 1e4: the damped iterates reach x = -1
+    # under rounding, so each such step fails and halves, until the run
+    # gives up at the twelfth halving, with no warning on the way
+    g = N.build_grid(20, 200, 5)
+    st = FL.make_initial_data(g, derive_exponents(5, 0.3), "bump",
+                              amplitude=50, match_D=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FL.FlowError) as err:
+            FL.evolve_nonlinear(st, 4e4, 1e4)
+    assert str(err.value) == ("Newton iteration diverged at dt = 2.44140625; "
+                              "use a smaller time step")
 
 
 

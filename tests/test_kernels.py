@@ -72,13 +72,14 @@ def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
             ab[1, 0] = -dp[0]
             ab[0, 1] = dp[1]
         dx = solve_banded((1, 1), ab, rhs)
+        # the iterate tested is the iterate kept
         lam = 1.0
-        while np.any(1.0 + x + lam * dx <= 0.0):
+        while np.any((trial := x + lam * dx) <= -1.0):
             lam *= 0.5
             halvings += 1
             if lam < 1e-18:
                 return None, it + 1, halvings
-        x = x + lam * dx
+        x = trial
         if np.max(np.abs(dx) / (1.0 + np.abs(x))) < tol:
             return x, it + 1, halvings
     return None, maxit, halvings
@@ -125,11 +126,11 @@ def _unfolded_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
             ab[0, 1] = dp[1]
         dx = solve_banded((1, 1), ab, -resid)
         lam = 1.0
-        while np.any(1.0 + x + lam * dx <= 0.0):
+        while np.any((trial := x + lam * dx) <= -1.0):
             lam *= 0.5
             if lam < 1e-18:
                 return None, it + 1
-        x = x + lam * dx
+        x = trial
         if np.max(np.abs(dx) / (1.0 + np.abs(x))) < tol:
             return x, it + 1
     return None, maxit
@@ -408,16 +409,21 @@ def test_start_extrapolates_the_last_step():
     assert work.last[0] is x1 and work.last[1] is x2
 
 
-@pytest.mark.parametrize("shift", [2.0, -np.inf, np.nan])
+@pytest.mark.parametrize("shift", [2.0, -np.inf, np.nan, 1.0, 1.0 - 2.0**-53])
 def test_start_from_x_old_when_the_extrapolation_leaves_the_domain(shift):
-    # x_0 = 2 x - x_prev with x_0[10] = x[10] - shift: some 1 + x_0 <= 0 or
-    # not finite, so Newton starts from x_old, and the step keeps its pair
+    # x_0 = 2 x - x_prev with x[10] = 0, so x_0[10] = -shift exactly: where
+    # it is <= -1 (-1 itself included) or not finite, Newton starts from
+    # x_old; -1 + 2^-53 lies in the domain, so that start is used.  Either
+    # way the step keeps its pair
     x, wts = _problem()
+    x[10] = 0.0
     x_prev = x.copy()
     x_prev[10] += shift
+    start = 2.0 * x - x_prev if -np.inf < shift < 1.0 else None
     work = K.Workspace(wts, 1e-3)
     work.L = ANY
     work.last = x_prev, x
     got, got_it = K.newton_step(x, work)
-    assert got_it == 1 and np.array_equal(got, _one_iteration(x, wts, 1e-3))
+    assert got_it == 1
+    assert np.array_equal(got, _one_iteration(x, wts, 1e-3, start=start))
     assert work.last[0] is x and work.last[1] is got

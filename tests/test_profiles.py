@@ -234,6 +234,11 @@ def test_solve_D_recovers_exact_profile():
     p1 = Profile(exponents=e, D=1.0)
     D = solve_D(grid, _relative(grid, p1, 1.37), p1, D0=2.0, D1=0.5)
     assert D == pytest.approx(1.37, rel=1e-9)
+    # the profile itself has a defect of exactly 0 at D' = 1, which the
+    # search returns exactly when it is an end of the bracket
+    x = np.zeros(grid.N + 1)
+    for D0, D1 in ((2.0, 1.0), (1.0, 0.5)):
+        assert solve_D(grid, x, p1, D0=D0, D1=D1) == 1.0
 
 
 def test_solve_D_midpoint_oracle():
