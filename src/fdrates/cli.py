@@ -284,7 +284,7 @@ def _load_config(path: str, command: str) -> RunConfig:
     checks, a data.kind, unset the command's first, or a key set that the
     command does not read is refused by its line; the echo lists those read.
     Then what the kind needs, by its key's line or with the key named unset:
-    D0 and D1 for profile-blend or data.match_D, and an admissible mode."""
+    D0 and D1 for profile-blend or data.match_D, a sector l of d, an admissible mode."""
     with open(path, encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     kinds = _READS[command]
@@ -305,8 +305,12 @@ def _load_config(path: str, command: str) -> RunConfig:
         refuse("D0" if cfg["D0"] is None else "D1", "D0 and D1")
     if cfg.get("data.match_D") and None in (cfg["D0"], cfg["D1"]):
         refuse("data.match_D", "D0 and D1, or data.match_D = false")
+    e, l = cfg.exponent_set(), cfg.get("sector.l", 0)
+    if spec.multiplicity(e.d, l) == 0:
+        raise ConfigError(f"line {cfg.lines['sector.l']}: {command} has no "
+                          f"sector l = {l} in d = {e.d}")
     if "data.mode_k" in cfg:
-        e, l, k = cfg.exponent_set(), cfg.get("sector.l", 0), cfg["data.mode_k"]
+        k = cfg["data.mode_k"]
         if not spec.discrete_mode(e.d, e.alpha, l, k).admissible:
             refuse("data.mode_k", f"an admissible data.mode_k: mode (l, k) = ({l}, {k}) "
                                   f"is not admissible at d = {e.d}, alpha = {e.alpha}")
@@ -443,9 +447,6 @@ def _cmd_evolve_linear(args):
 
     cfg = _load_config(args.config, args.command)
     e, l = cfg.exponent_set(), cfg["sector.l"]
-    if spec.multiplicity(e.d, l) == 0:
-        raise ConfigError(f"line {cfg.lines['sector.l']}: evolve-linear has no "
-                          f"sector l = {l} in d = {e.d}")
     grid = _config_grid(cfg, e.d)
     if cfg["data.kind"] == "mode":
         mode = spec.discrete_mode(e.d, e.alpha, l, cfg["data.mode_k"])

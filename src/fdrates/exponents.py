@@ -4,7 +4,8 @@ Everything here is closed-form arithmetic in the dimension d and the
 diffusion exponent m < 1.  The central quantity is alpha = 1/(m-1) < 0, the
 decay exponent of the stationary profile (D + |x|^2)^alpha.  Inputs given as
 :class:`fractions.Fraction` (or int) are propagated exactly; floats are
-propagated in double precision.
+propagated in double precision.  The alpha thresholds are written once, in
+_alpha_thresholds, and fdrates.spectral reads them from there.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _number(x):
     result has the type of the input without a branch on it.
     """
     return Fraction(x) if isinstance(x, Rational) else float(x)
+
+
+def _alpha_thresholds(d: int):
+    """(alpha_star, alpha_1, alpha_2) = (-(d-2)/2, -d, -(d+2)/2) as Fractions,
+    the images of m_star, m_1, m_2 under m -> 1/(m-1)."""
+    return Fraction(2 - d, 2), Fraction(-d), Fraction(-(d + 2), 2)
 
 
 def _dimension(d) -> int:
@@ -115,15 +122,12 @@ def derive_exponents(d: int, m) -> ExponentSet:
         slack = 1e-12 * max(1, abs(threshold)) if num is float else 0
         return abs(m - threshold) <= slack
 
+    # m_star, m_1, m_2 are the images of the alpha thresholds under alpha_to_m
+    a_star, a_1, a_2 = _alpha_thresholds(d)
+    m_star = alpha_to_m(d, a_star) if d > 2 else -math.inf
     m_c = Fraction(d - 2, d)
     at_m_c = at(m_c)
-    if d > 2:
-        m_star = Fraction(d - 4, d - 2)
-        is_critical = at(m_star)
-    else:
-        m_star = -math.inf
-        is_critical = False
-    if is_critical:
+    if d > 2 and at(m_star):
         regime = Regime.CRITICAL
     elif m < m_c and not at_m_c:
         regime = Regime.VERY_FAST
@@ -136,11 +140,11 @@ def derive_exponents(d: int, m) -> ExponentSet:
         alpha=1 / (m - 1),
         m_c=num(m_c),
         m_star=num(m_star) if d > 2 else m_star,
-        m_1=num(Fraction(d - 1, d)),
-        m_2=num(Fraction(d, d + 2)),
-        alpha_star=num(Fraction(-(d - 2), 2) if d > 2 else 0),
-        alpha_1=num(-d),
-        alpha_2=num(Fraction(-(d + 2), 2)),
+        m_1=num(alpha_to_m(d, a_1)),
+        m_2=num(alpha_to_m(d, a_2)),
+        alpha_star=num(a_star if d > 2 else 0),
+        alpha_1=num(a_1),
+        alpha_2=num(a_2),
         regime=regime,
         log_limit=m == 0,
         at_m_c=at_m_c,
@@ -156,10 +160,11 @@ def alpha_to_m(d: int, alpha):
 
 
 def lambda_continuum(d: int, alpha):
-    """Bottom (d + 2 alpha - 2)^2 / 4 of the continuous spectrum of the
-    linearized operator on L^2(d mu_alpha)."""
+    """Bottom (d - 2 + 2 alpha)^2 / 4 of the continuous spectrum of the
+    linearized operator on L^2(d mu_alpha).  d - 2 is exact, so a float alpha
+    near alpha_star = -(d-2)/2 rounds once before squaring."""
     a = _number(alpha)
-    return (d + 2 * a - 2) ** 2 / 4
+    return (d - 2 + 2 * a) ** 2 / 4
 
 
 def sharp_rate(d: int, alpha):
@@ -176,16 +181,14 @@ def sharp_rate(d: int, alpha):
     if not a < 0:
         raise ValueError(f"alpha must be negative, got {alpha}")
     if d == 1:
-        return (a - Fraction(1, 2)) ** 2 if a >= Fraction(-1, 2) else -2 * a
-    if d == 2:
-        return a * a if a >= -2 else -2 * a
-    a_star = Fraction(-(d - 2), 2)
+        return lambda_continuum(d, a) if a >= Fraction(-1, 2) else -2 * a
+    a_star, a_1, a_2 = _alpha_thresholds(d)
     if a == a_star:
         raise ValueError(
             f"alpha = -(d-2)/2 = {a_star} is excluded: the spectral gap closes"
         )
-    if a > -Fraction(d + 2, 2):
-        return (d - 2 + 2 * a) ** 2 / 4
-    if a >= -d:
+    if a > a_2:
+        return lambda_continuum(d, a)
+    if a >= a_1:
         return -4 * a - 2 * d
     return -2 * a

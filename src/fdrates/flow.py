@@ -94,14 +94,16 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     When match_D is True the profile parameter is re-matched by Brent's
     method (profiles.solve_D, on the defect in x) so that the truncated mass
     defect of v0 vanishes, and x is re-expressed relative to the matched
-    profile (requires D0 > D1 bracketing the root).  With the bracket given,
-    unclipped data outside the sandwich V_D0 <= v0 <= V_D1 (by 1e-8) raise
-    ValueError, as does an eigen mode of sector l >= 1, which is not radial.
+    profile.  A bracket (D0, D1) must have D0 > D1 > 0; with it, unclipped
+    data outside the sandwich V_D0 <= v0 <= V_D1 (by 1e-8) raise ValueError,
+    as does an eigen mode of sector l >= 1, which is not radial.
     """
     alpha = float(exponents.alpha)
     r = grid.nodes
     bracket = D0 is not None and D1 is not None
     if bracket:
+        if not D0 > D1 > 0:
+            raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
         # the sandwich V_D0 <= v0 <= V_D1 as bounds on x, relative to V_D
         xlo = _profile_ratio_minus_one(D0, D, alpha, r)
         xhi = _profile_ratio_minus_one(D1, D, alpha, r)

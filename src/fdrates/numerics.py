@@ -26,9 +26,7 @@ each truncated domain is gridded and assembled once, and every sector is
 formed from that one assembly by adding its centrifugal term.  The three
 LAPACK routines of the eigensolver (dgttrf, dgttrs, dstebz) come from
 fdrates._lapack, bound when this module is imported, which loads
-scipy's LAPACK extension but not the scipy.linalg package.  The
-time-schedule check shared by the flows and the Gronwall integrator is
-scalar._schedule, which needs no numpy.
+scipy's LAPACK extension but not the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -244,7 +242,7 @@ def _assemble_sectors(grid, alpha, D, ls):
 
     out = []
     for l in ls:
-        ad, ao = a_diag, a_off
+        ad, ao, bd, bo = a_diag, a_off, b_diag, b_off
         if l > 0:
             ad, ao = a_diag.copy(), a_off.copy()
             c = l * (l + d - 2)
@@ -252,8 +250,6 @@ def _assemble_sectors(grid, alpha, D, ls):
             ad[:-1] += np.sum(q * p0 * p0 * w, axis=0)
             ad[1:] += np.sum(q * p1 * p1 * w, axis=0)
             ao += np.sum(q * p0 * p1 * w, axis=0)
-        bd, bo = b_diag, b_off
-        if l >= 1:
             ad, ao, bd, bo = ad[1:], ao[1:], bd[1:], bo[1:]
         out.append(SectorForms(grid=grid, l=int(l), a_diag=ad, a_off=ao,
                                b_diag=bd, b_off=bo))

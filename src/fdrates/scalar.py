@@ -299,17 +299,15 @@ class RescalingMap:
         return side, float(e.m), float(e.m_c), e.d
 
     def R(self, tau: float) -> float:
-        """Regime-resolved rescaling radius R(tau)."""
+        """R(tau) = (T + s tau)^(1/(d(m - m_c))), s = sign(m - m_c); e^tau at m_c."""
         side, m, m_c, d = self._regime_data()
-        if side > 0:
-            if self.T + tau <= 0:
-                raise ValueError(f"T + tau must be positive, got {self.T + tau}")
-            return (self.T + tau) ** (1.0 / (d * (m - m_c)))
-        if side < 0:
-            if tau >= self.T:
-                raise ExtinctionError(tau, self.T)
-            return (self.T - tau) ** (-1.0 / (d * (m_c - m)))
-        return math.exp(tau)
+        if side == 0:
+            return math.exp(tau)
+        if side < 0 and tau >= self.T:
+            raise ExtinctionError(tau, self.T)
+        if self.T + side * tau <= 0:
+            raise ValueError(f"T + tau must be positive, got {self.T + tau}")
+        return (self.T + side * tau) ** (1.0 / (d * (m - m_c)))
 
     def space_factor(self) -> float:
         """sqrt((1-m)/(2d|m-m_c|)), the x = c*y/R coefficient; 1/sqrt(d) at m=m_c."""
@@ -351,12 +349,8 @@ def from_selfsimilar(map: RescalingMap, t: float, x, v_value: float):
     side, m, m_c, d = map._regime_data()
     R0 = _R0(map)
     R = R0 * math.exp(2.0 * t / (1.0 - m))
-    if side > 0:
-        tau = R ** (d * (m - m_c)) - map.T
-    elif side < 0:
-        tau = map.T - R ** (-(d * (m_c - m)))
-    else:
-        tau = d * t
+    # tau = side*(R^(d(m - m_c)) - T), distributed so that a zero keeps its sign
+    tau = side * R ** (d * (m - m_c)) - side * map.T if side else d * t
     y = x * R / map.space_factor()
     u = v_value / R**d
     return tau, y, u

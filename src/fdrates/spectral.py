@@ -2,14 +2,15 @@
 
 The operator L f = -(D+|x|^2)^(1-alpha) div((D+|x|^2)^alpha grad f) on
 L^2((D+|x|^2)^(alpha-1) dx) has continuous spectrum [lambda_cont, inf) with
-lambda_cont = (d+2*alpha-2)^2/4 and a finite family of discrete eigenvalues
+lambda_cont (exponents.lambda_continuum) and finitely many discrete eigenvalues
 
     lambda_(l,k) = -2*alpha*(l+2k) - 4k(k+l+d/2-1)
 
 indexed by the spherical-harmonic sector l and radial index k, admissible for
 (l,k) != (0,0) and l+2k-1 < -(d+2*alpha)/2.  Eigenfunctions are
 r^l * (polynomial in r^2) obtained from hypergeometric series termination.
-All arithmetic stays in exact rationals when alpha is rational.
+All arithmetic stays in exact rationals when alpha is rational.  The alpha
+thresholds come from exponents._alpha_thresholds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exponents import _dimension, _number, lambda_continuum, sharp_rate
+from .exponents import (_alpha_thresholds, _dimension, _number, lambda_continuum,
+                        sharp_rate)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,17 +132,18 @@ class ImprovedConstant:
 def improved_constant(d: int, alpha) -> ImprovedConstant:
     """Sharp constant without the mean-zero constraint, for d >= 2 and alpha < -d/2.
 
-    Equals -4 alpha - 2 d for alpha < -d (where a discrete eigenvalue sits
-    below the continuum) and the continuum bottom (d + 2 alpha - 2)^2 / 4 on
-    [-d, -d/2).
+    Equals -4 alpha - 2 d for alpha < alpha_1 = -d (where a discrete
+    eigenvalue sits below the continuum) and the continuum bottom
+    lambda_continuum on [-d, -d/2).
     """
     if d < 2:
         raise ValueError("improved constant defined for d >= 2")
     a = _number(alpha)
     if not a < -Fraction(d, 2):
         raise ValueError(f"requires alpha < -d/2, got alpha = {alpha}")
-    value = -4 * a - 2 * d if a < -d else lambda_continuum(d, a)
-    flag = -d < a < -Fraction(d + 2, 2)
+    _, a_1, a_2 = _alpha_thresholds(d)
+    value = -4 * a - 2 * d if a < a_1 else lambda_continuum(d, a)
+    flag = a_1 < a < a_2
     return ImprovedConstant(value=value, discrepancy_flag=bool(flag))
 
 
@@ -192,8 +195,7 @@ def spectrum_report(d: int, alpha, l_max: int = 3, k_max: int = 3) -> SpectralRe
         if mo.admissible and mo.below_continuum and mo.lam < best_lam:
             best_lam = mo.lam
             best = ("mode", mo.l, mo.k)
-    a_star = Fraction(-(d - 2), 2)
-    constraint_needed = a < a_star
+    constraint_needed = a < _alpha_thresholds(d)[0]
     if abs(float(best_lam) - float(sharp)) > 1e-9 * max(1.0, abs(float(sharp))):
         raise SpectralMismatchError(
             f"spectral minimum {best_lam} disagrees with the closed form {sharp}"

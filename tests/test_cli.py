@@ -108,7 +108,7 @@ def test_config_ranges_and_time_axis_are_checked_when_read():
                       ("data.mode_k = -1", "line 1: data.mode_k must be >= 0")):
         with pytest.raises(ConfigError, match=re.escape(msg)):
             parse_config(text)
-    # the time axis, by numerics._schedule, naming the key it blames
+    # the time axis, by scalar._schedule, naming the key it blames
     for text, msg in (
             ("time.dt = 0", "line 1: bad value for time.dt: dt must be finite and "
                             "positive, got 0.0"),
@@ -844,6 +844,9 @@ _UNREAD_KEYS = [
     ("lin.cfg", [(None, "data.kind = mode"), (None, "data.epsilon = 0.3")],
      "line 12: {command} with data.kind = mode does not read data.epsilon"),
     ("lin.cfg", [("d = 5", "d = 1"), ("sector.l = 1", "sector.l = 2")],
+     "line 3: {command} has no sector l = 2 in d = 1"),
+    ("lin.cfg", [("d = 5", "d = 1"), ("sector.l = 1", "sector.l = 2"),
+                 (None, "data.kind = mode")],
      "line 3: {command} has no sector l = 2 in d = 1"),
     ("run.cfg", [(None, "sector.l = 3")],
      "line 14: {command} with data.kind = eigen does not read sector.l"),

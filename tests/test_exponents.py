@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,22 @@ def test_threshold_identities(d, m):
     assert float(alpha_to_m(d, e.alpha)) == pytest.approx(m, rel=1e-13, abs=1e-13)
 
 
+def _sharp_rate_reference(d, a):
+    """Lambda(alpha, d) written out branch by branch, with d = 2 on its own."""
+    if d == 1:
+        return (a - Fraction(1, 2)) ** 2 if a >= Fraction(-1, 2) else -2 * a
+    if d == 2:
+        return a * a if a >= -2 else -2 * a
+    if a == Fraction(-(d - 2), 2):
+        raise ValueError(f"alpha = -(d-2)/2 = {Fraction(-(d - 2), 2)} is excluded: "
+                         f"the spectral gap closes")
+    if a > -Fraction(d + 2, 2):
+        return (d - 2 + 2 * a) ** 2 / 4
+    if a >= -d:
+        return -4 * a - 2 * d
+    return -2 * a
+
+
 def test_sharp_rate_branches():
     assert sharp_rate(5, -1) == Fraction(1, 4)
     assert sharp_rate(5, -4) == 6
@@ -87,6 +104,23 @@ def test_sharp_rate_branches():
     assert sharp_rate(2, -1) == 1
     assert sharp_rate(1, -2) == 4
     assert sharp_rate(1, -0.25) == pytest.approx(0.5625)
+    # every branch point, alpha_star among them, and the points between,
+    # for d = 1..12: a Fraction gives the reference's Fraction or its
+    # refusal, a float is within 2 ulp of the reference's float
+    for d in range(1, 13):
+        cuts = sorted({c for iv in _branch_intervals(d) for c in iv})
+        mids = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+        for a in [c for c in cuts + mids + [Fraction(-4 * d - 1)] if c < 0]:
+            try:
+                want = _sharp_rate_reference(d, a)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                    sharp_rate(d, a)
+                continue
+            got = sharp_rate(d, a)
+            assert got == want and type(got) is Fraction, (d, a)
+            got, want = sharp_rate(d, float(a)), _sharp_rate_reference(d, float(a))
+            assert abs(got - want) <= 2 * math.ulp(want), (d, a)
 
 
 def test_sharp_rate_branch_continuity():
@@ -116,6 +150,14 @@ def test_lambda_continuum():
     assert lambda_continuum(5, -4) == Fraction(25, 4)
     assert lambda_continuum(5, Fraction(-3, 2)) == 0
     assert lambda_continuum(2, -3) == 9
+    # a float alpha within 1e-6 of alpha_star, where d - 2 + 2 alpha is small:
+    # within 4e-16 of the exact square of that float
+    for d in range(1, 13):
+        for delta in (1e-6, 3.7e-7, 1e-9, 2.5e-12, 1e-15):
+            for a in ((2 - d) / 2 + delta, (2 - d) / 2 - delta):
+                exact = (d - 2 + 2 * Fraction(a)) ** 2 / 4
+                err = abs(Fraction(lambda_continuum(d, a)) - exact) / exact
+                assert err <= 4e-16, (d, a, float(err))
 
 
 def _branch_intervals(d):

@@ -45,6 +45,14 @@ def test_make_initial_data_kinds_and_rejections():
         FL.make_initial_data(g, E59, "profile-blend")  # missing bracket
     with pytest.raises(ValueError):
         FL.make_initial_data(g, E59, "bump")  # match_D without bracket
+    # a bracket is refused unless D0 > D1 > 0, before any bound is computed
+    # from it: not as a warning from the bounds, nor as data leaving it
+    for D0, D1 in ((-1.0, 0.5), (0.5, 2.0), (1.0, 1.0), (2.0, 0.0)):
+        for kind, kw in (("bump", {}), ("bump", {"clip": False}),
+                         ("profile-blend", {}), ("eigen", {"match_D": False})):
+            with pytest.raises(ValueError, match=rf"^need D0 > D1 > 0, got "
+                               rf"D0 = {D0}, D1 = {D1}$"):
+                FL.make_initial_data(g, E59, kind, D0=D0, D1=D1, **kw)
     # unclipped data outside the sandwich, whether D is re-matched or not
     for match_D in (True, False):
         with pytest.raises(ValueError, match=r"^unclipped initial data leave the "

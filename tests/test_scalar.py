@@ -120,6 +120,57 @@ def test_selfsimilar_maps_refuse_T_0_off_m_c(m, tau):
     assert math.isfinite(u) and u > 0
 
 
+def _R_reference(mp, tau):
+    """R(tau) written out one branch per regime."""
+    side, m, m_c, d = mp._regime_data()
+    if side > 0:
+        if mp.T + tau <= 0:
+            raise ValueError(f"T + tau must be positive, got {mp.T + tau}")
+        return (mp.T + tau) ** (1.0 / (d * (m - m_c)))
+    if side < 0:
+        if tau >= mp.T:
+            raise S.ExtinctionError(tau, mp.T)
+        return (mp.T - tau) ** (-1.0 / (d * (m_c - m)))
+    return math.exp(tau)
+
+
+def _from_reference(mp, t, x, v):
+    """from_selfsimilar with tau written out one branch per regime."""
+    side, m, m_c, d = mp._regime_data()
+    R = S._R0(mp) * math.exp(2.0 * t / (1.0 - m))
+    if side > 0:
+        tau = R ** (d * (m - m_c)) - mp.T
+    elif side < 0:
+        tau = mp.T - R ** (-(d * (m_c - m)))
+    else:
+        tau = d * t
+    return tau, x * R / mp.space_factor(), v / R**d
+
+
+def _outcome(call, *args):
+    """The bits of the floats returned, sign of zero included, or the refusal."""
+    try:
+        out = call(*args)
+    except (ValueError, ArithmeticError) as e:
+        return type(e), str(e)
+    return [v.hex() for v in out] if isinstance(out, tuple) else out.hex()
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_rescaling_power_law_matches_the_regime_branches(d):
+    # R and the tau of from_selfsimilar keep the bits, and the refusal type
+    # and text, of one branch per regime, on both sides of m_c and at it
+    m_c = (d - 2) / d
+    for m in (m_c - 0.3, m_c - 1e-3, m_c, m_c + 1e-3, (m_c + 1) / 2):
+        for T in (0.0, 0.5, 1.0, 3.0):
+            mp = S.RescalingMap(exponents=derive_exponents(d, m), T=T)
+            for tau in (-4.0, -T, -0.3, 0.0, 0.3, T, 2.0 * T, 5.0):
+                assert _outcome(mp.R, tau) == _outcome(_R_reference, mp, tau)
+            for t in (-1.0, 0.0, 0.25, 2.0):
+                assert (_outcome(S.from_selfsimilar, mp, t, 1.3, 0.7)
+                        == _outcome(_from_reference, mp, t, 1.3, 0.7)), (m, T, t)
+
+
 def test_selfsimilar_maps_at_m_c_accept_T_0():
     mp = S.RescalingMap(exponents=derive_exponents(5, 0.6), T=0.0)
     t, x, v = S.to_selfsimilar(mp, 2.0, 1.0, 1.0)

@@ -153,6 +153,15 @@ def test_improved_constant():
         improved_constant(5, Fraction(-2))
     with pytest.raises(ValueError):
         improved_constant(1, Fraction(-3))
+    # every branch point below -d/2 and the points between, d = 2..12, give
+    # the Fractions of the formula written out
+    for d in range(2, 13):
+        cuts = [Fraction(-d - 1, 2), Fraction(-(d + 2), 2), Fraction(-d), Fraction(-4 * d)]
+        for a in cuts + [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]:
+            ic = improved_constant(d, a)
+            want = -4 * a - 2 * d if a < -d else (d - 2 + 2 * a) ** 2 / 4
+            assert ic.value == want and type(ic.value) is Fraction, (d, a)
+            assert ic.discrepancy_flag == (-d < a < -Fraction(d + 2, 2)), (d, a)
 
 
 def test_mode_field_matches_polynomial():
