@@ -30,6 +30,11 @@ correction below 1e-12.  The Workspace keeps L = e_1 / e_0^2 from the last
 step that stopped by the full rule after exactly two iterations, the first of
 them undamped.  No damped first iteration and no step before the first such
 measurement accepts on the estimate; a step that fails or raises clears L.
+After an undamped first iteration both rules are first tried on the bound
+b = max |dx|, which is at least e since 1 + |x| >= 1: b < 1e-11 or
+L b^2 < 1e-12 accepts the step, as e would, without measuring e.  Only when
+the bound does not accept is e measured, and e_0, L and every later
+decision come from e alone.
 
 Newton starts from the linear extrapolation x_0 = 2 x_old - x_prev, where
 x_prev is the state before x_old in the same run, so that in a smooth run
@@ -62,8 +67,11 @@ class Workspace:
     the face geometry (g, h) and m, and folds them into p_scale = Vm1/(m-1),
     hV = V/2 and the constants of dt: c = dt g/h on each face, and the flux
     derivatives' profile terms c V_i/2 and -c V_(i+1)/2.  It also holds the
-    work buffers and scipy's solve_banded and LinAlgError, looked up once.
-    With these a Newton iteration takes 35 elementwise array passes.
+    work buffers, the views of them (and of w V) at the left and right node
+    of each face, and scipy's solve_banded and LinAlgError, looked up once.
+    With these a Newton iteration takes 35 elementwise array passes, and an
+    undamped first iteration 32 when the bound max |dx| accepts it (see
+    newton_step) and 36 when it does not.
 
     L is None until a step measures it; last is the (x_old, x_new) pair of
     the last step accepted, or None."""
@@ -96,6 +104,11 @@ class Workspace:
         self.ab, self.rhs = self.system[:3], self.system[3]
         self.bands = self.ab[0, 1:], self.ab[1], self.ab[2, :-1]
         self.finite = np.empty((4, n), dtype=bool)
+        # the views at the left (i) and right (i + 1) node of each face
+        _, p, dp, _, v, _ = self.nodal
+        rhs, diag = self.rhs, self.ab[1]
+        self.lefts = v[:-1], p[:-1], dp[:-1], rhs[:-1], diag[:-1], self.wV[:-1]
+        self.rights = v[1:], p[1:], dp[1:], rhs[1:], diag[1:]
 
 
 def newton_step(x_old, work):
@@ -109,7 +122,9 @@ def newton_step(x_old, work):
 
     Newton stops when e = max |dx| / (1 + |x|) < 1e-11 (the full rule), or
     after an undamped first iteration whose e_0 gives work.L e_0^2 < 1e-12
-    (the estimate rule; see the module docstring).
+    (the estimate rule; see the module docstring).  An undamped first
+    iteration tries both rules on b = max |dx| >= e first, and returns
+    without measuring e when b < 1e-11 or work.L b^2 < 1e-12.
     Returns (None, iterations) if it fails to do so within 30 iterations, if
     the damping cannot keep x above -1, or if the Jacobian is singular
     (caller decides how to subdivide the step).  When w[0] == 0 (d >= 2) the
@@ -123,14 +138,17 @@ def newton_step(x_old, work):
     vbar, Dp, face = work.faces
     system, ab, rhs, finite = work.system, work.ab, work.rhs, work.finite
     upper, diag, lower = work.bands
+    v_l, p_l, dp_l, rhs_l, diag_l, wV_l = work.lefts
+    v_r, p_r, dp_r, rhs_r, diag_r = work.rights
+    add, sub, mul = np.add, np.subtract, np.multiply
     # only a step that succeeds gives L and the last step back: one that
     # fails or raises clears them
     L, work.L = work.L, None
     last, work.last = work.last, None
     e0 = None
     if last is not None and last[1] is x_old:
-        x = np.multiply(2.0, x_old)
-        np.subtract(x, last[0], out=x)
+        x = mul(2.0, x_old)
+        sub(x, last[0], x)
         # a NaN makes the min NaN, an inf the max inf
         if not (x.min() > -1.0 and np.isfinite(x.max())):
             np.copyto(x, x_old)
@@ -138,42 +156,42 @@ def newton_step(x_old, work):
         x = x_old.copy()
     for it in range(30):
         # pressure p and its derivative dp = dp/dx
-        np.log1p(x, out=lx)
-        np.multiply(m1, lx, out=p)
-        np.expm1(p, out=p)
-        np.multiply(p_scale, p, out=p)
-        np.multiply(m2, lx, out=dp)
-        np.exp(dp, out=dp)
-        np.multiply(Vm1, dp, out=dp)
+        np.log1p(x, lx)
+        mul(m1, lx, p)
+        np.expm1(p, p)
+        mul(p_scale, p, p)
+        mul(m2, lx, dp)
+        np.exp(dp, dp)
+        mul(Vm1, dp, dp)
         # face mobility c vbar, with vbar = (v_i + v_(i+1))/2, v = V (1 + x)
-        np.add(1.0, x, out=xp1)
-        np.multiply(hV, xp1, out=v)
-        np.add(v[:-1], v[1:], out=vbar)
-        np.multiply(c, vbar, out=vbar)
-        np.subtract(p[1:], p[:-1], out=Dp)
+        add(1.0, x, xp1)
+        mul(hV, xp1, v)
+        add(v_l, v_r, vbar)
+        mul(c, vbar, vbar)
+        sub(p_r, p_l, Dp)
         # right-hand side w V (x_old - x) minus the net flux, dt times the
         # face flux being c vbar Dp
-        np.multiply(vbar, Dp, out=face)
-        np.subtract(x_old, x, out=rhs)
-        np.multiply(wV, rhs, out=rhs)
-        rhs[:-1] += face
-        rhs[1:] -= face
+        mul(vbar, Dp, face)
+        sub(x_old, x, rhs)
+        mul(wV, rhs, rhs)
+        add(rhs_l, face, rhs_l)
+        sub(rhs_r, face, rhs_r)
         # dt times the flux derivatives: by x_i into the lower band, by
         # x_(i+1), negated, into the upper band
-        np.multiply(chV_l, Dp, out=lower)
-        np.multiply(vbar, dp[:-1], out=face)
-        np.subtract(lower, face, out=lower)
-        np.multiply(mchV_r, Dp, out=upper)
-        np.multiply(vbar, dp[1:], out=face)
-        np.subtract(upper, face, out=upper)
-        np.subtract(wV[:-1], lower, out=diag[:-1])
+        mul(chV_l, Dp, lower)
+        mul(vbar, dp_l, face)
+        sub(lower, face, lower)
+        mul(mchV_r, Dp, upper)
+        mul(vbar, dp_r, face)
+        sub(upper, face, upper)
+        sub(wV_l, lower, diag_l)
         diag[-1] = wV[-1]
-        diag[1:] -= upper
+        sub(diag_r, upper, diag_r)
         if work.closure:
             rhs[0] = p[0] - p[1]
             ab[1, 0] = -dp[0]
             ab[0, 1] = dp[1]
-        if not np.isfinite(system, out=finite).all():
+        if not np.isfinite(system, finite).all():
             raise FloatingPointError("array must not contain infs or NaNs")
         try:
             dx = work.solve_banded((1, 1), ab, rhs, overwrite_ab=True,
@@ -183,31 +201,38 @@ def newton_step(x_old, work):
         # damping: halve lam until x + lam dx > -1 wherever it is not NaN
         # (fmin skips NaN, as a test "any <= -1" does); x keeps what was tested
         lam = 1.0
-        np.add(x, dx, out=trial)
+        add(x, dx, trial)
         while np.fmin.reduce(trial) <= -1.0:
             lam *= 0.5
             if lam < 1e-18:
                 return None, it + 1
-            np.add(x, np.multiply(lam, dx, out=trial), out=trial)
+            add(x, mul(lam, dx, trial), trial)
         np.copyto(x, trial)
-        # convergence: max |dx| / (1 + |x|)
-        np.abs(x, out=xp1)
-        np.add(1.0, xp1, out=xp1)
-        np.abs(dx, out=trial)
-        np.divide(trial, xp1, out=trial)
+        # convergence: e = max |dx| / (1 + |x|) is at most b = max |dx|, so
+        # an undamped first iteration that b accepts by either rule is one
+        # that e accepts, and it returns before e is measured
+        np.abs(dx, trial)
+        first = it == 0 and lam == 1.0
+        if first:
+            b = float(trial.max())
+            if b < 1e-11 or L is not None and L * b * b < 1e-12:
+                break
+        np.abs(x, xp1)
+        add(1.0, xp1, xp1)
+        np.divide(trial, xp1, trial)
         e = float(trial.max())
         if e < 1e-11:
             # e0 is set only for an undamped first iteration; an exact e = 0
             # would make L = 0 and accept every later step
             if it == 1 and e0 is not None and e > 0.0:
                 L = e / (e0 * e0)
-            work.L = L
-            work.last = x_old, x
-            return x, it + 1
-        if it == 0 and lam == 1.0:
+            break
+        if first:
             if L is not None and L * e * e < 1e-12:
-                work.L = L
-                work.last = x_old, x
-                return x, 1
+                break
             e0 = e
-    return None, 30
+    else:
+        return None, 30
+    work.L = L
+    work.last = x_old, x
+    return x, it + 1

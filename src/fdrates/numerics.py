@@ -91,9 +91,18 @@ def build_grid(R_max: float, N: int, d: int, scale: float = 1.0) -> RadialGrid:
     """Build a radial grid on [0, R_max] with N cells, its nodes at
     r = scale*sinh(s), s uniform on [0, asinh(R_max/scale)]: they cluster near
     the origin and stretch toward R_max, where the critical case's algebraic
-    tails reach, and doubling N nests the grid."""
+    tails reach, and doubling N nests the grid.  A domain on which the
+    quadrature weights overflow, R_max^d (the cell volumes r^(d-1) dr) or
+    R_max^2 (the profile's D + r^2) beyond the largest double, raises
+    FloatingPointError."""
     if not R_max > 0:
         raise ValueError(f"R_max must be positive, got {R_max}")
+    try:
+        float(R_max) ** max(d, 2)
+    except OverflowError:
+        raise FloatingPointError(f"the weights overflow on the domain R_max = "
+                                 f"{R_max}: R_max^{max(d, 2)} exceeds the "
+                                 f"largest double") from None
     if N < 16:
         raise ValueError(f"need at least 16 cells, got N = {N}")
     if not scale > 0:

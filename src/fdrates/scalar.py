@@ -299,7 +299,9 @@ class RescalingMap:
         return side, float(e.m), float(e.m_c), e.d
 
     def R(self, tau: float) -> float:
-        """R(tau) = (T + s tau)^(1/(d(m - m_c))), s = sign(m - m_c); e^tau at m_c."""
+        """R(tau) = (T + s tau)^(1/(d(m - m_c))), s = sign(m - m_c); e^tau at
+        m_c.  A power that overflows or underflows to 0 raises
+        FloatingPointError."""
         side, m, m_c, d = self._regime_data()
         if side == 0:
             return math.exp(tau)
@@ -307,7 +309,8 @@ class RescalingMap:
             raise ExtinctionError(tau, self.T)
         if self.T + side * tau <= 0:
             raise ValueError(f"T + tau must be positive, got {self.T + tau}")
-        return (self.T + side * tau) ** (1.0 / (d * (m - m_c)))
+        return _power(self.T + side * tau, 1.0 / (d * (m - m_c)),
+                      f"R(tau) = (T + s tau)^(1/(d(m - m_c))) at tau = {tau}")
 
     def space_factor(self) -> float:
         """sqrt((1-m)/(2d|m-m_c|)), the x = c*y/R coefficient; 1/sqrt(d) at m=m_c."""
@@ -315,6 +318,19 @@ class RescalingMap:
         if side == 0:
             return 1.0 / math.sqrt(d)
         return math.sqrt((1.0 - m) / (2.0 * d * abs(m - m_c)))
+
+
+def _power(base: float, p: float, what: str) -> float:
+    """base ** p, refused with FloatingPointError naming what, base and p
+    where it overflows or underflows to 0."""
+    try:
+        value = base ** p
+    except (OverflowError, ZeroDivisionError):  # 0.0 ** p, p < 0, too
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    raise FloatingPointError(f"{what}: {base!r}^{p!r} "
+                             f"{'underflows to 0' if value == 0.0 else 'overflows'}")
 
 
 def _R0(map: RescalingMap) -> float:
@@ -339,18 +355,20 @@ def to_selfsimilar(map: RescalingMap, tau: float, y, u_value: float):
     R = map.R(tau)
     t = 0.5 * (1.0 - m) * math.log(R / R0)
     x = map.space_factor() * y / R
-    v = R ** map.exponents.d * u_value
+    v = _power(R, map.exponents.d, f"R^d at tau = {tau}") * u_value
     return t, x, v
 
 
 def from_selfsimilar(map: RescalingMap, t: float, x, v_value: float):
     """Inverse of to_selfsimilar, x a float or an ndarray; round-trips to
-    1e-12 relative error."""
+    1e-12 relative error.  A power of R that overflows or underflows to 0
+    raises FloatingPointError."""
     side, m, m_c, d = map._regime_data()
     R0 = _R0(map)
     R = R0 * math.exp(2.0 * t / (1.0 - m))
     # tau = side*(R^(d(m - m_c)) - T), distributed so that a zero keeps its sign
-    tau = side * R ** (d * (m - m_c)) - side * map.T if side else d * t
+    tau = (side * _power(R, d * (m - m_c), f"R^(d(m - m_c)) at t = {t}")
+           - side * map.T if side else d * t)
     y = x * R / map.space_factor()
-    u = v_value / R**d
+    u = v_value / _power(R, d, f"R^d at t = {t}")
     return tau, y, u

@@ -722,6 +722,33 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("fdrates: numerical failure: ") and msg in err, argv
+    # 2: valid input on a domain whose weights overflow, refused with the
+    # radius named, before anything warns
+    huge = Path(_evolve_config(tmp_path))
+    huge.write_text(huge.read_text().replace("grid.R_max = 15", "grid.R_max = 1e200"))
+    for argv, R in (
+            (["quotient", "--d", "5", "--m", "0.9", "--R", "1e200", "--N", "64",
+              "--n", "100"], "1e+200"),
+            (["entropy-report", "--config", str(huge)], "1e+200"),
+            (["evolve", "--config", str(huge)], "1e+200"),
+            (["hp-verify", "--d", "5", "--alpha=-1", "--R", "1e100", "--N", "64",
+              "--no-extrapolate"], "1e+100")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"fdrates: numerical failure: the weights overflow on the domain "
+            f"R_max = {R}: R_max^5 exceeds the largest double\n"), argv
+    # 2: a rescaling power that overflows, refused naming tau
+    for argv, msg in (
+            (["rescale", "--d", "1", "--m=-0.999", "--T", "3", "--tau", "5"],
+             "R(tau) = (T + s tau)^(1/(d(m - m_c))) at tau = 0.0: 3.0^"),
+            (["rescale", "--d", "5", "--m", "0.8", "--T", "1", "--tau", "1e300"],
+             "R^d at tau = 1e+300: ")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("fdrates: numerical failure: " + msg), argv
+        assert err.endswith(" overflows\n") and err.count("\n") == 1, argv
     # 2: a spectral minimum that disagrees with the closed form
     monkeypatch.setattr(spec_mod, "sharp_rate", lambda d, a: 19)
     assert main(["spectrum", "--d", "5", "--alpha", "-10"]) == 2

@@ -29,11 +29,14 @@ def test_backend_registry():
         fdrates.no_such_module
 
 
-def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
+def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None,
+                    measures=None):
     """The Newton step written with one new array per operation, in the
     association of the kernel's folded constants (see its docstring), from
     the profile and geometry of the Weights wts, starting from start
-    (default x_old); also returns the number of damping halvings."""
+    (default x_old); also returns the number of damping halvings.  The
+    convergence measure of each iteration is appended to the list measures,
+    if one is given."""
     from scipy.linalg import solve_banded
 
     V, Vm1, w, g, h, m = wts.V, wts.Vm1, wts.w, wts.g, wts.h, wts.m
@@ -80,7 +83,10 @@ def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
             if lam < 1e-18:
                 return None, it + 1, halvings
         x = trial
-        if np.max(np.abs(dx) / (1.0 + np.abs(x))) < tol:
+        e = np.max(np.abs(dx) / (1.0 + np.abs(x)))
+        if measures is not None:
+            measures.append(e)
+        if e < tol:
             return x, it + 1, halvings
     return None, maxit, halvings
 
@@ -305,6 +311,26 @@ def test_estimate_accepts_after_one_undamped_iteration():
     assert np.array_equal(got, want)
 
 
+def test_estimate_falls_back_to_the_exact_measure():
+    # at x near 1 the exact measure e = max |dx| / (1 + |x|) is about half
+    # the bound b = max |dx|; with L b^2 >= 1e-12 > L e^2 the bound does not
+    # accept the first iteration, the exact measure does
+    x, wts = _problem()
+    for x0 in (np.ones_like(x), 1.0 + x):
+        e = []
+        want, _, _ = _reference_step(x0, wts, 1e-3, tol=np.inf, maxit=1,
+                                     measures=e)
+        # b to rounding: the iterate minus the start, the step undamped
+        b = float(np.max(np.abs(want - x0)))
+        L = 1e-12 / (b * e[0])
+        assert e[0] >= 1e-11 and L * b * b >= 1.5e-12 and L * e[0] ** 2 < 0.7e-12
+        work = K.Workspace(wts, 1e-3)
+        work.L = L
+        got, got_it = K.newton_step(x0, work)
+        assert (got_it, work.L) == (1, L)
+        assert np.array_equal(got, want)
+
+
 def test_estimate_never_used_on_a_damped_first_iteration():
     for m in (0.0, 0.3):
         _, wts = _problem(d=3, m=m)
@@ -328,11 +354,15 @@ def test_fresh_workspace_uses_full_rule_then_measures_L():
         x, wts = _problem(d=d)
         for x0 in (x, 1e-3 * x):
             work = K.Workspace(wts, 1e-3)
-            want, want_it, _ = _reference_step(x0, wts, 1e-3)
+            e = []
+            want, want_it, _ = _reference_step(x0, wts, 1e-3, measures=e)
             got, got_it = K.newton_step(x0, work)
             assert got_it == want_it > 1
             assert np.array_equal(got, want)
             if got_it == 2:
+                # L from the exact measures, e_0 included, not from the
+                # bound max |dx| that the first iteration tried first
+                assert work.L == e[1] / (e[0] * e[0])
                 assert 0.0 < work.L < 1e11
                 measured += 1
             else:

@@ -120,17 +120,31 @@ def test_selfsimilar_maps_refuse_T_0_off_m_c(m, tau):
     assert math.isfinite(u) and u > 0
 
 
+def _pow_reference(base, p, what):
+    """base ** p, or the refusal of a power that leaves the doubles."""
+    try:
+        value = base ** p
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if value == 0.0:
+        raise FloatingPointError(f"{what}: {base!r}^{p!r} underflows to 0")
+    if value == math.inf:
+        raise FloatingPointError(f"{what}: {base!r}^{p!r} overflows")
+    return value
+
+
 def _R_reference(mp, tau):
     """R(tau) written out one branch per regime."""
     side, m, m_c, d = mp._regime_data()
+    what = f"R(tau) = (T + s tau)^(1/(d(m - m_c))) at tau = {tau}"
     if side > 0:
         if mp.T + tau <= 0:
             raise ValueError(f"T + tau must be positive, got {mp.T + tau}")
-        return (mp.T + tau) ** (1.0 / (d * (m - m_c)))
+        return _pow_reference(mp.T + tau, 1.0 / (d * (m - m_c)), what)
     if side < 0:
         if tau >= mp.T:
             raise S.ExtinctionError(tau, mp.T)
-        return (mp.T - tau) ** (-1.0 / (d * (m_c - m)))
+        return _pow_reference(mp.T - tau, -1.0 / (d * (m_c - m)), what)
     return math.exp(tau)
 
 
@@ -138,13 +152,14 @@ def _from_reference(mp, t, x, v):
     """from_selfsimilar with tau written out one branch per regime."""
     side, m, m_c, d = mp._regime_data()
     R = S._R0(mp) * math.exp(2.0 * t / (1.0 - m))
+    what = f"R^(d(m - m_c)) at t = {t}"
     if side > 0:
-        tau = R ** (d * (m - m_c)) - mp.T
+        tau = _pow_reference(R, d * (m - m_c), what) - mp.T
     elif side < 0:
-        tau = mp.T - R ** (-(d * (m_c - m)))
+        tau = mp.T - _pow_reference(R, -(d * (m_c - m)), what)
     else:
         tau = d * t
-    return tau, x * R / mp.space_factor(), v / R**d
+    return tau, x * R / mp.space_factor(), v / _pow_reference(R, d, f"R^d at t = {t}")
 
 
 def _outcome(call, *args):
@@ -159,16 +174,24 @@ def _outcome(call, *args):
 @pytest.mark.parametrize("d", range(1, 13))
 def test_rescaling_power_law_matches_the_regime_branches(d):
     # R and the tau of from_selfsimilar keep the bits, and the refusal type
-    # and text, of one branch per regime, on both sides of m_c and at it
+    # and text, of one branch per regime, on both sides of m_c and at it; a
+    # power that overflows or underflows to 0 (m near m_c, T or tau large)
+    # is refused with FloatingPointError naming tau or t, as is R^d
     m_c = (d - 2) / d
-    for m in (m_c - 0.3, m_c - 1e-3, m_c, m_c + 1e-3, (m_c + 1) / 2):
-        for T in (0.0, 0.5, 1.0, 3.0):
+    refused = 0
+    for m in (m_c - 0.3, m_c - 1e-3, m_c - 1e-4, m_c, m_c + 1e-4, m_c + 1e-3,
+              (m_c + 1) / 2):
+        for T in (0.0, 0.5, 1.0, 3.0, 1e300):
             mp = S.RescalingMap(exponents=derive_exponents(d, m), T=T)
-            for tau in (-4.0, -T, -0.3, 0.0, 0.3, T, 2.0 * T, 5.0):
-                assert _outcome(mp.R, tau) == _outcome(_R_reference, mp, tau)
-            for t in (-1.0, 0.0, 0.25, 2.0):
-                assert (_outcome(S.from_selfsimilar, mp, t, 1.3, 0.7)
-                        == _outcome(_from_reference, mp, t, 1.3, 0.7)), (m, T, t)
+            for tau in (-4.0, -T, -0.3, 0.0, 0.3, T, 2.0 * T, 5.0, 1e300):
+                want = _outcome(_R_reference, mp, tau)
+                assert _outcome(mp.R, tau) == want, (m, T, tau)
+                refused += want[0] is FloatingPointError
+            for t in (-1.0, 0.0, 0.25, 2.0, 100.0):
+                want = _outcome(_from_reference, mp, t, 1.3, 0.7)
+                assert _outcome(S.from_selfsimilar, mp, t, 1.3, 0.7) == want, (m, T, t)
+                refused += want[0] is FloatingPointError
+    assert refused > 0
 
 
 def test_selfsimilar_maps_at_m_c_accept_T_0():
