@@ -99,16 +99,26 @@ class Weights:
 
     @classmethod
     def of(cls, grid: RadialGrid, p: Profile) -> Weights:
+        """The weights of grid and p; one that overflows, as
+        wVm = w (D + r^2)^(alpha m) can for m < 0 on a domain that build_grid
+        accepts, raises FloatingPointError naming R_max, without a warning."""
         m, alpha = float(p.exponents.m), float(p.exponents.alpha)
         r = grid.nodes
         w = cell_volumes(grid)
         g, h = face_geometry(grid)
         Vm1 = p.D + r**2
-        V = Vm1**alpha
         mid = 0.5 * (r[:-1] + r[1:])
+        with np.errstate(over="ignore"):
+            V = Vm1**alpha
+            powers = dict(V=V, wV=w * V, wVm=w * Vm1 ** (alpha * m),
+                          V_am1=Vm1 ** (alpha - 1.0), V_face=(p.D + mid**2) ** alpha)
+        for name, values in powers.items():
+            if not np.all(np.isfinite(values)):
+                raise FloatingPointError(
+                    f"the weights overflow on the domain R_max = {grid.R_max}: "
+                    f"{name} exceeds the largest double")
         return cls(profile=p, m=m, sd=sphere_area(grid.d), w=w, g=g, h=h,
-                   Vm1=Vm1, V=V, wV=w * V, wVm=w * Vm1 ** (alpha * m),
-                   V_am1=Vm1 ** (alpha - 1.0), V_face=(p.D + mid**2) ** alpha)
+                   Vm1=Vm1, **powers)
 
 
 def entropy_from_x(x: np.ndarray, wts: Weights) -> float:

@@ -22,8 +22,9 @@ nodes; the SectorForms of a sector carry its grid and index l.
 Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
 by a quantization-law fit whose root Brent's method (scalar._brent_root)
 finds, which together verify the closed-form sharp constants numerically;
-each truncated domain is gridded and assembled once, and every sector is
-formed from that one assembly by adding its centrifugal term.  The three
+one grid is built on the largest domain and assembled once, each smaller
+domain is its first cells, and every sector of a domain is formed from that
+one assembly by adding its centrifugal term.  The three
 LAPACK routines of the eigensolver (dgttrf, dgttrs, dstebz) come from
 fdrates._lapack, bound when this module is imported, which loads
 scipy's LAPACK extension but not the scipy.linalg package.
@@ -199,7 +200,7 @@ def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float,
     at R_max is natural (no-flux) and for l >= 1 the origin is Dirichlet.
     alpha and D may be exact (Fractions); the weights are evaluated in floats.
     """
-    return _assemble_sectors(grid, alpha, D, (l,))[0]
+    return next(_assemble_sectors(grid, alpha, D, (l,), (grid.N,)))[0]
 
 
 @functools.cache
@@ -209,13 +210,19 @@ def _gauss_legendre():
     return xg, wg
 
 
-def _assemble_sectors(grid, alpha, D, ls):
-    """SectorForms of every sector l in ls, in order, on one grid.
+def _assemble_sectors(grid, alpha, D, ls, cells):
+    """SectorForms of every sector l in ls, in order, on each domain made of
+    the first c cells of grid, for c in cells: a generator that yields one
+    list per domain, assembled only when it is asked for.
 
-    Everything but the centrifugal term l(l+d-2) f^2/r^2 is independent of
-    l: the quadrature points and weights, the P1 shape functions, the
-    gradient part of A and all of B are evaluated once and shared, and each
-    sector adds only its own term.  The sectors share the arrays of B.
+    The element integrals are evaluated once, on grid, and each domain sums
+    its first c of them in the order that an assembly on its own grid would,
+    so that its forms equal assemble_sector_forms on the grid of its nodes
+    bit for bit.  Everything but the centrifugal term l(l+d-2) f^2/r^2 is
+    independent of l: the quadrature points and weights, the P1 shape
+    functions, the gradient part of A and all of B are evaluated once and
+    shared, and each sector adds only its own term.  The sectors of one
+    domain share the arrays of B.
     """
     alpha = float(alpha)
     D = float(D)
@@ -235,34 +242,44 @@ def _assemble_sectors(grid, alpha, D, ls):
     p0 = (r[1:] - x) / h
     p1 = (x - r[:-1]) / h
 
-    n = len(r)
-    a_diag = np.zeros(n)
-    a_off = np.zeros(n - 1)
-    b_diag = np.zeros(n)
-    b_off = np.zeros(n - 1)
-
+    # per element: the (0,0), (1,1) and (0,1) entries of each element matrix
     k = np.sum(wa * w, axis=0) / h**2  # gradient term, +/- per element
-    a_diag[:-1] += k
-    a_diag[1:] += k
-    a_off -= k
-    b_diag[:-1] += np.sum(wb * p0 * p0 * w, axis=0)
-    b_diag[1:] += np.sum(wb * p1 * p1 * w, axis=0)
-    b_off += np.sum(wb * p0 * p1 * w, axis=0)
-
-    out = []
+    mass = (np.sum(wb * p0 * p0 * w, axis=0), np.sum(wb * p1 * p1 * w, axis=0),
+            np.sum(wb * p0 * p1 * w, axis=0))
+    centrifugal = {}
     for l in ls:
-        ad, ao, bd, bo = a_diag, a_off, b_diag, b_off
         if l > 0:
-            ad, ao = a_diag.copy(), a_off.copy()
-            c = l * (l + d - 2)
-            q = c * wa / x2
-            ad[:-1] += np.sum(q * p0 * p0 * w, axis=0)
-            ad[1:] += np.sum(q * p1 * p1 * w, axis=0)
-            ao += np.sum(q * p0 * p1 * w, axis=0)
-            ad, ao, bd, bo = ad[1:], ao[1:], bd[1:], bo[1:]
-        out.append(SectorForms(grid=grid, l=int(l), a_diag=ad, a_off=ao,
-                               b_diag=bd, b_off=bo))
-    return out
+            q = l * (l + d - 2) * wa / x2
+            centrifugal[l] = (np.sum(q * p0 * p0 * w, axis=0),
+                              np.sum(q * p1 * p1 * w, axis=0),
+                              np.sum(q * p0 * p1 * w, axis=0))
+
+    for c in cells:
+        sub = grid if c == grid.N else RadialGrid(nodes=r[:c + 1], d=d)
+        a_diag = np.zeros(c + 1)
+        a_off = np.zeros(c)
+        b_diag = np.zeros(c + 1)
+        b_off = np.zeros(c)
+        a_diag[:-1] += k[:c]
+        a_diag[1:] += k[:c]
+        a_off -= k[:c]
+        b_diag[:-1] += mass[0][:c]
+        b_diag[1:] += mass[1][:c]
+        b_off += mass[2][:c]
+
+        out = []
+        for l in ls:
+            ad, ao, bd, bo = a_diag, a_off, b_diag, b_off
+            if l > 0:
+                ad, ao = a_diag.copy(), a_off.copy()
+                q00, q11, q01 = centrifugal[l]
+                ad[:-1] += q00[:c]
+                ad[1:] += q11[:c]
+                ao += q01[:c]
+                ad, ao, bd, bo = ad[1:], ao[1:], bd[1:], bo[1:]
+            out.append(SectorForms(grid=sub, l=int(l), a_diag=ad, a_off=ao,
+                                   b_diag=bd, b_off=bo))
+        yield out
 
 
 def rayleigh_quotient(f: np.ndarray, forms: SectorForms) -> float:
@@ -354,6 +371,10 @@ def bottom_eigenvalue(forms: SectorForms):
     zero (SectorForms.pad).
     """
     sigma, x = _lumped_shift(forms)
+    # a power of two, which scales exactly, brings the start vector to about
+    # unit B-norm, so that no product of a normalization overflows where the
+    # weights of a large domain are large
+    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x) * np.sqrt(forms.b_diag))))[1])
     # consistent-mass inverse iteration, A - sigma B factored once
     off = forms.a_off - sigma * forms.b_off
     lu = _lapack.dgttrf(off, forms.a_diag - sigma * forms.b_diag, off)[:5]
@@ -466,10 +487,16 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
     that exists in dimension d, i.e. has a nonzero multiplicity (l <= 1 when
     d = 1), with the mean-zero constraint in l = 0; extrapolates each sector
     to the infinite-domain limit, and compares the minimum over sectors with
-    the closed-form piecewise constant.  Each truncated domain (five of them when
-    extrapolating, R_max alone otherwise) is gridded and assembled once, and
-    all sectors are formed from that one assembly.  alpha and D may be exact
-    (Fractions); the closed form takes alpha exactly, the forms in floats.
+    the closed-form piecewise constant.  One grid of N cells is built on
+    R_max and its element integrals are evaluated once.  Extrapolating, the
+    five truncated domains are evenly spaced in the stretched size
+    S = asinh(R/sqrt(D)), from max(S_max - 3, min(S_max/2, 1.5)) to S_max,
+    so that the smallest keeps at least a third of the cells; each is the
+    first round(N S/S_max) cells of that grid, resolved at its spacing, and
+    enters the fit with the size of its last node.  Without extrapolation
+    the domain is R_max alone.  All sectors of a domain are formed from the
+    one assembly.  alpha and D may be exact (Fractions); the closed form
+    takes alpha exactly, the forms in floats.
     Raises ValueError, naming the parameter, unless d >= 1, l_max >= 0,
     D > 0 and R_max > 0.
     """
@@ -486,19 +513,24 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
     closed = float(sharp_rate(d, alpha))
     scale = math.sqrt(D)
     if extrapolate:
-        # five domains evenly spaced in the stretched size S = asinh(R/scale)
+        # five domains evenly spaced in the stretched size S = asinh(R/scale),
+        # the smallest at least a third of the largest; each domain is the
+        # first cells of the grid on the largest, as many as come nearest to
+        # its S
         S_max = math.asinh(R_max / scale)
-        span = 3.0 if S_max > 3.0 else 0.5 * S_max
-        Ss = np.linspace(S_max - span, S_max, 5)
-        radii = [float(scale * math.sinh(S)) for S in Ss]
+        S_min = max(S_max - 3.0, min(S_max / 2.0, 1.5))
+        cells = [round(N * S / S_max) for S in np.linspace(S_min, S_max, 5).tolist()]
+        # the radius of S_max, which can differ from R_max in its last bits
+        R = scale * math.sinh(S_max)
     else:
-        radii = [R_max]
+        cells, R = [N], R_max
+    grid = build_grid(R, N, d, scale=scale)
     ls = [l for l in range(l_max + 1) if multiplicity(d, l) > 0]
     lams = {l: [] for l in ls}
-    for R in radii:
-        grid = build_grid(R, N, d, scale=scale)
-        for forms in _assemble_sectors(grid, alpha, D, ls):
+    for domain in _assemble_sectors(grid, alpha, D, ls, cells):
+        for forms in domain:
             lams[forms.l].append(bottom_eigenvalue(forms)[0])
+    Ss = [math.asinh(grid.nodes[c] / scale) for c in cells]
     sectors = []
     for l in ls:
         lam = _extrapolate(Ss, lams[l]) if extrapolate else lams[l][0]

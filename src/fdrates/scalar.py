@@ -300,11 +300,11 @@ class RescalingMap:
 
     def R(self, tau: float) -> float:
         """R(tau) = (T + s tau)^(1/(d(m - m_c))), s = sign(m - m_c); e^tau at
-        m_c.  A power that overflows or underflows to 0 raises
+        m_c.  A power or exponential that overflows or underflows to 0 raises
         FloatingPointError."""
         side, m, m_c, d = self._regime_data()
         if side == 0:
-            return math.exp(tau)
+            return _exp(tau, f"R(tau) = e^tau at tau = {tau}")
         if side < 0 and tau >= self.T:
             raise ExtinctionError(tau, self.T)
         if self.T + side * tau <= 0:
@@ -327,9 +327,23 @@ def _power(base: float, p: float, what: str) -> float:
         value = base ** p
     except (OverflowError, ZeroDivisionError):  # 0.0 ** p, p < 0, too
         value = math.inf
+    return _in_range(value, what, f"{base!r}^{p!r}")
+
+
+def _exp(x: float, what: str) -> float:
+    """e^x, refused with FloatingPointError naming what and x where it
+    overflows or underflows to 0."""
+    try:
+        value = math.exp(x)
+    except OverflowError:
+        value = math.inf
+    return _in_range(value, what, f"e^{x!r}")
+
+
+def _in_range(value: float, what: str, expr: str) -> float:
     if 0.0 < value < math.inf:
         return value
-    raise FloatingPointError(f"{what}: {base!r}^{p!r} "
+    raise FloatingPointError(f"{what}: {expr} "
                              f"{'underflows to 0' if value == 0.0 else 'overflows'}")
 
 
@@ -365,7 +379,7 @@ def from_selfsimilar(map: RescalingMap, t: float, x, v_value: float):
     raises FloatingPointError."""
     side, m, m_c, d = map._regime_data()
     R0 = _R0(map)
-    R = R0 * math.exp(2.0 * t / (1.0 - m))
+    R = R0 * _exp(2.0 * t / (1.0 - m), f"R(t) = R(0) e^(2t/(1 - m)) at t = {t}")
     # tau = side*(R^(d(m - m_c)) - T), distributed so that a zero keeps its sign
     tau = (side * _power(R, d * (m - m_c), f"R^(d(m - m_c)) at t = {t}")
            - side * map.T if side else d * t)

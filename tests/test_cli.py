@@ -739,12 +739,33 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == (
             f"fdrates: numerical failure: the weights overflow on the domain "
             f"R_max = {R}: R_max^5 exceeds the largest double\n"), argv
-    # 2: a rescaling power that overflows, refused naming tau
+    # 2: a weight that overflows on a domain below that bound, at m < 0, is
+    # refused with the radius named, before anything warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["quotient", "--d", "5", "--m=-1", "--R", "1e61", "--N", "64",
+                     "--n", "100"]) == 2
+    assert capsys.readouterr().err == (
+        "fdrates: numerical failure: the weights overflow on the domain "
+        "R_max = 1e+61: wVm exceeds the largest double\n")
+    # 2, not a warning and a silent 0: the eigenvector's normalization on a
+    # domain whose weights are near the largest double no longer overflows,
+    # and inverse iteration, which stalls there, fails typed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hp-verify", "--d", "12", "--alpha=-1", "--R", "3e25",
+                     "--N", "64", "--no-extrapolate", "--l-max", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "fdrates: numerical failure: inverse iteration did not converge")
+    # 2: a rescaling power or exponential that overflows, refused naming tau
     for argv, msg in (
             (["rescale", "--d", "1", "--m=-0.999", "--T", "3", "--tau", "5"],
              "R(tau) = (T + s tau)^(1/(d(m - m_c))) at tau = 0.0: 3.0^"),
             (["rescale", "--d", "5", "--m", "0.8", "--T", "1", "--tau", "1e300"],
-             "R^d at tau = 1e+300: ")):
+             "R^d at tau = 1e+300: "),
+            # at m = m_c, R(tau) is the exponential
+            (["rescale", "--d", "5", "--m", "0.6", "--T", "1", "--tau", "800"],
+             "R(tau) = e^tau at tau = 800.0: e^800.0")):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("fdrates: numerical failure: " + msg), argv

@@ -1,6 +1,7 @@
 """Tests for grids, quadrature, form assembly, and the eigensolvers."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -162,22 +163,71 @@ def test_forms_match_reference():
                     assert forms.dirichlet_origin == (l >= 1)
 
 
+def _domain_cells(R_max, N_, scale):
+    # the rule of verify_constants, written out: five stretched sizes from
+    # max(S_max - 3, min(S_max/2, 1.5)) to S_max, each the nearest number of
+    # cells of the grid on the largest domain
+    S_max = math.asinh(R_max / scale)
+    S_min = max(S_max - 3.0, min(S_max / 2.0, 1.5))
+    return S_max, [round(N_ * S / S_max) for S in np.linspace(S_min, S_max, 5)]
+
+
 def test_verify_constants_domains_match_sector_bottom():
-    # every sector of the domain-first sweep equals the single-sector solve
-    # at the same radius, exactly
+    # every domain of the sweep is the first cells of the grid on the largest,
+    # and each sector's eigenvalue there equals the single-sector solve on
+    # those cells exactly; the largest domain, and the unextrapolated value,
+    # equal the single-sector solve at the radius
     d, alpha, D, R_max, N_ = 3, -2.0, 2.3, 80.0, 200
     res = N.verify_constants(d, alpha, D=D, R_max=R_max, N=N_)
     scale = math.sqrt(D)
-    S_max = math.asinh(R_max / scale)
-    radii = [float(scale * math.sinh(S))
-             for S in np.linspace(S_max - 3.0, S_max, 5)]
+    S_max, cells = _domain_cells(R_max, N_, scale)
+    R_top = float(scale * math.sinh(S_max))
+    grid = N.build_grid(R_top, N_, d, scale=scale)
+    # from S_max = 4.5 on the smallest domain is S_max - 3, and each domain's
+    # size lies within half a cell of the evenly spaced one
+    assert S_max >= 4.5
+    for c, S in zip(cells, np.linspace(S_max - 3.0, S_max, 5)):
+        assert abs(math.asinh(grid.nodes[c] / scale) - S) <= 0.5 * S_max / N_ + 1e-12
     for s in res.sectors:
-        assert s.lambda_domains == tuple(N.sector_bottom(d, alpha, D, s.l, R, N_)[0]
-                                         for R in radii)
+        assert s.lambda_domains == tuple(
+            N.bottom_eigenvalue(N.assemble_sector_forms(
+                N.RadialGrid(nodes=grid.nodes[:c + 1], d=d), alpha, D, s.l))[0]
+            for c in cells)
+        assert s.lambda_domains[-1] == N.sector_bottom(d, alpha, D, s.l, R_top, N_)[0]
     raw = N.verify_constants(d, alpha, D=D, R_max=R_max, N=N_, extrapolate=False)
     for s in raw.sectors:
         lam = N.sector_bottom(d, alpha, D, s.l, R_max, N_)[0]
         assert s.lambda_domains == (lam,) and s.lambda_numeric == lam
+
+
+def test_prefix_forms_match_direct_assembly():
+    # the forms of each domain of one assembly, summed from the element
+    # integrals of the whole grid, equal an assembly on the domain's own
+    # nodes bit for bit
+    for d in (1, 3, 5):
+        for alpha, D in ((-4.0, 1.0), (Fraction(-3, 10), 2.3)):
+            g = N.build_grid(40.0, 120, d, scale=math.sqrt(D))
+            cells = (17, 40, 63, 119, 120)
+            domains = N._assemble_sectors(g, alpha, D, range(4), cells)
+            for c, forms in zip(cells, domains):
+                sub = N.RadialGrid(nodes=g.nodes[:c + 1], d=d)
+                assert [f.l for f in forms] == [0, 1, 2, 3]
+                for f in forms:
+                    want = N.assemble_sector_forms(sub, alpha, D, f.l)
+                    assert np.array_equal(f.grid.nodes, sub.nodes)
+                    for a, b in ((f.a_diag, want.a_diag), (f.a_off, want.a_off),
+                                 (f.b_diag, want.b_diag), (f.b_off, want.b_off)):
+                        assert np.array_equal(a, b)
+
+
+def test_verify_constants_smallest_domain_keeps_a_third_of_the_cells():
+    # just above R = sinh(3) the smallest domain once shrank to almost
+    # nothing (S_max - 3), and the minimum at (5, -4) jumped from 1.5% to
+    # 4.9% off; the smallest domain now keeps a third of S_max, so the
+    # minimum moves continuously with R_max
+    lo = N.verify_constants(5, -4.0, R_max=10.0, N=400).minimum
+    hi = N.verify_constants(5, -4.0, R_max=10.05, N=400).minimum
+    assert hi == pytest.approx(lo, rel=1e-3)
 
 
 def test_forms_mass_positive_definite():
@@ -219,6 +269,27 @@ def test_bottom_eigenvalue_dense_vs_iterative():
         # eigenvectors agree up to sign
         sgn = math.copysign(1.0, float(v_d @ v_i))
         assert np.allclose(v_i, sgn * v_d, atol=1e-6 * np.max(np.abs(v_d)))
+
+
+def test_bottom_eigenvalue_is_exact_under_power_of_two_weights():
+    # a pencil scaled by 2^k has the same eigenvalue and an eigenvector
+    # scaled by 2^(-k/2); with weights near the largest double, the
+    # normalization of the eigenvector neither overflows nor warns, and the
+    # scaling is exact, so both come out bit for bit
+    g = N.build_grid(100.0, 400, 5)
+    for alpha, l in ((-4.0, 0), (-1.0, 0), (-1.0, 1)):
+        forms = N.assemble_sector_forms(g, alpha, 1.0, l)
+        lam, f = N.bottom_eigenvalue(forms)
+        top = max(np.max(np.abs(a)) for a in (forms.a_diag, forms.b_diag))
+        k = 2 * ((1004 - math.frexp(top)[1]) // 2)
+        big = N.SectorForms(grid=g, l=l, **{
+            name: np.ldexp(getattr(forms, name), k)
+            for name in ("a_diag", "a_off", "b_diag", "b_off")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam_big, f_big = N.bottom_eigenvalue(big)
+        assert lam_big == lam
+        assert np.array_equal(f_big, np.ldexp(f, -k // 2))
 
 
 def test_bottom_eigenvalue_unconstrained_l0_is_zero():

@@ -133,6 +133,17 @@ def _pow_reference(base, p, what):
     return value
 
 
+def _exp_reference(x, what):
+    """e^x, or the refusal of an exponential that leaves the doubles."""
+    try:
+        value = math.exp(x)
+    except OverflowError:
+        raise FloatingPointError(f"{what}: e^{x!r} overflows") from None
+    if value == 0.0:
+        raise FloatingPointError(f"{what}: e^{x!r} underflows to 0")
+    return value
+
+
 def _R_reference(mp, tau):
     """R(tau) written out one branch per regime."""
     side, m, m_c, d = mp._regime_data()
@@ -145,13 +156,14 @@ def _R_reference(mp, tau):
         if tau >= mp.T:
             raise S.ExtinctionError(tau, mp.T)
         return _pow_reference(mp.T - tau, -1.0 / (d * (m_c - m)), what)
-    return math.exp(tau)
+    return _exp_reference(tau, f"R(tau) = e^tau at tau = {tau}")
 
 
 def _from_reference(mp, t, x, v):
     """from_selfsimilar with tau written out one branch per regime."""
     side, m, m_c, d = mp._regime_data()
-    R = S._R0(mp) * math.exp(2.0 * t / (1.0 - m))
+    R = S._R0(mp) * _exp_reference(2.0 * t / (1.0 - m),
+                                   f"R(t) = R(0) e^(2t/(1 - m)) at t = {t}")
     what = f"R^(d(m - m_c)) at t = {t}"
     if side > 0:
         tau = _pow_reference(R, d * (m - m_c), what) - mp.T
@@ -176,7 +188,8 @@ def test_rescaling_power_law_matches_the_regime_branches(d):
     # R and the tau of from_selfsimilar keep the bits, and the refusal type
     # and text, of one branch per regime, on both sides of m_c and at it; a
     # power that overflows or underflows to 0 (m near m_c, T or tau large)
-    # is refused with FloatingPointError naming tau or t, as is R^d
+    # is refused with FloatingPointError naming tau or t, as are R^d and the
+    # exponentials of R(tau) at m_c and of from_selfsimilar (t large)
     m_c = (d - 2) / d
     refused = 0
     for m in (m_c - 0.3, m_c - 1e-3, m_c - 1e-4, m_c, m_c + 1e-4, m_c + 1e-3,
@@ -187,7 +200,7 @@ def test_rescaling_power_law_matches_the_regime_branches(d):
                 want = _outcome(_R_reference, mp, tau)
                 assert _outcome(mp.R, tau) == want, (m, T, tau)
                 refused += want[0] is FloatingPointError
-            for t in (-1.0, 0.0, 0.25, 2.0, 100.0):
+            for t in (-1.0, 0.0, 0.25, 2.0, 100.0, 1e3, -1e3):
                 want = _outcome(_from_reference, mp, t, 1.3, 0.7)
                 assert _outcome(S.from_selfsimilar, mp, t, 1.3, 0.7) == want, (m, T, t)
                 refused += want[0] is FloatingPointError
