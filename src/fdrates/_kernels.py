@@ -1,26 +1,27 @@
 """The implicit flow step, one pure-numpy Newton kernel: one backward-Euler
 step of the radial flux-form equation
 
-    w_i V_i dx_i/dt = net flux of  G_(i+1/2) = g v_bar (p_(i+1)-p_i)/h
+    w_i V_i dx_i/dt = net flux of  G_(i+1/2) = C (1 + xbar) (p_(i+1)-p_i)
 
 in the relative variable x = v/V_D - 1, solved by damped Newton iteration
-with the analytic tridiagonal Jacobian.  The pressure is
-p = V^(m-1) expm1((m-1) log1p(x))/(m-1), which is exact for every m < 1
+with the analytic tridiagonal Jacobian; C = g V_face / h is the face
+conductance of entropy.Weights and xbar = (x_i + x_(i+1))/2.  The pressure
+is p = V^(m-1) expm1((m-1) log1p(x))/(m-1), which is exact for every m < 1
 including m = 0 and stays accurate when x underflows far in the tail.
 
 A Workspace, built once per run at one step length dt, holds what every
 step shares: the invariants of the grid and profile, read from the run's
 entropy.Weights, the constants of dt, and the work buffers, which each
 Newton iteration overwrites before it reads them.  The constants are folded
-into the arithmetic: p = (V^(m-1)/(m-1)) expm1((m-1) log1p x); the face
-mobility is summed from (V/2)(1 + x); and c = dt g/h scales it once, so that
-dt times the face flux is c vbar Dp and the flux derivatives are c (V/2) Dp
-and c vbar dp.  The right-hand side w V (x_old - x) - (net flux) and the
-upper band are built with their signs, so nothing is negated afterwards.
+into the arithmetic: p = (V^(m-1)/(m-1)) expm1((m-1) log1p x); with c = dt C,
+vbar = c + (c/2)(x_i + x_(i+1)), so that dt times the face flux is vbar Dp
+and the flux derivatives are (c/2) Dp and vbar dp.  The right-hand side
+w V (x_old - x) - (net flux) and the upper band are built with their signs,
+so nothing is negated afterwards.
 Each buffer holds the same bits as the form that allocates one array per
 operation in this association (kept as the reference in
 tests/test_kernels.py); the folds move the result from the unfolded form
-p = V^(m-1) expm1(...)/(m-1), dt (g vbar Dp/h) only by rounding.
+p = V^(m-1) expm1(...)/(m-1), dt g V_face (1 + xbar) Dp/h by rounding only.
 
 Newton stops by one of two rules.  The full rule stops once the step's
 convergence measure e = max |dx| / (1 + |x|) falls below 1e-11, as the
@@ -63,15 +64,14 @@ BACKEND = "pure"
 
 class Workspace:
     """The per-run part of newton_step at the step length dt.  From wts,
-    the run's entropy.Weights, it reads the profile V, Vm1 = V^(m-1), w V,
-    the face geometry (g, h) and m, and folds them into p_scale = Vm1/(m-1),
-    hV = V/2 and the constants of dt: c = dt g/h on each face, and the flux
-    derivatives' profile terms c V_i/2 and -c V_(i+1)/2.  It also holds the
+    the run's entropy.Weights, it reads Vm1 = V^(m-1), w V, the face
+    conductance C and m, and folds them into p_scale = Vm1/(m-1) and the
+    constants of dt: c = dt C on each face, c/2 and -c/2.  It also holds the
     work buffers, the views of them (and of w V) at the left and right node
     of each face, and scipy's solve_banded and LinAlgError, looked up once.
-    With these a Newton iteration takes 35 elementwise array passes, and an
-    undamped first iteration 32 when the bound max |dx| accepts it (see
-    newton_step) and 36 when it does not.
+    With these a Newton iteration takes 34 elementwise array passes, and an
+    undamped first iteration 31 when the bound max |dx| accepts it (see
+    newton_step) and 35 when it does not.
 
     L is None until a step measures it; last is the (x_old, x_new) pair of
     the last step accepted, or None."""
@@ -80,21 +80,18 @@ class Workspace:
         # scipy is loaded by the first flow run, not by import fdrates
         from scipy.linalg import LinAlgError, solve_banded
 
-        n = len(wts.V)
+        n = len(wts.wV)
         self.solve_banded, self.LinAlgError = solve_banded, LinAlgError
         self.Vm1, self.wV = wts.Vm1, wts.wV
-        self.m1 = wts.m - 1.0
-        self.m2 = wts.m - 2.0
+        self.m1, self.m2 = wts.m - 1.0, wts.m - 2.0
         self.p_scale = wts.Vm1 / self.m1
-        self.hV = 0.5 * wts.V
         self.dt = dt
-        self.c = c = dt * wts.g / wts.h
-        self.chV_l, self.mchV_r = c * self.hV[:-1], -c * self.hV[1:]
-        self.L = None
-        self.last = None
+        c = dt * wts.conductance
+        self.c, self.half, self.mhalf = c, 0.5 * c, -0.5 * c
+        self.L = self.last = None
         self.closure = wts.w[0] == 0.0
         # nodal (length n) and face (length n - 1) buffers
-        self.nodal = tuple(np.empty((6, n)))
+        self.nodal = tuple(np.empty((5, n)))
         self.faces = tuple(np.empty((3, n - 1)))
         # the band (rows: upper, diagonal, lower) and the right-hand side
         # share one buffer so that one finiteness test covers both; gtsv
@@ -105,10 +102,10 @@ class Workspace:
         self.bands = self.ab[0, 1:], self.ab[1], self.ab[2, :-1]
         self.finite = np.empty((4, n), dtype=bool)
         # the views at the left (i) and right (i + 1) node of each face
-        _, p, dp, _, v, _ = self.nodal
+        _, p, dp, _, _ = self.nodal
         rhs, diag = self.rhs, self.ab[1]
-        self.lefts = v[:-1], p[:-1], dp[:-1], rhs[:-1], diag[:-1], self.wV[:-1]
-        self.rights = v[1:], p[1:], dp[1:], rhs[1:], diag[1:]
+        self.lefts = p[:-1], dp[:-1], rhs[:-1], diag[:-1], self.wV[:-1]
+        self.rights = p[1:], dp[1:], rhs[1:], diag[1:]
 
 
 def newton_step(x_old, work):
@@ -131,15 +128,14 @@ def newton_step(x_old, work):
     origin row is replaced by the algebraic regularity closure p_1 = p_0.
     Raises FloatingPointError if the Jacobian or the residual is not finite.
     """
-    Vm1, wV, p_scale, hV = work.Vm1, work.wV, work.p_scale, work.hV
-    c, chV_l, mchV_r = work.c, work.chV_l, work.mchV_r
-    m1, m2 = work.m1, work.m2
-    lx, p, dp, xp1, v, trial = work.nodal
+    Vm1, wV, p_scale, m1, m2 = work.Vm1, work.wV, work.p_scale, work.m1, work.m2
+    c, half, mhalf = work.c, work.half, work.mhalf
+    lx, p, dp, denom, trial = work.nodal
     vbar, Dp, face = work.faces
     system, ab, rhs, finite = work.system, work.ab, work.rhs, work.finite
     upper, diag, lower = work.bands
-    v_l, p_l, dp_l, rhs_l, diag_l, wV_l = work.lefts
-    v_r, p_r, dp_r, rhs_r, diag_r = work.rights
+    p_l, dp_l, rhs_l, diag_l, wV_l = work.lefts
+    p_r, dp_r, rhs_r, diag_r = work.rights
     add, sub, mul = np.add, np.subtract, np.multiply
     # only a step that succeeds gives L and the last step back: one that
     # fails or raises clears them
@@ -154,6 +150,7 @@ def newton_step(x_old, work):
             np.copyto(x, x_old)
     else:
         x = x_old.copy()
+    x_l, x_r = x[:-1], x[1:]
     for it in range(30):
         # pressure p and its derivative dp = dp/dx
         np.log1p(x, lx)
@@ -163,14 +160,13 @@ def newton_step(x_old, work):
         mul(m2, lx, dp)
         np.exp(dp, dp)
         mul(Vm1, dp, dp)
-        # face mobility c vbar, with vbar = (v_i + v_(i+1))/2, v = V (1 + x)
-        add(1.0, x, xp1)
-        mul(hV, xp1, v)
-        add(v_l, v_r, vbar)
-        mul(c, vbar, vbar)
+        # vbar = dt C (1 + xbar), summed as c + (c/2) (x_i + x_(i+1))
+        add(x_l, x_r, vbar)
+        mul(half, vbar, vbar)
+        add(c, vbar, vbar)
         sub(p_r, p_l, Dp)
         # right-hand side w V (x_old - x) minus the net flux, dt times the
-        # face flux being c vbar Dp
+        # face flux being vbar Dp
         mul(vbar, Dp, face)
         sub(x_old, x, rhs)
         mul(wV, rhs, rhs)
@@ -178,10 +174,10 @@ def newton_step(x_old, work):
         sub(rhs_r, face, rhs_r)
         # dt times the flux derivatives: by x_i into the lower band, by
         # x_(i+1), negated, into the upper band
-        mul(chV_l, Dp, lower)
+        mul(half, Dp, lower)
         mul(vbar, dp_l, face)
         sub(lower, face, lower)
-        mul(mchV_r, Dp, upper)
+        mul(mhalf, Dp, upper)
         mul(vbar, dp_r, face)
         sub(upper, face, upper)
         sub(wV_l, lower, diag_l)
@@ -217,9 +213,9 @@ def newton_step(x_old, work):
             b = float(trial.max())
             if b < 1e-11 or L is not None and L * b * b < 1e-12:
                 break
-        np.abs(x, xp1)
-        add(1.0, xp1, xp1)
-        np.divide(trial, xp1, trial)
+        np.abs(x, denom)
+        add(1.0, denom, denom)
+        np.divide(trial, denom, trial)
         e = float(trial.max())
         if e < 1e-11:
             # e0 is set only for an undamped first iteration; an exact e = 0

@@ -79,23 +79,20 @@ def _pressure(x, Vm1, m):
 class Weights:
     """The quadrature of one (grid, profile) pair, built once (Weights.of)
     and shared by the functionals below and the flow's Newton kernel: the
-    cell volumes w, the face geometry (g, h), sd = |S^(d-1)|,
-    Vm1 = D + r^2 = V^(m-1), V = (D + r^2)^alpha, wV = w V,
-    wVm = w (D + r^2)^(alpha m), V_am1 = (D + r^2)^(alpha-1), and V_face,
-    the profile (D + r^2)^alpha at the face midpoints."""
+    cell volumes w, sd = |S^(d-1)|, Vm1 = D + r^2 = V^(m-1), wV = w V,
+    wVm = w (D + r^2)^(alpha m), V_am1 = (D + r^2)^(alpha-1), and the face
+    conductance g V_face / h, of the face geometry (g, h) and the profile
+    V_face = (D + r^2)^alpha at the face midpoint."""
 
     profile: Profile
     m: float
     sd: float
     w: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
     Vm1: np.ndarray
-    V: np.ndarray
     wV: np.ndarray
     wVm: np.ndarray
     V_am1: np.ndarray
-    V_face: np.ndarray
+    conductance: np.ndarray
 
     @classmethod
     def of(cls, grid: RadialGrid, p: Profile) -> Weights:
@@ -109,16 +106,16 @@ class Weights:
         Vm1 = p.D + r**2
         mid = 0.5 * (r[:-1] + r[1:])
         with np.errstate(over="ignore"):
-            V = Vm1**alpha
-            powers = dict(V=V, wV=w * V, wVm=w * Vm1 ** (alpha * m),
-                          V_am1=Vm1 ** (alpha - 1.0), V_face=(p.D + mid**2) ** alpha)
+            powers = dict(wV=w * Vm1**alpha, wVm=w * Vm1 ** (alpha * m),
+                          V_am1=Vm1 ** (alpha - 1.0),
+                          conductance=g * (p.D + mid**2) ** alpha / h)
         for name, values in powers.items():
             if not np.all(np.isfinite(values)):
                 raise FloatingPointError(
                     f"the weights overflow on the domain R_max = {grid.R_max}: "
                     f"{name} exceeds the largest double")
-        return cls(profile=p, m=m, sd=sphere_area(grid.d), w=w, g=g, h=h,
-                   Vm1=Vm1, **powers)
+        return cls(profile=p, m=m, sd=sphere_area(grid.d), w=w, Vm1=Vm1,
+                   **powers)
 
 
 def entropy_from_x(x: np.ndarray, wts: Weights) -> float:
@@ -128,11 +125,11 @@ def entropy_from_x(x: np.ndarray, wts: Weights) -> float:
 
 def fisher_from_x(x: np.ndarray, wts: Weights) -> float:
     """Relative Fisher information I[v] = int |grad p|^2 v dx, by the face
-    quadrature of the shared Weights wts."""
-    V = wts.V
+    quadrature of the shared Weights wts: on each face, as in the flow's
+    flux, the conductance times 1 + (x_i + x_(i+1))/2 times Dp^2."""
     pr = _pressure(x, wts.Vm1, wts.m)
-    vbar = 0.5 * (V[:-1] * (1.0 + x[:-1]) + V[1:] * (1.0 + x[1:]))
-    return wts.sd * float(np.sum(wts.g * vbar * np.diff(pr) ** 2 / wts.h))
+    vbar = 1.0 + 0.5 * (x[:-1] + x[1:])
+    return wts.sd * float(np.sum(wts.conductance * vbar * np.diff(pr) ** 2))
 
 
 def mass_defect_from_x(x: np.ndarray, wts: Weights) -> float:
@@ -169,7 +166,7 @@ def sandwich_from_x(x: np.ndarray, wts: Weights) -> SandwichReport:
     m = wts.m
     f = x * wts.Vm1  # (w-1) V^(m-1)
     J = wts.sd * float(np.sum(wts.w * f**2 * wts.V_am1))
-    grad = wts.sd * float(np.sum(wts.g * np.diff(f) ** 2 / wts.h * wts.V_face))
+    grad = wts.sd * float(np.sum(wts.conductance * np.diff(f) ** 2))
     F = entropy_from_x(x, wts)
     I = fisher_from_x(x, wts)
 

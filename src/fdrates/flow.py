@@ -96,7 +96,7 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     defect of v0 vanishes, and x is re-expressed relative to the matched
     profile.  A bracket (D0, D1) must have D0 > D1 > 0; with it, unclipped
     data outside the sandwich V_D0 <= v0 <= V_D1 (by 1e-8) raise ValueError,
-    as does an eigen mode of sector l >= 1, which is not radial.
+    as do data with some x <= -1 and an eigen mode of sector l >= 1 (not radial).
     """
     alpha = float(exponents.alpha)
     r = grid.nodes
@@ -150,6 +150,10 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     if bracket and (np.any(x < xlo - 1e-8) or np.any(x > xhi + 1e-8)):
         raise ValueError(f"unclipped initial data leave the sandwich "
                          f"V_D0 <= v0 <= V_D1 with D0 = {D0}, D1 = {D1}")
+    if not x.min() > -1.0:  # the Newton kernel's domain; a NaN fails too
+        size = f"epsilon = {epsilon}" if kind == "eigen" else f"amplitude = {amplitude}"
+        raise ValueError(f"{kind} data with {size} are not positive: "
+                         f"v0 = V_D (1 + x) needs x > -1")
     return NonlinearState(grid=grid, profile=profile, x=x)
 
 

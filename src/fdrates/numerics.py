@@ -430,7 +430,9 @@ def _quantization_fit(Ss, lams, npow):
         coef, *_ = np.linalg.lstsq(M[:-1], Ss[:-1], rcond=None)
         return Ss[-1] - float(M[-1] @ coef)
 
-    lo, hi = 1e-12, float(np.min(lams)) - 1e-10
+    # strictly below min lambda, which min lambda - 1e-10 is not above ~1e6
+    lam_min = float(np.min(lams))
+    lo, hi = 1e-12, min(lam_min - 1e-10, math.nextafter(lam_min, -math.inf))
     if hi <= lo:
         return None
     r_lo, r_hi = resid(lo), resid(hi)

@@ -354,6 +354,17 @@ def test_hp_verify_quick(capsys):
                  "--l-max", "0", "--no-extrapolate"]) == 0
     min_rows = [l for l in capsys.readouterr().out.splitlines() if ",min," in l]
     assert [r.split(",")[6] for r in min_rows] == ["0.25", "0.040000000000000001"]
+    # every eigenvalue on R = 1e-5 exceeds 1e6, where min lambda - 1e-10
+    # rounds to min lambda; the fit's bracket still ends below it, so 1 / k
+    # stays finite and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hp-verify", "--d", "5", "--alpha=-1", "--R", "1e-5",
+                     "--N", "64"]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")][1:]
+    assert [r.split(",")[1] for r in rows] == ["0", "1", "2", "3", "min"]
+    assert all(math.isfinite(float(r.split(",")[5])) for r in rows)
 
 
 def test_hp_verify_sweep_prints_one_min_row_per_alpha(capsys):
@@ -598,6 +609,12 @@ def test_quotient_cli(capsys):
     out = capsys.readouterr().out
     assert "# f=mode:1" in out
     assert len([l for l in out.splitlines() if not l.startswith("#")]) == 2
+    # the Fisher information's face conductance keeps the ratio within 0.5%
+    # of 2 on 100 cells (with the trapezoid of the nodal mobility, 2.048)
+    assert main(["quotient", "--d", "5", "--m", "0.9", "--f", "gauss",
+                 "--n", "400", "--N", "100"]) == 0
+    n, q, rq, ratio = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert n == "400" and float(ratio) == pytest.approx(2.0, rel=5e-3)
 
 
 def test_rescale_cli(capsys):
@@ -690,6 +707,23 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "fdrates: error: unclipped initial data leave the sandwich "
         "V_D0 <= v0 <= V_D1 with D0 = 2.0, D1 = 0.5\n")
+    # 1: data that are not positive, refused naming their size before
+    # anything warns
+    nonpositive = tmp_path / "nonpositive.cfg"
+    for data, cmd, size in (
+            ("data.kind = bump\ndata.amplitude = -1.5\n", "entropy-report",
+             "bump data with amplitude = -1.5"),
+            ("data.kind = eigen\ndata.epsilon = 30\n", "evolve",
+             "eigen data with epsilon = 30.0")):
+        nonpositive.write_text("d = 5\nm = 0.9\n" + data + "data.match_D = false\n"
+                               "grid.R_max = 15\ngrid.N = 100\n"
+                               "time.dt = 1e-3\ntime.t_end = 0.05\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([cmd, "--config", str(nonpositive)]) == 1, cmd
+        assert capsys.readouterr().err == (
+            f"fdrates: error: {size} are not positive: v0 = V_D (1 + x) "
+            f"needs x > -1\n"), cmd
     # 2: a singular Newton system fails the step, and dt halving gives up
     import scipy.linalg
 

@@ -268,10 +268,11 @@ def _ref_fisher(x, grid, p):
     r = grid.nodes
     g, h = N.face_geometry(grid)
     w2 = p.D + r**2
-    V = w2**alpha
+    mid = 0.5 * (r[:-1] + r[1:])
+    conductance = g * (p.D + mid**2) ** alpha / h
     pr = w2 * np.expm1((m - 1.0) * np.log1p(x)) / (m - 1.0)
-    vbar = 0.5 * (V[:-1] * (1.0 + x[:-1]) + V[1:] * (1.0 + x[1:]))
-    return N.sphere_area(grid.d) * float(np.sum(g * vbar * np.diff(pr) ** 2 / h))
+    vbar = 1.0 + 0.5 * (x[:-1] + x[1:])
+    return N.sphere_area(grid.d) * float(np.sum(conductance * vbar * np.diff(pr) ** 2))
 
 
 def _ref_mass_defect(x, grid, p):
@@ -292,8 +293,8 @@ def _ref_sandwich(x, grid, p):
     f = x * w2
     J = N.sphere_area(grid.d) * float(np.sum(w * f**2 * w2 ** (alpha - 1.0)))
     mid = 0.5 * (r[:-1] + r[1:])
-    grad = N.sphere_area(grid.d) * float(
-        np.sum(g * np.diff(f) ** 2 / hf * (p.D + mid**2) ** alpha))
+    conductance = g * (p.D + mid**2) ** alpha / hf
+    grad = N.sphere_area(grid.d) * float(np.sum(conductance * np.diff(f) ** 2))
     F = _ref_entropy(x, grid, p)
     I = _ref_fisher(x, grid, p)
     h1 = float(1.0 + np.min(x))

@@ -39,31 +39,27 @@ def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None,
     if one is given."""
     from scipy.linalg import solve_banded
 
-    V, Vm1, w, g, h, m = wts.V, wts.Vm1, wts.w, wts.g, wts.h, wts.m
+    Vm1, wV, w, m = wts.Vm1, wts.wV, wts.w, wts.m
     x = (x_old if start is None else start).copy()
     n = len(x)
-    wV = w * V
     m1 = m - 1.0
     m2 = m - 2.0
     p_scale = Vm1 / m1
-    hV = 0.5 * V
-    c = dt * g / h
-    chV_l = c * hV[:-1]
-    mchV_r = -c * hV[1:]
+    c = dt * wts.conductance
+    half = 0.5 * c
     halvings = 0
     for it in range(maxit):
         lx = np.log1p(x)
         p = p_scale * np.expm1(m1 * lx)
         dp = Vm1 * np.exp(m2 * lx)
-        v = hV * (1.0 + x)
-        cvbar = c * (v[:-1] + v[1:])
+        cvbar = c + half * (x[:-1] + x[1:])
         Dp = p[1:] - p[:-1]
         dt_flux = cvbar * Dp
         rhs = wV * (x_old - x)
         rhs[:-1] += dt_flux
         rhs[1:] -= dt_flux
-        lower = chV_l * Dp - cvbar * dp[:-1]
-        upper = mchV_r * Dp - cvbar * dp[1:]
+        lower = half * Dp - cvbar * dp[:-1]
+        upper = -half * Dp - cvbar * dp[1:]
         ab = np.zeros((3, n))
         ab[1] = wV
         ab[1, :-1] -= lower
@@ -91,18 +87,25 @@ def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None,
     return None, maxit, halvings
 
 
-def _unfolded_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
-    """_reference_step with no constant folded: the pressure divided by
-    m - 1 after the product with V^(m-1), the mean 0.5 (v_i + v_(i+1)), dt
-    and g/h applied to each flux term, and the residual and upper band
-    negated after they are built.  The folds must move the kernel's result
-    from it only by rounding."""
+def _unfolded_step(x_old, grid, profile, dt, tol=1e-11, maxit=30,
+                   start=None):
+    """_reference_step with no constant folded, and with no Weights: the
+    weights and the face geometry (g, h) taken from grid and profile, the
+    pressure divided by m - 1 after the product with V^(m-1), the mobility
+    V_face (1 + (x_i + x_(i+1))/2), dt and g/h applied to each flux term,
+    and the residual and upper band negated after they are built.  The
+    folds must move the kernel's result from it only by rounding."""
     from scipy.linalg import solve_banded
 
-    V, Vm1, w, g, h, m = wts.V, wts.Vm1, wts.w, wts.g, wts.h, wts.m
+    m, alpha, D = float(profile.exponents.m), float(profile.exponents.alpha), profile.D
+    r = grid.nodes
+    Vm1 = D + r**2
+    w = N.cell_volumes(grid)
+    g, h = N.face_geometry(grid)
+    V_face = (D + (0.5 * (r[:-1] + r[1:])) ** 2) ** alpha
     x = (x_old if start is None else start).copy()
     n = len(x)
-    wV = w * V
+    wV = w * Vm1**alpha
     gh = g / h
     m1 = m - 1.0
     m2 = m - 2.0
@@ -110,16 +113,14 @@ def _unfolded_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None):
         lx = np.log1p(x)
         p = Vm1 * np.expm1(m1 * lx) / m1
         dp = Vm1 * np.exp(m2 * lx)
-        vl = V[:-1] * (1.0 + x[:-1])
-        vr = V[1:] * (1.0 + x[1:])
-        vbar = 0.5 * (vl + vr)
+        vbar = V_face * (1.0 + 0.5 * (x[:-1] + x[1:]))
         Dp = p[1:] - p[:-1]
         dt_flux = dt * (g * vbar * Dp / h)
         resid = wV * (x - x_old)
         resid[:-1] -= dt_flux
         resid[1:] += dt_flux
-        dt_dG_l = dt * (gh * (-vbar * dp[:-1] + 0.5 * V[:-1] * Dp))
-        dt_dG_r = dt * (gh * (vbar * dp[1:] + 0.5 * V[1:] * Dp))
+        dt_dG_l = dt * (gh * (-vbar * dp[:-1] + 0.5 * V_face * Dp))
+        dt_dG_r = dt * (gh * (vbar * dp[1:] + 0.5 * V_face * Dp))
         ab = np.zeros((3, n))
         ab[1] = wV
         ab[1, :-1] -= dt_dG_l
@@ -190,11 +191,13 @@ def test_step_within_rounding_of_unfolded():
     failed = 0
     for m in (0.0, 0.3, 0.9):
         for d in (1, 3, 5):
-            _, wts = _problem(d=d, m=m)
+            grid = N.build_grid(15.0, 300, d)
+            profile = Profile(exponents=derive_exponents(d, m), D=1.0)
+            wts = Weights.of(grid, profile)
             works = {dt: K.Workspace(wts, dt) for dt in (1e-3, 1e-2, 1.0, 1e6)}
             for x in _cases(d):
                 for dt, work in works.items():
-                    want, want_it = _unfolded_step(x, wts, dt)
+                    want, want_it = _unfolded_step(x, grid, profile, dt)
                     work.L = None
                     got, got_it = K.newton_step(x, work)
                     assert got_it == want_it
@@ -232,7 +235,7 @@ def test_pure_step_converges_and_conserves():
     assert x_new is not None and 1 <= iters <= 30
     assert np.all(1.0 + x_new > 0)
     # backward Euler conserves sum w V x (the truncated mass defect)
-    wV = wts.w * wts.V
+    wV = wts.wV
     assert float(np.sum(wV * x_new)) == pytest.approx(
         float(np.sum(wV * x)), abs=1e-15 + 1e-12 * abs(float(np.sum(wV * x))))
 
