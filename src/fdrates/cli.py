@@ -31,7 +31,7 @@ Only the closed forms (exponents, spectral) are imported with this module;
 each command imports the other modules it runs itself.  So constants,
 spectrum and eigenfunction, whose ODE residual is exact rational arithmetic,
 and gronwall and rescale, which run on Python floats (scalar), load neither
-numpy nor scipy.
+numpy nor scipy.  No command loads dataclasses: the records are NamedTuples.
 
 The `fdrates` command and `python -m fdrates.cli` enter through run(): BLAS
 runs single-threaded unless the user sets OPENBLAS_NUM_THREADS,
@@ -43,7 +43,6 @@ in-process callers.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -466,7 +465,7 @@ def _cmd_entropy_report(args):
     cfg = _load_config(args.config, args.command)
     state = _build_state(cfg)
     wts = ent.Weights.of(state.grid, state.profile)
-    out = dataclasses.asdict(ent.sandwich_from_x(state.x, wts))
+    out = ent.sandwich_from_x(state.x, wts)._asdict()
     out.update(mass_defect=ent.mass_defect_from_x(state.x, wts),
                matched_D=state.profile.D)
     return cfg.echo(), ["key", "value"], sorted(out.items())

@@ -19,8 +19,7 @@ functionals, and the flow's Newton kernel, read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -75,8 +74,7 @@ def _pressure(x, Vm1, m):
     return Vm1 * np.expm1((m - 1.0) * np.log1p(x)) / (m - 1.0)
 
 
-@dataclass(frozen=True, repr=False)
-class Weights:
+class Weights(NamedTuple):
     """The quadrature of one (grid, profile) pair, built once (Weights.of)
     and shared by the functionals below and the flow's Newton kernel: the
     cell volumes w, sd = |S^(d-1)|, Vm1 = D + r^2 = V^(m-1), wV = w V,
@@ -93,6 +91,9 @@ class Weights:
     wVm: np.ndarray
     V_am1: np.ndarray
     conductance: np.ndarray
+
+    def __repr__(self):  # the arrays stay out
+        return f"Weights(profile={self.profile!r}, m={self.m!r}, sd={self.sd!r})"
 
     @classmethod
     def of(cls, grid: RadialGrid, p: Profile) -> Weights:
@@ -137,8 +138,7 @@ def mass_defect_from_x(x: np.ndarray, wts: Weights) -> float:
     return wts.sd * float(np.sum(wts.wV * x))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Slacks of the linear-nonlinear comparison bounds (all >= 0 when the
     bounds hold): h^(m-2) J <= 2F <= h^(2-m) J and
     grad-norm <= (1+X(h)) I + Y(h) J, where J = int f^2 dmu_(alpha-1) and
@@ -186,8 +186,7 @@ def sandwich_from_x(x: np.ndarray, wts: Weights) -> SandwichReport:
 # traces and rate fitting
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     rate: float
     r2: float
     window: tuple
@@ -195,8 +194,7 @@ class FitResult:
     n_samples: int
 
 
-@dataclass
-class EntropyTrace:
+class EntropyTrace(NamedTuple):
     """Time series (t, F, I, h1, h2, mass defect) from a flow run."""
 
     t: np.ndarray
@@ -205,7 +203,7 @@ class EntropyTrace:
     h1: np.ndarray
     h2: np.ndarray
     mass_defect: np.ndarray
-    sandwich: tuple = field(default_factory=tuple)
+    sandwich: tuple = ()
 
     COLUMNS = ("t", "entropy", "fisher", "h1", "h2", "mass_defect")
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 __all__ = [
     "Regime",
@@ -64,8 +64,23 @@ def _dimension(d) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class ExponentSet:
+class _ExponentFields(NamedTuple):
+    d: int
+    m: float
+    alpha: float
+    m_c: float
+    m_star: float
+    m_1: float
+    m_2: float
+    alpha_star: float
+    alpha_1: float
+    alpha_2: float
+    regime: Regime
+    log_limit: bool
+    at_m_c: bool
+
+
+class ExponentSet(_ExponentFields):
     """All thresholds attached to a pair (d, m), m < 1.
 
     Attributes
@@ -83,25 +98,13 @@ class ExponentSet:
         self-similar rescaling is exponential; regime is then GOOD.
     """
 
-    d: int
-    m: float
-    alpha: float
-    m_c: float
-    m_star: float
-    m_1: float
-    m_2: float
-    alpha_star: float
-    alpha_1: float
-    alpha_2: float
-    regime: Regime
-    log_limit: bool
-    at_m_c: bool
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):  # a NamedTuple body cannot define it
+        self = super().__new__(cls, *args, **kwargs)
         if self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not self.m < 1:
             raise ValueError(f"fast diffusion requires m < 1, got m = {self.m}")
+        return self
 
 
 def derive_exponents(d: int, m) -> ExponentSet:

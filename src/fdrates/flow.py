@@ -21,7 +21,6 @@ B (df/dt) = -A f with backward Euler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,29 +48,23 @@ class FlowError(RuntimeError):
     stepping."""
 
 
-@dataclass
 class NonlinearState:
     """State of a radial nonlinear run at time t: v = V_D (1 + x) on grid,
     stored as x relative to profile, the one Profile V_D of the run."""
 
-    grid: RadialGrid
-    profile: Profile
-    x: np.ndarray
-    t: float = 0.0
+    def __init__(self, grid: RadialGrid, profile: Profile, x: np.ndarray,
+                 t: float = 0.0):
+        self.grid, self.profile, self.x, self.t = grid, profile, x, t
 
 
-@dataclass
 class LinearState:
     """State of a linear sector run: nodal values of f in sector l.  alpha and
     D may be exact (Fractions); the flow evaluates them in floats, so its
     trace is the same as for their float values."""
 
-    grid: RadialGrid
-    alpha: float
-    D: float
-    l: int
-    f: np.ndarray
-    t: float = 0.0
+    def __init__(self, grid: RadialGrid, alpha: float, D: float, l: int,
+                 f: np.ndarray, t: float = 0.0):
+        self.grid, self.alpha, self.D, self.l, self.f, self.t = grid, alpha, D, l, f, t
 
 
 def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,18 +66,21 @@ class NonConvergenceError(RuntimeError):
         self.last_quotient = last_quotient
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Nodes 0 = r_0 < ... < r_N = R_max of a radial grid in R^d (see
-    build_grid)."""
-
+class _GridFields(NamedTuple):
     nodes: np.ndarray
     d: int
 
-    def __post_init__(self):
+
+class RadialGrid(_GridFields):
+    """Nodes 0 = r_0 < ... < r_N = R_max of a radial grid in R^d (see
+    build_grid)."""
+
+    def __new__(cls, *args, **kwargs):  # a NamedTuple body cannot define it
+        self = super().__new__(cls, *args, **kwargs)
         r = self.nodes
         if r[0] != 0.0 or np.any(np.diff(r) <= 0):
             raise ValueError("grid nodes must start at 0 and increase strictly")
+        return self
 
     @property
     def R_max(self) -> float:
@@ -142,8 +145,7 @@ def face_geometry(grid: RadialGrid):
     return mid ** (grid.d - 1), np.diff(r)
 
 
-@dataclass(frozen=True)
-class SectorForms:
+class SectorForms(NamedTuple):
     """P1 discretization of the sector-l quadratic forms (A, B).
 
     A and B are symmetric tridiagonal, stored by diagonals.  For l >= 1 the
@@ -154,10 +156,13 @@ class SectorForms:
 
     grid: RadialGrid
     l: int
-    a_diag: np.ndarray = field(repr=False)
-    a_off: np.ndarray = field(repr=False)
-    b_diag: np.ndarray = field(repr=False)
-    b_off: np.ndarray = field(repr=False)
+    a_diag: np.ndarray
+    a_off: np.ndarray
+    b_diag: np.ndarray
+    b_off: np.ndarray
+
+    def __repr__(self):  # the four diagonals stay out
+        return f"SectorForms(grid={self.grid!r}, l={self.l!r})"
 
     @property
     def dirichlet_origin(self) -> bool:
@@ -457,16 +462,14 @@ def _extrapolate(Ss, lams):
     return float(lams_arr[-1])
 
 
-@dataclass(frozen=True)
-class SectorVerification:
+class SectorVerification(NamedTuple):
     l: int
     lambda_numeric: float
     lambda_domains: tuple
     constrained: bool
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of the numerical sharp-constant check for one (d, alpha)."""
 
     d: int

@@ -21,8 +21,7 @@ far below the rounding floor of v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -41,16 +40,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Generalized Barenblatt profile V_D(x) = (D+|x|^2)^(1/(m-1))."""
-
+class _ProfileFields(NamedTuple):
     exponents: ExponentSet
     D: float
 
-    def __post_init__(self):
+
+class Profile(_ProfileFields):
+    """Generalized Barenblatt profile V_D(x) = (D+|x|^2)^(1/(m-1))."""
+
+    def __new__(cls, *args, **kwargs):  # a NamedTuple body cannot define it
+        self = super().__new__(cls, *args, **kwargs)
         if not self.D > 0:
             raise ValueError(f"D must be positive, got {self.D}")
+        return self
 
     def __call__(self, r):
         """V_D at radius r >= 0 (scalar or array): (D + r^2)^(1/(m-1))."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exponents import ExponentSet, Regime
 
@@ -276,17 +276,20 @@ class ExtinctionError(ValueError):
         self.T = T
 
 
-@dataclass(frozen=True)
-class RescalingMap:
-    """Self-similar change of variables between original (tau, y, u) and
-    rescaled (t, x, v) coordinates, with v = R(tau)^d u."""
-
+class _RescalingFields(NamedTuple):
     exponents: ExponentSet
     T: float = 1.0
 
-    def __post_init__(self):
+
+class RescalingMap(_RescalingFields):
+    """Self-similar change of variables between original (tau, y, u) and
+    rescaled (t, x, v) coordinates, with v = R(tau)^d u."""
+
+    def __new__(cls, *args, **kwargs):  # a NamedTuple body cannot define it
+        self = super().__new__(cls, *args, **kwargs)
         if self.T < 0:
             raise ValueError(f"time origin T must be nonnegative, got {self.T}")
+        return self
 
     def _regime_data(self):
         """(side, m, m_c, d): side is the sign of m - m_c as derive_exponents

@@ -16,9 +16,8 @@ thresholds come from exponents._alpha_thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exponents import (_alpha_thresholds, _dimension, _number, lambda_continuum,
                         sharp_rate)
@@ -59,8 +58,7 @@ def multiplicity(d: int, l: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class EigenMode:
+class EigenMode(NamedTuple):
     """One discrete mode (l, k) with its eigenvalue and radial polynomial.
 
     radial_poly lists the k+1 coefficients (c_0, ..., c_k) of the radial part
@@ -116,8 +114,7 @@ def discrete_mode(d: int, alpha, l: int, k: int) -> EigenMode:
                      radial_poly=radial)
 
 
-@dataclass(frozen=True)
-class ImprovedConstant:
+class ImprovedConstant(NamedTuple):
     """Constant of the unconstrained (improved) inequality, with a flag marking
     alpha in (-d, -(d+2)/2) where the (0,1) eigenvalue sits strictly below the
     reported value (the definition keeps the continuum bottom there)."""
@@ -152,8 +149,7 @@ class SpectralMismatchError(RuntimeError):
     constant: a numerical failure, not a usage error."""
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     """Spectral summary for one (d, alpha): sharp constant, continuum bottom,
     improved constant, gap source, mode table, and the constraint flag."""
 

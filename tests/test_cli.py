@@ -224,7 +224,9 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
     # Python floats load neither (nor mpmath), the other closed-form commands
     # no scipy, hp-verify, the first to load numpy, only scipy's LAPACK
     # extension through fdrates._lapack, not the scipy package or numpy.f2py,
-    # which that package pulls in, and nothing loads scipy.optimize
+    # which that package pulls in, and nothing loads scipy.optimize.  The
+    # records are NamedTuples, so no step loads dataclasses, and inspect,
+    # which dataclasses imports, loads only with numpy, which imports it
     cfg = _evolve_config(tmp_path)
     exact = [
         ["constants", "--d", "5", "--m", "0.9"],
@@ -246,7 +248,8 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
 
         def loaded():
             return [m for m in ("numpy", "numpy.f2py", "fdrates._lapack", "scipy",
-                                "scipy.linalg", "scipy.optimize", "mpmath")
+                                "scipy.linalg", "scipy.optimize", "mpmath",
+                                "dataclasses", "inspect")
                     if m in sys.modules]
 
         print(json.dumps(["import", 0, loaded()]))
@@ -260,7 +263,7 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
                           env=_process_env(), capture_output=True, text=True,
                           check=True)
     got = [json.loads(line) for line in proc.stdout.splitlines()]
-    lapack = ["numpy", "fdrates._lapack"]
+    lapack = ["numpy", "fdrates._lapack", "inspect"]
     assert got == ([["import", 0, []]] + [[c[0], 0, []] for c in exact]
                    + [["hp-verify", 0, lapack]] + [[c[0], 0, lapack] for c in numeric])
 

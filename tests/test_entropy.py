@@ -1,6 +1,5 @@
 """Tests for the entropy-method functionals and estimates."""
 
-import dataclasses
 import math
 import warnings
 
@@ -152,7 +151,7 @@ def test_fit_rate_rejections():
     with pytest.raises(ValueError):
         fit_rate(tr, (0.0, 0.05))  # too few samples
     # 21 rows in the window, 9 of them with F > 0
-    flat = dataclasses.replace(tr, entropy=np.where(tr.t < 0.09, tr.entropy, 0.0))
+    flat = tr._replace(entropy=np.where(tr.t < 0.09, tr.entropy, 0.0))
     with pytest.raises(ValueError, match="has 9 usable samples; need >= 10"):
         fit_rate(flat, (0.0, 0.2))
     with pytest.raises(ValueError):
@@ -227,7 +226,7 @@ def test_calibrate_uniform_constant():
                       mass_defect=0 * t)
     assert calibrate_uniform_constant(tr, E59) == pytest.approx(0.3, rel=1e-12)
     with pytest.raises(ValueError, match="no rows with positive entropy"):
-        calibrate_uniform_constant(dataclasses.replace(tr, entropy=0 * t), E59)
+        calibrate_uniform_constant(tr._replace(entropy=0 * t), E59)
 
 
 def test_variational_quotient_converges_and_bounded_below():
@@ -334,7 +333,7 @@ def test_shared_weights_functionals_equal_inline_formulas(d, D):
             assert entropy_from_x(x, wts) == _ref_entropy(x, g, p)
             assert fisher_from_x(x, wts) == _ref_fisher(x, g, p)
             assert mass_defect_from_x(x, wts) == _ref_mass_defect(x, g, p)
-            assert (dataclasses.astuple(sandwich_from_x(x, wts))
-                    == dataclasses.astuple(_ref_sandwich(x, g, p)))
+            assert (tuple(sandwich_from_x(x, wts))
+                    == tuple(_ref_sandwich(x, g, p)))
         for n in (50, 400):
             assert variational_quotient(f, n, wts) == _ref_variational_quotient(f, g, n, p)

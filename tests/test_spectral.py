@@ -1,6 +1,5 @@
 """Tests for the closed-form discrete spectrum and eigenfunctions."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -195,7 +194,7 @@ def test_ode_residual_detects_wrong_eigenvalue(monkeypatch):
 
     def shifted(*args):
         mode = true_mode(*args)
-        return dataclasses.replace(mode, lam=mode.lam + Fraction(1, 10**6))
+        return mode._replace(lam=mode.lam + Fraction(1, 10**6))
 
     monkeypatch.setattr(spec, "discrete_mode", shifted)
     assert ode_residual(5, Fraction(-10), 0, 1) > 0.0
