@@ -15,8 +15,8 @@ This module discretizes (A_l, B) with P1 finite elements on a sinh-graded
 radial grid and computes sector bottom eigenvalues, mean-zero for l = 0, by
 index, along one path: a lumped-mass tridiagonal eigensolve, bisected only
 below a Courant-Fischer upper bound, gives the shift, and consistent-mass
-inverse iteration with one factorization, started from the vector of that
-bound, finishes it.
+inverse iteration with one factorization, on the pencil scaled by the lumped
+mass and started from the vector of that bound, finishes it.
 Nodal data, such as eigenvectors, are plain arrays of values at the grid
 nodes; the SectorForms of a sector carry its grid and index l.
 Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
@@ -320,9 +320,10 @@ def _lumped_shift(forms: SectorForms):
     _BOUND_STEPS steps of (A + B)^(-1) L, kept L-orthogonal to the constant
     for k = 1.  LAPACK dstebz then bisects only (-u', u'], u' = u (1 + 1e-12),
     to an absolute 1e-7 u', doubling u' until eigenvalue k lies inside.
-    Returns (sigma, v), v the bound vector in the unscaled coordinates.  A
-    lumped mass that is not positive, where the weights underflowed, raises
-    FloatingPointError before the scaling divides by it.
+    Returns (sigma, v, s, scaled): v the bound vector in the unscaled
+    coordinates, and scaled the forms (sAs, sBs), whose A diagonals are the
+    matrix bisected.  A lumped mass that is not positive, where the weights
+    underflowed, raises FloatingPointError before the scaling divides by it.
     """
     k = 1 if forms.l == 0 else 0
     lumped = forms.b_diag.copy()
@@ -331,8 +332,10 @@ def _lumped_shift(forms: SectorForms):
     if not np.all(lumped > 0.0):
         raise FloatingPointError("lumped mass is not positive: a weight underflowed")
     s = 1.0 / np.sqrt(lumped)
-    d, e = forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:]
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+    ss = s[:-1] * s[1:]
+    scaled = forms._replace(a_diag=forms.a_diag * s * s, a_off=forms.a_off * ss,
+                            b_diag=forms.b_diag * s * s, b_off=forms.b_off * ss)
+    if not all(np.all(np.isfinite(diagonal)) for diagonal in scaled[2:]):
         raise FloatingPointError("array must not contain infs or NaNs")
     off = forms.a_off + forms.b_off
     lu = _lapack.dgttrf(off, forms.a_diag + forms.b_diag, off)[:5]
@@ -349,11 +352,12 @@ def _lumped_shift(forms: SectorForms):
     vu = u * (1.0 + 1e-12)
     # range 1 asks dstebz for the eigenvalues in (vl, vu], order "E" sorts them
     while True:
-        m, w, _, _, info = _lapack.dstebz(d, e, 1, -vu, vu, 0, 0, 1e-7 * vu, "E")
+        m, w, _, _, info = _lapack.dstebz(scaled.a_diag, scaled.a_off, 1, -vu, vu,
+                                          0, 0, 1e-7 * vu, "E")
         if info:
             raise NonConvergenceError(f"dstebz failed with info = {info}", u)
         if m > k:
-            return float(w[k]), v
+            return float(w[k]), v, s, scaled
         vu *= 2.0
 
 
@@ -365,40 +369,45 @@ def bottom_eigenvalue(forms: SectorForms):
     mean-zero condition int f dmu_(alpha-1) = 0); k = 0 otherwise.
     Eigenvalue k of the lumped-mass pencil (_lumped_shift: LAPACK bisection
     over the range below a Courant-Fischer upper bound) gives the shift
-    sigma, and the vector whose quotient is that bound is the start vector;
-    consistent-mass inverse iteration, with A - sigma B factored once, runs
-    until the eigen-residual |A f - lambda B f| is below 1e-13 times its
-    rounding scale |A||f| + |lambda| B|f| (B has no negative entry), and
-    raises NonConvergenceError after 100 solves.
+    sigma, and the vector whose quotient is that bound is the start vector.
+    Consistent-mass inverse iteration runs on the pencil scaled by the
+    lumped mass, (sAs, sBs) with s = L^(-1/2), whose B diagonal lies in
+    (0, 1] where that of B spans many decades: from x/s, with
+    sAs - sigma sBs factored once, until the eigen-residual
+    |A f - lambda B f| is below 1e-13 times its rounding scale
+    |A||f| + |lambda| B|f| (B has no negative entry), both in the scaled
+    pencil and its coordinates, and raises NonConvergenceError after 100
+    solves.  The eigenvector is s times the iterate.
 
     Returns (lambda, f) with f the eigenvector's values at all grid nodes,
     normalized in the B-norm; for l >= 1 the origin carries the Dirichlet
     zero (SectorForms.pad).
     """
-    sigma, x = _lumped_shift(forms)
+    sigma, x, s, sc = _lumped_shift(forms)
     # a power of two, which scales exactly, brings the start vector to about
     # unit B-norm, so that no product of a normalization overflows where the
-    # weights of a large domain are large
-    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x) * np.sqrt(forms.b_diag))))[1])
-    # consistent-mass inverse iteration, A - sigma B factored once
-    off = forms.a_off - sigma * forms.b_off
-    lu = _lapack.dgttrf(off, forms.a_diag - sigma * forms.b_diag, off)[:5]
-    abs_a = (np.abs(forms.a_diag), np.abs(forms.a_off))
-    bf = forms.apply_b(x)
+    # weights of a large domain are large; then x/s is the start of the
+    # scaled pencil (sAs, sBs)
+    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x) * np.sqrt(forms.b_diag))))[1]) / s
+    # consistent-mass inverse iteration, sAs - sigma sBs factored once
+    off = sc.a_off - sigma * sc.b_off
+    lu = _lapack.dgttrf(off, sc.a_diag - sigma * sc.b_diag, off)[:5]
+    abs_a = (np.abs(sc.a_diag), np.abs(sc.a_off))
+    bf = sc.apply_b(x)
     lam = sigma
     for _ in range(_EIGEN_MAXIT):
         f = _lapack.dgttrs(*lu, bf)[0]
-        bf = forms.apply_b(f)
+        bf = sc.apply_b(f)
         nrm = math.sqrt(float(f @ bf))
         f /= nrm
         bf /= nrm
-        af = forms.apply_a(f)
+        af = sc.apply_a(f)
         lam = float(f @ af)
         # rounding alone leaves a residual of order eps * (|A||f| + |lam| B|f|)
         f_abs = np.abs(f)
-        scale = _tridiag_apply(*abs_a, f_abs) + abs(lam) * forms.apply_b(f_abs)
+        scale = _tridiag_apply(*abs_a, f_abs) + abs(lam) * sc.apply_b(f_abs)
         if np.linalg.norm(af - lam * bf) <= _EIGEN_TOL * np.linalg.norm(scale):
-            return lam, forms.pad(f)
+            return lam, forms.pad(s * f)
     raise NonConvergenceError("inverse iteration did not converge", lam)
 
 

@@ -1,7 +1,8 @@
 """The eigen oracles: the matrices of a SectorForms written out in full, the
 bottom eigenpair of their pencil from a direct O(n^3) eigensolve, for
-cross-checking numerics.bottom_eigenvalue on small problems, and the lumped
-shift by index, for cross-checking numerics._lumped_shift."""
+cross-checking numerics.bottom_eigenvalue on small problems, the number of
+eigenvalues below a value by inertia, for large ones, and the lumped shift
+by index, for cross-checking numerics._lumped_shift."""
 
 import numpy as np
 
@@ -53,3 +54,19 @@ def lumped_shift_by_index(forms):
     lam, y = eigh_tridiagonal(forms.a_diag * s * s, forms.a_off * s[:-1] * s[1:],
                               select="i", select_range=(k, k))
     return float(lam[0]), s * y[:, 0]
+
+
+def count_below(forms, mu):
+    """The number of eigenvalues of the pencil (A, B) below mu: by Sylvester's
+    law of inertia, the negative pivots of the LDL^T factorization of
+    A - mu B, scaled by diag(B)^(-1/2), which keeps its inertia."""
+    s = 1.0 / np.sqrt(forms.b_diag)
+    diag = (forms.a_diag - mu * forms.b_diag) * s * s
+    off = (forms.a_off - mu * forms.b_off) * s[:-1] * s[1:]
+    count, pivot = 0, 1.0
+    for i, a in enumerate(diag.tolist()):
+        pivot = a - (off[i - 1] ** 2 / pivot if i else 0.0)
+        if pivot == 0.0:
+            pivot = -np.finfo(float).tiny
+        count += pivot < 0.0
+    return count

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import fdrates.numerics as N
 import fdrates.scalar as S
-from eigen_oracle import dense_bottom, lumped_shift_by_index, mass, stiffness
+from eigen_oracle import (count_below, dense_bottom, lumped_shift_by_index, mass,
+                          stiffness)
 
 
 def test_build_grid_basics():
@@ -511,6 +512,40 @@ def test_verify_constants_branch_interiors_never_raise(d, branch, frac, log_D):
     res = N.verify_constants(d, lo + frac * (hi - lo), D=D, l_max=3,
                              R_max=100.0 * math.sqrt(D), N=1600)
     assert math.isfinite(res.minimum) and res.minimum > 0
+
+
+@pytest.mark.parametrize("d, alpha, D, R", [
+    (10, -1.0, 1.0, 100.0), (11, -1.0, 1.0, 100.0), (11, -6.0, 1.0, 100.0),
+    (12, -1.0, 1.0, 100.0), (12, -6.0, 1.0, 100.0), (8, -2.7, 2.3, 5.0),
+])
+def test_bottom_eigenvalue_where_the_mass_spans_many_decades(d, alpha, D, R):
+    # sector 0 at the default N, where B's diagonal spans 1e22 to 1e46 and
+    # inverse iteration on the unscaled pencil stalled: on the pencil scaled
+    # by the lumped mass it converges to eigenvalue 1, which the inertia of
+    # A - mu B brackets to 1e-10 relative
+    scale = math.sqrt(D)
+    forms = N.assemble_sector_forms(N.build_grid(R * scale, 1600, d, scale=scale),
+                                    alpha, D, 0)
+    assert forms.b_diag.max() > 1e22 * forms.b_diag.min()
+    lam, f = N.bottom_eigenvalue(forms)
+    assert count_below(forms, lam * (1 - 1e-10)) == 1
+    assert count_below(forms, lam * (1 + 1e-10)) == 2
+    # the eigenvector is B-normalized in the original coordinates
+    assert float(f @ forms.apply_b(f)) == pytest.approx(1.0, rel=1e-12)
+    assert N.rayleigh_quotient(f, forms) == pytest.approx(lam, rel=1e-12)
+
+
+def test_verify_constants_never_raises_in_high_dimensions():
+    # every branch interior of d = 7..16, with D = 1 and 2.3, at fractions
+    # drawn once from a fixed seed, on the default domains
+    rng = np.random.default_rng(21)
+    for d in range(7, 17):
+        ends = _branch_ends(d)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            for D in (1.0, 2.3):
+                alpha = lo + rng.uniform(0.1, 0.9) * (hi - lo)
+                res = N.verify_constants(d, alpha, D=D, R_max=100.0 * math.sqrt(D))
+                assert all(s.lambda_numeric > 0 for s in res.sectors), (d, alpha, D)
 
 
 # ---------------------------------------------------------------------------
