@@ -64,14 +64,14 @@ BACKEND = "pure"
 
 class Workspace:
     """The per-run part of newton_step at the step length dt.  From wts,
-    the run's entropy.Weights, it reads Vm1 = V^(m-1), w V, the face
-    conductance C and m, and folds them into p_scale = Vm1/(m-1) and the
-    constants of dt: c = dt C on each face, c/2 and -c/2.  It also holds the
-    work buffers, the views of them (and of w V) at the left and right node
-    of each face, and scipy's solve_banded and LinAlgError, looked up once.
-    With these a Newton iteration takes 34 elementwise array passes, and an
-    undamped first iteration 31 when the bound max |dx| accepts it (see
-    newton_step) and 35 when it does not.
+    the run's entropy.Weights, it reads Vm1 = V^(m-1), w V (zero at the origin
+    for d >= 2, which sets closure), the face conductance C and m, and folds
+    them into p_scale = Vm1/(m-1) and the constants of dt: c = dt C on each
+    face, c/2 and -c/2.  It also holds the work buffers, the views of them (and
+    of w V) at the left and right node of each face, and scipy's solve_banded
+    and LinAlgError, looked up once.  With these a Newton iteration takes 34
+    elementwise array passes, and an undamped first iteration 31 when the bound
+    max |dx| accepts it (see newton_step) and 35 when it does not.
 
     L is None until a step measures it; last is the (x_old, x_new) pair of
     the last step accepted, or None."""
@@ -89,7 +89,7 @@ class Workspace:
         c = dt * wts.conductance
         self.c, self.half, self.mhalf = c, 0.5 * c, -0.5 * c
         self.L = self.last = None
-        self.closure = wts.w[0] == 0.0
+        self.closure = wts.wV[0] == 0.0
         # nodal (length n) and face (length n - 1) buffers
         self.nodal = tuple(np.empty((5, n)))
         self.faces = tuple(np.empty((3, n - 1)))
@@ -124,7 +124,7 @@ def newton_step(x_old, work):
     without measuring e when b < 1e-11 or work.L b^2 < 1e-12.
     Returns (None, iterations) if it fails to do so within 30 iterations, if
     the damping cannot keep x above -1, or if the Jacobian is singular
-    (caller decides how to subdivide the step).  When w[0] == 0 (d >= 2) the
+    (caller decides how to subdivide the step).  When wV[0] == 0 (d >= 2) the
     origin row is replaced by the algebraic regularity closure p_1 = p_0.
     Raises FloatingPointError if the Jacobian or the residual is not finite.
     """

@@ -10,9 +10,11 @@ in fdrates.scalar.
 
 All functionals are evaluated in the relative variable x = v/V_D - 1; the
 identity V_D^(m-1) = D + r^2 (exact, since alpha(m-1) = 1) makes every weight
-a plain power of D + r^2.  Working in x instead of v keeps the integrands
-accurate when v - V_D underflows relative to V_D far in the tail, which is
-essential on the very large domains of critical-case runs.  The weights of
+the one power V_D = (D + r^2)^alpha times an integer power of D + r^2:
+V_D^m = V_D (D + r^2) and (D + r^2)^(alpha-1) = V_D/(D + r^2).  Working in x
+instead of v keeps the integrands accurate when v - V_D underflows relative
+to V_D far in the tail, which is essential on the very large domains of
+critical-case runs.  The weights of
 one (grid, profile) pair are computed once, into a Weights record that the
 functionals, and the flow's Newton kernel, read.
 """
@@ -76,20 +78,19 @@ def _pressure(x, Vm1, m):
 
 class Weights(NamedTuple):
     """The quadrature of one (grid, profile) pair, built once (Weights.of)
-    and shared by the functionals below and the flow's Newton kernel: the
-    cell volumes w, sd = |S^(d-1)|, Vm1 = D + r^2 = V^(m-1), wV = w V,
-    wVm = w (D + r^2)^(alpha m), V_am1 = (D + r^2)^(alpha-1), and the face
-    conductance g V_face / h, of the face geometry (g, h) and the profile
-    V_face = (D + r^2)^alpha at the face midpoint."""
+    and shared by the functionals below and the flow's Newton kernel:
+    sd = |S^(d-1)|, Vm1 = D + r^2 = V^(m-1), wV = w V of the cell volumes w,
+    wVm = w V^m = wV Vm1, and the face conductance g V_face / h, of the face
+    geometry (g, h) and the profile V_face = (D + r^2)^alpha at the face
+    midpoint.  dmu_(alpha-1) weighs a cell by w (D + r^2)^(alpha-1) = wV/Vm1,
+    and the sandwich's w f^2 (D + r^2)^(alpha-1) is wVm x^2."""
 
     profile: Profile
     m: float
     sd: float
-    w: np.ndarray
     Vm1: np.ndarray
     wV: np.ndarray
     wVm: np.ndarray
-    V_am1: np.ndarray
     conductance: np.ndarray
 
     def __repr__(self):  # the arrays stay out
@@ -98,25 +99,23 @@ class Weights(NamedTuple):
     @classmethod
     def of(cls, grid: RadialGrid, p: Profile) -> Weights:
         """The weights of grid and p; one that overflows, as
-        wVm = w (D + r^2)^(alpha m) can for m < 0 on a domain that build_grid
+        wVm = w V (D + r^2) can for m < 0 on a domain that build_grid
         accepts, raises FloatingPointError naming R_max, without a warning."""
         m, alpha = float(p.exponents.m), float(p.exponents.alpha)
         r = grid.nodes
-        w = cell_volumes(grid)
         g, h = face_geometry(grid)
         Vm1 = p.D + r**2
         mid = 0.5 * (r[:-1] + r[1:])
         with np.errstate(over="ignore"):
-            powers = dict(wV=w * Vm1**alpha, wVm=w * Vm1 ** (alpha * m),
-                          V_am1=Vm1 ** (alpha - 1.0),
+            wV = cell_volumes(grid) * Vm1**alpha
+            powers = dict(wV=wV, wVm=wV * Vm1,
                           conductance=g * (p.D + mid**2) ** alpha / h)
         for name, values in powers.items():
             if not np.all(np.isfinite(values)):
                 raise FloatingPointError(
                     f"the weights overflow on the domain R_max = {grid.R_max}: "
                     f"{name} exceeds the largest double")
-        return cls(profile=p, m=m, sd=sphere_area(grid.d), w=w, Vm1=Vm1,
-                   **powers)
+        return cls(profile=p, m=m, sd=sphere_area(grid.d), Vm1=Vm1, **powers)
 
 
 def entropy_from_x(x: np.ndarray, wts: Weights) -> float:
@@ -165,7 +164,7 @@ def sandwich_from_x(x: np.ndarray, wts: Weights) -> SandwichReport:
     """Both sandwich bounds at the state v = V_D (1 + x), on the shared wts."""
     m = wts.m
     f = x * wts.Vm1  # (w-1) V^(m-1)
-    J = wts.sd * float(np.sum(wts.w * f**2 * wts.V_am1))
+    J = wts.sd * float(np.sum(wts.wVm * x**2))
     grad = wts.sd * float(np.sum(wts.conductance * np.diff(f) ** 2))
     F = entropy_from_x(x, wts)
     I = fisher_from_x(x, wts)
@@ -265,7 +264,7 @@ def calibrate_uniform_constant(trace: EntropyTrace,
 
 def _mean_zero(f: np.ndarray, wts: Weights) -> np.ndarray:
     """Nodal values f minus their mean in dmu_(alpha-1) = (D+|x|^2)^(alpha-1) dx."""
-    mu = wts.w * wts.V_am1
+    mu = wts.wV / wts.Vm1
     return f - np.sum(mu * f) / np.sum(mu)
 
 

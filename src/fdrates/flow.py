@@ -10,9 +10,9 @@ A state is the relative variable x = v/V_D - 1 and its one Profile V_D, from
 initial data to the last step: on very large domains (critical-case runs
 reach R_max ~ e^90) the difference v - V_D is far below the rounding floor
 of v, so the conserved defect and the entropy are only representable in x.
-Matching D to the data, profiles.solve_D, also finds the zero of the defect
-in x, by Brent's method, and the matched state is x re-expressed relative to
-V_D.
+Matching D to the data, profiles.solve_D, also finds the zero of the defect in
+x, by Brent's method, on the Weights of the data's profile V_D, and the matched
+state is x re-expressed relative to the matched V_D'.
 
 Linear: sector evolution df/dt = -L f discretized by the same P1 forms,
 B (df/dt) = -A f with backward Euler.
@@ -84,12 +84,13 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
       "bump":   v0 = V_D (1 + amplitude exp(-((r-c)/s)^2)); c = 0, s = 1 when
                 seed is None, otherwise drawn reproducibly from the seed.
 
-    When match_D is True the profile parameter is re-matched by Brent's
-    method (profiles.solve_D, on the defect in x) so that the truncated mass
-    defect of v0 vanishes, and x is re-expressed relative to the matched
-    profile.  A bracket (D0, D1) must have D0 > D1 > 0; with it, unclipped
-    data outside the sandwich V_D0 <= v0 <= V_D1 (by 1e-8) raise ValueError,
-    as do data with some x <= -1 and an eigen mode of sector l >= 1 (not radial).
+    When match_D is True the profile parameter is re-matched by Brent's method
+    (profiles.solve_D, on the defect in x) so that the truncated mass defect of
+    v0 vanishes, and x is re-expressed relative to the matched profile.  A
+    bracket (D0, D1) must have D0 > D1 > 0; with it, unclipped data outside the
+    sandwich V_D0 <= v0 <= V_D1 (by 1e-8 in x, before matching) raise
+    ValueError, as do data with some x <= -1 and an eigen mode of sector l >= 1
+    (not radial).
     """
     alpha = float(exponents.alpha)
     r = grid.nodes
@@ -127,8 +128,11 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
     else:
         raise ValueError(f"unknown initial-data kind {kind!r}")
 
-    if clip and bracket and kind != "profile-blend":
+    if bracket and clip and kind != "profile-blend":
         x = np.clip(x, xlo, xhi)
+    elif bracket and (np.any(x < xlo - 1e-8) or np.any(x > xhi + 1e-8)):
+        raise ValueError(f"unclipped initial data leave the sandwich "
+                         f"V_D0 <= v0 <= V_D1 with D0 = {D0}, D1 = {D1}")
 
     profile = Profile(exponents=exponents, D=D)
     if match_D:
@@ -138,11 +142,6 @@ def make_initial_data(grid: RadialGrid, exponents: ExponentSet, kind: str, *,
         q = _profile_ratio_minus_one(D, Dm, alpha, r)
         x = q + (1.0 + q) * x
         profile = Profile(exponents=exponents, D=Dm)
-        xlo = _profile_ratio_minus_one(D0, Dm, alpha, r)
-        xhi = _profile_ratio_minus_one(D1, Dm, alpha, r)
-    if bracket and (np.any(x < xlo - 1e-8) or np.any(x > xhi + 1e-8)):
-        raise ValueError(f"unclipped initial data leave the sandwich "
-                         f"V_D0 <= v0 <= V_D1 with D0 = {D0}, D1 = {D1}")
     if not x.min() > -1.0:  # the Newton kernel's domain; a NaN fails too
         size = f"epsilon = {epsilon}" if kind == "eigen" else f"amplitude = {amplitude}"
         raise ValueError(f"{kind} data with {size} are not positive: "

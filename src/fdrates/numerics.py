@@ -242,8 +242,9 @@ def _assemble_sectors(grid, alpha, D, ls, cells):
     w = np.outer(wg, h / 2.0)
     x2 = x**2
     xd = x ** (d - 1)
+    # the mass weight (D + x^2)^(alpha-1) x^(d-1) is wa over D + x^2
     wa = (D + x2) ** alpha * xd
-    wb = (D + x2) ** (alpha - 1) * xd
+    wb = wa / (D + x2)
     p0 = (r[1:] - x) / h
     p1 = (x - r[:-1]) / h
 

@@ -11,11 +11,11 @@ eval_barenblatt, which takes |y| of an array y, stays here.
 solve_D matches D to initial data by the bracketed Brent search of
 scalar._brent_root on the truncated mass defect, which
 entropy.mass_defect_from_x evaluates in the relative variable
-x = v/V_D - 1, as int V_D x dx.  The data are given relative to one
-profile and re-expressed relative to each candidate by
-_profile_ratio_minus_one, so no absolute value v or difference v - V_D is
-formed; on the very large domains of critical-case runs that difference is
-far below the rounding floor of v.
+x = v/V_D - 1, as int V_D x dx.  The data x are given relative to one profile
+V_D; against a candidate V_D' the defect is that of x - q', q' = V_D'/V_D - 1,
+on the Weights of V_D.  So no absolute value v or difference v - V_D is formed;
+on the very large domains of critical-case runs that difference is far below
+the rounding floor of v.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def solve_D(grid: RadialGrid, x: np.ndarray, profile: Profile, D0: float,
 
     x holds the data at the grid nodes relative to profile, v = V_D (1 + x).
     The defect of v against a candidate V_D' is entropy.mass_defect_from_x
-    of x' = q + (1 + q) x, q = V_D/V_D' - 1, on the Weights of (grid, V_D'),
-    so x' at the returned D' has the defect the search evaluated there.  The
+    of x - q', q' = V_D'/V_D - 1, on the one Weights of (grid, V_D), which
+    every candidate shares: V_D' x' = v - V_D' = V_D (x - q').  The
     defect is strictly increasing in D' (V_D' is pointwise decreasing in D'),
     so the bracket holds one root, and scalar._brent_root narrows it to
     adjacent doubles, or to an exact zero, and returns the end with the
@@ -98,11 +98,11 @@ def solve_D(grid: RadialGrid, x: np.ndarray, profile: Profile, D0: float,
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
     alpha = float(profile.exponents.alpha)
     r = grid.nodes
+    wts = Weights.of(grid, profile)
 
     def g(D):
-        q = _profile_ratio_minus_one(profile.D, D, alpha, r)
-        wts = Weights.of(grid, Profile(exponents=profile.exponents, D=D))
-        return mass_defect_from_x(q + (1.0 + q) * x, wts)
+        return mass_defect_from_x(
+            x - _profile_ratio_minus_one(D, profile.D, alpha, r), wts)
 
     g1, g0 = g(D1), g(D0)
     if g1 * g0 > 0:

@@ -258,7 +258,8 @@ def _ref_entropy(x, grid, p):
     alpha = float(p.exponents.alpha)
     w = N.cell_volumes(grid)
     w2 = p.D + grid.nodes**2
-    return N.sphere_area(grid.d) * float(np.sum(w * w2 ** (alpha * m) * _phi(x, m)))
+    # V^m = V (D + r^2)
+    return N.sphere_area(grid.d) * float(np.sum(w * w2**alpha * w2 * _phi(x, m)))
 
 
 def _ref_fisher(x, grid, p):
@@ -290,7 +291,8 @@ def _ref_sandwich(x, grid, p):
     g, hf = N.face_geometry(grid)
     w2 = p.D + r**2
     f = x * w2
-    J = N.sphere_area(grid.d) * float(np.sum(w * f**2 * w2 ** (alpha - 1.0)))
+    # w f^2 (D + r^2)^(alpha-1) = w V (D + r^2) x^2
+    J = N.sphere_area(grid.d) * float(np.sum(w * w2**alpha * w2 * x**2))
     mid = 0.5 * (r[:-1] + r[1:])
     conductance = g * (p.D + mid**2) ** alpha / hf
     grad = N.sphere_area(grid.d) * float(np.sum(conductance * np.diff(f) ** 2))
@@ -310,7 +312,8 @@ def _ref_sandwich(x, grid, p):
 
 def _ref_variational_quotient(f, grid, n, p):
     w2 = p.D + grid.nodes**2
-    mu = N.cell_volumes(grid) * w2 ** (float(p.exponents.alpha) - 1.0)
+    # (D + r^2)^(alpha-1) = V/(D + r^2)
+    mu = N.cell_volumes(grid) * w2 ** float(p.exponents.alpha) / w2
     vals = f - np.sum(mu * f) / np.sum(mu)
     x = vals / (n * (p.D + grid.nodes**2))
     return _ref_fisher(x, grid, p) / _ref_entropy(x, grid, p)

@@ -39,7 +39,7 @@ def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None,
     if one is given."""
     from scipy.linalg import solve_banded
 
-    Vm1, wV, w, m = wts.Vm1, wts.wV, wts.w, wts.m
+    Vm1, wV, m = wts.Vm1, wts.wV, wts.m
     x = (x_old if start is None else start).copy()
     n = len(x)
     m1 = m - 1.0
@@ -66,7 +66,7 @@ def _reference_step(x_old, wts, dt, tol=1e-11, maxit=30, start=None,
         ab[1, 1:] -= upper
         ab[0, 1:] = upper
         ab[2, :-1] = lower
-        if w[0] == 0.0:
+        if wV[0] == 0.0:
             rhs[0] = p[0] - p[1]
             ab[1, 0] = -dp[0]
             ab[0, 1] = dp[1]
@@ -181,7 +181,9 @@ def test_step_matches_reference():
                 else:
                     assert np.array_equal(got, want)
                 halved += halvings > 0
-    # the damped branch (lam < 1) and the failure return are both covered
+    # the damped branch (lam < 1) and the failure after 30 iterations are
+    # both covered; the failed damping is in
+    # test_damping_that_cannot_keep_x_above_minus_one_is_a_failed_step
     assert halved > 0 and failed > 0
 
 
@@ -294,6 +296,23 @@ def test_singular_system_is_a_failed_step(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
     x, wts = _problem()
     assert K.newton_step(x, K.Workspace(wts, 1e-3)) == (None, 1)
+
+
+def test_damping_that_cannot_keep_x_above_minus_one_is_a_failed_step(monkeypatch):
+    # a correction of -1e20 at every node leaves x + lam dx <= -1 until
+    # lam < 1e-18: the step fails, for the caller to subdivide, and clears
+    # the estimate and the last step, as every failed step does
+    import scipy.linalg
+
+    def huge(l_and_u, ab, b, **kwargs):
+        return np.full_like(b, -1e20)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", huge)
+    x, wts = _problem()
+    work = K.Workspace(wts, 1e-3)
+    work.L, work.last = 1.0, (x.copy(), x)
+    assert K.newton_step(x, work) == (None, 1)
+    assert work.L is None and work.last is None
 
 
 # an estimate of the quadratic-convergence constant so small that the

@@ -119,7 +119,7 @@ def _reference_forms(grid, alpha, D, l):
     x = mid[:, None] + np.outer(h / 2.0, xg)
     w = np.outer(h / 2.0, wg)
     wa = (D + x**2) ** alpha * x ** (d - 1)
-    wb = (D + x**2) ** (alpha - 1) * x ** (d - 1)
+    wb = wa / (D + x**2)
     p0 = (r[1:, None] - x) / h[:, None]
     p1 = (x - r[:-1, None]) / h[:, None]
 

@@ -143,19 +143,19 @@ def test_mass_defect_sign_and_zero():
 
 
 def _reference_solve_D(grid, x, profile, D0, D1):
-    """The Brent search on the public mass defect: each evaluation
-    re-expresses the data x, given relative to profile, relative to a new
-    Profile V_D' as x' = q + (1+q) x with q = V_D/V_D' - 1, and evaluates
-    mass_defect_from_x(x') on that profile's Weights."""
+    """The Brent search on the public mass defect: each evaluation takes
+    the data x, given relative to profile V_D, minus q' = V_D'/V_D - 1, and
+    evaluates mass_defect_from_x(x - q') on the Weights of V_D, since
+    V_D' x' = v - V_D' = V_D (x - q')."""
     if not D0 > D1 > 0:
         raise ValueError(f"need D0 > D1 > 0, got D0 = {D0}, D1 = {D1}")
     alpha = float(profile.exponents.alpha)
     r = grid.nodes
+    wts = Weights.of(grid, profile)
 
     def g(D):
-        q = np.expm1(alpha * np.log1p((profile.D - D) / (D + r**2)))
-        p = Profile(exponents=profile.exponents, D=D)
-        return mass_defect_from_x(q + (1.0 + q) * x, Weights.of(grid, p))
+        q = np.expm1(alpha * np.log1p((D - profile.D) / (profile.D + r**2)))
+        return mass_defect_from_x(x - q, wts)
 
     glo, ghi = g(D1), g(D0)
     if glo == 0.0:
@@ -239,6 +239,32 @@ def test_solve_D_recovers_exact_profile():
     x = np.zeros(grid.N + 1)
     for D0, D1 in ((2.0, 1.0), (1.0, 0.5)):
         assert solve_D(grid, x, p1, D0=D0, D1=D1) == 1.0
+
+
+def test_solve_D_recovers_exact_profile_to_the_ulp(monkeypatch):
+    # data that are exactly V_D'/V_D - 1, as _profile_ratio_minus_one writes
+    # them, have a defect of exactly 0 at D': the search returns D' to within
+    # one ulp of D', or of D' - D where that difference, which every
+    # evaluation forms, rounds more coarsely; every evaluation shares the one
+    # Weights of the data's profile
+    built = []
+    of = Weights.of
+
+    def counted(grid, p):
+        built.append(p)
+        return of(grid, p)
+
+    monkeypatch.setattr(Weights, "of", counted)
+    for d, m in ((1, 0.5), (2, 0.2), (3, 0.5), (5, 0.9)):
+        e = derive_exponents(d, m)
+        for D in (1.0, 1.7):
+            grid = N.build_grid(20.0, 400, d, scale=math.sqrt(D))
+            p = Profile(exponents=e, D=D)
+            for Dp in np.linspace(0.6, 3.1, 11).tolist():
+                built.clear()
+                got = solve_D(grid, _relative(grid, p, Dp), p, D0=3.5, D1=0.5)
+                assert abs(got - Dp) <= max(math.ulp(Dp), math.ulp(Dp - D))
+                assert built == [p]
 
 
 def test_solve_D_midpoint_oracle():
