@@ -2,13 +2,13 @@
 
 Subcommands: constants, spectrum, hp-verify, eigenfunction, evolve,
 evolve-linear, entropy-report, gronwall, quotient, rescale.  Each command
-returns its output and main writes it, on stdout or in the --output file:
-a JSON text (--format json, where offered) as it is, or a table (echo,
-header, rows) as CSV, the title '# fdrates <command>' and one '# key=value'
-line per echo pair, such as the config keys the command reads, before the
-header row.  Numbers are printed with 17 significant digits so outputs
-round-trip exactly and runs with identical configuration and seed produce
-identical bytes.
+returns a table (echo, header, rows), or a dict for --format json, and main
+writes it, on stdout or in the --output file: a table as CSV, the title
+'# fdrates <command>' and one '# key=value' line per echo pair, such as the
+config keys the command reads, before the header row; a dict as JSON, keys
+sorted, a Fraction as its float, no nan or inf.  Numbers round-trip (CSV
+with 17 significant digits, JSON floats as Python's repr), so runs with
+identical configuration and seed produce identical bytes.
 
 --m and --alpha (each item of the comma-separated alpha sweep of hp-verify
 too), and m and alpha in config files, are read as exact rationals (decimals
@@ -67,6 +67,13 @@ def _fmt(x) -> str:
     if isinstance(x, (float, Fraction)):
         return format(float(x), ".17g")
     return str(x)
+
+
+def _json_number(x) -> float:
+    """json.dumps' default: an exact rational as its float, nothing else."""
+    if isinstance(x, Fraction):
+        return float(x)
+    raise TypeError(f"{type(x).__name__} {x!r} has no JSON form")
 
 
 def _exact(text: str) -> Fraction:
@@ -317,50 +324,36 @@ def _load_config(path: str, command: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its output, a JSON text or a table
+# subcommands: each returns its output, a dict (--format json) or a table
 # (echo, header, rows), and main writes it
 
 
 def _cmd_constants(args):
     e = _exponents(args.d, args.m, args.alpha, "--m and --alpha")
-    out = {
-        "d": e.d, "m": float(e.m), "alpha": float(e.alpha),
-        "m_c": float(e.m_c), "m_star": float(e.m_star), "m_1": float(e.m_1),
-        "m_2": float(e.m_2), "alpha_star": float(e.alpha_star),
-        "alpha_1": float(e.alpha_1), "alpha_2": float(e.alpha_2),
-        "regime": e.regime.value, "log_limit": e.log_limit,
-        "lambda_cont": float(exp_mod.lambda_continuum(e.d, e.alpha)),
-    }
+    out = {k: v.value if isinstance(v, exp_mod.Regime) else v
+           for k, v in e._asdict().items() if k != "at_m_c"}
+    out["lambda_cont"] = exp_mod.lambda_continuum(e.d, e.alpha)
     if e.regime is not exp_mod.Regime.CRITICAL:  # at m_star the gap closes
-        out["Lambda"] = float(exp_mod.sharp_rate(e.d, e.alpha))
+        out["Lambda"] = exp_mod.sharp_rate(e.d, e.alpha)
     try:
         imp = spec.improved_constant(e.d, e.alpha)
-        out["Lambda_improved"] = float(imp)
-        out["improved_flag"] = imp.discrepancy_flag
+        out.update(Lambda_improved=imp.value, improved_flag=imp.discrepancy_flag)
     except ValueError:
         pass
     if args.format == "json":  # JSON has no -inf, the m_star of d <= 2
-        return json.dumps(dict(out, m_star=out["m_star"] if e.d > 2 else None),
-                          sort_keys=True, allow_nan=False)
+        return {k: None if v == -math.inf else v for k, v in out.items()}
     return [], ["key", "value"], sorted(out.items())
 
 
 def _cmd_spectrum(args):
     report = spec.spectrum_report(args.d, args.alpha, args.l_max, args.k_max)
     header = ["l", "k", "lambda", "admissible", "below_continuum", "multiplicity"]
-    rows = [(mo.l, mo.k, float(mo.lam), mo.admissible, mo.below_continuum,
+    rows = [(mo.l, mo.k, mo.lam, mo.admissible, mo.below_continuum,
              mo.multiplicity) for mo in report.modes]
     if args.format == "json":
-        return json.dumps({
-            "d": report.d, "alpha": float(report.alpha),
-            "sharp_constant": float(report.sharp_constant),
-            "continuum_bottom": float(report.continuum_bottom),
-            "improved_constant": (float(report.improved_constant)
-                                  if report.improved_constant is not None else None),
-            "gap_source": list(report.gap_source),
-            "constraint_needed": report.constraint_needed,
-            "modes": [dict(zip(header, row)) for row in rows],
-        }, sort_keys=True, allow_nan=False)
+        imp = report.improved_constant  # None when alpha >= -d/2 or d < 2
+        return dict(report._asdict(), improved_constant=imp and imp.value,
+                    modes=[dict(zip(header, row)) for row in rows])
     echo = [("d", args.d), ("alpha", args.alpha),
             ("sharp_constant", report.sharp_constant),
             ("continuum_bottom", report.continuum_bottom),
@@ -664,9 +657,9 @@ def _check_output(path: str) -> None:
 
 def main(argv=None) -> int:
     """Run the command of argv (default sys.argv[1:]) and write its output:
-    a JSON text as it is, a table (echo, header, rows) as CSV, the title
-    '# fdrates <command>' and one '# key=value' line per echo pair before
-    the header.  Returns the exit code."""
+    a table (echo, header, rows) as CSV, the title '# fdrates <command>' and
+    one '# key=value' line per echo pair before the header, or a dict as
+    JSON, by the one json.dumps here.  Returns the exit code."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -674,7 +667,9 @@ def main(argv=None) -> int:
         if args.output:
             _check_output(args.output)
         out = args.func(args)
-        if not isinstance(out, str):
+        if isinstance(out, dict):
+            out = json.dumps(out, sort_keys=True, allow_nan=False, default=_json_number)
+        else:
             echo, header, rows = out
             out = "\n".join([f"# fdrates {args.command}",
                              *(f"# {k}={_fmt(v)}" for k, v in echo),

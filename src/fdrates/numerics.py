@@ -323,21 +323,18 @@ def _lumped_shift(forms: SectorForms):
     to an absolute 1e-7 u', doubling u' until eigenvalue k lies inside.
     Returns (sigma, v, s, scaled): v the bound vector in the unscaled
     coordinates, and scaled the forms (sAs, sBs), whose A diagonals are the
-    matrix bisected.  A lumped mass that is not positive, where the weights
-    underflowed, raises FloatingPointError before the scaling divides by it.
+    matrix bisected.  A scaling that is not finite, by a lumped mass not positive
+    or so small that it overflows, raises FloatingPointError without a warning.
     """
     k = 1 if forms.l == 0 else 0
-    lumped = forms.b_diag.copy()
-    lumped[:-1] += forms.b_off
-    lumped[1:] += forms.b_off
-    if not np.all(lumped > 0.0):
-        raise FloatingPointError("lumped mass is not positive: a weight underflowed")
-    s = 1.0 / np.sqrt(lumped)
-    ss = s[:-1] * s[1:]
-    scaled = forms._replace(a_diag=forms.a_diag * s * s, a_off=forms.a_off * ss,
-                            b_diag=forms.b_diag * s * s, b_off=forms.b_off * ss)
-    if not all(np.all(np.isfinite(diagonal)) for diagonal in scaled[2:]):
-        raise FloatingPointError("array must not contain infs or NaNs")
+    lumped = forms.apply_b(np.ones(forms.n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = 1.0 / np.sqrt(lumped)
+        ss = s[:-1] * s[1:]
+        scaled = forms._replace(a_diag=forms.a_diag * s * s, a_off=forms.a_off * ss,
+                                b_diag=forms.b_diag * s * s, b_off=forms.b_off * ss)
+    if not all(np.all(np.isfinite(x)) for x in (s, *scaled[2:])):
+        raise FloatingPointError("lumped mass is not positive, or its scaling overflowed")
     off = forms.a_off + forms.b_off
     lu = _lapack.dgttrf(off, forms.a_diag + forms.b_diag, off)[:5]
     v = forms.restrict(forms.grid.nodes)
@@ -378,7 +375,12 @@ def bottom_eigenvalue(forms: SectorForms):
     |A f - lambda B f| is below 1e-13 times its rounding scale
     |A||f| + |lambda| B|f| (B has no negative entry), both in the scaled
     pencil and its coordinates, and raises NonConvergenceError after 100
-    solves.  The eigenvector is s times the iterate.
+    solves.  The eigenvector is s times the iterate.  The shift lies below:
+    L - B, the sum of b [[1, -1], [-1, 1]] over B's off-diagonal b >= 0, is
+    positive semidefinite, so sigma = lambda_k(A, L) <= lambda_k(A, B), and
+    a solve contracts only by (lambda_k - sigma)/(lambda_(k+1) - sigma),
+    which nears 1 on coarse stretched domains (0.84 at d = 3, alpha = -2,
+    R = 1e40, N = 1600, l = 3), where the iteration stalls.
 
     Returns (lambda, f) with f the eigenvector's values at all grid nodes,
     normalized in the B-norm; for l >= 1 the origin carries the Dirichlet

@@ -86,8 +86,9 @@ def discrete_mode(d: int, alpha, l: int, k: int) -> EigenMode:
     c_(j+1) = c_j (j+a)(j+b) / ((j+1)(j+c)).
     """
     d = _dimension(d)
-    if l < 0 or k < 0:
-        raise ValueError("l and k must be nonnegative")
+    for name, value in (("l", l), ("k", k)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     a = _number(alpha)
     if not a < 0:
         raise ValueError(f"alpha must be negative, got {alpha}")

@@ -145,7 +145,7 @@ def test_every_float_key_and_option_refuses_nan_and_inf():
             if isinstance(_parses(parse, "1.5"), float)]
     assert len(keys) == 11 and "output.cadence" in keys
     for key in keys:
-        for bad in ("nan", "inf", "-inf", "NaN"):
+        for bad in ("nan", "inf", "-inf", "NaN", "abc", "1e"):
             with pytest.raises(ConfigError, match=re.escape(
                     f"line 2: bad value for {key}: expected a finite number, "
                     f"got '{bad}'")):
@@ -159,7 +159,7 @@ def test_every_float_key_and_option_refuses_nan_and_inf():
             if action.type is not None and isinstance(_parses(action.type, "1.5"),
                                                       float):
                 options.append((name, action.option_strings[0]))
-                for bad in ("nan", "inf", "-inf", "NaN"):
+                for bad in ("nan", "inf", "-inf", "NaN", "abc", "1e"):
                     with pytest.raises(argparse.ArgumentTypeError,
                                        match="expected a finite number"):
                         action.type(bad)
@@ -208,6 +208,27 @@ def test_constants_json_is_strict(capsys):
     assert "m_star,-inf" in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("d, m", [(1, "-2"), (1, "0.5"), (5, "0"), (5, "1/3"),
+                                  (5, "0.9")])
+def test_constants_keys_are_the_exponent_fields_in_both_formats(capsys, d, m):
+    # one dict, built from the ExponentSet record, feeds the CSV and the JSON,
+    # so a field added to the record reaches both
+    import fdrates.exponents as exp_mod
+
+    e = exp_mod.derive_exponents(d, Fraction(m))
+    keys = {name for name in e._fields if name != "at_m_c"} | {"lambda_cont"}
+    if e.regime is not exp_mod.Regime.CRITICAL:
+        keys.add("Lambda")
+    if d >= 2 and e.alpha < Fraction(-d, 2):
+        keys |= {"Lambda_improved", "improved_flag"}
+    assert main(["constants", "--d", str(d), f"--m={m}"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[:2] == ["# fdrates constants", "key,value"]
+    assert [row.split(",")[0] for row in rows[2:]] == sorted(keys)
+    assert main(["constants", "--d", str(d), f"--m={m}", "--format", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == sorted(keys)
+
+
 def _process_env(**extra):
     """The environment of a fresh process that imports this fdrates, with
     stdout block-buffered, as it is by default on a pipe."""
@@ -230,7 +251,9 @@ def test_import_and_scalar_commands_do_not_load_numpy(tmp_path):
     cfg = _evolve_config(tmp_path)
     exact = [
         ["constants", "--d", "5", "--m", "0.9"],
+        ["constants", "--d", "5", "--m", "0.9", "--format", "json"],
         ["spectrum", "--d", "5", "--alpha", "-10"],
+        ["spectrum", "--d", "5", "--alpha", "-10", "--format", "json"],
         ["eigenfunction", "--d", "5", "--alpha", "-10", "--l", "0", "--k", "1"],
         ["gronwall", "--d", "5", "--m", "0.9", "--F0", "1.0", "--t-end", "0.01"],
         ["rescale", "--d", "5", "--m", "0.8", "--tau", "2"],
@@ -674,7 +697,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             (["spectrum", "--d", "5", "--alpha=-10", "--l-max", "-1"],
              "l_max must be >= 0, got -1"),
             (["spectrum", "--d", "5", "--alpha=-10", "--k-max", "-1"],
-             "k_max must be >= 0, got -1")):
+             "k_max must be >= 0, got -1"),
+            (["eigenfunction", "--d", "5", "--alpha=-10", "--l", "-1", "--k", "1"],
+             "l must be >= 0, got -1"),
+            (["eigenfunction", "--d", "5", "--alpha=-10", "--l", "0", "--k", "-2"],
+             "k must be >= 0, got -2"),
+            (["eigenfunction", "--d", "5", "--alpha", "1", "--l", "0", "--k", "1"],
+             "alpha must be negative, got 1")):
         assert main(argv) == 1
         assert msg in capsys.readouterr().err
     # 1: quotient options out of range or malformed, refused with the option
@@ -745,13 +774,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     # 2: valid input whose weights underflow, at alpha far below -d: the
-    # lumped mass of the eigensolve, and the band of the linear flow, which
-    # is singular; neither warns on the way
+    # lumped mass of the eigensolve, or its scaling, and the band of the
+    # linear flow, which is singular; none warns on the way
     under = tmp_path / "under.cfg"
     under.write_text("d = 5\nalpha = -400\nsector.l = 1\ngrid.R_max = 15\n"
                      "grid.N = 64\ntime.dt = 1e-3\ntime.t_end = 0.01\n")
     for argv, msg in (
             (["hp-verify", "--d", "5", "--alpha=-400", "--N", "64",
+              "--no-extrapolate"], "lumped mass is not positive"),
+            # a lumped mass so small that the scaling by it overflows
+            (["hp-verify", "--d", "5", "--alpha=-80", "--N", "64",
               "--no-extrapolate"], "lumped mass is not positive"),
             (["evolve-linear", "--config", str(under)], "singular matrix")):
         with warnings.catch_warnings():

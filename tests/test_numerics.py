@@ -535,6 +535,25 @@ def test_bottom_eigenvalue_where_the_mass_spans_many_decades(d, alpha, D, R):
     assert N.rayleigh_quotient(f, forms) == pytest.approx(lam, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, alpha, R", [(3, -2.0, 1e40), (2, -0.5, 1e100),
+                                         (5, -4.0, 1e40)])
+def test_bottom_eigenvalue_stalls_or_keeps_its_index(d, alpha, R):
+    # on coarse stretched domains the lumped shift lies so far below
+    # eigenvalue k that inverse iteration stalls in some sectors: there it
+    # must raise, and elsewhere return eigenvalue k and no other, which the
+    # inertia of A - mu B brackets to 1e-9 relative
+    grid = N.build_grid(R, 1600, d)
+    for l in range(4):
+        forms = N.assemble_sector_forms(grid, alpha, 1.0, l)
+        k = 1 if l == 0 else 0
+        try:
+            lam, _ = N.bottom_eigenvalue(forms)
+        except N.NonConvergenceError:
+            continue
+        assert count_below(forms, lam * (1 - 1e-9)) == k, l
+        assert count_below(forms, lam * (1 + 1e-9)) == k + 1, l
+
+
 def test_verify_constants_never_raises_in_high_dimensions():
     # every branch interior of d = 7..16, with D = 1 and 2.3, at fractions
     # drawn once from a fixed seed, on the default domains
