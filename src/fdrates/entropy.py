@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .exponents import ExponentSet
-from .numerics import RadialGrid, cell_volumes, face_geometry, sphere_area
+from .numerics import RadialGrid, cell_volumes, sphere_area
 from .scalar import _window_rows, e_unif, xy_functions
 
 if TYPE_CHECKING:
@@ -80,10 +80,11 @@ class Weights(NamedTuple):
     """The quadrature of one (grid, profile) pair, built once (Weights.of)
     and shared by the functionals below and the flow's Newton kernel:
     sd = |S^(d-1)|, Vm1 = D + r^2 = V^(m-1), wV = w V of the cell volumes w,
-    wVm = w V^m = wV Vm1, and the face conductance g V_face / h, of the face
-    geometry (g, h) and the profile V_face = (D + r^2)^alpha at the face
-    midpoint.  dmu_(alpha-1) weighs a cell by w (D + r^2)^(alpha-1) = wV/Vm1,
-    and the sandwich's w f^2 (D + r^2)^(alpha-1) is wVm x^2."""
+    wVm = w V^m = wV Vm1, and the face conductance g V_face / h, of the
+    surface factor g = mid^(d-1), the profile V_face = (D + mid^2)^alpha and
+    the width h of each face, mid its midpoint.  dmu_(alpha-1) weighs a cell
+    by w (D + r^2)^(alpha-1) = wV/Vm1, and the sandwich's
+    w f^2 (D + r^2)^(alpha-1) is wVm x^2."""
 
     profile: Profile
     m: float
@@ -103,13 +104,13 @@ class Weights(NamedTuple):
         accepts, raises FloatingPointError naming R_max, without a warning."""
         m, alpha = float(p.exponents.m), float(p.exponents.alpha)
         r = grid.nodes
-        g, h = face_geometry(grid)
-        Vm1 = p.D + r**2
+        h = np.diff(r)
         mid = 0.5 * (r[:-1] + r[1:])
+        Vm1 = p.D + r**2
         with np.errstate(over="ignore"):
             wV = cell_volumes(grid) * Vm1**alpha
-            powers = dict(wV=wV, wVm=wV * Vm1,
-                          conductance=g * (p.D + mid**2) ** alpha / h)
+            powers = dict(wV=wV, wVm=wV * Vm1, conductance=mid ** (grid.d - 1)
+                          * (p.D + mid**2) ** alpha / h)
         for name, values in powers.items():
             if not np.all(np.isfinite(values)):
                 raise FloatingPointError(

@@ -13,10 +13,10 @@ quadratic forms
 
 This module discretizes (A_l, B) with P1 finite elements on a sinh-graded
 radial grid and computes sector bottom eigenvalues, mean-zero for l = 0, by
-index, along one path: a lumped-mass tridiagonal eigensolve, bisected only
-below a Courant-Fischer upper bound, gives the shift, and consistent-mass
-inverse iteration with one factorization, on the pencil scaled by the lumped
-mass and started from the vector of that bound, finishes it.
+index, along one path, all of it on the pencil scaled by the lumped mass:
+a lumped-mass tridiagonal eigensolve, bisected only below a Courant-Fischer
+upper bound, gives the shift, and consistent-mass inverse iteration with one
+factorization, started from the vector of that bound, finishes it.
 Nodal data, such as eigenvectors, are plain arrays of values at the grid
 nodes; the SectorForms of a sector carry its grid and index l.
 Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
@@ -49,7 +49,6 @@ __all__ = [
     "build_grid",
     "sphere_area",
     "cell_volumes",
-    "face_geometry",
     "assemble_sector_forms",
     "bottom_eigenvalue",
     "rayleigh_quotient",
@@ -136,13 +135,6 @@ def cell_volumes(grid: RadialGrid) -> np.ndarray:
     c[0] = (r[1] - r[0]) / 2.0
     c[-1] = (r[-1] - r[-2]) / 2.0
     return c * r ** (grid.d - 1)
-
-
-def face_geometry(grid: RadialGrid):
-    """Per-face surface factor g = r_mid^(d-1) and width h for flux quadrature."""
-    r = grid.nodes
-    mid = (r[:-1] + r[1:]) / 2.0
-    return mid ** (grid.d - 1), np.diff(r)
 
 
 class SectorForms(NamedTuple):
@@ -299,7 +291,7 @@ def rayleigh_quotient(f: np.ndarray, forms: SectorForms) -> float:
 
 
 # the shift's upper bound is the Rayleigh quotient after _BOUND_STEPS solves
-# with A + B; inverse iteration stops once the eigen-residual is below
+# with sAs + I; inverse iteration stops once the eigen-residual is below
 # _EIGEN_TOL times its rounding scale, and raises NonConvergenceError after
 # _EIGEN_MAXIT solves
 _BOUND_STEPS = 3
@@ -310,41 +302,46 @@ _EIGEN_MAXIT = 100
 def _lumped_shift(forms: SectorForms):
     """The shift and start vector of bottom_eigenvalue: eigenvalue k of the
     lumped-mass pencil (A, L), with k = 1 for l = 0 and k = 0 otherwise, and
-    the Courant-Fischer vector that bounds it.
+    the Courant-Fischer vector that bounds it, both on the pencil scaled by L.
 
-    L = diag(row sums of B) and the scaling s = L^(-1/2) make the pencil a
-    symmetric tridiagonal matrix.  An upper bound u >= lambda_k comes first
-    (Courant-Fischer): the L-Rayleigh quotient of any vector bounds lambda_0,
-    and for k = 1 a vector L-orthogonal to the constant, which A maps to zero,
-    spans with the constant a space whose Ritz matrix is diag(0, quotient), so
-    its quotient bounds lambda_1.  The vector is the grid radius after
-    _BOUND_STEPS steps of (A + B)^(-1) L, kept L-orthogonal to the constant
-    for k = 1.  LAPACK dstebz then bisects only (-u', u'], u' = u (1 + 1e-12),
-    to an absolute 1e-7 u', doubling u' until eigenvalue k lies inside.
-    Returns (sigma, v, s, scaled): v the bound vector in the unscaled
-    coordinates, and scaled the forms (sAs, sBs), whose A diagonals are the
-    matrix bisected.  A scaling that is not finite, by a lumped mass not positive
-    or so small that it overflows, raises FloatingPointError without a warning.
+    L = diag(row sums of B) and the scaling s = L^(-1/2) make the pencil
+    (sAs, sLs) = (sAs, I), whose A diagonals are a symmetric tridiagonal
+    matrix, and the constant, which A maps to zero, the unit vector z
+    proportional to 1/s.  An upper bound u >= lambda_k comes first
+    (Courant-Fischer): the Rayleigh quotient of any unit vector bounds
+    lambda_0, and for k = 1 a unit vector orthogonal to z spans with z a
+    space whose Ritz matrix is diag(0, quotient), so its quotient bounds
+    lambda_1.  The vector is the grid radius divided by s, scaled by its
+    largest entry, after _BOUND_STEPS steps of (sAs + I)^(-1), kept
+    orthogonal to z for k = 1.  LAPACK dstebz then bisects only (-u', u'],
+    u' = u (1 + 1e-12), to an absolute 1e-7 u', doubling u' until eigenvalue
+    k lies inside.  Returns (sigma, v, s, scaled): v the unit bound vector
+    and scaled the forms (sAs, sBs).  A scaling that is not finite, by a
+    lumped mass not positive or so large or small that it overflows, raises
+    FloatingPointError without a warning.
     """
     k = 1 if forms.l == 0 else 0
     lumped = forms.apply_b(np.ones(forms.n))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = 1.0 / np.sqrt(lumped)
+        root = np.sqrt(lumped)
+        s = 1.0 / root
         ss = s[:-1] * s[1:]
         scaled = forms._replace(a_diag=forms.a_diag * s * s, a_off=forms.a_off * ss,
                                 b_diag=forms.b_diag * s * s, b_off=forms.b_off * ss)
-    if not all(np.all(np.isfinite(x)) for x in (s, *scaled[2:])):
+    if not all(np.all(np.isfinite(x)) for x in (root, s, *scaled[2:])):
         raise FloatingPointError("lumped mass is not positive, or its scaling overflowed")
-    off = forms.a_off + forms.b_off
-    lu = _lapack.dgttrf(off, forms.a_diag + forms.b_diag, off)[:5]
-    v = forms.restrict(forms.grid.nodes)
+    v = forms.restrict(forms.grid.nodes) / s
+    v /= np.max(v)
+    z = root / np.linalg.norm(root)
+    lu = _lapack.dgttrf(scaled.a_off, scaled.a_diag + 1.0, scaled.a_off)[:5]
     for _ in range(_BOUND_STEPS):
         if k:
-            v = v - (lumped @ v) / lumped.sum()
-        v = _lapack.dgttrs(*lu, lumped * v)[0]
+            v -= (z @ v) * z
+        v = _lapack.dgttrs(*lu, v)[0]
     if k:
-        v -= (lumped @ v) / lumped.sum()
-    u = float(v @ forms.apply_a(v)) / float(v @ (lumped * v))
+        v -= (z @ v) * z
+    v /= np.linalg.norm(v)
+    u = float(v @ scaled.apply_a(v))
     if not 0.0 < u < math.inf:
         raise NonConvergenceError("no finite positive bound for the shift", u)
     vu = u * (1.0 + 1e-12)
@@ -365,13 +362,13 @@ def bottom_eigenvalue(forms: SectorForms):
     The eigenvalue is picked by index: k = 1 for l = 0, where the constant is
     an exact zero mode of A, so that eigenvector k is B-orthogonal to it (the
     mean-zero condition int f dmu_(alpha-1) = 0); k = 0 otherwise.
-    Eigenvalue k of the lumped-mass pencil (_lumped_shift: LAPACK bisection
-    over the range below a Courant-Fischer upper bound) gives the shift
-    sigma, and the vector whose quotient is that bound is the start vector.
-    Consistent-mass inverse iteration runs on the pencil scaled by the
-    lumped mass, (sAs, sBs) with s = L^(-1/2), whose B diagonal lies in
-    (0, 1] where that of B spans many decades: from x/s, with
-    sAs - sigma sBs factored once, until the eigen-residual
+    The whole eigensolve runs on the pencil scaled by the lumped mass L,
+    (sAs, sBs) with s = L^(-1/2), whose B diagonal lies in (0, 1] where that
+    of B spans many decades.  Eigenvalue k of the lumped-mass pencil
+    (_lumped_shift: LAPACK bisection over the range below a Courant-Fischer
+    upper bound) gives the shift sigma, and the unit vector whose quotient
+    is that bound is the start vector.  Consistent-mass inverse iteration
+    runs from it, with sAs - sigma sBs factored once, until the eigen-residual
     |A f - lambda B f| is below 1e-13 times its rounding scale
     |A||f| + |lambda| B|f| (B has no negative entry), both in the scaled
     pencil and its coordinates, and raises NonConvergenceError after 100
@@ -387,11 +384,6 @@ def bottom_eigenvalue(forms: SectorForms):
     zero (SectorForms.pad).
     """
     sigma, x, s, sc = _lumped_shift(forms)
-    # a power of two, which scales exactly, brings the start vector to about
-    # unit B-norm, so that no product of a normalization overflows where the
-    # weights of a large domain are large; then x/s is the start of the
-    # scaled pencil (sAs, sBs)
-    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x) * np.sqrt(forms.b_diag))))[1]) / s
     # consistent-mass inverse iteration, sAs - sigma sBs factored once
     off = sc.a_off - sigma * sc.b_off
     lu = _lapack.dgttrf(off, sc.a_diag - sigma * sc.b_diag, off)[:5]

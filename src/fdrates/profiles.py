@@ -62,8 +62,13 @@ class Profile(_ProfileFields):
 
 
 def _profile_ratio_minus_one(D_from: float, D_to: float, alpha: float, r):
-    """V_(D_from)/V_(D_to) - 1 at radii r, evaluated without cancellation."""
-    return np.expm1(alpha * np.log1p((D_from - D_to) / (D_to + r**2)))
+    """V_(D_from)/V_(D_to) - 1 at radii r, evaluated without cancellation;
+    D_from - D_to enters unrounded, as the pair hi + lo of Knuth's TwoSum."""
+    hi = D_from - D_to
+    b = hi - D_from
+    lo = (D_from - (hi - b)) + (-D_to - b)
+    den = D_to + r**2
+    return np.expm1(alpha * np.log1p(hi / den + lo / den))
 
 
 def eval_barenblatt(map: RescalingMap, D: float, tau: float, y) -> float:

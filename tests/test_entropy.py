@@ -266,10 +266,9 @@ def _ref_fisher(x, grid, p):
     m = float(p.exponents.m)
     alpha = float(p.exponents.alpha)
     r = grid.nodes
-    g, h = N.face_geometry(grid)
     w2 = p.D + r**2
     mid = 0.5 * (r[:-1] + r[1:])
-    conductance = g * (p.D + mid**2) ** alpha / h
+    conductance = mid ** (grid.d - 1) * (p.D + mid**2) ** alpha / np.diff(r)
     pr = w2 * np.expm1((m - 1.0) * np.log1p(x)) / (m - 1.0)
     vbar = 1.0 + 0.5 * (x[:-1] + x[1:])
     return N.sphere_area(grid.d) * float(np.sum(conductance * vbar * np.diff(pr) ** 2))
@@ -288,13 +287,12 @@ def _ref_sandwich(x, grid, p):
     alpha = float(exps.alpha)
     r = grid.nodes
     w = N.cell_volumes(grid)
-    g, hf = N.face_geometry(grid)
     w2 = p.D + r**2
     f = x * w2
     # w f^2 (D + r^2)^(alpha-1) = w V (D + r^2) x^2
     J = N.sphere_area(grid.d) * float(np.sum(w * w2**alpha * w2 * x**2))
     mid = 0.5 * (r[:-1] + r[1:])
-    conductance = g * (p.D + mid**2) ** alpha / hf
+    conductance = mid ** (grid.d - 1) * (p.D + mid**2) ** alpha / np.diff(r)
     grad = N.sphere_area(grid.d) * float(np.sum(conductance * np.diff(f) ** 2))
     F = _ref_entropy(x, grid, p)
     I = _ref_fisher(x, grid, p)

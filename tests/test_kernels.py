@@ -101,8 +101,10 @@ def _unfolded_step(x_old, grid, profile, dt, tol=1e-11, maxit=30,
     r = grid.nodes
     Vm1 = D + r**2
     w = N.cell_volumes(grid)
-    g, h = N.face_geometry(grid)
-    V_face = (D + (0.5 * (r[:-1] + r[1:])) ** 2) ** alpha
+    h = np.diff(r)
+    mid = 0.5 * (r[:-1] + r[1:])
+    g = mid ** (grid.d - 1)
+    V_face = (D + mid**2) ** alpha
     x = (x_old if start is None else start).copy()
     n = len(x)
     wV = w * Vm1**alpha

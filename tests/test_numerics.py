@@ -74,14 +74,6 @@ def test_weighted_quadrature_oracle_and_order():
     assert 3.0 < errs[1] / errs[2] < 5.0
 
 
-def test_face_geometry():
-    g = N.build_grid(4.0, 64, 3)
-    surf, h = N.face_geometry(g)
-    assert len(surf) == len(h) == 64
-    assert np.array_equal(h, np.diff(g.nodes))
-    assert surf[0] == pytest.approx((g.nodes[1] / 2) ** 2)
-
-
 def test_forms_constant_in_kernel():
     # the constant function is an exact zero mode of the l = 0 stiffness form
     g = N.build_grid(30.0, 200, 5)
@@ -357,6 +349,31 @@ def test_lumped_shift_matches_the_index_mode_reference(d, near_star, branch, fra
                                     alpha, D, l)
     assert N.bottom_eigenvalue(small)[0] == pytest.approx(dense_bottom(small)[0],
                                                           rel=1e-10)
+
+
+def test_lumped_shift_bound_is_tight(monkeypatch):
+    # the Courant-Fischer bound lies so near eigenvalue k of the lumped pencil
+    # that every bisection below it, on the six acceptance cases, finds at
+    # most one eigenvalue above k; a bound taken with no solves finds more
+    import fdrates._lapack as lapack
+
+    calls, shift, dstebz = [], N._lumped_shift, lapack.dstebz
+
+    def counted_shift(forms):
+        calls.append((1 if forms.l == 0 else 0, []))
+        return shift(forms)
+
+    def counted_dstebz(*args):
+        out = dstebz(*args)
+        calls[-1][1].append(int(out[0]))
+        return out
+
+    monkeypatch.setattr(N, "_lumped_shift", counted_shift)
+    monkeypatch.setattr(lapack, "dstebz", counted_dstebz)
+    for d, alpha in ((5, -1.0), (5, -4.0), (5, -6.0), (4, -3.0), (3, -2.0), (2, -3.0)):
+        N.verify_constants(d, alpha, D=1.0, l_max=3, R_max=100.0, N=1600)
+    assert len(calls) == 120
+    assert all(found and max(found) <= k + 2 for k, found in calls)
 
 
 def test_sector_bottom_discrete_mode():

@@ -244,9 +244,10 @@ def test_solve_D_recovers_exact_profile():
 def test_solve_D_recovers_exact_profile_to_the_ulp(monkeypatch):
     # data that are exactly V_D'/V_D - 1, as _profile_ratio_minus_one writes
     # them, have a defect of exactly 0 at D': the search returns D' to within
-    # one ulp of D', or of D' - D where that difference, which every
-    # evaluation forms, rounds more coarsely; every evaluation shares the one
-    # Weights of the data's profile
+    # one ulp, also where D' - D lies in a higher binade than D' (d = 1,
+    # D = 1.7, D' = 0.6), since every evaluation forms that difference as an
+    # exact pair; every evaluation shares the one Weights of the data's
+    # profile
     built = []
     of = Weights.of
 
@@ -263,7 +264,7 @@ def test_solve_D_recovers_exact_profile_to_the_ulp(monkeypatch):
             for Dp in np.linspace(0.6, 3.1, 11).tolist():
                 built.clear()
                 got = solve_D(grid, _relative(grid, p, Dp), p, D0=3.5, D1=0.5)
-                assert abs(got - Dp) <= max(math.ulp(Dp), math.ulp(Dp - D))
+                assert abs(got - Dp) <= math.ulp(Dp)
                 assert built == [p]
 
 
