@@ -5,19 +5,20 @@ step of the radial flux-form equation
 
 in the relative variable x = v/V_D - 1, solved by damped Newton iteration
 with the analytic tridiagonal Jacobian; C = g V_face / h is the face
-conductance of entropy.Weights and xbar = (x_i + x_(i+1))/2.  The pressure
-is p = V^(m-1) expm1((m-1) log1p(x))/(m-1), which is exact for every m < 1
-including m = 0 and stays accurate when x underflows far in the tail.
+conductance and p_scale = V^(m-1)/(m-1) the pressure scale of
+entropy.Weights, and xbar = (x_i + x_(i+1))/2.  The pressure
+p = p_scale expm1((m-1) log1p(x)) is exact for every m < 1 including m = 0
+and accurate when x underflows far in the tail.
 
 A Workspace, built once per run at one step length dt, holds what every
 step shares: the invariants of the grid and profile, read from the run's
 entropy.Weights, the constants of dt, and the work buffers, which each
-Newton iteration overwrites before it reads them.  The constants are folded
-into the arithmetic: p = (V^(m-1)/(m-1)) expm1((m-1) log1p x); with c = dt C,
-vbar = c + (c/2)(x_i + x_(i+1)), so that dt times the face flux is vbar Dp
-and the flux derivatives are (c/2) Dp and vbar dp.  The right-hand side
-w V (x_old - x) - (net flux) and the upper band are built with their signs,
-so nothing is negated afterwards.
+Newton iteration overwrites before it reads them.  The constants of dt are
+folded into the arithmetic: with c = dt C, vbar = c + (c/2)(x_i + x_(i+1)),
+so that dt times the face flux is vbar Dp and the flux derivatives are
+(c/2) Dp and vbar dp; at dt = 1 this is the flux of entropy.fisher_from_x.
+The right-hand side w V (x_old - x) - (net flux) and the upper band are
+built with their signs, so nothing is negated afterwards.
 Each buffer holds the same bits as the form that allocates one array per
 operation in this association (kept as the reference in
 tests/test_kernels.py); the folds move the result from the unfolded form
@@ -64,14 +65,14 @@ BACKEND = "pure"
 
 class Workspace:
     """The per-run part of newton_step at the step length dt.  From wts,
-    the run's entropy.Weights, it reads Vm1 = V^(m-1), w V (zero at the origin
-    for d >= 2, which sets closure), the face conductance C and m, and folds
-    them into p_scale = Vm1/(m-1) and the constants of dt: c = dt C on each
-    face, c/2 and -c/2.  It also holds the work buffers, the views of them (and
-    of w V) at the left and right node of each face, and scipy's solve_banded
-    and LinAlgError, looked up once.  With these a Newton iteration takes 34
-    elementwise array passes, and an undamped first iteration 31 when the bound
-    max |dx| accepts it (see newton_step) and 35 when it does not.
+    the run's entropy.Weights, it reads Vm1 = V^(m-1), p_scale, w V (zero at
+    the origin for d >= 2, which sets closure), the face conductance C and
+    m, and folds the constants of dt: c = dt C on each face, c/2 and -c/2.
+    It also holds the work buffers, the views of them (and of w V) at the
+    left and right node of each face, and scipy's solve_banded and
+    LinAlgError, looked up once.  With these a Newton iteration takes 34
+    elementwise array passes, and an undamped first iteration 31 when the
+    bound max |dx| accepts it (see newton_step) and 35 when it does not.
 
     L is None until a step measures it; last is the (x_old, x_new) pair of
     the last step accepted, or None."""
@@ -82,9 +83,8 @@ class Workspace:
 
         n = len(wts.wV)
         self.solve_banded, self.LinAlgError = solve_banded, LinAlgError
-        self.Vm1, self.wV = wts.Vm1, wts.wV
+        self.Vm1, self.p_scale, self.wV = wts.Vm1, wts.p_scale, wts.wV
         self.m1, self.m2 = wts.m - 1.0, wts.m - 2.0
-        self.p_scale = wts.Vm1 / self.m1
         self.dt = dt
         c = dt * wts.conductance
         self.c, self.half, self.mhalf = c, 0.5 * c, -0.5 * c

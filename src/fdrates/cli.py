@@ -418,7 +418,8 @@ def _trace_table(cfg: RunConfig, trace, echo):
     w0, w1 = cfg.get("fit.window_start"), cfg.get("fit.window_end")
     if w0 is not None:
         fit = ent.fit_rate(trace, (w0, w1), kind=cfg["fit.kind"])
-        echo = echo + [("fitted_rate", fit.rate), ("fit_r2", fit.r2)]
+        extra = [] if fit.correction is None else [("fit_correction", fit.correction)]
+        echo = echo + [("fitted_rate", fit.rate), ("fit_r2", fit.r2)] + extra
     return echo, ent.EntropyTrace.COLUMNS, trace.rows()
 
 

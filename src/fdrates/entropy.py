@@ -14,9 +14,9 @@ the one power V_D = (D + r^2)^alpha times an integer power of D + r^2:
 V_D^m = V_D (D + r^2) and (D + r^2)^(alpha-1) = V_D/(D + r^2).  Working in x
 instead of v keeps the integrands accurate when v - V_D underflows relative
 to V_D far in the tail, which is essential on the very large domains of
-critical-case runs.  The weights of
-one (grid, profile) pair are computed once, into a Weights record that the
-functionals, and the flow's Newton kernel, read.
+critical-case runs.  The weights of one (grid, profile) pair are computed
+once, into a Weights record that the functionals and the flow's Newton
+kernel read; I is the kernel's face flux times the pressure difference.
 """
 
 from __future__ import annotations
@@ -71,16 +71,12 @@ def _phi(x, m):
     return np.where(small, ser, gen)
 
 
-def _pressure(x, Vm1, m):
-    """p = V^(m-1) ((1+x)^(m-1) - 1)/(m-1) with V^(m-1) = Vm1 = D + r^2."""
-    return Vm1 * np.expm1((m - 1.0) * np.log1p(x)) / (m - 1.0)
-
-
 class Weights(NamedTuple):
     """The quadrature of one (grid, profile) pair, built once (Weights.of)
     and shared by the functionals below and the flow's Newton kernel:
-    sd = |S^(d-1)|, Vm1 = D + r^2 = V^(m-1), wV = w V of the cell volumes w,
-    wVm = w V^m = wV Vm1, and the face conductance g V_face / h, of the
+    sd = |S^(d-1)|, Vm1 = D + r^2 = V^(m-1), p_scale = Vm1/(m-1) of the
+    pressure p = p_scale expm1((m-1) log1p x), wV = w V of the cell volumes
+    w, wVm = w V^m = wV Vm1, and the face conductance g V_face / h, of the
     surface factor g = mid^(d-1), the profile V_face = (D + mid^2)^alpha and
     the width h of each face, mid its midpoint.  dmu_(alpha-1) weighs a cell
     by w (D + r^2)^(alpha-1) = wV/Vm1, and the sandwich's
@@ -90,6 +86,7 @@ class Weights(NamedTuple):
     m: float
     sd: float
     Vm1: np.ndarray
+    p_scale: np.ndarray
     wV: np.ndarray
     wVm: np.ndarray
     conductance: np.ndarray
@@ -109,8 +106,8 @@ class Weights(NamedTuple):
         Vm1 = p.D + r**2
         with np.errstate(over="ignore"):
             wV = cell_volumes(grid) * Vm1**alpha
-            powers = dict(wV=wV, wVm=wV * Vm1, conductance=mid ** (grid.d - 1)
-                          * (p.D + mid**2) ** alpha / h)
+            powers = dict(wV=wV, wVm=wV * Vm1, p_scale=Vm1 / (m - 1.0),
+                          conductance=mid ** (grid.d - 1) * (p.D + mid**2) ** alpha / h)
         for name, values in powers.items():
             if not np.all(np.isfinite(values)):
                 raise FloatingPointError(
@@ -125,12 +122,13 @@ def entropy_from_x(x: np.ndarray, wts: Weights) -> float:
 
 
 def fisher_from_x(x: np.ndarray, wts: Weights) -> float:
-    """Relative Fisher information I[v] = int |grad p|^2 v dx, by the face
-    quadrature of the shared Weights wts: on each face, as in the flow's
-    flux, the conductance times 1 + (x_i + x_(i+1))/2 times Dp^2."""
-    pr = _pressure(x, wts.Vm1, wts.m)
-    vbar = 1.0 + 0.5 * (x[:-1] + x[1:])
-    return wts.sd * float(np.sum(wts.conductance * vbar * np.diff(pr) ** 2))
+    """Relative Fisher information I[v] = int |grad p|^2 v dx, the flow's
+    dissipation: on the shared Weights wts, the sum of the face flux
+    (C + (C/2)(x_i + x_(i+1))) Dp times Dp, as the Newton kernel forms it."""
+    p = wts.p_scale * np.expm1((wts.m - 1.0) * np.log1p(x))
+    C, Dp = wts.conductance, np.diff(p)
+    flux = (C + 0.5 * C * (x[:-1] + x[1:])) * Dp
+    return wts.sd * float(np.sum(flux * Dp))
 
 
 def mass_defect_from_x(x: np.ndarray, wts: Weights) -> float:
@@ -192,6 +190,7 @@ class FitResult(NamedTuple):
     window: tuple
     kind: str
     n_samples: int
+    correction: float | None
 
 
 class EntropyTrace(NamedTuple):
@@ -216,10 +215,11 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
     """Fit the entropy decay over a time window.
 
     kind "exp" fits log F = a - rate*t and returns the decay rate (positive
-    for decaying F); kind "loglog" fits log F = a + slope*log t and returns
-    the algebraic slope (negative for decaying F).  It takes the rows of the
-    window, as scalar._window_rows finds and checks them on trace.t, that
-    have F > 0, and refuses fewer than 10 of them.
+    for decaying F); kind "loglog" fits log F = b + slope*log t + c/t, whose
+    1/t term takes up the approach to the power law, and returns the slope
+    (negative for decaying F) and c as the correction (None for "exp").  It
+    takes the rows of the window, as scalar._window_rows finds and checks
+    them on trace.t, that have F > 0, and refuses fewer than 10 of them.
     """
     if kind not in ("exp", "loglog"):
         raise ValueError(f"unknown fit kind {kind!r}")
@@ -230,17 +230,17 @@ def fit_rate(trace: EntropyTrace, window, kind: str = "exp") -> FitResult:
     if len(t) < 10:
         raise ValueError(f"window {window} has {len(t)} usable samples; need >= 10")
     y = np.log(F)
-    xcol = t if kind == "exp" else np.log(t)
-    M = np.column_stack([xcol, np.ones_like(xcol)])
+    cols = [t] if kind == "exp" else [np.log(t), 1.0 / t]
+    M = np.column_stack([*cols, np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(M, y, rcond=None)
     resid = y - M @ coef
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     slope = float(coef[0])
-    rate = -slope if kind == "exp" else slope
+    rate, correction = (-slope, None) if kind == "exp" else (slope, float(coef[1]))
     return FitResult(rate=rate, r2=r2, window=tuple(map(float, window)), kind=kind,
-                     n_samples=int(len(t)))
+                     n_samples=int(len(t)), correction=correction)
 
 
 # ---------------------------------------------------------------------------

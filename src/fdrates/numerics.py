@@ -32,7 +32,6 @@ scipy's LAPACK extension but not the scipy.linalg package.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -200,11 +199,12 @@ def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float,
     return next(_assemble_sectors(grid, alpha, D, (l,), (grid.N,)))[0]
 
 
-@functools.cache
-def _gauss_legendre():
-    xg, wg = np.polynomial.legendre.leggauss(4)
-    xg.flags.writeable = wg.flags.writeable = False
-    return xg, wg
+# the 4-point Gauss-Legendre rule on [-1, 1], leggauss(4), without numpy.polynomial
+_GL_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
+                      0.33998104358485626, 0.8611363115940526])
+_GL_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
+                        0.6521451548625464, 0.34785484513745357])
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 
 def _assemble_sectors(grid, alpha, D, ls, cells):
@@ -226,12 +226,11 @@ def _assemble_sectors(grid, alpha, D, ls, cells):
     r = grid.nodes
     d = grid.d
     h = np.diff(r)
-    xg, wg = _gauss_legendre()
     mid = (r[:-1] + r[1:]) / 2.0
     # shape (4, n_elem): quadrature points and weights, one row per Gauss
     # point, so that each element sum adds four contiguous rows
-    x = mid + np.outer(xg, h / 2.0)
-    w = np.outer(wg, h / 2.0)
+    x = mid + np.outer(_GL_NODES, h / 2.0)
+    w = np.outer(_GL_WEIGHTS, h / 2.0)
     x2 = x**2
     xd = x ** (d - 1)
     # the mass weight (D + x^2)^(alpha-1) x^(d-1) is wa over D + x^2

@@ -196,6 +196,16 @@ def test_acceptance_critical_algebraic_decay(critical_run):
              f"relative defect drift {drift / scale:.1e}")
 
 
+def test_critical_slope_is_the_sharp_one_half(critical_run):
+    """With the 1/t term of the approach to the power law fitted beside it,
+    the log-log slope over t in [20, 200] is -1/2 to 1e-3."""
+    _, tr = critical_run
+    fit = ENT.fit_rate(tr, (20.0, 200.0), kind="loglog")
+    _verdict(abs(fit.rate + 0.5) <= 1e-3, "critical-case sharp slope",
+             f"log-log slope {fit.rate:.7f}, 1/t correction {fit.correction:.4f}; "
+             f"|slope + 1/2| <= 1e-3")
+
+
 def test_acceptance_gronwall_bound(eigen_run):
     """The Gronwall comparison ODE: with C = 0 the RK4 solution matches
     F0 e^(-2 Lambda t) to 1e-8, and with the constant calibrated from the

@@ -525,6 +525,22 @@ def test_evolve_critical_loglog_fit(tmp_path, capsys):
     assert abs(float(report["mass_defect"])) <= 1e-10
 
 
+@pytest.mark.parametrize("command", ["evolve", "evolve-linear"])
+def test_loglog_fits_echo_their_correction_after_fit_r2(command, tmp_path, capsys):
+    # the command's first data.kind, on the small run of _VALUES
+    cfg = tmp_path / "fit.cfg"
+    data_kind, keys = next(iter(_KEYS_READ[command].items()))
+    values = dict(_VALUES, **{"data.kind": data_kind, "fit.window_start": "0.001"})
+    for kind in ("loglog", "exp"):
+        values["fit.kind"] = kind
+        cfg.write_text("".join(f"{k} = {values[k]}\n" for k in [*keys, "m"]))
+        assert main([command, "--config", str(cfg)]) == 0
+        names = [l[2:].split("=")[0] for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("# ")]
+        assert names[-2:] == (["fit_r2", "fit_correction"] if kind == "loglog"
+                              else ["fitted_rate", "fit_r2"])
+
+
 def test_evolve_linear(tmp_path, capsys):
     cfg = tmp_path / "lin.cfg"
     cfg.write_text("d = 5\nalpha = -10\nsector.l = 1\ngrid.R_max = 15\n"

@@ -146,6 +146,20 @@ def test_fit_rate_loglog():
     assert fit.rate == pytest.approx(-0.5, rel=1e-10)
 
 
+def test_fit_rate_loglog_fits_the_1_over_t_term():
+    # F = 3 t^(-1/2) exp(0.3/t): the slope and the correction, exactly; an
+    # exp fit has no correction
+    t = np.linspace(0.1, 2.0, 96)
+    z = np.zeros_like(t)
+    tr = EntropyTrace(t=t, entropy=3.0 * t**-0.5 * np.exp(0.3 / t), fisher=z,
+                      h1=1 + z, h2=1 + z, mass_defect=z)
+    fit = fit_rate(tr, (0.1, 2.0), kind="loglog")
+    assert fit.rate == pytest.approx(-0.5, rel=1e-10)
+    assert fit.correction == pytest.approx(0.3, rel=1e-10)
+    assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+    assert fit_rate(tr, (0.1, 2.0)).correction is None
+
+
 def test_fit_rate_rejections():
     tr = _synthetic_trace()
     with pytest.raises(ValueError):
@@ -269,9 +283,11 @@ def _ref_fisher(x, grid, p):
     w2 = p.D + r**2
     mid = 0.5 * (r[:-1] + r[1:])
     conductance = mid ** (grid.d - 1) * (p.D + mid**2) ** alpha / np.diff(r)
-    pr = w2 * np.expm1((m - 1.0) * np.log1p(x)) / (m - 1.0)
-    vbar = 1.0 + 0.5 * (x[:-1] + x[1:])
-    return N.sphere_area(grid.d) * float(np.sum(conductance * vbar * np.diff(pr) ** 2))
+    # the Newton kernel's pressure and face flux at dt = 1
+    pr = w2 / (m - 1.0) * np.expm1((m - 1.0) * np.log1p(x))
+    Dp = np.diff(pr)
+    flux = (conductance + 0.5 * conductance * (x[:-1] + x[1:])) * Dp
+    return N.sphere_area(grid.d) * float(np.sum(flux * Dp))
 
 
 def _ref_mass_defect(x, grid, p):

@@ -140,6 +140,13 @@ def _reference_forms(grid, alpha, D, l):
     return a_diag, a_off, b_diag, b_off
 
 
+def test_gauss_legendre_rule_is_numpys_leggauss():
+    xg, wg = np.polynomial.legendre.leggauss(4)
+    assert N._GL_NODES.tobytes() == xg.tobytes()
+    assert N._GL_WEIGHTS.tobytes() == wg.tobytes()
+    assert not (N._GL_NODES.flags.writeable or N._GL_WEIGHTS.flags.writeable)
+
+
 def test_forms_match_reference():
     # the shared multi-sector assembly is bit-identical to assembling each
     # sector on its own
@@ -376,6 +383,31 @@ def test_lumped_shift_bound_is_tight(monkeypatch):
     assert all(found and max(found) <= k + 2 for k, found in calls)
 
 
+@pytest.mark.parametrize("l", [0, 1])
+def test_lumped_shift_doubles_a_bound_that_holds_too_few(l, monkeypatch):
+    # a first bisection that reports no eigenvalue above index k is taken
+    # again over twice the range, at twice the absolute tolerance, and
+    # finds the shift the first would have, to the two tolerances
+    import fdrates._lapack as lapack
+
+    k = 1 if l == 0 else 0
+    forms = N.assemble_sector_forms(N.build_grid(100.0, 400, 5), -4.0, 1.0, l)
+    sigma = N._lumped_shift(forms)[0]
+    calls, dstebz = [], lapack.dstebz
+
+    def short_first(*args):
+        calls.append(args)
+        out = dstebz(*args)
+        return (k, *out[1:]) if len(calls) == 1 else out
+
+    monkeypatch.setattr(lapack, "dstebz", short_first)
+    doubled = N._lumped_shift(forms)[0]
+    assert len(calls) == 2
+    (*_, vu0, _, _, tol0, _), (*_, vl1, vu1, _, _, tol1, _) = calls
+    assert (vl1, vu1, tol1) == (-2.0 * vu0, 2.0 * vu0, 2.0 * tol0)
+    assert abs(doubled - sigma) <= tol0 + tol1
+
+
 def test_sector_bottom_discrete_mode():
     # (d, alpha) = (5, -6): l=1 bottom is the discrete mode at -2*alpha = 12
     lam, f = N.sector_bottom(5, -6.0, 1.0, 1, R_max=60.0, N=800)
@@ -549,7 +581,13 @@ def test_bottom_eigenvalue_where_the_mass_spans_many_decades(d, alpha, D, R):
     assert count_below(forms, lam * (1 + 1e-10)) == 2
     # the eigenvector is B-normalized in the original coordinates
     assert float(f @ forms.apply_b(f)) == pytest.approx(1.0, rel=1e-12)
-    assert N.rayleigh_quotient(f, forms) == pytest.approx(lam, rel=1e-12)
+    # and its quotient is lam on the scaled pencil (sAs, sBs) that the solve
+    # runs on, in whose coordinates g = f/s the rounding of the quotient
+    # stays far below the bound
+    _, _, s, scaled = N._lumped_shift(forms)
+    g = forms.restrict(f) / s
+    quotient = float(g @ scaled.apply_a(g)) / float(g @ scaled.apply_b(g))
+    assert quotient == pytest.approx(lam, rel=1e-12)
 
 
 @pytest.mark.parametrize("d, alpha, R", [(3, -2.0, 1e40), (2, -0.5, 1e100),
