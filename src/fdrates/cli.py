@@ -367,17 +367,18 @@ def _cmd_hp_verify(args):
     rows = []
     for a in args.alpha:
         res = num.verify_constants(args.d, a, D=args.D, l_max=args.l_max,
-                                   R_max=args.R, N=args.N,
-                                   extrapolate=not args.no_extrapolate)
+                                   R_max=args.R, N=args.N)
         for s in res.sectors:
-            rows.append((res.alpha, s.l, "mean-zero" if s.constrained else "none",
+            rows.append((res.alpha, s.l, "mean-zero" if s.l == 0 else "none",
                          res.R_max, res.N, s.lambda_numeric, res.closed_form,
-                         abs(s.lambda_numeric - res.closed_form) / abs(res.closed_form)))
+                         abs(s.lambda_numeric - res.closed_form) / abs(res.closed_form),
+                         s.lambda_domains[-1]))
         rows.append((res.alpha, "min", "mean-zero", res.R_max, res.N,
-                     res.minimum, res.closed_form, res.rel_err))
-    echo = [("d", args.d), ("D", args.D), ("extrapolate", not args.no_extrapolate)]
+                     res.minimum, res.closed_form, res.rel_err,
+                     min(s.lambda_domains[-1] for s in res.sectors)))
+    echo = [("d", args.d), ("D", args.D)]
     return echo, ["alpha", "l", "constraints", "R_max", "N", "lambda_numeric",
-                  "lambda_closed_form", "rel_err"], rows
+                  "lambda_closed_form", "rel_err", "lambda_R_max"], rows
 
 
 def _cmd_eigenfunction(args):
@@ -604,7 +605,6 @@ def _build_parser():
     sp.add_argument("--R", type=_finite, default=100.0)
     sp.add_argument("--N", type=int, default=1600)
     sp.add_argument("--l-max", type=int, default=3)
-    sp.add_argument("--no-extrapolate", action="store_true")
 
     sp = add("eigenfunction", _cmd_eigenfunction,
              "polynomial eigenfunction and its ODE residual", "--d", "--alpha")

@@ -22,9 +22,10 @@ nodes; the SectorForms of a sector carry its grid and index l.
 Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
 by a quantization-law fit whose root Brent's method (scalar._brent_root)
 finds, which together verify the closed-form sharp constants numerically;
-one grid is built on the largest domain and assembled once, each smaller
-domain is its first cells, and every sector of a domain is formed from that
-one assembly by adding its centrifugal term.  The three
+one grid is built on R_max and assembled once, the largest of the five
+domains is that whole grid, each smaller domain is its first cells, and
+every sector of a domain is formed from that one assembly by adding its
+centrifugal term.  The three
 LAPACK routines of the eigensolver (dgttrf, dgttrs, dstebz) come from
 fdrates._lapack, bound when this module is imported, which loads
 scipy's LAPACK extension but not the scipy.linalg package.
@@ -469,7 +470,6 @@ class SectorVerification(NamedTuple):
     l: int
     lambda_numeric: float
     lambda_domains: tuple
-    constrained: bool
 
 
 class VerificationResult(NamedTuple):
@@ -487,24 +487,24 @@ class VerificationResult(NamedTuple):
 
 
 def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
-                     R_max: float = 100.0, N: int = 1600,
-                     extrapolate: bool = True) -> VerificationResult:
+                     R_max: float = 100.0, N: int = 1600) -> VerificationResult:
     """Verify the closed-form sharp constant by sector-wise minimization.
 
-    Computes the constrained bottom eigenvalue of every sector l <= l_max
-    that exists in dimension d, i.e. has a nonzero multiplicity (l <= 1 when
-    d = 1), with the mean-zero constraint in l = 0; extrapolates each sector
-    to the infinite-domain limit, and compares the minimum over sectors with
-    the closed-form piecewise constant.  One grid of N cells is built on
-    R_max and its element integrals are evaluated once.  Extrapolating, the
-    five truncated domains are evenly spaced in the stretched size
+    Computes the bottom eigenvalue of every sector l <= l_max that exists in
+    dimension d, i.e. has a nonzero multiplicity (l <= 1 when d = 1), with
+    the mean-zero constraint in l = 0, on five truncated domains;
+    extrapolates each sector to the infinite-domain limit, and compares the
+    minimum over sectors with the closed-form piecewise constant.  One grid
+    of N cells is built on R_max and its element integrals are evaluated
+    once.  The five domains are evenly spaced in the stretched size
     S = asinh(R/sqrt(D)), from max(S_max - 3, min(S_max/2, 1.5)) to S_max,
     so that the smallest keeps at least a third of the cells; each is the
     first round(N S/S_max) cells of that grid, resolved at its spacing, and
-    enters the fit with the size of its last node.  Without extrapolation
-    the domain is R_max alone.  All sectors of a domain are formed from the
-    one assembly.  alpha and D may be exact (Fractions); the closed form
-    takes alpha exactly, the forms in floats.
+    enters the fit with the size of its last node.  The largest is the whole
+    grid, so the last of a sector's lambda_domains is its sector_bottom on
+    R_max.  All sectors of a domain are formed from the one assembly.
+    alpha and D may be exact (Fractions); the closed form takes alpha
+    exactly, the forms in floats.
     Raises ValueError, naming the parameter, unless d >= 1, l_max >= 0,
     D > 0 and R_max > 0.
     """
@@ -520,33 +520,23 @@ def verify_constants(d: int, alpha: float, D: float = 1.0, l_max: int = 3,
         raise ValueError(f"R_max must be positive, got {R_max}")
     closed = float(sharp_rate(d, alpha))
     scale = math.sqrt(D)
-    if extrapolate:
-        # five domains evenly spaced in the stretched size S = asinh(R/scale),
-        # the smallest at least a third of the largest; each domain is the
-        # first cells of the grid on the largest, as many as come nearest to
-        # its S
-        S_max = math.asinh(R_max / scale)
-        S_min = max(S_max - 3.0, min(S_max / 2.0, 1.5))
-        cells = [round(N * S / S_max) for S in np.linspace(S_min, S_max, 5).tolist()]
-        # the radius of S_max, which can differ from R_max in its last bits
-        R = scale * math.sinh(S_max)
-    else:
-        cells, R = [N], R_max
-    grid = build_grid(R, N, d, scale=scale)
+    # five domains evenly spaced in the stretched size S = asinh(R/scale), the
+    # smallest at least a third of the largest; each domain is the first cells
+    # of the grid on R_max, as many as come nearest to its S
+    S_max = math.asinh(R_max / scale)
+    S_min = max(S_max - 3.0, min(S_max / 2.0, 1.5))
+    cells = [round(N * S / S_max) for S in np.linspace(S_min, S_max, 5).tolist()]
+    grid = build_grid(R_max, N, d, scale=scale)
     ls = [l for l in range(l_max + 1) if multiplicity(d, l) > 0]
     lams = {l: [] for l in ls}
     for domain in _assemble_sectors(grid, alpha, D, ls, cells):
         for forms in domain:
             lams[forms.l].append(bottom_eigenvalue(forms)[0])
     Ss = [math.asinh(grid.nodes[c] / scale) for c in cells]
-    sectors = []
-    for l in ls:
-        lam = _extrapolate(Ss, lams[l]) if extrapolate else lams[l][0]
-        sectors.append(SectorVerification(l=l, lambda_numeric=lam,
-                                          lambda_domains=tuple(lams[l]),
-                                          constrained=(l == 0)))
+    sectors = tuple(SectorVerification(l=l, lambda_numeric=_extrapolate(Ss, lams[l]),
+                                       lambda_domains=tuple(lams[l])) for l in ls)
     minimum = min(s.lambda_numeric for s in sectors)
     rel = abs(minimum - closed) / abs(closed)
     return VerificationResult(d=d, alpha=float(alpha), D=float(D), R_max=float(R_max),
-                              N=int(N), sectors=tuple(sectors), minimum=minimum,
+                              N=int(N), sectors=sectors, minimum=minimum,
                               closed_form=closed, rel_err=rel)

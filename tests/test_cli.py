@@ -361,23 +361,24 @@ def test_spectrum_json_matches_csv(capsys, d, alpha):
 def test_hp_verify_quick(capsys):
     # (5, -6): converged discrete minimum 12 on a modest truncated domain
     assert main(["hp-verify", "--d", "5", "--alpha", "-6", "--R", "60",
-                 "--N", "400", "--l-max", "1", "--no-extrapolate"]) == 0
+                 "--N", "400", "--l-max", "1"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if not l.startswith("#")]
-    assert lines[0] == "alpha,l,constraints,R_max,N,lambda_numeric,lambda_closed_form,rel_err"
+    assert lines[0] == ("alpha,l,constraints,R_max,N,lambda_numeric,lambda_closed_form,"
+                        "rel_err,lambda_R_max")
     min_row = [l for l in lines if ",min," in l]
     assert len(min_row) == 1
-    rel_err = float(min_row[0].split(",")[-1])
+    rel_err = float(min_row[0].split(",")[7])
     assert rel_err < 5e-3
     # the README sweep, with the negative list as a separate argument
     assert main(["hp-verify", "--d", "5", "--alpha", "-1,-4,-6", "--R", "100",
                  "--N", "1600"]) == 0
     min_rows = [l for l in capsys.readouterr().out.splitlines() if ",min," in l]
     assert [r.split(",")[0] for r in min_rows] == ["-1", "-4", "-6"]
-    assert all(float(r.split(",")[-1]) < 0.03 for r in min_rows)
+    assert all(float(r.split(",")[7]) < 0.03 for r in min_rows)
     # each sweep item is exact: at alpha = -3/10 the closed form is 1/25
     assert main(["hp-verify", "--d", "3", "--alpha=-1,-3/10", "--N", "64",
-                 "--l-max", "0", "--no-extrapolate"]) == 0
+                 "--l-max", "0"]) == 0
     min_rows = [l for l in capsys.readouterr().out.splitlines() if ",min," in l]
     assert [r.split(",")[6] for r in min_rows] == ["0.25", "0.040000000000000001"]
     # every eigenvalue on R = 1e-5 exceeds 1e6, where min lambda - 1e-10
@@ -395,7 +396,7 @@ def test_hp_verify_quick(capsys):
 
 def test_hp_verify_sweep_prints_one_min_row_per_alpha(capsys):
     assert main(["hp-verify", "--d", "5", "--alpha=-6,-8", "--R", "50",
-                 "--N", "200", "--l-max", "1", "--no-extrapolate"]) == 0
+                 "--N", "200", "--l-max", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count(",min,") == 2
 
@@ -796,11 +797,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     under.write_text("d = 5\nalpha = -400\nsector.l = 1\ngrid.R_max = 15\n"
                      "grid.N = 64\ntime.dt = 1e-3\ntime.t_end = 0.01\n")
     for argv, msg in (
-            (["hp-verify", "--d", "5", "--alpha=-400", "--N", "64",
-              "--no-extrapolate"], "lumped mass is not positive"),
+            (["hp-verify", "--d", "5", "--alpha=-400", "--N", "64"],
+             "lumped mass is not positive"),
             # a lumped mass so small that the scaling by it overflows
-            (["hp-verify", "--d", "5", "--alpha=-80", "--N", "64",
-              "--no-extrapolate"], "lumped mass is not positive"),
+            (["hp-verify", "--d", "5", "--alpha=-80", "--N", "64"],
+             "lumped mass is not positive"),
             (["evolve-linear", "--config", str(under)], "singular matrix")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -816,8 +817,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
               "--n", "100"], "1e+200"),
             (["entropy-report", "--config", str(huge)], "1e+200"),
             (["evolve", "--config", str(huge)], "1e+200"),
-            (["hp-verify", "--d", "5", "--alpha=-1", "--R", "1e100", "--N", "64",
-              "--no-extrapolate"], "1e+100")):
+            (["hp-verify", "--d", "5", "--alpha=-1", "--R", "1e100", "--N", "64"],
+             "1e+100")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 2, argv
@@ -839,7 +840,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["hp-verify", "--d", "12", "--alpha=-1", "--R", "3e25",
-                     "--N", "64", "--no-extrapolate", "--l-max", "1"]) == 2
+                     "--N", "64", "--l-max", "1"]) == 2
     assert capsys.readouterr().err.startswith(
         "fdrates: numerical failure: inverse iteration did not converge")
     # 2: a rescaling power or exponential that overflows, refused naming tau

@@ -173,16 +173,15 @@ def _domain_cells(R_max, N_, scale):
 
 
 def test_verify_constants_domains_match_sector_bottom():
-    # every domain of the sweep is the first cells of the grid on the largest,
-    # and each sector's eigenvalue there equals the single-sector solve on
-    # those cells exactly; the largest domain, and the unextrapolated value,
-    # equal the single-sector solve at the radius
+    # every domain of the sweep is the first cells of the grid on R_max, and
+    # each sector's eigenvalue there equals the single-sector solve on those
+    # cells exactly; the largest domain equals the single-sector solve on
+    # R_max
     d, alpha, D, R_max, N_ = 3, -2.0, 2.3, 80.0, 200
     res = N.verify_constants(d, alpha, D=D, R_max=R_max, N=N_)
     scale = math.sqrt(D)
     S_max, cells = _domain_cells(R_max, N_, scale)
-    R_top = float(scale * math.sinh(S_max))
-    grid = N.build_grid(R_top, N_, d, scale=scale)
+    grid = N.build_grid(R_max, N_, d, scale=scale)
     # from S_max = 4.5 on the smallest domain is S_max - 3, and each domain's
     # size lies within half a cell of the evenly spaced one
     assert S_max >= 4.5
@@ -193,11 +192,7 @@ def test_verify_constants_domains_match_sector_bottom():
             N.bottom_eigenvalue(N.assemble_sector_forms(
                 N.RadialGrid(nodes=grid.nodes[:c + 1], d=d), alpha, D, s.l))[0]
             for c in cells)
-        assert s.lambda_domains[-1] == N.sector_bottom(d, alpha, D, s.l, R_top, N_)[0]
-    raw = N.verify_constants(d, alpha, D=D, R_max=R_max, N=N_, extrapolate=False)
-    for s in raw.sectors:
-        lam = N.sector_bottom(d, alpha, D, s.l, R_max, N_)[0]
-        assert s.lambda_domains == (lam,) and s.lambda_numeric == lam
+        assert s.lambda_domains[-1] == N.sector_bottom(d, alpha, D, s.l, R_max, N_)[0]
 
 
 def test_prefix_forms_match_direct_assembly():
@@ -427,7 +422,7 @@ def test_verify_constants_discrete_case():
     assert res.closed_form == 12.0
     assert res.rel_err < 5e-3
     assert len(res.sectors) == 3
-    assert res.sectors[0].constrained and not res.sectors[1].constrained
+    assert [s.l for s in res.sectors] == [0, 1, 2]
     assert res.minimum == min(s.lambda_numeric for s in res.sectors)
 
 
@@ -437,7 +432,7 @@ def test_verify_constants_only_sectors_that_exist():
     res = N.verify_constants(1, -0.1, R_max=100.0, N=200)
     assert [s.l for s in res.sectors] == [0, 1]
     assert res.minimum == min(s.lambda_numeric for s in res.sectors)
-    res = N.verify_constants(2, -3.0, R_max=60.0, N=200, extrapolate=False)
+    res = N.verify_constants(2, -3.0, R_max=60.0, N=200)
     assert [s.l for s in res.sectors] == [0, 1, 2, 3]
 
 
@@ -449,7 +444,7 @@ def test_verify_constants_only_sectors_that_exist():
     (dict(D=Fraction(-1, 2)), "D must be positive, got -1/2"),
 ])
 def test_verify_constants_rejects_bad_input(kwargs, msg):
-    args = dict(d=5, alpha=-1.0, N=64, extrapolate=False) | kwargs
+    args = dict(d=5, alpha=-1.0, N=64) | kwargs
     with pytest.raises(ValueError, match=msg):
         N.verify_constants(**args)
 

@@ -57,8 +57,7 @@ def _records():
     t = np.linspace(0.0, 1.0, 21)
     trace = ent.EntropyTrace(t=t, entropy=np.exp(-t), fisher=t, h1=t, h2=t,
                              mass_defect=t)
-    verification = num.verify_constants(5, -4, l_max=1, R_max=10.0, N=64,
-                                        extrapolate=False)
+    verification = num.verify_constants(5, -4, l_max=1, R_max=10.0, N=64)
     return [E59, grid, p, RescalingMap(E59), wts,
             num.assemble_sector_forms(grid, E59.alpha, 1.0, 1),
             ent.sandwich_from_x(x, wts), ent.fit_rate(trace, (0.0, 1.0)), trace,
