@@ -383,6 +383,8 @@ def _cmd_hp_verify(args):
 
 def _cmd_eigenfunction(args):
     mode = spec.discrete_mode(args.d, args.alpha, args.l, args.k)
+    if mode.multiplicity == 0:
+        raise ConfigError(f"eigenfunction has no sector l = {args.l} in d = {args.d}")
     resid = spec.ode_residual(args.d, args.alpha, args.l, args.k)
     echo = [("d", args.d), ("alpha", args.alpha), ("l", args.l), ("k", args.k),
             ("lambda", mode.lam), ("admissible", mode.admissible),

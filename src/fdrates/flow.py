@@ -15,6 +15,7 @@ x, by Brent's method, on the Weights of the data's profile V_D, and the matched
 state is x re-expressed relative to the matched V_D'.
 
 Linear: sector evolution df/dt = -L f discretized by the same P1 forms,
+with their Dirichlet nodes (numerics.assemble_sector_forms),
 B (df/dt) = -A f with backward Euler.
 """
 

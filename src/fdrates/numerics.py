@@ -12,11 +12,13 @@ quadratic forms
     B(f)   = int_0^inf f^2 (D+r^2)^(alpha-1) r^(d-1) dr.
 
 This module discretizes (A_l, B) with P1 finite elements on a sinh-graded
-radial grid and computes sector bottom eigenvalues, mean-zero for l = 0, by
-index, along one path, all of it on the pencil scaled by the lumped mass:
-a lumped-mass tridiagonal eigensolve, bisected only below a Courant-Fischer
-upper bound, gives the shift, and consistent-mass inverse iteration with one
-factorization, started from the vector of that bound, finishes it.
+radial grid, Dirichlet for l >= 1 at the origin, and at R_max too where
+beta = d - 2 + 2 alpha > 0, and computes sector bottom eigenvalues,
+mean-zero for l = 0, by index, along one path, all of it on the pencil
+scaled by the lumped mass: a lumped-mass tridiagonal eigensolve, bisected
+only below a Courant-Fischer upper bound, gives the shift, and
+consistent-mass inverse iteration with one factorization, started from the
+vector of that bound, finishes it.
 Nodal data, such as eigenvectors, are plain arrays of values at the grid
 nodes; the SectorForms of a sector carry its grid and index l.
 Truncated-domain eigenvalues are extrapolated to the infinite-domain limit
@@ -25,10 +27,10 @@ finds, which together verify the closed-form sharp constants numerically;
 one grid is built on R_max and assembled once, the largest of the five
 domains is that whole grid, each smaller domain is its first cells, and
 every sector of a domain is formed from that one assembly by adding its
-centrifugal term.  The three
-LAPACK routines of the eigensolver (dgttrf, dgttrs, dstebz) come from
-fdrates._lapack, bound when this module is imported, which loads
-scipy's LAPACK extension but not the scipy.linalg package.
+centrifugal term.  The three LAPACK routines of the eigensolver (dgttrf,
+dgttrs, dstebz) come from fdrates._lapack, bound when this module is
+imported, which loads scipy's LAPACK extension but not the scipy.linalg
+package.
 """
 
 from __future__ import annotations
@@ -142,8 +144,10 @@ class SectorForms(NamedTuple):
 
     A and B are symmetric tridiagonal, stored by diagonals.  For l >= 1 the
     origin node carries the Dirichlet condition f(0) = 0 and is dropped from
-    the matrices (dirichlet_origin is True); vectors returned by the solvers
-    are re-padded with the zero value.
+    the matrices (dirichlet_origin is True), and so does the node at R_max,
+    f(R_max) = 0, when beta = d - 2 + 2 alpha > 0 (see assemble_sector_forms).
+    The n kept nodes are the ones after the dropped origin; vectors returned
+    by the solvers are re-padded with the zero values.
     """
 
     grid: RadialGrid
@@ -171,14 +175,17 @@ class SectorForms(NamedTuple):
         return _tridiag_apply(self.b_diag, self.b_off, x)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
-        """Extend a reduced coefficient vector to all grid nodes."""
-        if not self.dirichlet_origin:
-            return x
-        return np.concatenate(([0.0], x))
+        """Extend a reduced coefficient vector to all grid nodes, with zeros
+        at the Dirichlet nodes."""
+        full = np.zeros(self.grid.N + 1)
+        first = int(self.dirichlet_origin)
+        full[first:first + self.n] = x
+        return full
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
-        """Drop the origin node of a full nodal vector when Dirichlet applies."""
-        return values[1:] if self.dirichlet_origin else values
+        """The kept nodes of a full nodal vector, without its Dirichlet nodes."""
+        first = int(self.dirichlet_origin)
+        return values[first:first + self.n]
 
 
 def _tridiag_apply(diag, off, x):
@@ -193,8 +200,12 @@ def assemble_sector_forms(grid: RadialGrid, alpha: float, D: float,
     """Assemble the P1 stiffness/mass pair for sector l on the given grid.
 
     Element integrals use 4-point Gauss-Legendre quadrature of the exact
-    weights (D+r^2)^alpha r^(d-1) and (D+r^2)^(alpha-1) r^(d-1); the boundary
-    at R_max is natural (no-flux) and for l >= 1 the origin is Dirichlet.
+    weights (D+r^2)^alpha r^(d-1) and (D+r^2)^(alpha-1) r^(d-1).  For l >= 1
+    the origin is Dirichlet.  The boundary at R_max is natural (no-flux),
+    except for l >= 1 when beta = d - 2 + 2 alpha > 0: there both forms of a
+    function constant far out grow like R^beta, their quotient tends to
+    l(l+d-2), below the infinite-domain bottom l(l+d-2) + lambda_cont, and
+    R_max is Dirichlet instead.
     alpha and D may be exact (Fractions); the weights are evaluated in floats.
     """
     return next(_assemble_sectors(grid, alpha, D, (l,), (grid.N,)))[0]
@@ -239,6 +250,8 @@ def _assemble_sectors(grid, alpha, D, ls, cells):
     wb = wa / (D + x2)
     p0 = (r[1:] - x) / h
     p1 = (x - r[:-1]) / h
+    # the last kept node of a sector l >= 1: all but R_max when beta > 0
+    end = -1 if d - 2 + 2.0 * alpha > 0 else None
 
     # per element: the (0,0), (1,1) and (0,1) entries of each element matrix
     k = np.sum(wa * w, axis=0) / h**2  # gradient term, +/- per element
@@ -274,7 +287,7 @@ def _assemble_sectors(grid, alpha, D, ls, cells):
                 ad[:-1] += q00[:c]
                 ad[1:] += q11[:c]
                 ao += q01[:c]
-                ad, ao, bd, bo = ad[1:], ao[1:], bd[1:], bo[1:]
+                ad, ao, bd, bo = ad[1:end], ao[1:end], bd[1:end], bo[1:end]
             out.append(SectorForms(grid=sub, l=int(l), a_diag=ad, a_off=ao,
                                    b_diag=bd, b_off=bo))
         yield out

@@ -408,6 +408,43 @@ def test_hp_verify_d1_prints_only_existing_sectors(capsys):
     assert [r.split(",")[1] for r in rows] == ["0", "1", "min"]
 
 
+def _hp_verify_rows(out):
+    """The CSV rows of hp-verify output, as dicts keyed by its header."""
+    header, *rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    return [dict(zip(header, r)) for r in rows]
+
+
+def test_hp_verify_prints_the_R_max_value_beside_the_fit(capsys):
+    # each sector row holds its eigenvalue on the whole R_max domain beside
+    # the extrapolated one, and the min row the least of them; at (3, -0.45)
+    # the fit of sector 0 finds no root, and the value falls back to R_max's
+    from fdrates import numerics
+
+    assert main(["hp-verify", "--d", "3", "--alpha=-0.45", "--N", "400",
+                 "--l-max", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "extrapolate" not in out
+    rows = _hp_verify_rows(out)
+    res = numerics.verify_constants(3, -0.45, N=400, l_max=1)
+    assert [r["l"] for r in rows] == ["0", "1", "min"]
+    for r, s in zip(rows, res.sectors):
+        assert r["lambda_numeric"] == cli._fmt(s.lambda_numeric)
+        assert r["lambda_R_max"] == cli._fmt(s.lambda_domains[-1])
+    assert rows[0]["lambda_numeric"] == rows[0]["lambda_R_max"]
+    assert rows[1]["lambda_numeric"] != rows[1]["lambda_R_max"]
+    assert rows[2]["lambda_R_max"] == cli._fmt(min(s.lambda_domains[-1]
+                                                   for s in res.sectors))
+
+
+@pytest.mark.parametrize("d, closed", [("11", "12.25"), ("12", "16")])
+def test_hp_verify_minimum_at_alpha_minus_one_in_high_dimensions(capsys, d, closed):
+    # hp-verify --d 11 --alpha=-1 once exited 0 with min 9.9985, rel_err
+    # 0.18, from sector l = 1 with a natural end at R_max
+    assert main(["hp-verify", "--d", d, "--alpha=-1"]) == 0
+    (row,) = [r for r in _hp_verify_rows(capsys.readouterr().out) if r["l"] == "min"]
+    assert row["lambda_closed_form"] == closed and float(row["rel_err"]) < 1e-2
+
+
 def test_eigenfunction(capsys):
     assert main(["eigenfunction", "--d", "5", "--alpha", "-10",
                  "--l", "0", "--k", "1"]) == 0
@@ -720,7 +757,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             (["eigenfunction", "--d", "5", "--alpha=-10", "--l", "0", "--k", "-2"],
              "k must be >= 0, got -2"),
             (["eigenfunction", "--d", "5", "--alpha", "1", "--l", "0", "--k", "1"],
-             "alpha must be negative, got 1")):
+             "alpha must be negative, got 1"),
+            # in d = 1 the only sectors are the parities l = 0, 1
+            (["eigenfunction", "--d", "1", "--alpha=-10", "--l", "2", "--k", "0"],
+             "eigenfunction has no sector l = 2 in d = 1")):
         assert main(argv) == 1
         assert msg in capsys.readouterr().err
     # 1: quotient options out of range or malformed, refused with the option

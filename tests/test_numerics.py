@@ -101,7 +101,8 @@ def test_forms_and_verification_take_exact_alpha():
 
 def _reference_forms(grid, alpha, D, l):
     """The single-sector assembly, with every quadrature array evaluated anew
-    for each sector; returns (a_diag, a_off, b_diag, b_off)."""
+    for each sector; returns (a_diag, a_off, b_diag, b_off).  Sector l >= 1
+    drops the origin node, and the node at R_max too when d - 2 + 2 alpha > 0."""
     alpha = float(alpha)
     r = grid.nodes
     d = grid.d
@@ -136,7 +137,8 @@ def _reference_forms(grid, alpha, D, l):
     b_off += np.sum(wb * p0 * p1 * w, axis=1)
 
     if l >= 1:
-        return a_diag[1:], a_off[1:], b_diag[1:], b_off[1:]
+        end = n - 1 if d - 2 + 2 * alpha > 0 else n
+        return a_diag[1:end], a_off[1:end - 1], b_diag[1:end], b_off[1:end - 1]
     return a_diag, a_off, b_diag, b_off
 
 
@@ -235,6 +237,26 @@ def test_forms_mass_positive_definite():
         if l >= 1:
             assert forms.dirichlet_origin
             assert forms.n == g.N  # origin node dropped
+
+
+def test_forms_drop_the_node_at_R_max_where_beta_is_positive():
+    # sector l >= 1 with beta = d - 2 + 2 alpha > 0 is Dirichlet at R_max as
+    # well as at the origin; pad puts the zeros at both dropped nodes,
+    # restrict drops both, and the eigenvector vanishes at both
+    g = N.build_grid(100.0, 400, 5)
+    for alpha, l, kept in ((-1.0, 1, slice(1, -1)), (-1.0, 0, slice(None)),
+                           (-4.0, 1, slice(1, None))):
+        forms = N.assemble_sector_forms(g, alpha, 1.0, l)
+        index = np.arange(g.N + 1.0)
+        assert np.array_equal(forms.restrict(index), index[kept])
+        assert forms.n == len(index[kept])
+        x = np.arange(1.0, forms.n + 1.0)
+        full = forms.pad(x)
+        assert np.array_equal(full[kept], x)
+        assert np.count_nonzero(full) == forms.n
+        f = N.bottom_eigenvalue(forms)[1]
+        assert len(f) == g.N + 1 and np.count_nonzero(f[kept]) == forms.n
+        assert np.count_nonzero(f) == forms.n
 
 
 def test_rayleigh_quotient_eigen_oracle():
@@ -403,6 +425,30 @@ def test_lumped_shift_doubles_a_bound_that_holds_too_few(l, monkeypatch):
     assert abs(doubled - sigma) <= tol0 + tol1
 
 
+def test_lumped_shift_refuses_forms_without_a_positive_bound():
+    # with A = 0 the Courant-Fischer quotient is 0, which bounds no shift
+    forms = N.assemble_sector_forms(N.build_grid(100.0, 400, 5), -4.0, 1.0, 1)
+    zero = forms._replace(a_diag=np.zeros(forms.n), a_off=np.zeros(forms.n - 1))
+    with pytest.raises(N.NonConvergenceError,
+                       match=r"^no finite positive bound for the shift") as exc:
+        N._lumped_shift(zero)
+    assert exc.value.last_quotient == 0.0
+
+
+def test_lumped_shift_refuses_a_failed_bisection(monkeypatch):
+    # an info from dstebz is refused with the bound as the last quotient
+    import fdrates._lapack as lapack
+
+    forms = N.assemble_sector_forms(N.build_grid(100.0, 400, 5), -4.0, 1.0, 0)
+    dstebz = lapack.dstebz
+    monkeypatch.setattr(lapack, "dstebz", lambda *a: (*dstebz(*a)[:4], 3))
+    with pytest.raises(N.NonConvergenceError,
+                       match=r"^dstebz failed with info = 3 \(last Rayleigh quotient: "
+                             ) as exc:
+        N._lumped_shift(forms)
+    assert 0.0 < exc.value.last_quotient < math.inf
+
+
 def test_sector_bottom_discrete_mode():
     # (d, alpha) = (5, -6): l=1 bottom is the discrete mode at -2*alpha = 12
     lam, f = N.sector_bottom(5, -6.0, 1.0, 1, R_max=60.0, N=800)
@@ -447,6 +493,31 @@ def test_verify_constants_rejects_bad_input(kwargs, msg):
     args = dict(d=5, alpha=-1.0, N=64) | kwargs
     with pytest.raises(ValueError, match=msg):
         N.verify_constants(**args)
+
+
+@pytest.mark.parametrize("d, alpha", [(6, -1.5), (5, -1.0)])
+def test_verify_constants_sectors_above_the_continuum_where_beta_is_positive(d, alpha):
+    # with beta = d - 2 + 2 alpha > 0 a function constant far out has A and B
+    # both growing like R^beta; with a natural end at R_max its quotient
+    # brought sector l >= 1 to l(l+d-2) (4.991, 11.984, 20.978 at (6, -1.5)).
+    # Dirichlet at R_max, every sector l >= 1 is within 1% of its
+    # infinite-domain bottom l(l+d-2) + lambda_cont
+    from fdrates.exponents import lambda_continuum
+
+    cont = float(lambda_continuum(d, alpha))
+    res = N.verify_constants(d, alpha, R_max=100.0, N=1600)
+    assert [s.l for s in res.sectors] == [0, 1, 2, 3]
+    for s in res.sectors[1:]:
+        assert s.lambda_numeric == pytest.approx(s.l * (s.l + d - 2) + cont, rel=1e-2)
+
+
+@pytest.mark.parametrize("d", [11, 12])
+def test_verify_constants_minimum_at_alpha_minus_one_in_high_dimensions(d):
+    # the natural end at R_max once made sector l = 1 the minimum at
+    # alpha = -1 from d = 11 on (9.9985 against 12.25 at d = 11)
+    res = N.verify_constants(d, -1.0, R_max=100.0, N=1600)
+    assert res.rel_err < 1e-2
+    assert res.minimum == res.sectors[0].lambda_numeric
 
 
 def test_verify_constants_continuum_case_needs_extrapolation():
@@ -504,6 +575,34 @@ def test_quantization_fit_two_roots_still_refused():
     k = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
     Ss = 1.7 / k + 0.3 - 0.2 * k + 0.05 * k**2
     assert N._quantization_fit(Ss, 2.25 + k**2, 2) is None
+
+
+def test_quantization_fit_refuses_an_empty_bracket(monkeypatch):
+    # the root lies in (1e-12, min lambda - 1e-10); with min lambda <= 1e-10
+    # that bracket is empty, and no residual is evaluated
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+    Ss = math.pi / np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+    for lam_min in (1e-10, 1e-11, 0.0):
+        assert N._quantization_fit(Ss, [1.8, 1.6, 1.4, 1.2, lam_min], 2) is None
+    assert calls == []
+
+
+def test_extrapolate_falls_back_to_the_largest_domain():
+    # at (3, -0.45) the values of sector 0 spread over a factor 6, and no fit
+    # of the quantization law finds a root, so the extrapolated value is the
+    # one on the largest domain, R_max itself
+    res = N.verify_constants(3, -0.45, R_max=100.0, N=1600)
+    s = res.sectors[0]
+    lams = np.array(s.lambda_domains)
+    assert lams.max() > 6.0 * lams.min()
+    S_max, cells = _domain_cells(100.0, 1600, 1.0)
+    grid = N.build_grid(100.0, 1600, 3)
+    Ss = [math.asinh(grid.nodes[c]) for c in cells]
+    assert [N._quantization_fit(Ss, lams, npow) for npow in (2, 1, 0)] == [None] * 3
+    assert s.lambda_numeric == s.lambda_domains[-1]
+    assert N._extrapolate(Ss, s.lambda_domains) == s.lambda_domains[-1]
 
 
 @pytest.mark.parametrize("f, lo, hi", [
