@@ -250,7 +250,8 @@ def _assemble_sectors(grid, alpha, D, ls, cells):
     wb = wa / (D + x2)
     p0 = (r[1:] - x) / h
     p1 = (x - r[:-1]) / h
-    # the last kept node of a sector l >= 1: all but R_max when beta > 0
+    # the end of the kept nodes of a sector l >= 1: R_max is dropped too
+    # where beta > 0 (see assemble_sector_forms)
     end = -1 if d - 2 + 2.0 * alpha > 0 else None
 
     # per element: the (0,0), (1,1) and (0,1) entries of each element matrix

@@ -439,10 +439,13 @@ def test_hp_verify_prints_the_R_max_value_beside_the_fit(capsys):
 @pytest.mark.parametrize("d, closed", [("11", "12.25"), ("12", "16")])
 def test_hp_verify_minimum_at_alpha_minus_one_in_high_dimensions(capsys, d, closed):
     # hp-verify --d 11 --alpha=-1 once exited 0 with min 9.9985, rel_err
-    # 0.18, from sector l = 1 with a natural end at R_max
+    # 0.18, from sector l = 1 with a natural end at R_max; the minimum is
+    # sector 0's, within 1% of the closed form
     assert main(["hp-verify", "--d", d, "--alpha=-1"]) == 0
-    (row,) = [r for r in _hp_verify_rows(capsys.readouterr().out) if r["l"] == "min"]
-    assert row["lambda_closed_form"] == closed and float(row["rel_err"]) < 1e-2
+    rows = _hp_verify_rows(capsys.readouterr().out)
+    assert [r["l"] for r in rows] == ["0", "1", "2", "3", "min"]
+    assert rows[-1]["lambda_numeric"] == rows[0]["lambda_numeric"]
+    assert rows[-1]["lambda_closed_form"] == closed and float(rows[-1]["rel_err"]) < 1e-2
 
 
 def test_eigenfunction(capsys):

@@ -511,15 +511,6 @@ def test_verify_constants_sectors_above_the_continuum_where_beta_is_positive(d, 
         assert s.lambda_numeric == pytest.approx(s.l * (s.l + d - 2) + cont, rel=1e-2)
 
 
-@pytest.mark.parametrize("d", [11, 12])
-def test_verify_constants_minimum_at_alpha_minus_one_in_high_dimensions(d):
-    # the natural end at R_max once made sector l = 1 the minimum at
-    # alpha = -1 from d = 11 on (9.9985 against 12.25 at d = 11)
-    res = N.verify_constants(d, -1.0, R_max=100.0, N=1600)
-    assert res.rel_err < 1e-2
-    assert res.minimum == res.sectors[0].lambda_numeric
-
-
 def test_verify_constants_continuum_case_needs_extrapolation():
     # (3, -2): closed form 9/4 sits at the continuum bottom; truncated values
     # overshoot and the quantization-law fit removes the 1/log^2 R bias
